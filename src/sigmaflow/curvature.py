@@ -17,7 +17,6 @@ C_{ijk} = nabla_i A_{jk} - nabla_j A_{ik}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,8 @@ class GeometryError(ValueError):
 
 class MetricChart:
     """A dimension, an n x n symmetric array of component expressions and a
-    validity box.  Positive definiteness is probed on a coarse grid at
-    construction time."""
+    validity box.  Symmetry and positive definiteness are probed on a coarse
+    grid at construction time."""
 
     def __init__(self, dim, comps, domain, periodic=None, validate=True):
         if not 2 <= dim <= 8:
@@ -53,40 +52,45 @@ class MetricChart:
             self._validate()
 
     def _validate(self):
+        x = self.probe_grid(3)
+        g = self.metric_values(x)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 if self.comps[i][j] != self.comps[j][i]:
                     # accept numerically symmetric input
-                    for x in self.probe_grid(2):
-                        a = ex.eval_float(self.comps[i][j], x)
-                        b = ex.eval_float(self.comps[j][i], x)
-                        if abs(a - b) > 1e-12 * (1 + abs(a)):
-                            raise GeometryError(f"metric not symmetric in slot ({i},{j})")
-        for x in self.probe_grid(3):
-            g = self.metric_values(x)
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                raise GeometryError(f"metric not positive definite at {x}") from None
+                    a, b = g[:, i, j], ex.eval_float(self.comps[j][i], x)
+                    self._require(np.abs(a - b) <= 1e-12 * (1 + np.abs(a)), x,
+                                  f"metric[{i}][{j}] and metric[{j}][{i}] disagree")
+        self._require(np.linalg.eigvalsh(g)[:, 0] > 0, x,
+                      "metric not positive definite")
 
-    def probe_grid(self, per_axis: int):
-        """Small interior grid used for construction-time checks."""
+    @staticmethod
+    def _require(ok, x, what):
+        if not np.all(ok):
+            raise GeometryError(f"{what} at {x[:, np.argmin(ok)].tolist()}")
+
+    def probe_grid(self, per_axis: int) -> np.ndarray:
+        """Small interior grid used for construction-time checks, as stacked
+        coordinates of shape (dim, per_axis ** dim)."""
         axes = []
         for lo, hi in self.domain:
             pad = 0.05 * (hi - lo)
             axes.append(np.linspace(lo + pad, hi - pad, per_axis))
-        return [np.array(p) for p in itertools.product(*axes)]
+        return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(self.dim, -1)
 
     def contains(self, x) -> bool:
         return all(lo - 1e-12 <= xi <= hi + 1e-12
                    for xi, (lo, hi) in zip(x, self.domain))
 
     def metric_values(self, x) -> np.ndarray:
-        g = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g[i, j] = g[j, i] = ex.eval_float(self.comps[i][j], x)
-        return g
+        """g at the point x, shape (n, n); for stacked coordinates x of shape
+        (n, ...), one matrix per point, shape (..., n, n)."""
+        n = self.dim
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = ex.eval_float(self.comps[i][j], x)
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def _as_expr(e):

@@ -13,13 +13,20 @@ Variables are ``x1`` .. ``x8``; the named constants are ``pi`` and ``e``;
 the functions are exp, log, sin, cos, sinh, cosh, tanh, sqrt, abs.
 Whitespace is insignificant.  Decimal literals are parsed as binary
 doubles.
+
+One tree walk evaluates an expression over two rings: float arrays
+(``eval_float``, a whole grid per call) and order-4 Taylor jets
+(``eval_taylor``).  Both apply the same domain rules to the value part, and
+a domain violation or a non-finite result raises ``EvalError`` in either.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -175,6 +182,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, off = self.next()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ParseError(f"number {text} out of range", off)
             return Num(float(text))
         if kind == "ident":
             m = re.fullmatch(r"x([1-9]\d*)", text)
@@ -275,10 +284,7 @@ def max_var(e: Expr) -> int:
     return 0
 
 
-_FLOAT_FN = {
-    "exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
-    "cosh": math.cosh, "tanh": math.tanh, "abs": abs,
-}
+_FLOAT_FN = {name: getattr(np, name) for name in FUNCTIONS}
 
 _TAYLOR_FN = {
     "exp": taylor.exp, "log": taylor.log, "sin": taylor.sin, "cos": taylor.cos,
@@ -287,48 +293,95 @@ _TAYLOR_FN = {
 }
 
 
-def eval_float(e: Expr, point) -> float:
-    """Plain floating evaluation at ``point`` (1-based variables)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(point):
-            raise EvalError(f"point has no coordinate x{e.index}")
-        return float(point[e.index - 1])
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -eval_float(e.arg, point)
-    if isinstance(e, Bin):
-        a = eval_float(e.left, point)
-        b = eval_float(e.right, point)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        if b == round(b):
-            return a ** int(b)
-        if a <= 0:
-            raise EvalError(f"fractional power of non-positive value {a}")
-        return a ** b
-    if isinstance(e, Call):
-        v = eval_float(e.arg, point)
-        if e.name == "log":
-            if v <= 0:
-                raise EvalError(f"log of non-positive value {v}")
-            return math.log(v)
-        if e.name == "sqrt":
-            if v <= 0:
-                raise EvalError(f"sqrt of non-positive value {v}")
-            return math.sqrt(v)
-        return _FLOAT_FN[e.name](v)
+@dataclass(frozen=True)
+class _Ring:
+    """What the tree walk needs of a number system."""
+    const: Callable      # float -> element
+    value: Callable      # element -> value part, which the domain rules test
+    coeffs: Callable     # element -> every number that must be finite
+    fn: dict             # function name -> unary map
+    power: Callable      # (base, exponent) -> element
+
+
+_FLOATS = _Ring(const=np.float64, value=lambda v: v, coeffs=lambda v: v,
+                fn=_FLOAT_FN, power=np.power)
+
+
+def _jets(ctx: taylor.TaylorContext) -> _Ring:
+    # taylor functions are looked up at call time, so rebinding them (as a
+    # tracer does) reaches the walk
+    return _Ring(const=ctx.constant, value=lambda s: s.value, coeffs=lambda s: s.c,
+                 fn=_TAYLOR_FN, power=lambda a, b: taylor.power(a, b))
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _require(ok, what: str, values):
+    """Raise EvalError naming the first of ``values`` where ``ok`` is false."""
+    if ok is True or np.all(ok):
+        return
+    bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)]
+    raise EvalError(f"{what} {bad.flat[0]:.6g}")
+
+
+def _evaluate(e: Expr, env, ring: _Ring):
+    """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``.
+
+    Domain rules test value parts, so every ring rejects the same inputs.
+    Run it under ``_run``, which turns overflow into an error."""
+    try:
+        if isinstance(e, Num):
+            return ring.const(e.value)
+        if isinstance(e, Var):
+            if e.index > len(env):
+                raise EvalError(f"point has no coordinate x{e.index}")
+            return env[e.index - 1]
+        if isinstance(e, Const):
+            return ring.const(CONSTANTS[e.name])
+        if isinstance(e, Neg):
+            return -_evaluate(e.arg, env, ring)
+        if isinstance(e, Bin):
+            a, b = _evaluate(e.left, env, ring), _evaluate(e.right, env, ring)
+            av, bv = ring.value(a), ring.value(b)
+            if e.op == "/":
+                _require(bv != 0, "division by", bv)
+            elif e.op == "^":
+                whole = bv % 1 == 0
+                _require((av > 0) | (whole & ((bv >= 0) | (av != 0))),
+                         "power undefined at base", av)
+            return _ARITH.get(e.op, ring.power)(a, b)
+        if isinstance(e, Call):
+            v = _evaluate(e.arg, env, ring)
+            if e.name in ("log", "sqrt"):
+                _require(ring.value(v) > 0, f"{e.name} of non-positive value",
+                         ring.value(v))
+            return ring.fn[e.name](v)
+    except (taylor.TaylorDomainError, ArithmeticError) as exc:
+        raise EvalError(f"{unparse(e)}: {exc}") from exc
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _run(e: Expr, env, ring: _Ring):
+    # numpy raises on overflow here, as math does inside the jet functions
+    with np.errstate(all="raise", under="ignore"):
+        out = _evaluate(e, env, ring)
+    if not np.isfinite(ring.coeffs(out)).all():
+        raise EvalError("result is not finite")
+    return out
+
+
+def eval_float(e: Expr, point):
+    """Floating evaluation at ``point``, a sequence of coordinates x1, x2, ...
+
+    Each coordinate is a float or an array.  The result has the broadcast
+    shape of the coordinates, so a stack of grids evaluates in one call; it
+    is a ``float`` when every coordinate is a scalar.
+    """
+    coords = [np.asarray(c, dtype=float) for c in point]
+    out = _run(e, coords, _FLOATS)
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    return float(out) if shape == () else np.broadcast_to(out, shape).copy()
 
 
 def eval_taylor(e: Expr, point, active=None) -> TaylorScalar:
@@ -340,50 +393,13 @@ def eval_taylor(e: Expr, point, active=None) -> TaylorScalar:
     """
     point = np.asarray(point, dtype=float)
     dim = len(point)
-    if max_var(e) > dim:
-        raise EvalError(f"expression uses x{max_var(e)} but point has dimension {dim}")
     ctx = taylor.context(dim)
-    if active is None:
-        active = range(1, dim + 1)
-    active = set(active)
+    active = set(range(1, dim + 1) if active is None else active)
     env = [
         ctx.variable(i, point[i]) if (i + 1) in active else ctx.constant(point[i])
         for i in range(dim)
     ]
-    return taylor.check_finite(_eval_t(e, env, ctx))
-
-
-def _eval_t(e: Expr, env, ctx) -> TaylorScalar:
-    if isinstance(e, Num):
-        return ctx.constant(e.value)
-    if isinstance(e, Var):
-        return env[e.index - 1]
-    if isinstance(e, Const):
-        return ctx.constant(CONSTANTS[e.name])
-    if isinstance(e, Neg):
-        return -_eval_t(e.arg, env, ctx)
-    if isinstance(e, Bin):
-        a = _eval_t(e.left, env, ctx)
-        b = _eval_t(e.right, env, ctx)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-            return taylor.power(a, b)
-        except taylor.TaylorDomainError as exc:
-            raise EvalError(str(exc)) from exc
-    if isinstance(e, Call):
-        v = _eval_t(e.arg, env, ctx)
-        try:
-            return _TAYLOR_FN[e.name](v)
-        except taylor.TaylorDomainError as exc:
-            raise EvalError(f"{e.name}: {exc}") from exc
-    raise TypeError(f"not an Expr: {e!r}")
+    return _run(e, env, _jets(ctx))
 
 
 _DERIV_RULES = {

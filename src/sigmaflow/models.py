@@ -240,10 +240,11 @@ def warped(xi, fiber: ModelManifold, interval=(0.5, 1.5)) -> ModelManifold:
 def warped_spec(xi, fiber: ModelManifold, interval=(0.5, 1.5)) -> WarpedProductSpec:
     xi = ex.parse(xi) if isinstance(xi, str) else xi
     lo, hi = interval
-    for t in np.linspace(lo, hi, 7):
-        if ex.eval_float(xi, [t]) <= 0.0:
-            raise GeometryError(f"warping factor must be positive on the interval; "
-                                f"fails at t = {t}")
+    t = np.linspace(lo, hi, 7)
+    bad = ex.eval_float(xi, [t]) <= 0.0
+    if bad.any():
+        raise GeometryError(f"warping factor must be positive on the interval; "
+                            f"fails at t = {t[bad][0]}")
     return WarpedProductSpec(fiber=fiber, xi=xi, interval=(float(lo), float(hi)))
 
 

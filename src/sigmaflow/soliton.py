@@ -65,7 +65,7 @@ class ResidualReport:
     classification: str
     trivial: bool
     probes_used: int
-    cone_violations: list
+    cone_violations: list           # (probe, ConeConditionError) pairs
 
     def to_dict(self) -> dict:
         return {
@@ -116,7 +116,7 @@ def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
         try:
             _, residual, psi_t, lie, lam, _, ginv = _point_data(spec, x)
         except ConeConditionError as err:
-            violations.append((np.asarray(x), str(err)))
+            violations.append((np.asarray(x), err))
             continue
         used += 1
         rnorm = np.sqrt(_gnorm2(ginv, residual))
@@ -127,13 +127,13 @@ def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
         lam_min = min(lam_min, lam)
         lam_max = max(lam_max, lam)
     if used == 0:
-        raise ConeConditionError(spec.k, spec.l, float("nan"), float("nan"))
+        raise violations[0][1] if violations else ValueError("no probe points")
     mean /= used
     return ResidualReport(
         sup=sup, mean=mean, lie_sup=lie_sup, psi_sup=psi_sup,
         lam_min=lam_min, lam_max=lam_max,
         classification=_classify(lam_min, lam_max),
-        trivial=(lie_sup < trivial_tol and psi_sup < trivial_tol),
+        trivial=bool(lie_sup < trivial_tol and psi_sup < trivial_tol),
         probes_used=used, cone_violations=violations,
     )
 

@@ -34,10 +34,6 @@ class TaylorDomainError(ValueError):
     """Function evaluated outside its domain (log of <= 0, etc.)."""
 
 
-class TaylorOverflowError(ArithmeticError):
-    """A non-finite coefficient appeared during evaluation."""
-
-
 def _multi_indices(dim: int):
     """All multi-indices of ``dim`` variables with |alpha| <= 4, ordered by
     total degree then lexicographically."""
@@ -252,9 +248,7 @@ def log_abs(s: TaylorScalar) -> TaylorScalar:
 
 
 def sqrt(s: TaylorScalar) -> TaylorScalar:
-    if s.value <= 0.0:
-        raise TaylorDomainError(f"sqrt of non-positive value {s.value}")
-    return power(s, 0.5)
+    return power(s, 0.5)  # power rejects a non-positive value part
 
 
 def sin(s: TaylorScalar) -> TaylorScalar:
@@ -327,8 +321,3 @@ def power(s: TaylorScalar, p) -> TaylorScalar:
         coeff *= pf - m
     return _compose(s, d)
 
-
-def check_finite(s: TaylorScalar) -> TaylorScalar:
-    if not np.all(np.isfinite(s.c)):
-        raise TaylorOverflowError("non-finite Taylor coefficient")
-    return s

@@ -33,6 +33,14 @@ def test_curvature_example4_json():
     assert doc["cone_ok"]
 
 
+def test_curvature_warped_model():
+    # dt^2 + sinh(t)^2 g_{S^5} is hyperbolic 6-space
+    code, out, _ = run_cli("curvature", "--builtin", "warped:sinh:sphere:5",
+                           "--point", "1,0.1,0.2,0,0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["scalar_curvature"] == pytest.approx(-30.0, rel=1e-9)
+
+
 def test_curvature_determinism():
     args = ("curvature", "--builtin", "hyperbolic:4",
             "--point", "0.05,0.1,-0.1,0.2", "--json")
@@ -82,6 +90,29 @@ def test_verify_sphere_passes():
     assert code == 0
     assert "classification: indefinite" in out
     assert "PASS" in out
+
+
+def test_verify_json_report():
+    code, out, _ = run_cli("verify", "--builtin", "sphere:4", "--json")
+    assert code == 0
+    assert json.loads(out)["trivial"] is False
+
+
+def test_verify_counts_cone_violations(tmp_path):
+    # dx1^2 + cos(x1)^2 (dx2^2 + dx3^2) has R = 4 - 2 tan(x1)^2, so sigma_1
+    # changes sign inside the box and (k, l) = (1, 0) fails at some probes
+    doc = {
+        "dim": 3,
+        "metric": [["1", "0", "0"], ["0", "cos(x1)^2", "0"],
+                   ["0", "0", "cos(x1)^2"]],
+        "domain": [[-1.55, 1.55], [-1, 1], [-1, 1]],
+        "k": 1, "l": 0,
+    }
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("verify", "--file", str(path), "--probes", "10")
+    assert code == 1
+    assert "cone violations at 2 probes" in out
 
 
 def test_verify_every_builtin_model():
@@ -197,3 +228,25 @@ def test_point_outside_domain_exit_2():
     code, _, _ = run_cli("curvature", "--builtin", "sphere:3",
                          "--point", "5,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--n", "4", "--k", "2", "--l", "1", "--t-end", "0.1",
+     "--u0", "log(x1)"),
+    ("hodge", "--n", "2", "--grid", "16", "--field", "exp(1000*x1); 0"),
+    ("hodge", "--n", "2", "--grid", "16", "--field", "x1^-1; 0"),
+])
+def test_evaluator_failure_exits_2(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_malformed_domain_exits_2(tmp_path):
+    doc = {"dim": 2, "metric": [["1", "0"], ["0", "1"]], "domain": "abc",
+           "k": 1, "l": 1}
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli("curvature", "--file", str(path))
+    assert code == 2
+    assert err.startswith("input error:") and "domain" in err

@@ -270,6 +270,9 @@ def test_non_positive_definite_metric_rejected():
     with pytest.raises(GeometryError):
         chart_from_strings([["x1", "0"], ["0", "1"]],
                            domain=[(-1.0, 1.0), (-1.0, 1.0)])
+    # indefinite only at the probe-grid corner (0.9, 0.9); the error names it
+    with pytest.raises(GeometryError, match=r"\[0\.9, 0\.9\]"):
+        chart_from_strings([["1", "0"], ["0", "1.5 - x1 - x2"]])
 
 
 def test_asymmetric_metric_rejected():

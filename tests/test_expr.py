@@ -47,6 +47,9 @@ def test_parse_error_carries_offset():
         ex.parse("frob(x1)")
     with pytest.raises(ex.ParseError):
         ex.parse("x1 x2")
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse("2 * 1e999")
+    assert err.value.offset == 4
 
 
 def test_unparse_round_trips_structurally():
@@ -67,6 +70,13 @@ def test_unparse_round_trips_structurally():
             x = rng.uniform(0.1, 0.9, size=3).tolist()
             assert ex.eval_float(again, x) == pytest.approx(
                 ex.eval_float(e, x), rel=1e-15)
+        # one call over stacked points agrees with pointwise evaluation
+        pts = rng.uniform(0.1, 0.9, size=(3, 4, 5))
+        grid = ex.eval_float(e, pts)
+        assert grid.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert grid[idx] == pytest.approx(
+                ex.eval_float(e, pts[(slice(None), *idx)]), rel=1e-15)
 
 
 def test_symbolic_derivative_matches_taylor():
@@ -117,10 +127,14 @@ def test_shift_vars():
 
 
 def test_domain_violation_raises_eval_error():
-    with pytest.raises(ex.EvalError):
-        ex.eval_float(ex.parse("log(x1)"), [-1.0])
-    with pytest.raises(ex.EvalError):
-        ex.eval_float(ex.parse("1/x1"), [0.0])
+    # both rings share one set of domain rules, and overflow is an EvalError
+    cases = [("log(x1)", -1.0), ("log(x1)", 0.0), ("sqrt(x1)", 0.0),
+             ("1/x1", 0.0), ("x1^-1", 0.0), ("x1^0.5", -1.0),
+             ("exp(1000*x1)", 1.0)]
+    for src, x in cases:
+        for evaluate in (ex.eval_float, ex.eval_taylor):
+            with pytest.raises(ex.EvalError):
+                evaluate(ex.parse(src), [x])
 
 
 def test_missing_variable_is_an_error():

@@ -5,6 +5,7 @@ from sigmaflow import expr as ex
 from sigmaflow import models
 from sigmaflow.curvature import GeometryError, covariant_ops
 from sigmaflow.probes import chart_probes
+from sigmaflow.sigma import ConeConditionError
 from sigmaflow.soliton import (GradientPotential, SolitonSpec, VectorField,
                                classify, lemma_structural_check, obata_check,
                                soliton_residual)
@@ -148,3 +149,14 @@ def test_killing_field_keeps_example4_trivial():
     x = [0.2, 0.1, -0.3, 0.4]
     ops = covariant_ops(model.chart, x, X=model.vector_field)
     assert np.max(np.abs(ops.lie_g)) < 1e-12
+
+
+def test_every_probe_outside_cone_reports_its_sigmas():
+    # hyperbolic 4-space: sigma_1 = -2 < 0 < sigma_2 = 3/2 at every probe
+    chart = models.hyperbolic(4).chart
+    spec = SolitonSpec(chart=chart, field=VectorField([ex.parse("0")] * 4),
+                       lam=ex.parse("0"), k=2, l=1)
+    with pytest.raises(ConeConditionError) as err:
+        soliton_residual(spec, count=5)
+    assert err.value.sigma_k == pytest.approx(1.5, rel=1e-12)
+    assert err.value.sigma_l == pytest.approx(-2.0, rel=1e-12)
