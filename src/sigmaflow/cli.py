@@ -88,7 +88,7 @@ def spec_from_document(doc, origin="<spec>"):
         try:
             return ex.parse(src)
         except ex.ParseError as err:
-            raise InputError(f"{origin}: {what}: {err} (offset {err.offset})") from err
+            raise InputError(f"{origin}: {what}: {err}") from err
 
     comps = [[parse(metric[i][j], f"metric[{i}][{j}]") for j in range(dim)]
              for i in range(dim)]
@@ -146,7 +146,8 @@ def _parse_point(text, dim):
 def cmd_curvature(args) -> int:
     source = _resolve(args)
     chart = source.chart
-    x = _parse_point(args.point, chart.dim) if args.point else [0.0] * chart.dim
+    x = (_parse_point(args.point, chart.dim) if args.point
+         else [0.5 * (lo + hi) for lo, hi in chart.domain])
     if not chart.contains(x):
         raise InputError(f"point {x} outside the chart domain")
     pack = curvature_at(chart, x)
@@ -228,7 +229,7 @@ def cmd_flow(args) -> int:
         try:
             tree = ex.parse(args.u0)
         except ex.ParseError as err:
-            raise InputError(f"--u0: {err} (offset {err.offset})") from err
+            raise InputError(f"--u0: {err}") from err
         if ex.max_var(tree) > 1:
             raise InputError("--u0 may reference x1 (the latitude) only")
         u0 = lambda th: ex.eval_float(tree, [th])
@@ -273,7 +274,7 @@ def cmd_hodge(args) -> int:
         try:
             tree = ex.parse(src)
         except ex.ParseError as err:
-            raise InputError(f"--field[{a}]: {err} (offset {err.offset})") from err
+            raise InputError(f"--field[{a}]: {err}") from err
         if ex.max_var(tree) > args.n:
             raise InputError(f"--field[{a}] references more than {args.n} variables")
         trees.append(tree)
@@ -319,7 +320,8 @@ def build_parser():
 
     c = sub.add_parser("curvature", help="curvature tensors and sigma_k at a point")
     add_source(c)
-    c.add_argument("--point", help="comma-separated chart coordinates")
+    c.add_argument("--point", help="comma-separated chart coordinates "
+                                   "(default: the centre of the chart domain)")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_curvature)
 

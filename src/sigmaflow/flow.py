@@ -167,6 +167,8 @@ def sphere_area(d: int) -> float:
 
 
 def _log_quotient_nodes(state: FlowState):
+    """Nodal log(sigma_k/sigma_l), its sigma_l-weighted mean log r_{k,l} and
+    int sigma_l dv."""
     n = state.n
     lam_r, lam_t = schouten_eigenvalues(state)
     sk = _sigma_from_eigs(n, state.k, lam_r, lam_t)
@@ -176,23 +178,21 @@ def _log_quotient_nodes(state: FlowState):
         node = int(np.argmax(bad))
         raise ConeViolation(node, state.theta[node], float(sk[node]), float(sl[node]),
                             state.t)
-    return np.log(np.abs(sk)) - np.log(np.abs(sl)), sl
+    logq = np.log(np.abs(sk)) - np.log(np.abs(sl))
+    energy = quadrature(state, sl)
+    if abs(energy) < 1e-300:
+        raise GeometryError("int sigma_l dv vanishes; weighted mean undefined")
+    return logq, quadrature(state, sl * logq) / energy, energy
 
 
 def log_r_kl(state: FlowState) -> float:
     """sigma_l-weighted mean of log(sigma_k/sigma_l)."""
-    logq, sl = _log_quotient_nodes(state)
-    denom = quadrature(state, sl)
-    if abs(denom) < 1e-300:
-        raise GeometryError("int sigma_l dv vanishes; weighted mean undefined")
-    return quadrature(state, sl * logq) / denom
+    return _log_quotient_nodes(state)[1]
 
 
 def flow_rhs(state: FlowState) -> np.ndarray:
     """Nodal du/dt = (log sigma_k/sigma_l - log r_{k,l}) / 2."""
-    logq, sl = _log_quotient_nodes(state)
-    denom = quadrature(state, sl)
-    logr = quadrature(state, sl * logq) / denom
+    logq, logr, _ = _log_quotient_nodes(state)
     rhs = 0.5 * (logq - logr)
     if not np.all(np.isfinite(rhs)):
         raise GeometryError("non-finite flow right-hand side")
@@ -246,15 +246,9 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
         dt = stable_dt(state)
 
     def sample(s):
-        logq, sl = _log_quotient_nodes(s)
-        logr = log_r_kl(s)
-        diag.record(
-            s.t,
-            quadrature(s, sl),
-            logr,
-            float(np.max(np.abs(logq - logr))),
-            quadrature(s, np.ones_like(s.u)),
-        )
+        logq, logr, energy = _log_quotient_nodes(s)
+        diag.record(s.t, energy, logr, float(np.max(np.abs(logq - logr))),
+                    quadrature(s, np.ones_like(s.u)))
 
     try:
         sample(state)

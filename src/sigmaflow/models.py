@@ -15,6 +15,7 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import GeometryError, MetricChart, curvature_at, curvature_taylor, values
+from .sigma import log_quotient, sigmas
 from .tensor import TensorValue
 
 
@@ -41,11 +42,7 @@ def _diag_chart(n: int, entry: str, box: float) -> MetricChart:
 
 def _logq_const(n: int, k: int, l: int, base: float) -> float:
     """log(sigma_k/sigma_l) for constant Schouten eigenvalue ``base``."""
-    sk = math.comb(n, k) * base ** k
-    sl = math.comb(n, l) * base ** l
-    if sk * sl <= 0:
-        raise GeometryError(f"cone condition fails for (k,l)=({k},{l})")
-    return math.log(abs(sk)) - math.log(abs(sl))
+    return log_quotient([math.comb(n, j) * base ** j for j in range(n + 1)], k, l)
 
 
 # -- the catalog -----------------------------------------------------------
@@ -193,26 +190,11 @@ def example4(n: int, k: int = 3, l: int = 1) -> ModelManifold:
         # Schouten spectrum has mixed signs.  The quotient curvature is still
         # constant (the metric is homogeneous), but the default quotient pair
         # may violate the cone condition; fall back to the first admissible
-        # pair and compute log(sigma_k/sigma_l) once through the pipeline.
-        from .sigma import sigma_profile
-        pack = curvature_at(chart, np.full(n, 0.2))
-        try:
-            prof = sigma_profile(pack, k, l)
-        except GeometryError:
-            prof = None
-            for kk in range(2, n + 1):
-                for ll in range(1, kk):
-                    try:
-                        prof = sigma_profile(pack, kk, ll)
-                        k, l = kk, ll
-                        break
-                    except GeometryError:
-                        continue
-                if prof is not None:
-                    break
-            if prof is None:
-                raise
-        logq = prof.log_quotient
+        # pair of one sigma vector computed through the pipeline.
+        sig = sigmas(curvature_at(chart, np.full(n, 0.2)).endo)
+        pairs = [(k, l)] + [(kk, ll) for kk in range(2, n + 1) for ll in range(1, kk)]
+        k, l = next(((kk, ll) for kk, ll in pairs if sig[kk] * sig[ll] > 0.0), (k, l))
+        logq = log_quotient(sig, k, l)  # ConeConditionError if no pair is admissible
     return ModelManifold(
         name=f"example4:{n}", chart=chart,
         vector_field=xfield, lam=ex.parse(repr(logq)), k=k, l=l, golden=golden,

@@ -1,5 +1,12 @@
 """sigma_k-curvatures, quotient curvature, Newton tensors and the conformal
-transformation laws."""
+transformation laws.
+
+One sigma path serves both rings: ``sigmas`` (Newton's identities on the
+power traces tr(A^m)), the Horner loop ``_newton`` and the cone check in
+``log_quotient`` run unchanged on the float ``CurvaturePack.endo`` and on
+the object array of Taylor jets ``TaylorCurvature.endo`` whose value part
+it is.  No eigenvalues are computed.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +19,7 @@ from . import expr as ex
 from . import taylor
 from .curvature import (CurvaturePack, GeometryError, MetricChart, TaylorCurvature,
                         _as_expr, _obj, curvature_taylor, values)
-from .tensor import (SymmetricSpectrum, TensorValue, elementary_all,
-                     sigmas_from_power_sums, sym_eigenvalues)
+from .tensor import TensorValue, sigmas_from_power_sums
 
 
 class ConeConditionError(GeometryError):
@@ -38,6 +44,42 @@ class SigmaProfile:
     cone_ok: bool
 
 
+# -- the one sigma path, over floats or jets -------------------------------
+
+
+def sigmas(a) -> list:
+    """sigma_0..sigma_n of the endomorphism ``a`` by Newton's identities on
+    the power traces tr(a^m), m = 1..n, which take n - 1 matrix products."""
+    n = len(a)
+    traces, power = [np.trace(a)], a
+    for _ in range(n - 1):
+        power = power @ a
+        traces.append(np.trace(power))
+    return sigmas_from_power_sums(traces, n)
+
+
+def _newton(a, k: int):
+    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} a^j by Horner's rule:
+    T_0 = sigma_0 I and T_j = sigma_j I - a T_{j-1}."""
+    sig, eye = sigmas(a), np.eye(len(a))
+    acc = sig[0] * eye
+    for s in sig[1:k + 1]:
+        acc = s * eye - a @ acc
+    return acc
+
+
+def log_quotient(sig, k: int, l: int):
+    """log(sigma_k/sigma_l) from a list of sigmas, as log|sigma_k| -
+    log|sigma_l|.  Raises ConeConditionError unless sigma_k * sigma_l > 0."""
+    sk, sl = sig[k], sig[l]
+    jets = isinstance(sk, taylor.TaylorScalar)
+    vk, vl = (sk.value, sl.value) if jets else (float(sk), float(sl))
+    if vk * vl <= 0.0:
+        raise ConeConditionError(k, l, vk, vl)
+    log_abs = taylor.log_abs if jets else (lambda v: math.log(abs(v)))
+    return log_abs(sk) - log_abs(sl)
+
+
 def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:
     """All sigma_j of g^{-1}A at the pack's point plus log(sigma_k/sigma_l).
 
@@ -48,16 +90,9 @@ def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:
         raise GeometryError("sigma-curvatures need dimension >= 3")
     if not (0 <= k <= n and 0 <= l <= n):
         raise GeometryError(f"quotient indices ({k},{l}) out of range 0..{n}")
-    endo = TensorValue(n, (1, 1), pack.endo)
-    spec = sym_eigenvalues(endo, pack.g)
-    sigmas = elementary_all(spec.eigenvalues)
-    sk, sl = sigmas[k], sigmas[l]
-    cone_ok = sk * sl > 0.0
-    if not cone_ok:
-        raise ConeConditionError(k, l, sk, sl)
-    # log of the positive ratio, computed as a difference of log-magnitudes
-    logq = math.log(abs(sk)) - math.log(abs(sl))
-    return SigmaProfile(n=n, sigmas=sigmas, k=k, l=l, log_quotient=logq, cone_ok=True)
+    sig = np.array(sigmas(pack.endo), dtype=float)
+    return SigmaProfile(n=n, sigmas=sig, k=k, l=l,
+                        log_quotient=log_quotient(sig, k, l), cone_ok=True)
 
 
 @dataclass(frozen=True)
@@ -67,76 +102,26 @@ class NewtonTensor:
 
 
 def newton_tensor(pack: CurvaturePack, k: int) -> NewtonTensor:
-    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j, by Horner evaluation."""
+    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j."""
     n = pack.dim
     if not 0 <= k <= n - 1:
         raise GeometryError(f"Newton tensor index k={k} out of range 0..{n - 1}")
-    endo = TensorValue(n, (1, 1), pack.endo)
-    spec = sym_eigenvalues(endo, pack.g)
-    sigmas = elementary_all(spec.eigenvalues)
-    a = pack.endo
-    # Horner: T_k = sigma_k I - A(sigma_{k-1} I - A(... sigma_0 I))
-    acc = sigmas[0] * np.eye(n)
-    for j in range(1, k + 1):
-        acc = sigmas[j] * np.eye(n) - a @ acc
-    return NewtonTensor(k, TensorValue(n, (1, 1), acc))
+    return NewtonTensor(k, TensorValue(n, (1, 1), _newton(pack.endo, k)))
 
 
-def sigma_taylor(tc: TaylorCurvature):
-    """sigma_0..sigma_n of g^{-1}A as Taylor scalars (Newton's identities on
-    power traces; no eigenvalues needed in the Taylor ring)."""
-    n = tc.dim
-    a = tc.endo
-    ctx = a[0, 0].ctx
-    powers = []
-    cur = a
-    for _ in range(n):
-        tr = ctx.constant(0.0)
-        for i in range(n):
-            tr = tr + cur[i, i]
-        powers.append(tr)
-        cur = _mat_mul(cur, a)
-    return sigmas_from_power_sums(powers, n)
+def sigma_taylor(tc: TaylorCurvature) -> list:
+    """sigma_0..sigma_n of g^{-1}A as Taylor scalars."""
+    return sigmas(tc.endo)
 
 
-def _mat_mul(a, b):
-    n = a.shape[0]
-    out = _obj((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = a[i, 0] * b[0, j]
-            for k in range(1, n):
-                acc = acc + a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def newton_tensor_taylor(tc: TaylorCurvature, k: int):
-    n = tc.dim
-    sig = sigma_taylor(tc)
-    ctx = tc.scalar.ctx
-    eye = _obj((n, n))
-    for i in range(n):
-        for j in range(n):
-            eye[i, j] = ctx.constant(1.0 if i == j else 0.0)
-    acc = eye  # sigma_0 I
-    for j in range(1, k + 1):
-        prod = _mat_mul(tc.endo, acc)
-        acc = _obj((n, n))
-        for a_ in range(n):
-            for b_ in range(n):
-                acc[a_, b_] = (sig[j] if a_ == b_ else ctx.constant(0.0)) - prod[a_, b_]
-    return acc
+def newton_tensor_taylor(tc: TaylorCurvature, k: int) -> np.ndarray:
+    """T_k of g^{-1}A as an object array of Taylor scalars."""
+    return _newton(tc.endo, k)
 
 
 def log_quotient_taylor(tc: TaylorCurvature, k: int, l: int):
-    """log(sigma_k/sigma_l) as a Taylor scalar (log|sigma_k| - log|sigma_l|),
-    guarded by the cone condition."""
-    sig = sigma_taylor(tc)
-    sk, sl = sig[k], sig[l]
-    if sk.value * sl.value <= 0.0:
-        raise ConeConditionError(k, l, sk.value, sl.value)
-    return taylor.log_abs(sk) - taylor.log_abs(sl)
+    """log(sigma_k/sigma_l) as a Taylor scalar, guarded by the cone condition."""
+    return log_quotient(sigma_taylor(tc), k, l)
 
 
 def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
@@ -153,19 +138,31 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
     return TensorValue(tc.dim, (0, 1), values(div))
 
 
-# -- conformal transformation laws ----------------------------------------
+# -- conformal transformation laws -----------------------------------------
 
 
-def _conformal_schouten_taylor(tc0: TaylorCurvature, w):
-    """Schouten of e^{2w} g_0 from base-chart data (Taylor level):
-    A = A_0 - hess_0 w + dw (x) dw - 1/2 |dw|^2_0 g_0."""
+def _conformal_base(chart0: MetricChart, x, phi):
+    """Base pipeline at x and the jets of w = log phi for g = phi^2 g_0:
+    (tc0, w, hess_0 w, dw, |dw|^2_0)."""
+    pt = ex.eval_taylor(_as_expr(phi), x)
+    if pt.value <= 0.0:
+        raise GeometryError(f"conformal factor must be positive, got {pt.value}")
+    tc0 = curvature_taylor(chart0, x)
     n = tc0.dim
+    w = taylor.log(pt)
     hess = tc0.hessian_scalar(w)
     dw = [w.deriv(i) for i in range(n)]
     grad2 = w.ctx.constant(0.0)
     for i in range(n):
         for j in range(n):
             grad2 = grad2 + tc0.ginv[i, j] * dw[i] * dw[j]
+    return tc0, w, hess, dw, grad2
+
+
+def _conformal_schouten_taylor(tc0: TaylorCurvature, hess, dw, grad2):
+    """Schouten of e^{2w} g_0 from base-chart data (Taylor level):
+    A = A_0 - hess_0 w + dw (x) dw - 1/2 |dw|^2_0 g_0."""
+    n = tc0.dim
     out = _obj((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -177,32 +174,17 @@ def _conformal_schouten_taylor(tc0: TaylorCurvature, w):
 def conformal_schouten(chart0: MetricChart, x, phi) -> TensorValue:
     """Schouten tensor of g = phi^2 g_0 via the conformal transformation law,
     for a positive factor phi given as an expression over the base chart."""
-    phi = _as_expr(phi)
-    pt = ex.eval_taylor(phi, x)
-    if pt.value <= 0.0:
-        raise GeometryError(f"conformal factor must be positive, got {pt.value}")
-    tc0 = curvature_taylor(chart0, x)
-    w = taylor.log(pt)
-    return TensorValue(tc0.dim, (0, 2), values(_conformal_schouten_taylor(tc0, w)))
+    tc0, _, hess, dw, grad2 = _conformal_base(chart0, x, phi)
+    out = _conformal_schouten_taylor(tc0, hess, dw, grad2)
+    return TensorValue(tc0.dim, (0, 2), values(out))
 
 
 def conformal_ricci(chart0: MetricChart, x, phi) -> TensorValue:
     """Ricci of g = phi^2 g_0 via the conformal law
     Ric = Ric_0 - (n-2)(hess_0 w - dw dw) - (lap_0 w + (n-2)|dw|^2_0) g_0,
     with w = log phi."""
-    phi = _as_expr(phi)
-    pt = ex.eval_taylor(phi, x)
-    if pt.value <= 0.0:
-        raise GeometryError(f"conformal factor must be positive, got {pt.value}")
-    tc0 = curvature_taylor(chart0, x)
+    tc0, w, hess, dw, grad2 = _conformal_base(chart0, x, phi)
     n = tc0.dim
-    w = taylor.log(pt)
-    hess = tc0.hessian_scalar(w)
-    dw = [w.deriv(i) for i in range(n)]
-    grad2 = w.ctx.constant(0.0)
-    for i in range(n):
-        for j in range(n):
-            grad2 = grad2 + tc0.ginv[i, j] * dw[i] * dw[j]
     lap = tc0.laplacian_scalar(w)
     out = _obj((n, n))
     for i in range(n):

@@ -82,13 +82,18 @@ def _gnorm2(ginv: np.ndarray, t: np.ndarray) -> float:
     return float(np.einsum("ik,jl,ij,kl->", ginv, ginv, t, t))
 
 
-def _point_data(spec: SolitonSpec, x):
-    """Residual tensor, psi, lie tensor and lambda at one probe."""
-    tc = curvature_taylor(spec.chart, x)
-    n = tc.dim
+def _psi(spec: SolitonSpec, tc, x):
+    """psi = log(sigma_k/sigma_l) - lambda as a jet at the probe x, and the
+    value of lambda there."""
     logq = log_quotient_taylor(tc, spec.k, spec.l)
-    lam_t = ex.eval_taylor(_as_expr(spec.lam), x)
-    psi_t = logq - lam_t
+    lam = ex.eval_taylor(_as_expr(spec.lam), x)
+    return logq - lam, lam.value
+
+
+def _point_data(spec: SolitonSpec, x):
+    """Residual tensor, psi, lie tensor, lambda and g^{-1} at one probe."""
+    tc = curvature_taylor(spec.chart, x)
+    psi, lam = _psi(spec, tc, x)
     if isinstance(spec.field, GradientPotential):
         ft = ex.eval_taylor(_as_expr(spec.field.f), x)
         half_lie = values(tc.hessian_scalar(ft))
@@ -98,10 +103,8 @@ def _point_data(spec: SolitonSpec, x):
                        for c in spec.field.components], dtype=object)
         lie = values(tc.lie_metric(xv))
         half_lie = 0.5 * lie
-    g = values(tc.g)
-    ginv = values(tc.ginv)
-    residual = half_lie - psi_t.value * g
-    return tc, residual, psi_t, lie, lam_t.value, g, ginv
+    residual = half_lie - psi.value * values(tc.g)
+    return residual, psi, lie, lam, values(tc.ginv)
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
@@ -114,7 +117,7 @@ def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
     used = 0
     for x in probe_set:
         try:
-            _, residual, psi_t, lie, lam, _, ginv = _point_data(spec, x)
+            residual, psi_t, lie, lam, ginv = _point_data(spec, x)
         except ConeConditionError as err:
             violations.append((np.asarray(x), err))
             continue
@@ -172,11 +175,8 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     for x in probe_set:
         tc = curvature_taylor(spec.chart, x)
         n = tc.dim
-        logq = log_quotient_taylor(tc, spec.k, spec.l)
-        lam_t = ex.eval_taylor(_as_expr(spec.lam), x)
-        psi = logq - lam_t
+        psi, _ = _psi(spec, tc, x)
         ft = ex.eval_taylor(_as_expr(spec.field.f), x)
-        g = values(tc.g)
         ginv = values(tc.ginv)
         ric = values(tc.ricci)
 
@@ -222,9 +222,7 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     worst = 0.0
     for x, tc in data:
         n = tc.dim
-        logq = log_quotient_taylor(tc, spec.k, spec.l)
-        lam_t = ex.eval_taylor(_as_expr(spec.lam), x)
-        psi = logq - lam_t
+        psi, _ = _psi(spec, tc, x)
         hess = values(tc.hessian_scalar(psi))
         g = values(tc.g)
         ginv = values(tc.ginv)

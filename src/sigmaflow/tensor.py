@@ -127,7 +127,9 @@ def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> SymmetricSpectrum:
 
     The endomorphism is moved to a metric-orthonormal frame via the
     Cholesky factor of ``metric`` and symmetrized there; g^{-1}A is not
-    symmetric in coordinates but is self-adjoint with respect to g.
+    symmetric in coordinates but is self-adjoint with respect to g.  The
+    program computes sigma_k without eigenvalues (``sigma.sigmas``); this
+    route and ``elementary_all`` are kept as the independent oracle.
     """
     if m.valence != (1, 1):
         raise TensorError("sym_eigenvalues expects a (1,1) tensor")

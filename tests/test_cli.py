@@ -39,6 +39,12 @@ def test_curvature_warped_model():
                            "--point", "1,0.1,0.2,0,0,0", "--json")
     assert code == 0
     assert json.loads(out)["scalar_curvature"] == pytest.approx(-30.0, rel=1e-9)
+    # without --point: the centre of the chart domain, t = 1 on [0.5, 1.5]
+    code, out, _ = run_cli("curvature", "--builtin", "warped:sinh:sphere:5", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["point"] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert doc["scalar_curvature"] == pytest.approx(-30.0, rel=1e-9)
 
 
 def test_curvature_determinism():
@@ -235,11 +241,14 @@ def test_point_outside_domain_exit_2():
      "--u0", "log(x1)"),
     ("hodge", "--n", "2", "--grid", "16", "--field", "exp(1000*x1); 0"),
     ("hodge", "--n", "2", "--grid", "16", "--field", "x1^-1; 0"),
+    ("hodge", "--n", "2", "--grid", "16", "--field", "1e999*x1; 0"),
+    ("flow", "--n", "4", "--k", "2", "--l", "1", "--t-end", "0.1", "--u0", "1e999"),
 ])
 def test_evaluator_failure_exits_2(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("input error:") and err.count("\n") == 1
+    assert err.count("offset") <= 1
 
 
 def test_malformed_domain_exits_2(tmp_path):

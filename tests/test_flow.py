@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sigmaflow import flow
 from sigmaflow.flow import (BlowUp, ConeViolation, FlowState, conformal_field_integral,
                             derivatives, flow_rhs, log_r_kl, quadrature, run,
                             schouten_eigenvalues, sigma_nodes, spectral_derivative,
@@ -88,6 +89,20 @@ def test_log_r_is_weighted_mean():
     # rhs integrates to zero against sigma_l dv (the conservation mechanism)
     rhs = flow_rhs(s)
     assert abs(quadrature(s, sl * rhs)) < 1e-10 * abs(quadrature(s, np.abs(sl)))
+
+
+def test_each_sample_evaluates_the_spectrum_once(monkeypatch):
+    # one sample at t = 0, then per step four RK4 stages and one sample
+    calls = [0]
+
+    def counting(state):
+        calls[0] += 1
+        return schouten_eigenvalues(state)
+    monkeypatch.setattr(flow, "schouten_eigenvalues", counting)
+    steps = 3
+    _, diag = run(perturbed(4, 2, 1, 64), steps * 1e-4, dt=1e-4, cadence=1)
+    assert diag.aborted is None and len(diag.times) == steps + 1
+    assert calls[0] == 1 + 5 * steps
 
 
 def test_energy_conserved_along_flow():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from sigmaflow import expr as ex
-from sigmaflow import models
+from sigmaflow import models, probes, taylor
 from sigmaflow.curvature import (MetricChart, curvature_at, curvature_taylor,
                                  values)
 from sigmaflow.sigma import (ConeConditionError, conformal_ricci,
                              conformal_schouten, divergence_newton,
                              log_quotient_taylor, newton_tensor,
                              newton_tensor_taylor, sigma_profile, sigma_taylor)
-from sigmaflow.tensor import elementary_all
+from sigmaflow.tensor import TensorValue, elementary_all, sym_eigenvalues
 
 
 def conformal_chart(factor_src, n, box=0.8):
@@ -104,6 +104,47 @@ def test_newton_tensor_taylor_matches_float_route():
         tk_t = values(newton_tensor_taylor(tc, k))
         tk_f = newton_tensor(pack, k).value.components
         assert np.max(np.abs(tk_t - tk_f)) < 1e-10
+
+
+ONE_PATH_MODELS = ("sphere:3", "sphere:4", "sphere:5", "sphere:8", "hyperbolic:4",
+                   "hyperbolic:6", "example4:4", "example4:5", "example4:6",
+                   "product_line_sphere:3", "warped:sinh:sphere:5")
+
+
+def test_float_sigmas_are_the_value_part_of_the_jet_path():
+    def close(got, want, tol=1e-13):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+    for name in ONE_PATH_MODELS:
+        model = models.builtin(name)
+        n = model.chart.dim
+        for x in probes.chart_probes(model.chart, 3, seed=1):
+            pack = curvature_at(model.chart, x)
+            prof = sigma_profile(pack, model.k, model.l)
+            jets = [s.value for s in sigma_taylor(pack.taylor)]
+            spec = sym_eigenvalues(TensorValue(n, (1, 1), pack.endo), pack.g)
+            assert close(prof.sigmas, jets), (name, x)
+            assert close(prof.sigmas, elementary_all(spec.eigenvalues)), (name, x)
+            for k in (1, n - 1):  # T_{n-1} runs every step of the Horner loop
+                tk = newton_tensor(pack, k).value.components
+                assert close(tk, values(newton_tensor_taylor(pack.taylor, k))), (name, x, k)
+
+
+def test_sigma_taylor_jet_multiplies(monkeypatch):
+    # n - 1 matrix products of n^3 multiplies each, n(n+1)/2 in Newton's identities
+    mul = taylor.TaylorContext.mul
+    for n, expected in ((4, 202), (8, 3620)):
+        tc = curvature_taylor(models.sphere(n).chart, [0.1] * n)
+        count = [0]
+
+        def counting(ctx, a, b):
+            count[0] += 1
+            return mul(ctx, a, b)
+        monkeypatch.setattr(taylor.TaylorContext, "mul", counting)
+        sigma_taylor(tc)
+        monkeypatch.undo()
+        assert count[0] == expected == (n - 1) * n ** 3 + n * (n + 1) // 2
 
 
 def test_divergence_newton_vanishes_conformally_flat():
