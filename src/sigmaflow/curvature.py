@@ -1,11 +1,22 @@
 """Pointwise curvature engine on coordinate-chart metrics.
 
-Every quantity is computed in the order-4 truncated Taylor ring, so curvature
-tensors come out as Taylor scalars whose low-order coefficients are the exact
-derivatives needed downstream (gradients and Laplacians of sigma-quantities,
-divergence of Newton tensors, Cotton tensor).  ``curvature_at`` extracts the
-plain floating values into a ``CurvaturePack`` and keeps the Taylor data
-attached for callers that re-differentiate the pipeline.
+Every quantity is computed in a truncated Taylor ring of order p (2, 3 or
+4), so curvature tensors come out as Taylor scalars whose low-order
+coefficients are the exact derivatives needed downstream.  Each derivative
+costs one order (see ``taylor``), and each entry point asks for the least
+order it reads:
+
+    p = 2  values of curvature, Schouten, Hessians and L_X g
+           (``covariant_ops``, soliton residuals, conformal laws);
+    p = 3  one derivative more: Cotton (``curvature_at``) and the
+           divergence of Newton tensors;
+    p = 4  two derivatives of curvature: Laplacians of sigma quantities in
+           the structural identities; also ``curvature_taylor``'s default.
+
+Reading a coefficient the order does not cover raises ``TaylorTrustError``.
+``curvature_at`` extracts the plain floating values into a ``CurvaturePack``
+and keeps the Taylor data attached for callers that re-differentiate the
+pipeline.
 
 Sign conventions: Riemann (1,3) tensor
 R^r_{s m n} = d_m Gamma^r_{n s} - d_n Gamma^r_{m s} + Gamma^r_{m t}Gamma^t_{n s}
@@ -104,13 +115,13 @@ def _obj(shape):
     return np.empty(shape, dtype=object)
 
 
-def taylor_metric(chart: MetricChart, x) -> np.ndarray:
+def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.ndarray:
     n = chart.dim
     g = _obj((n, n))
     for i in range(n):
         for j in range(i, n):
             try:
-                s = ex.eval_taylor(chart.comps[i][j], x)
+                s = ex.eval_taylor(chart.comps[i][j], x, order=order)
             except ex.EvalError as err:
                 raise GeometryError(f"metric component ({i},{j}) at {x}: {err}") from err
             g[i, j] = g[j, i] = s
@@ -162,10 +173,12 @@ def values(arr) -> np.ndarray:
 
 @dataclass
 class TaylorCurvature:
-    """Curvature pipeline outputs as Taylor scalars.
+    """Curvature pipeline outputs as Taylor scalars of one order p.
 
-    Trustworthy derivative orders: g to 4, christoffel to 3, riemann /
-    ricci / scalar / schouten to 2, cotton to 1.
+    Trusted derivative orders: g to p, christoffel to p - 1, riemann /
+    ricci / scalar / schouten / endo to p - 2, cotton to p - 3; cotton is
+    None below order 3.  Jets combined with these (f, X, lambda, phi) are
+    evaluated at ``order``.
     """
     dim: int
     g: np.ndarray
@@ -177,6 +190,10 @@ class TaylorCurvature:
     schouten: np.ndarray | None      # (0,2), n >= 3
     endo: np.ndarray | None          # (1,1) g^{-1} A
     cotton: np.ndarray | None        # (0,3) C_ijk
+
+    @property
+    def order(self) -> int:
+        return self.g[0, 0].ctx.order
 
     def cov_deriv_02(self, t: np.ndarray) -> np.ndarray:
         """nabla_i t_jk for a Taylor (0,2) tensor; output indexed [i, j, k]."""
@@ -260,14 +277,15 @@ class TaylorCurvature:
         return out
 
 
-def curvature_taylor(chart: MetricChart, x) -> TaylorCurvature:
+def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
+    """The curvature pipeline at x in the Taylor ring of ``order``."""
     x = np.asarray(x, dtype=float)
     if len(x) != chart.dim:
         raise GeometryError(f"point has dimension {len(x)}, chart has {chart.dim}")
     if not chart.contains(x):
         raise GeometryError(f"point {x} outside chart domain")
     n = chart.dim
-    g = taylor_metric(chart, x)
+    g = taylor_metric(chart, x, order)
     gv = values(g)
     try:
         np.linalg.cholesky(gv)
@@ -348,7 +366,7 @@ def curvature_taylor(chart: MetricChart, x) -> TaylorCurvature:
                 endo[i, j] = acc
 
     tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None)
-    if n >= 3:
+    if n >= 3 and order >= 3:
         da = tc.cov_deriv_02(schouten)
         cotton = _obj((n, n, n))
         for i in range(n):
@@ -364,8 +382,9 @@ def curvature_taylor(chart: MetricChart, x) -> TaylorCurvature:
 
 @dataclass
 class CurvaturePack:
-    """Floating curvature values at one point, with the Taylor pipeline data
-    attached as ``taylor`` for re-differentiation."""
+    """Floating curvature values at one point, with the order-3 Taylor
+    pipeline data attached as ``taylor`` for re-differentiation (one
+    derivative of curvature)."""
     point: np.ndarray
     dim: int
     g: np.ndarray
@@ -404,7 +423,7 @@ def _kn_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def curvature_at(chart: MetricChart, x) -> CurvaturePack:
-    tc = curvature_taylor(chart, x)
+    tc = curvature_taylor(chart, x, order=3)  # Cotton reads one derivative of A
     n = tc.dim
     g = values(tc.g)
     riem = values(tc.riemann)
@@ -444,15 +463,16 @@ def covariant_ops(chart: MetricChart, x, f: "ex.Expr | str | None" = None,
                   X=None) -> CovariantOps:
     """Gradient / Hessian / Laplacian of a scalar, or Lie derivative of g and
     divergence of a vector field, at one point."""
-    tc = curvature_taylor(chart, x)
+    tc = curvature_taylor(chart, x, order=2)
     out = CovariantOps()
     if f is not None:
-        ft = ex.eval_taylor(_as_expr(f), x)
+        ft = ex.eval_taylor(_as_expr(f), x, order=tc.order)
         out.gradient = values(tc.grad_scalar(ft))
         out.hessian = values(tc.hessian_scalar(ft))
         out.laplacian = tc.laplacian_scalar(ft).value
     if X is not None:
-        xv = np.array([ex.eval_taylor(_as_expr(c), x) for c in X], dtype=object)
+        xv = np.array([ex.eval_taylor(_as_expr(c), x, order=tc.order) for c in X],
+                      dtype=object)
         out.lie_g = values(tc.lie_metric(xv))
         out.divergence = tc.div_vector(xv).value
     return out

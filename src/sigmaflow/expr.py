@@ -15,7 +15,7 @@ Whitespace is insignificant.  Decimal literals are parsed as binary
 doubles.
 
 One tree walk evaluates an expression over two rings: float arrays
-(``eval_float``, a whole grid per call) and order-4 Taylor jets
+(``eval_float``, a whole grid per call) and Taylor jets of order 2, 3 or 4
 (``eval_taylor``).  Both apply the same domain rules to the value part, and
 a domain violation or a non-finite result raises ``EvalError`` in either.
 """
@@ -384,16 +384,20 @@ def eval_float(e: Expr, point):
     return float(out) if shape == () else np.broadcast_to(out, shape).copy()
 
 
-def eval_taylor(e: Expr, point, active=None) -> TaylorScalar:
-    """Evaluate over order-4 Taylor scalars centered at ``point``.
+def eval_taylor(e: Expr, point, active=None, order: int = taylor.MAX_ORDER) -> TaylorScalar:
+    """Evaluate over Taylor scalars of ``order`` (2, 3 or 4) centered at
+    ``point``.
 
     ``active`` restricts which coordinates carry a first-order seed; by
     default every coordinate of ``point`` is active.  The result's
-    coefficient at multi-index alpha encodes d^alpha e(point) / alpha!.
+    coefficient at multi-index alpha, |alpha| <= order, encodes
+    d^alpha e(point) / alpha!, and it is trusted to ``order``.  Jets that
+    are combined with a curvature pipeline must share its order
+    (``TaylorCurvature.order``).
     """
     point = np.asarray(point, dtype=float)
     dim = len(point)
-    ctx = taylor.context(dim)
+    ctx = taylor.context(dim, order)
     active = set(range(1, dim + 1) if active is None else active)
     env = [
         ctx.variable(i, point[i]) if (i + 1) in active else ctx.constant(point[i])

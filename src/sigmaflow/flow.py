@@ -166,13 +166,17 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
+def _nodal_sigmas(state: FlowState):
+    """The tangential eigenvalue lam_t and sigma_k, sigma_l at the nodes."""
+    lam_r, lam_t = schouten_eigenvalues(state)
+    return (lam_t, _sigma_from_eigs(state.n, state.k, lam_r, lam_t),
+            _sigma_from_eigs(state.n, state.l, lam_r, lam_t))
+
+
 def _log_quotient_nodes(state: FlowState):
     """Nodal log(sigma_k/sigma_l), its sigma_l-weighted mean log r_{k,l} and
     int sigma_l dv."""
-    n = state.n
-    lam_r, lam_t = schouten_eigenvalues(state)
-    sk = _sigma_from_eigs(n, state.k, lam_r, lam_t)
-    sl = _sigma_from_eigs(n, state.l, lam_r, lam_t)
+    _, sk, sl = _nodal_sigmas(state)
     bad = sk * sl <= 0.0
     if np.any(bad):
         node = int(np.argmax(bad))
@@ -203,9 +207,7 @@ def stable_dt(state: FlowState, safety: float = 0.5) -> float:
     """Conservative parabolic step bound dt = safety h^2 / (1 + gain), where
     the gain estimates the sensitivity of the right side to u''."""
     n, k, l = state.n, state.k, state.l
-    lam_r, lam_t = schouten_eigenvalues(state)
-    sk = _sigma_from_eigs(n, k, lam_r, lam_t)
-    sl = _sigma_from_eigs(n, l, lam_r, lam_t)
+    lam_t, sk, sl = _nodal_sigmas(state)
     # d log sigma_j / d u'' = e^{2u} * (d sigma_j / d lam_r) / sigma_j
     dsk = math.comb(n - 1, k - 1) * lam_t ** (k - 1) if k >= 1 else 0.0
     dsl = math.comb(n - 1, l - 1) * lam_t ** (l - 1) if l >= 1 else 0.0

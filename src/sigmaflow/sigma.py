@@ -60,10 +60,12 @@ def sigmas(a) -> list:
 
 def _newton(a, k: int):
     """T_k = sum_{j<=k} (-1)^j sigma_{k-j} a^j by Horner's rule:
-    T_0 = sigma_0 I and T_j = sigma_j I - a T_{j-1}."""
+    T_0 = sigma_0 I, T_1 = sigma_1 I - a and T_j = sigma_j I - a T_{j-1}."""
     sig, eye = sigmas(a), np.eye(len(a))
-    acc = sig[0] * eye
-    for s in sig[1:k + 1]:
+    if k == 0:
+        return sig[0] * eye
+    acc = sig[1] * eye - a
+    for s in sig[2:k + 1]:
         acc = s * eye - a @ acc
     return acc
 
@@ -130,7 +132,7 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
     Returned for inspection; the vanishing div T_k = 0 is only asserted on
     (locally) conformally flat charts, where the identity is established.
     """
-    tc = curvature_taylor(chart, x)
+    tc = curvature_taylor(chart, x, order=3)  # one derivative of T_k
     if not 0 <= k <= tc.dim - 1:
         raise GeometryError(f"Newton tensor index k={k} out of range 0..{tc.dim - 1}")
     tk = newton_tensor_taylor(tc, k)
@@ -143,11 +145,11 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
 
 def _conformal_base(chart0: MetricChart, x, phi):
     """Base pipeline at x and the jets of w = log phi for g = phi^2 g_0:
-    (tc0, w, hess_0 w, dw, |dw|^2_0)."""
-    pt = ex.eval_taylor(_as_expr(phi), x)
+    (tc0, w, hess_0 w, dw, |dw|^2_0), at order 2: the laws read values only."""
+    tc0 = curvature_taylor(chart0, x, order=2)
+    pt = ex.eval_taylor(_as_expr(phi), x, order=tc0.order)
     if pt.value <= 0.0:
         raise GeometryError(f"conformal factor must be positive, got {pt.value}")
-    tc0 = curvature_taylor(chart0, x)
     n = tc0.dim
     w = taylor.log(pt)
     hess = tc0.hessian_scalar(w)

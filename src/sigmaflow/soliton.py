@@ -86,20 +86,21 @@ def _psi(spec: SolitonSpec, tc, x):
     """psi = log(sigma_k/sigma_l) - lambda as a jet at the probe x, and the
     value of lambda there."""
     logq = log_quotient_taylor(tc, spec.k, spec.l)
-    lam = ex.eval_taylor(_as_expr(spec.lam), x)
+    lam = ex.eval_taylor(_as_expr(spec.lam), x, order=tc.order)
     return logq - lam, lam.value
 
 
 def _point_data(spec: SolitonSpec, x):
-    """Residual tensor, psi, lie tensor, lambda and g^{-1} at one probe."""
-    tc = curvature_taylor(spec.chart, x)
+    """Residual tensor, psi, lie tensor, lambda and g^{-1} at one probe, at
+    order 2: the residual reads values of hess f, L_X g and psi only."""
+    tc = curvature_taylor(spec.chart, x, order=2)
     psi, lam = _psi(spec, tc, x)
     if isinstance(spec.field, GradientPotential):
-        ft = ex.eval_taylor(_as_expr(spec.field.f), x)
+        ft = ex.eval_taylor(_as_expr(spec.field.f), x, order=tc.order)
         half_lie = values(tc.hessian_scalar(ft))
         lie = 2.0 * half_lie
     else:
-        xv = np.array([ex.eval_taylor(_as_expr(c), x)
+        xv = np.array([ex.eval_taylor(_as_expr(c), x, order=tc.order)
                        for c in spec.field.components], dtype=object)
         lie = values(tc.lie_metric(xv))
         half_lie = 0.5 * lie
@@ -173,10 +174,10 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
         probe_set = probes.chart_probes(spec.chart, count, seed=seed)
     res_a = res_b = res_c = 0.0
     for x in probe_set:
-        tc = curvature_taylor(spec.chart, x)
+        tc = curvature_taylor(spec.chart, x, order=4)  # lap psi reads A to order 2
         n = tc.dim
         psi, _ = _psi(spec, tc, x)
-        ft = ex.eval_taylor(_as_expr(spec.field.f), x)
+        ft = ex.eval_taylor(_as_expr(spec.field.f), x, order=tc.order)
         ginv = values(tc.ginv)
         ric = values(tc.ricci)
 
@@ -210,7 +211,7 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     scalars = []
     data = []
     for x in probe_set:
-        tc = curvature_taylor(spec.chart, x)
+        tc = curvature_taylor(spec.chart, x, order=4)  # hess psi reads A to order 2
         scalars.append(tc.scalar.value)
         data.append((x, tc))
     mean_r = float(np.mean(scalars))

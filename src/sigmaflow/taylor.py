@@ -1,26 +1,35 @@
-"""Truncated multivariate Taylor arithmetic of fixed order 4.
+"""Truncated multivariate Taylor arithmetic of order 2, 3 or 4.
 
-A ``TaylorScalar`` stores the coefficients c_alpha of a degree-4 Taylor
-polynomial in up to 8 variables.  The convention is
+A ``TaylorScalar`` stores the coefficients c_alpha of a Taylor polynomial
+of total degree <= p in up to 8 variables, where p is the order of its
+``TaylorContext`` (``context(dim, order)``).  The convention is
 
     c_alpha = (1 / alpha!) * d^alpha f(x0),
 
 so the mixed partial derivative is recovered as ``alpha! * c_alpha``.
 All arithmetic is exact in the truncated polynomial ring: products and
-compositions discard every term of total degree > 4, and nothing else.
+compositions discard every term of total degree > p, and nothing else.
+Multi-indices are sorted by total degree, so the coefficient vector of
+order p is a prefix of the one of order 4, and every coefficient a lower
+order keeps comes out the same.
 
 Differentiating a scalar (``TaylorScalar.deriv``) shifts coefficients down
 one order; the top-order coefficients of the result are unknown (taken as
-zero).  Downstream code must therefore only trust coefficients of order
-<= 4 - (number of derivatives applied), which is exactly the budget the
-curvature pipeline needs: metric -> order 4, Christoffel -> 3,
-Riemann/Ricci/Schouten -> 2, Cotton / grad sigma -> 1, Laplacians -> 0.
+zero).  Each scalar therefore carries ``trusted``, the highest total degree
+of its coefficients that is exact: ``variable`` and ``constant`` set it to
+p, ``deriv`` lowers it by one, and sums, products and compositions take
+the minimum over their operands.  Reading ``value`` of a scalar with
+``trusted < 0``, or ``derivative(alpha)`` with |alpha| > ``trusted``, raises
+``TaylorTrustError``, as does combining scalars of two contexts.  A caller
+that chose too low an order thus fails loudly instead of reading a zero.
+The curvature pipeline spends one order per derivative: metric -> p,
+Christoffel -> p - 1, Riemann/Ricci/Schouten -> p - 2, Cotton / grad sigma
+-> p - 3, Laplacians of sigma quantities -> p - 4.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 
@@ -34,39 +43,56 @@ class TaylorDomainError(ValueError):
     """Function evaluated outside its domain (log of <= 0, etc.)."""
 
 
-def _multi_indices(dim: int):
-    """All multi-indices of ``dim`` variables with |alpha| <= 4, ordered by
-    total degree then lexicographically."""
+class TaylorTrustError(RuntimeError):
+    """A coefficient was read above a scalar's trusted order, or scalars of
+    two contexts were combined.  This is a fault of the calling program (it
+    chose too low an order), never of its input."""
+
+
+def _multi_indices(dim: int, order: int):
+    """All multi-indices of ``dim`` variables with |alpha| <= ``order``,
+    ordered by total degree then lexicographically."""
     out = []
-    for total in range(MAX_ORDER + 1):
+    for total in range(order + 1):
         for alpha in _iproduct(range(total + 1), repeat=dim):
             if sum(alpha) == total:
                 out.append(alpha)
     return out
 
 
+def context(dim: int, order: int = MAX_ORDER) -> "TaylorContext":
+    """The shared tables of ``dim`` variables truncated at ``order`` (2, 3
+    or 4): one object per (dim, order), however the order is passed."""
+    return _context(dim, order)
+
+
 @lru_cache(maxsize=None)
-def context(dim: int) -> "TaylorContext":
-    return TaylorContext(dim)
+def _context(dim: int, order: int) -> "TaylorContext":
+    return TaylorContext(dim, order)
 
 
 class TaylorContext:
-    """Precomputed index tables for one dimension; shared by all scalars."""
+    """Precomputed index tables for one dimension and order; shared by all
+    scalars."""
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, order: int = MAX_ORDER):
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
+        # curvature values already read two derivatives of the metric
+        if order not in (2, 3, MAX_ORDER):
+            raise ValueError(f"order must be 2, 3 or {MAX_ORDER}, got {order}")
         self.dim = dim
-        self.indices = _multi_indices(dim)
+        self.order = order
+        self.indices = _multi_indices(dim, order)
         self.ncoef = len(self.indices)
         self.index_of = {a: i for i, a in enumerate(self.indices)}
         self.degree = np.array([sum(a) for a in self.indices])
 
-        # product table: every ordered pair (a, b) with |a|+|b| <= 4
+        # product table: every ordered pair (a, b) with |a|+|b| <= order
         ia, ib, iout = [], [], []
         for i, a in enumerate(self.indices):
             for j, b in enumerate(self.indices):
-                if sum(a) + sum(b) <= MAX_ORDER:
+                if sum(a) + sum(b) <= order:
                     ia.append(i)
                     ib.append(j)
                     iout.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
@@ -119,31 +145,52 @@ class TaylorContext:
         return TaylorScalar(self, c)
 
 
-@dataclass(frozen=True)
 class TaylorScalar:
-    ctx: TaylorContext
-    c: np.ndarray
+    """Coefficients ``c`` over ``ctx``, exact up to total degree ``trusted``
+    (``ctx.order`` when not given)."""
+
+    __slots__ = ("ctx", "c", "trusted")
+
+    def __init__(self, ctx: TaylorContext, c: np.ndarray, trusted: int | None = None):
+        self.ctx = ctx
+        self.c = c
+        self.trusted = ctx.order if trusted is None else trusted
+
+    def __repr__(self):
+        return (f"TaylorScalar(dim={self.ctx.dim}, order={self.ctx.order}, "
+                f"trusted={self.trusted}, c={self.c!r})")
 
     @property
     def value(self) -> float:
+        if self.trusted < 0:
+            raise TaylorTrustError(
+                f"value of a jet differentiated beyond its order {self.ctx.order} "
+                f"(trusted to {self.trusted})")
         return float(self.c[0])
 
     def derivative(self, alpha) -> float:
         """Mixed partial d^alpha f at the expansion point (alpha! * c_alpha)."""
         alpha = tuple(alpha)
+        if sum(alpha) > self.trusted:
+            raise TaylorTrustError(
+                f"derivative {alpha} of a jet trusted to order {self.trusted}")
         i = self.ctx.index_of.get(alpha)
         if i is None:
-            raise KeyError(f"multi-index {alpha} exceeds order {MAX_ORDER}")
+            raise KeyError(f"multi-index {alpha} does not fit {self.ctx.dim} variables")
         return float(self.ctx._factorials[i] * self.c[i])
 
     def deriv(self, var: int) -> "TaylorScalar":
-        """Partial derivative; trustworthy one order below the input."""
-        return TaylorScalar(self.ctx, self.ctx.deriv(self.c, var))
+        """Partial derivative; trusted one order below the input."""
+        return TaylorScalar(self.ctx, self.ctx.deriv(self.c, var), self.trusted - 1)
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, TaylorScalar):
+            if other.ctx is not self.ctx:
+                raise TaylorTrustError(
+                    f"jets of two contexts combined: dim {self.ctx.dim} order "
+                    f"{self.ctx.order} and dim {other.ctx.dim} order {other.ctx.order}")
             return other
         if isinstance(other, (int, float)):
             return self.ctx.constant(float(other))
@@ -153,7 +200,7 @@ class TaylorScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return TaylorScalar(self.ctx, self.c + o.c)
+        return TaylorScalar(self.ctx, self.c + o.c, min(self.trusted, o.trusted))
 
     __radd__ = __add__
 
@@ -161,29 +208,31 @@ class TaylorScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return TaylorScalar(self.ctx, self.c - o.c)
+        return TaylorScalar(self.ctx, self.c - o.c, min(self.trusted, o.trusted))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return TaylorScalar(self.ctx, o.c - self.c)
+        return TaylorScalar(self.ctx, o.c - self.c, min(self.trusted, o.trusted))
 
     def __neg__(self):
-        return TaylorScalar(self.ctx, -self.c)
+        return TaylorScalar(self.ctx, -self.c, self.trusted)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return TaylorScalar(self.ctx, self.c * float(other))
+            return TaylorScalar(self.ctx, self.c * float(other), self.trusted)
         if isinstance(other, TaylorScalar):
-            return TaylorScalar(self.ctx, self.ctx.mul(self.c, other.c))
+            o = self._coerce(other)
+            return TaylorScalar(self.ctx, self.ctx.mul(self.c, o.c),
+                                min(self.trusted, o.trusted))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return TaylorScalar(self.ctx, self.c / float(other))
+            return TaylorScalar(self.ctx, self.c / float(other), self.trusted)
         if isinstance(other, TaylorScalar):
             return self * recip(other)
         return NotImplemented
@@ -202,7 +251,8 @@ class TaylorScalar:
 
 
 def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
-    """f(s) for outer derivatives [f(v), f'(v), ..., f''''(v)] at v = s.value."""
+    """f(s) for outer derivatives [f(v), f'(v), ...] at v = s.value, at least
+    ``s.ctx.order + 1`` of them; trusted as far as ``s``."""
     ctx = s.ctx
     w = s.c.copy()
     w[0] = 0.0  # nilpotent part
@@ -210,25 +260,25 @@ def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
     out[0] = derivs[0]
     wp = w
     fact = 1.0
-    for m in range(1, MAX_ORDER + 1):
+    for m in range(1, ctx.order + 1):
         fact *= m
         out += (derivs[m] / fact) * wp
-        if m < MAX_ORDER:
+        if m < ctx.order:
             wp = ctx.mul(wp, w)
-    return TaylorScalar(ctx, out)
+    return TaylorScalar(ctx, out, s.trusted)
 
 
 def recip(s: TaylorScalar) -> TaylorScalar:
     v = s.value
     if v == 0.0:
         raise TaylorDomainError("division by a scalar with zero value part")
-    d = [(-1.0) ** m * math.factorial(m) / v ** (m + 1) for m in range(MAX_ORDER + 1)]
+    d = [(-1.0) ** m * math.factorial(m) / v ** (m + 1) for m in range(s.ctx.order + 1)]
     return _compose(s, d)
 
 
 def exp(s: TaylorScalar) -> TaylorScalar:
     ev = math.exp(s.value)
-    return _compose(s, [ev] * (MAX_ORDER + 1))
+    return _compose(s, [ev] * (s.ctx.order + 1))
 
 
 def log(s: TaylorScalar) -> TaylorScalar:
@@ -243,7 +293,7 @@ def log_abs(s: TaylorScalar) -> TaylorScalar:
     if v == 0.0:
         raise TaylorDomainError("log of zero")
     d = [math.log(abs(v))]
-    d += [(-1.0) ** (m - 1) * math.factorial(m - 1) / v ** m for m in range(1, MAX_ORDER + 1)]
+    d += [(-1.0) ** (m - 1) * math.factorial(m - 1) / v ** m for m in range(1, s.ctx.order + 1)]
     return _compose(s, d)
 
 
@@ -316,7 +366,7 @@ def power(s: TaylorScalar, p) -> TaylorScalar:
         raise TaylorDomainError(f"fractional power of non-positive value {v}")
     d = []
     coeff = 1.0
-    for m in range(MAX_ORDER + 1):
+    for m in range(s.ctx.order + 1):
         d.append(coeff * v ** (pf - m))
         coeff *= pf - m
     return _compose(s, d)

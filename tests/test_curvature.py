@@ -8,6 +8,8 @@ from sigmaflow import models
 from sigmaflow.curvature import (GeometryError, MetricChart, covariant_ops,
                                  curvature_at, curvature_taylor,
                                  kulkarni_nomizu)
+from sigmaflow.sigma import log_quotient_taylor
+from sigmaflow.taylor import TaylorTrustError
 from sigmaflow.tensor import TensorValue
 
 
@@ -283,3 +285,21 @@ def test_asymmetric_metric_rejected():
 def test_point_outside_domain():
     chart = chart_from_strings([["1", "0"], ["0", "1"]])
     assert not chart.contains([2.0, 0.0])
+
+
+def test_order_two_pipeline_refuses_untrusted_reads():
+    # a program fault, not bad input: no exit code of the CLI maps it
+    assert not issubclass(TaylorTrustError, (GeometryError, ex.EvalError))
+    chart = models.sphere(4).chart
+    x = [0.2, -0.1, 0.3, 0.15]
+    tc = curvature_taylor(chart, x, order=2)
+    assert tc.order == 2 and tc.cotton is None
+    assert tc.scalar.value == pytest.approx(12.0, rel=1e-12)  # values are trusted
+    with pytest.raises(TaylorTrustError):
+        tc.scalar.deriv(0).value
+    with pytest.raises(TaylorTrustError):
+        tc.laplacian_scalar(log_quotient_taylor(tc, 2, 1)).value
+    with pytest.raises(TaylorTrustError):
+        tc.riemann[0, 1, 0, 1].derivative((1, 1, 0, 0))
+    with pytest.raises(TaylorTrustError):
+        tc.scalar + curvature_taylor(chart, x).scalar  # orders 2 and 4

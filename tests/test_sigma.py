@@ -111,11 +111,12 @@ ONE_PATH_MODELS = ("sphere:3", "sphere:4", "sphere:5", "sphere:8", "hyperbolic:4
                    "product_line_sphere:3", "warped:sinh:sphere:5")
 
 
-def test_float_sigmas_are_the_value_part_of_the_jet_path():
-    def close(got, want, tol=1e-13):
-        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-        return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+def _close(got, want, tol=1e-13):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
 
+
+def test_float_sigmas_are_the_value_part_of_the_jet_path():
     for name in ONE_PATH_MODELS:
         model = models.builtin(name)
         n = model.chart.dim
@@ -124,17 +125,19 @@ def test_float_sigmas_are_the_value_part_of_the_jet_path():
             prof = sigma_profile(pack, model.k, model.l)
             jets = [s.value for s in sigma_taylor(pack.taylor)]
             spec = sym_eigenvalues(TensorValue(n, (1, 1), pack.endo), pack.g)
-            assert close(prof.sigmas, jets), (name, x)
-            assert close(prof.sigmas, elementary_all(spec.eigenvalues)), (name, x)
+            assert _close(prof.sigmas, jets), (name, x)
+            assert _close(prof.sigmas, elementary_all(spec.eigenvalues)), (name, x)
             for k in (1, n - 1):  # T_{n-1} runs every step of the Horner loop
                 tk = newton_tensor(pack, k).value.components
-                assert close(tk, values(newton_tensor_taylor(pack.taylor, k))), (name, x, k)
+                assert _close(tk, values(newton_tensor_taylor(pack.taylor, k))), (name, x, k)
 
 
 def test_sigma_taylor_jet_multiplies(monkeypatch):
-    # n - 1 matrix products of n^3 multiplies each, n(n+1)/2 in Newton's identities
+    # n - 1 matrix products of n^3 multiplies each, n(n+1)/2 in Newton's
+    # identities; T_k adds k - 1 Horner products (T_1 = sigma_1 I - A needs none)
     mul = taylor.TaylorContext.mul
-    for n, expected in ((4, 202), (8, 3620)):
+    cases = [(4, 0, 202), (8, 0, 3620), (4, 1, 202), (4, 2, 266), (4, 3, 330)]
+    for n, k, expected in cases:
         tc = curvature_taylor(models.sphere(n).chart, [0.1] * n)
         count = [0]
 
@@ -142,9 +145,40 @@ def test_sigma_taylor_jet_multiplies(monkeypatch):
             count[0] += 1
             return mul(ctx, a, b)
         monkeypatch.setattr(taylor.TaylorContext, "mul", counting)
-        sigma_taylor(tc)
+        if k == 0:
+            sigma_taylor(tc)
+        else:
+            newton_tensor_taylor(tc, k)
         monkeypatch.undo()
-        assert count[0] == expected == (n - 1) * n ** 3 + n * (n + 1) // 2
+        assert count[0] == expected == \
+            (n - 1) * n ** 3 + n * (n + 1) // 2 + max(k - 1, 0) * n ** 3, (n, k)
+
+
+PACK_FIELDS = ("g", "ginv", "christoffel", "riemann", "ricci", "scalar", "schouten",
+               "weyl", "cotton", "endo")
+
+
+def test_declared_orders_match_order_4(pipeline_orders):
+    # each entry point runs its pipeline at the least order it reads and
+    # returns what the order-4 pipeline gives
+    def agree(fn, order, fields=None):
+        got, orders = pipeline_orders.declared(fn)
+        assert orders == {order}
+        want = pipeline_orders.at(4, fn)
+        for f in fields or ("components",):
+            a, b = getattr(got, f), getattr(want, f)
+            assert (a is None) == (b is None) and (a is None or _close(a, b)), (name, x, f)
+
+    for name in ONE_PATH_MODELS:
+        model = models.builtin(name)
+        for x in probes.chart_probes(model.chart, 3, seed=1):
+            agree(lambda: curvature_at(model.chart, x), 3, PACK_FIELDS)
+            for k in (1, 2):
+                agree(lambda: divergence_newton(model.chart, x, k), 3)
+            if name == "sphere:4":
+                phi = "1 + x1^2/6 + x2*x4/9"
+                agree(lambda: conformal_schouten(model.chart, x, phi), 2)
+                agree(lambda: conformal_ricci(model.chart, x, phi), 2)
 
 
 def test_divergence_newton_vanishes_conformally_flat():

@@ -160,3 +160,22 @@ def test_every_probe_outside_cone_reports_its_sigmas():
         soliton_residual(spec, count=5)
     assert err.value.sigma_k == pytest.approx(1.5, rel=1e-12)
     assert err.value.sigma_l == pytest.approx(-2.0, rel=1e-12)
+
+
+def test_residual_at_order_2_matches_order_4(pipeline_orders):
+    # the residual reads values of hess f, L_X g and psi, so verify runs its
+    # pipelines at order 2 and reports what order 4 reports
+    for model in (models.sphere(4), models.hyperbolic(4), models.example4(4)):
+        pts = chart_probes(model.chart, 3, seed=1)
+        rep, orders = pipeline_orders.declared(
+            lambda: soliton_residual(spec_of(model), probe_set=pts))
+        assert orders == {2}
+        ref = pipeline_orders.at(4, lambda: soliton_residual(spec_of(model),
+                                                             probe_set=pts))
+        got, want = rep.to_dict(), ref.to_dict()
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            if isinstance(v, (str, bool)):
+                assert got[key] == v, key
+            else:
+                assert abs(got[key] - v) <= 1e-13 * max(1.0, abs(v)), key

@@ -153,3 +153,52 @@ def test_dimension_bounds():
         context(0)
     with pytest.raises(ValueError):
         context(ty.MAX_DIM + 1)
+
+
+def test_context_orders():
+    for bad in (1, 5):
+        with pytest.raises(ValueError):
+            context(4, bad)
+    assert context(4) is context(4, 4) is context(4, order=4)
+    for order, ncoef in ((2, 15), (3, 35), (4, 70)):
+        ctx = context(4, order)
+        assert (ctx.order, ctx.ncoef) == (order, ncoef)
+        # sorted by total degree: each order's indices lead the next one's
+        assert ctx.indices == context(4).indices[:ncoef]
+
+
+def test_lower_order_products_are_the_order_4_prefix():
+    rng = np.random.default_rng(7)
+    full = context(3)
+    for order in (2, 3):
+        ctx = context(3, order)
+        for _ in range(10):
+            a, b = rng.standard_normal((2, full.ncoef))
+            low = ctx.mul(a[:ctx.ncoef], b[:ctx.ncoef])
+            assert np.array_equal(low, full.mul(a, b)[:ctx.ncoef])
+            x = TaylorScalar(ctx, a[:ctx.ncoef], trusted=order) + 1.5
+            assert np.array_equal(ty.exp(x).c,
+                                  ty.exp(TaylorScalar(full, a) + 1.5).c[:ctx.ncoef])
+
+
+def test_trust_budget():
+    ctx = context(2, 2)
+    x, y = ctx.variable(0, 0.3), ctx.variable(1, -0.2)
+    assert x.trusted == ctx.constant(1.0).trusted == TaylorScalar(ctx, x.c).trusted == 2
+    f = ty.sin(x * y) + x
+    assert f.trusted == 2
+    d = f.deriv(0)
+    assert d.trusted == 1 and (d * f).trusted == (f - d).trusted == ty.exp(d).trusted == 1
+    # d/dy (y cos(xy) + 1) = cos(xy) - xy sin(xy), read within the budget
+    assert d.derivative((0, 1)) == pytest.approx(math.cos(0.06) - 0.06 * math.sin(0.06),
+                                                 rel=1e-12)
+    with pytest.raises(ty.TaylorTrustError):
+        d.derivative((1, 1))
+    dd = d.deriv(1).deriv(0)
+    assert dd.trusted == -1
+    with pytest.raises(ty.TaylorTrustError):
+        dd.value
+    with pytest.raises(ty.TaylorTrustError):
+        x + context(2, 4).variable(0, 0.3)
+    with pytest.raises(ty.TaylorTrustError):
+        x * context(2, 3).variable(0, 0.3)
