@@ -18,6 +18,17 @@ Reading a coefficient the order does not cover raises ``TaylorTrustError``.
 and keeps the Taylor data attached for callers that re-differentiate the
 pipeline.
 
+``curvature_taylor`` takes one point of shape (n,) or a batch of P probe
+points of shape (P, n) and runs one pipeline for the whole batch: every
+jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
+arrays of shape (P, ...).  The domain and positive-definiteness checks run
+per probe and name the first probe that fails.  Memory grows with P, so
+callers split large probe sets with ``probe_batches``, which keeps the
+estimated jet storage of one pipeline under ``BATCH_BYTES``.  The inverse
+metric is Gauss-Jordan elimination without pivoting: the metric has passed
+the Cholesky check, so it is symmetric positive definite, where elimination
+without pivoting is stable.
+
 Sign conventions: Riemann (1,3) tensor
 R^r_{s m n} = d_m Gamma^r_{n s} - d_n Gamma^r_{m s} + Gamma^r_{m t}Gamma^t_{n s}
 - Gamma^r_{n t}Gamma^t_{m s}; Ricci as the (m = r) trace.  With this choice
@@ -28,6 +39,7 @@ C_{ijk} = nabla_i A_{jk} - nabla_j A_{ik}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +128,7 @@ def _obj(shape):
 
 
 def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     n = chart.dim
     g = _obj((n, n))
     for i in range(n):
@@ -123,14 +136,15 @@ def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.nd
             try:
                 s = ex.eval_taylor(chart.comps[i][j], x, order=order)
             except ex.EvalError as err:
-                raise GeometryError(f"metric component ({i},{j}) at {x}: {err}") from err
+                at = x if x.ndim == 1 else x[err.probe or 0]
+                raise GeometryError(f"metric component ({i},{j}) at {at}: {err}") from err
             g[i, j] = g[j, i] = s
     return g
 
 
 def taylor_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Taylor-valued matrix by Gauss-Jordan elimination with
-    value-part pivoting."""
+    """Inverse of a symmetric positive definite Taylor-valued matrix by
+    Gauss-Jordan elimination without pivoting."""
     n = m.shape[0]
     ctx = m[0, 0].ctx
     a = m.copy()
@@ -139,12 +153,8 @@ def taylor_inverse(m: np.ndarray) -> np.ndarray:
         for j in range(n):
             inv[i, j] = ctx.constant(1.0 if i == j else 0.0)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r, col].value))
-        if abs(a[piv, col].value) < 1e-300:
+        if np.any(np.abs(a[col, col].value) < 1e-300):
             raise GeometryError("singular metric")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
         pinv = taylor.recip(a[col, col])
         for j in range(n):
             a[col, j] = a[col, j] * pinv
@@ -162,13 +172,27 @@ def taylor_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def values(arr) -> np.ndarray:
-    """Extract value parts of an object array of TaylorScalars."""
-    out = np.empty(arr.shape)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = flat_in[i].value
-    return out
+    """Value parts of an object array of TaylorScalars: shape ``arr.shape``
+    for one point, (P, *arr.shape) for a batch (constants broadcast)."""
+    vals = [s.value for s in arr.flat]
+    lead = next((v.shape for v in vals if not isinstance(v, float)), ())
+    if lead:
+        vals = [np.broadcast_to(v, lead) if isinstance(v, float) else v for v in vals]
+    return np.moveaxis(np.array(vals), 0, -1).reshape(lead + arr.shape)
+
+
+BATCH_BYTES = 32 * 2 ** 20
+
+
+def probe_batches(points, dim: int, order: int) -> list:
+    """Consecutive slices of the (P, dim) ``points`` whose pipelines at
+    ``order`` each keep an estimated <= BATCH_BYTES of jet coefficients:
+    the rank-4 Riemann array and about four rank-3 arrays of C doubles per
+    probe dominate."""
+    points = np.asarray(points, dtype=float)
+    per_probe = 8 * math.comb(dim + order, order) * (dim ** 4 + 4 * dim ** 3)
+    size = max(1, BATCH_BYTES // per_probe)
+    return [points[i:i + size] for i in range(0, len(points), size)]
 
 
 @dataclass
@@ -278,19 +302,25 @@ class TaylorCurvature:
 
 
 def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
-    """The curvature pipeline at x in the Taylor ring of ``order``."""
+    """The curvature pipeline in the Taylor ring of ``order``, at the point
+    x of shape (n,) or at every probe of a (P, n) batch at once."""
     x = np.asarray(x, dtype=float)
-    if len(x) != chart.dim:
-        raise GeometryError(f"point has dimension {len(x)}, chart has {chart.dim}")
-    if not chart.contains(x):
-        raise GeometryError(f"point {x} outside chart domain")
+    if x.ndim not in (1, 2) or x.shape[-1] != chart.dim:
+        raise GeometryError(f"points of shape {x.shape} for a chart of dimension {chart.dim}")
+    for p in x.reshape(-1, chart.dim):
+        if not chart.contains(p):
+            raise GeometryError(f"point {p} outside chart domain")
     n = chart.dim
     g = taylor_metric(chart, x, order)
     gv = values(g)
     try:
         np.linalg.cholesky(gv)
     except np.linalg.LinAlgError:
-        raise GeometryError(f"metric not positive definite at {x}") from None
+        for p, m in zip(x.reshape(-1, n), gv.reshape(-1, n, n)):  # name the first
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise GeometryError(f"metric not positive definite at {p}") from None
     ginv = taylor_inverse(g)
     ctx = g[0, 0].ctx
     zero = ctx.constant(0.0)
@@ -324,18 +354,6 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
                     riem13[r, s, m, nu] = acc
                     riem13[r, s, nu, m] = -acc
 
-    riem = _obj((n, n, n, n))  # lowered R_ijkl
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                riem[i, j, k, k] = zero
-                for l in range(k + 1, n):
-                    acc = zero
-                    for m in range(n):
-                        acc = acc + g[i, m] * riem13[m, j, k, l]
-                    riem[i, j, k, l] = acc
-                    riem[i, j, l, k] = -acc
-
     ric = _obj((n, n))
     for s in range(n):
         for nu in range(s, n):
@@ -343,6 +361,22 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
             for m in range(n):
                 acc = acc + riem13[m, s, m, nu]
             ric[s, nu] = ric[nu, s] = acc
+
+    # lowered R_ijkl, written over riem13 one (j, k, l) column at a time so
+    # that a batch holds one rank-4 array, not two
+    riem = riem13
+    for j in range(n):
+        for k in range(n):
+            for l in range(k + 1, n):
+                col = []
+                for i in range(n):
+                    acc = zero
+                    for m in range(n):
+                        acc = acc + g[i, m] * riem13[m, j, k, l]
+                    col.append(acc)
+                for i, acc in enumerate(col):
+                    riem[i, j, k, l] = acc
+                    riem[i, j, l, k] = -acc
 
     scal = zero
     for i in range(n):

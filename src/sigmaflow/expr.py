@@ -16,8 +16,14 @@ doubles.
 
 One tree walk evaluates an expression over two rings: float arrays
 (``eval_float``, a whole grid per call) and Taylor jets of order 2, 3 or 4
-(``eval_taylor``).  Both apply the same domain rules to the value part, and
-a domain violation or a non-finite result raises ``EvalError`` in either.
+(``eval_taylor``, one point or a batch of probe points per call).  Both
+apply the same domain rules to the value part, and a domain violation or a
+non-finite result raises ``EvalError`` in either.
+
+Where a derivative is undefined, only the float ring is defined: ``abs`` at
+0, and a variable exponent at a non-positive base (``x1^x2`` at (-1, 2) is
+1 as a float).  The jet ring raises ``EvalError`` there, saying which of
+the two it met, at the first failing probe of a batch (``EvalError.probe``).
 """
 
 from __future__ import annotations
@@ -48,7 +54,12 @@ class ParseError(ExprError):
 
 
 class EvalError(ExprError):
-    pass
+    """Evaluation outside the domain; ``probe`` is the index of the first
+    failing point of a batch, else None."""
+
+    def __init__(self, message: str, probe: int | None = None):
+        super().__init__(message)
+        self.probe = probe
 
 
 # -- AST -------------------------------------------------------------------
@@ -321,8 +332,9 @@ def _require(ok, what: str, values):
     """Raise EvalError naming the first of ``values`` where ``ok`` is false."""
     if ok is True or np.all(ok):
         return
-    bad = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)]
-    raise EvalError(f"{what} {bad.flat[0]:.6g}")
+    first = int(np.argmin(np.ravel(ok)))
+    bad = np.broadcast_to(values, np.shape(ok)).ravel()[first]
+    raise EvalError(f"{what} {bad:.6g}", probe=first if np.ndim(ok) else None)
 
 
 def _evaluate(e: Expr, env, ring: _Ring):
@@ -358,7 +370,7 @@ def _evaluate(e: Expr, env, ring: _Ring):
                          ring.value(v))
             return ring.fn[e.name](v)
     except (taylor.TaylorDomainError, ArithmeticError) as exc:
-        raise EvalError(f"{unparse(e)}: {exc}") from exc
+        raise EvalError(f"{unparse(e)}: {exc}", getattr(exc, "probe", None)) from exc
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -386,24 +398,31 @@ def eval_float(e: Expr, point):
 
 def eval_taylor(e: Expr, point, active=None, order: int = taylor.MAX_ORDER) -> TaylorScalar:
     """Evaluate over Taylor scalars of ``order`` (2, 3 or 4) centered at
-    ``point``.
+    ``point``, of shape (n,), or at each row of a (P, n) batch of probe
+    points in one tree walk.
 
     ``active`` restricts which coordinates carry a first-order seed; by
     default every coordinate of ``point`` is active.  The result's
     coefficient at multi-index alpha, |alpha| <= order, encodes
-    d^alpha e(point) / alpha!, and it is trusted to ``order``.  Jets that
-    are combined with a curvature pipeline must share its order
+    d^alpha e(point) / alpha!, and it is trusted to ``order``.  For a batch
+    its coefficients have shape (P, C), also when ``e`` is constant.  Jets
+    that are combined with a curvature pipeline must share its order
     (``TaylorCurvature.order``).
     """
     point = np.asarray(point, dtype=float)
-    dim = len(point)
+    dim = point.shape[-1]
     ctx = taylor.context(dim, order)
     active = set(range(1, dim + 1) if active is None else active)
+    coords = point.T
     env = [
-        ctx.variable(i, point[i]) if (i + 1) in active else ctx.constant(point[i])
+        ctx.variable(i, coords[i]) if (i + 1) in active else ctx.constant(coords[i])
         for i in range(dim)
     ]
-    return _run(e, env, _jets(ctx))
+    out = _run(e, env, _jets(ctx))
+    if out.c.shape[:-1] != point.shape[:-1]:
+        out = TaylorScalar(ctx, np.broadcast_to(out.c, point.shape[:-1] + out.c.shape[-1:])
+                           .copy(), out.trusted)
+    return out
 
 
 _DERIV_RULES = {

@@ -70,16 +70,26 @@ def _newton(a, k: int):
     return acc
 
 
+def cone_values(sig, k: int, l: int):
+    """The value parts of sigma_k and sigma_l (floats, or (P,) arrays for a
+    batch of jets) and where sigma_k * sigma_l > 0."""
+    vk, vl = (s.value if isinstance(s, taylor.TaylorScalar) else float(s)
+              for s in (sig[k], sig[l]))
+    return vk, vl, vk * vl > 0.0
+
+
 def log_quotient(sig, k: int, l: int):
     """log(sigma_k/sigma_l) from a list of sigmas, as log|sigma_k| -
-    log|sigma_l|.  Raises ConeConditionError unless sigma_k * sigma_l > 0."""
-    sk, sl = sig[k], sig[l]
-    jets = isinstance(sk, taylor.TaylorScalar)
-    vk, vl = (sk.value, sl.value) if jets else (float(sk), float(sl))
-    if vk * vl <= 0.0:
-        raise ConeConditionError(k, l, vk, vl)
-    log_abs = taylor.log_abs if jets else (lambda v: math.log(abs(v)))
-    return log_abs(sk) - log_abs(sl)
+    log|sigma_l|.  Raises ConeConditionError unless sigma_k * sigma_l > 0,
+    with the sigmas of the first violating probe of a batch."""
+    vk, vl, ok = cone_values(sig, k, l)
+    if not np.all(ok):
+        i = int(np.argmin(np.ravel(ok)))
+        raise ConeConditionError(k, l, *(float(np.broadcast_to(v, np.shape(ok)).flat[i])
+                                         for v in (vk, vl)))
+    if isinstance(sig[k], taylor.TaylorScalar):
+        return taylor.log_abs(sig[k]) - taylor.log_abs(sig[l])
+    return math.log(abs(vk)) - math.log(abs(vl))
 
 
 def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:

@@ -6,6 +6,11 @@ the Hessian form.  The structural identities (trace, first-order, and
 second-order with the scalar-curvature coupling) and the constant-scalar
 second-order identity are checked by re-running the curvature pipeline on
 Taylor data, never by finite-differencing outputs.
+
+Each check runs its whole (P, n) probe set through one batched curvature
+pipeline (``curvature_taylor`` at every probe at once), split only where
+``curvature.probe_batches`` finds that the jets of one pipeline would
+exceed its fixed memory budget ``curvature.BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ import numpy as np
 
 from . import expr as ex
 from . import probes
-from .curvature import GeometryError, MetricChart, _as_expr, curvature_taylor, values
-from .sigma import ConeConditionError, log_quotient_taylor
+from .curvature import (GeometryError, MetricChart, _as_expr, curvature_taylor,
+                        probe_batches, values)
+from .sigma import (ConeConditionError, cone_values, log_quotient, log_quotient_taylor,
+                    sigma_taylor)
 
 TRIVIAL_TOL = 1e-7
 
@@ -77,68 +84,70 @@ class ResidualReport:
         }
 
 
-def _gnorm2(ginv: np.ndarray, t: np.ndarray) -> float:
-    """Invariant squared norm of a (0,2) tensor."""
-    return float(np.einsum("ik,jl,ij,kl->", ginv, ginv, t, t))
+def _gnorm2(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Invariant squared norm of a (0,2) tensor, per probe of a batch."""
+    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
+
+
+def _probes(spec: SolitonSpec, probe_set, count: int, seed: int) -> np.ndarray:
+    if probe_set is None:
+        return probes.chart_probes(spec.chart, count, seed=seed)
+    return np.asarray(probe_set, dtype=float)
 
 
 def _psi(spec: SolitonSpec, tc, x):
-    """psi = log(sigma_k/sigma_l) - lambda as a jet at the probe x, and the
-    value of lambda there."""
-    logq = log_quotient_taylor(tc, spec.k, spec.l)
-    lam = ex.eval_taylor(_as_expr(spec.lam), x, order=tc.order)
-    return logq - lam, lam.value
+    """psi = log(sigma_k/sigma_l) - lambda as a jet at the probes x."""
+    return log_quotient_taylor(tc, spec.k, spec.l) \
+        - ex.eval_taylor(_as_expr(spec.lam), x, order=tc.order)
 
 
 def _point_data(spec: SolitonSpec, x):
-    """Residual tensor, psi, lie tensor, lambda and g^{-1} at one probe, at
-    order 2: the residual reads values of hess f, L_X g and psi only."""
+    """The cone violations of the (P, n) batch x as (probe, error) pairs and,
+    at its admissible probes, the residual tensor, L_X g, psi, lambda and
+    g^{-1}, at order 2: the residual reads values of hess f, L_X g and psi
+    only."""
     tc = curvature_taylor(spec.chart, x, order=2)
-    psi, lam = _psi(spec, tc, x)
+    sig = sigma_taylor(tc)
+    vk, vl, ok = (np.broadcast_to(v, len(x)) for v in cone_values(sig, spec.k, spec.l))
+    violations = [(x[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
+                  for i in np.flatnonzero(~ok)]
+    keep = np.flatnonzero(ok)
+    lam = ex.eval_taylor(_as_expr(spec.lam), x, order=tc.order).take(keep)
+    psi = log_quotient([s.take(keep) for s in sig], spec.k, spec.l) - lam
     if isinstance(spec.field, GradientPotential):
         ft = ex.eval_taylor(_as_expr(spec.field.f), x, order=tc.order)
-        half_lie = values(tc.hessian_scalar(ft))
-        lie = 2.0 * half_lie
+        lie = 2.0 * values(tc.hessian_scalar(ft))[keep]
     else:
         xv = np.array([ex.eval_taylor(_as_expr(c), x, order=tc.order)
                        for c in spec.field.components], dtype=object)
-        lie = values(tc.lie_metric(xv))
-        half_lie = 0.5 * lie
-    residual = half_lie - psi.value * values(tc.g)
-    return residual, psi, lie, lam, values(tc.ginv)
+        lie = values(tc.lie_metric(xv))[keep]
+    residual = 0.5 * lie - psi.value[:, None, None] * values(tc.g)[keep]
+    return violations, residual, lie, psi.value, lam.value, values(tc.ginv)[keep]
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
                      seed: int = 0, trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
-    if probe_set is None:
-        probe_set = probes.chart_probes(spec.chart, count, seed=seed)
-    sup = mean = lie_sup = psi_sup = 0.0
-    lam_min, lam_max = np.inf, -np.inf
-    violations = []
-    used = 0
-    for x in probe_set:
-        try:
-            residual, psi_t, lie, lam, ginv = _point_data(spec, x)
-        except ConeConditionError as err:
-            violations.append((np.asarray(x), err))
-            continue
-        used += 1
-        rnorm = np.sqrt(_gnorm2(ginv, residual))
-        sup = max(sup, rnorm)
-        mean += rnorm
-        lie_sup = max(lie_sup, np.sqrt(_gnorm2(ginv, lie)))
-        psi_sup = max(psi_sup, abs(psi_t.value))
-        lam_min = min(lam_min, lam)
-        lam_max = max(lam_max, lam)
-    if used == 0:
+    pts = _probes(spec, probe_set, count, seed)
+    violations, rnorm, lie_norm, psi, lam = [], [], [], [], []
+    for x in probe_batches(pts, spec.chart.dim, 2):
+        bad, residual, lie, psi_v, lam_v, ginv = _point_data(spec, x)
+        violations += bad
+        rnorm.append(np.sqrt(_gnorm2(ginv, residual)))
+        lie_norm.append(np.sqrt(_gnorm2(ginv, lie)))
+        psi.append(np.abs(psi_v))
+        lam.append(lam_v)
+    rnorm, lie_norm, psi, lam = (np.concatenate(v) if v else np.empty(0)
+                                 for v in (rnorm, lie_norm, psi, lam))
+    if rnorm.size == 0:
         raise violations[0][1] if violations else ValueError("no probe points")
-    mean /= used
+    lam_min, lam_max = float(lam.min()), float(lam.max())
+    lie_sup, psi_sup = float(lie_norm.max()), float(psi.max())
     return ResidualReport(
-        sup=sup, mean=mean, lie_sup=lie_sup, psi_sup=psi_sup,
-        lam_min=lam_min, lam_max=lam_max,
+        sup=float(rnorm.max()), mean=float(rnorm.mean()), lie_sup=lie_sup,
+        psi_sup=psi_sup, lam_min=lam_min, lam_max=lam_max,
         classification=_classify(lam_min, lam_max),
         trivial=bool(lie_sup < trivial_tol and psi_sup < trivial_tol),
-        probes_used=used, cone_violations=violations,
+        probes_used=int(rnorm.size), cone_violations=violations,
     )
 
 
@@ -163,6 +172,11 @@ class StructuralResiduals:
     second_order: float         # (n-1) lap psi + <grad R, grad f>/2 + psi R = 0
 
 
+def _grad(s, n: int) -> np.ndarray:
+    """Coordinate gradient values of a jet, shape (P, n)."""
+    return np.stack([s.deriv(i).value for i in range(n)], axis=-1)
+
+
 def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
                            seed: int = 0) -> StructuralResiduals:
     """Residuals of the three structural identities of a gradient quotient
@@ -170,30 +184,27 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     fourth-order Taylor data of the metric)."""
     if not isinstance(spec.field, GradientPotential):
         raise GeometryError("structural identities require a gradient soliton")
-    if probe_set is None:
-        probe_set = probes.chart_probes(spec.chart, count, seed=seed)
     res_a = res_b = res_c = 0.0
-    for x in probe_set:
+    for x in probe_batches(_probes(spec, probe_set, count, seed), spec.chart.dim, 4):
         tc = curvature_taylor(spec.chart, x, order=4)  # lap psi reads A to order 2
         n = tc.dim
-        psi, _ = _psi(spec, tc, x)
+        psi = _psi(spec, tc, x)
         ft = ex.eval_taylor(_as_expr(spec.field.f), x, order=tc.order)
         ginv = values(tc.ginv)
         ric = values(tc.ricci)
 
         lap_f = tc.laplacian_scalar(ft).value
-        res_a = max(res_a, abs(lap_f - n * psi.value))
+        res_a = max(res_a, float(np.max(np.abs(lap_f - n * psi.value))))
 
-        dpsi = np.array([psi.deriv(i).value for i in range(n)])
-        df = np.array([ft.deriv(i).value for i in range(n)])
-        item_b = (n - 1) * dpsi + ric @ (ginv @ df)
-        res_b = max(res_b, float(np.sqrt(item_b @ ginv @ item_b)))
+        dpsi, df = _grad(psi, n), _grad(ft, n)
+        item_b = (n - 1) * dpsi + (ric @ (ginv @ df[..., None]))[..., 0]
+        norm_b = np.sqrt(np.einsum("...i,...ij,...j->...", item_b, ginv, item_b))
+        res_b = max(res_b, float(np.max(norm_b)))
 
         lap_psi = tc.laplacian_scalar(psi).value
-        dR = np.array([tc.scalar.deriv(i).value for i in range(n)])
-        pairing = float(dR @ ginv @ df)
-        res_c = max(res_c, abs((n - 1) * lap_psi + 0.5 * pairing
-                               + psi.value * tc.scalar.value))
+        pairing = np.einsum("...i,...ij,...j->...", _grad(tc.scalar, n), ginv, df)
+        res_c = max(res_c, float(np.max(np.abs(
+            (n - 1) * lap_psi + 0.5 * pairing + psi.value * tc.scalar.value))))
     return StructuralResiduals(res_a, res_b, res_c)
 
 
@@ -206,16 +217,12 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     identity presupposes constant scalar curvature)."""
     if not isinstance(spec.field, GradientPotential):
         raise GeometryError("the second-order identity requires a gradient soliton")
-    if probe_set is None:
-        probe_set = probes.chart_probes(spec.chart, count, seed=seed)
-    scalars = []
-    data = []
-    for x in probe_set:
-        tc = curvature_taylor(spec.chart, x, order=4)  # hess psi reads A to order 2
-        scalars.append(tc.scalar.value)
-        data.append((x, tc))
+    data = [(x, curvature_taylor(spec.chart, x, order=4))  # hess psi reads A to order 2
+            for x in probe_batches(_probes(spec, probe_set, count, seed),
+                                   spec.chart.dim, 4)]
+    scalars = np.concatenate([tc.scalar.value for _, tc in data])
     mean_r = float(np.mean(scalars))
-    dev = max(abs(s - mean_r) for s in scalars)
+    dev = float(np.max(np.abs(scalars - mean_r)))
     if dev > r_tol * (1.0 + abs(mean_r)):
         raise GeometryError(
             f"scalar curvature not constant on probes: deviation {dev:.3g} "
@@ -223,10 +230,8 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     worst = 0.0
     for x, tc in data:
         n = tc.dim
-        psi, _ = _psi(spec, tc, x)
+        psi = _psi(spec, tc, x)
         hess = values(tc.hessian_scalar(psi))
-        g = values(tc.g)
-        ginv = values(tc.ginv)
-        resid = hess + (mean_r / (n * (n - 1))) * psi.value * g
-        worst = max(worst, float(np.sqrt(_gnorm2(ginv, resid))))
+        resid = hess + (mean_r / (n * (n - 1))) * psi.value[:, None, None] * values(tc.g)
+        worst = max(worst, float(np.max(np.sqrt(_gnorm2(values(tc.ginv), resid)))))
     return worst

@@ -13,6 +13,13 @@ Multi-indices are sorted by total degree, so the coefficient vector of
 order p is a prefix of the one of order 4, and every coefficient a lower
 order keeps comes out the same.
 
+The coefficient axis is last: ``c`` has shape (C,) for one expansion point
+and (P, C) for a batch of P probe points, which every operation carries
+through at once (the vector forward mode).  Constants keep shape (C,) and
+broadcast against batches.  ``value`` and ``derivative`` return a float
+for one point and a (P,) array for a batch, and the domain checks of the
+elementary functions test every probe, naming the first that fails.
+
 Differentiating a scalar (``TaylorScalar.deriv``) shifts coefficients down
 one order; the top-order coefficients of the result are unknown (taken as
 zero).  Each scalar therefore carries ``trusted``, the highest total degree
@@ -25,13 +32,18 @@ that chose too low an order thus fails loudly instead of reading a zero.
 The curvature pipeline spends one order per derivative: metric -> p,
 Christoffel -> p - 1, Riemann/Ricci/Schouten -> p - 2, Cotton / grad sigma
 -> p - 3, Laplacians of sigma quantities -> p - 4.
+
+Trusted-prefix rule: the product table is sorted by |a| + |b|, so the pairs
+of degree <= t are a prefix of it.  A product trusted to t sums only that
+prefix; since every output coefficient of degree d collects exactly the
+pairs with |a| + |b| = d, in table order, each coefficient of degree <= t
+comes out bitwise equal to the full product's, and those above t are zero.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -40,7 +52,12 @@ MAX_DIM = 8
 
 
 class TaylorDomainError(ValueError):
-    """Function evaluated outside its domain (log of <= 0, etc.)."""
+    """Function evaluated outside its domain (log of <= 0, etc.).  ``probe``
+    is the index of the first failing probe of a batch, else None."""
+
+    def __init__(self, message: str, probe: int | None = None):
+        super().__init__(message)
+        self.probe = probe
 
 
 class TaylorTrustError(RuntimeError):
@@ -49,15 +66,38 @@ class TaylorTrustError(RuntimeError):
     chose too low an order), never of its input."""
 
 
-def _multi_indices(dim: int, order: int):
-    """All multi-indices of ``dim`` variables with |alpha| <= ``order``,
-    ordered by total degree then lexicographically."""
-    out = []
-    for total in range(order + 1):
-        for alpha in _iproduct(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
+def _domain(ok: np.ndarray, message: str, v: np.ndarray) -> None:
+    """Raise TaylorDomainError unless ``ok`` holds at every probe; ``ok`` and
+    ``v`` are value columns (``_val``), and ``{v}`` in ``message`` is the
+    value at the first probe that fails."""
+    if np.all(ok):
+        return
+    i = int(np.argmin(ok.ravel()))
+    text = message.format(v=f"{np.broadcast_to(v, ok.shape).ravel()[i]:.6g}")
+    if ok.ndim < 2:
+        raise TaylorDomainError(text)
+    raise TaylorDomainError(f"{text} (probe {i})", probe=i)
+
+
+def _val(s: "TaylorScalar") -> np.ndarray:
+    """The value part as a column, shape (1,) for one point and (P, 1) for
+    a batch: both then run the same numpy loops and agree bitwise."""
+    if s.trusted < 0:
+        s.value  # raises TaylorTrustError
+    return s.c[..., :1]
+
+
+def _multi_indices(dim: int, order: int) -> np.ndarray:
+    """All multi-indices of ``dim`` variables with |alpha| <= ``order``, as
+    rows ordered by total degree then lexicographically."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(dim):
+        deg = rows.sum(axis=1)
+        rows = np.concatenate([
+            np.column_stack([np.full(int(np.sum(deg <= order - a)), a),
+                             rows[deg <= order - a]])
+            for a in range(order + 1)])
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
 
 
 def context(dim: int, order: int = MAX_ORDER) -> "TaylorContext":
@@ -83,71 +123,95 @@ class TaylorContext:
             raise ValueError(f"order must be 2, 3 or {MAX_ORDER}, got {order}")
         self.dim = dim
         self.order = order
-        self.indices = _multi_indices(dim, order)
+        rows = _multi_indices(dim, order)
+        self.indices = [tuple(a) for a in rows.tolist()]
         self.ncoef = len(self.indices)
         self.index_of = {a: i for i, a in enumerate(self.indices)}
-        self.degree = np.array([sum(a) for a in self.indices])
+        self.degree = rows.sum(axis=1)
 
-        # product table: every ordered pair (a, b) with |a|+|b| <= order
-        ia, ib, iout = [], [], []
-        for i, a in enumerate(self.indices):
-            for j, b in enumerate(self.indices):
-                if sum(a) + sum(b) <= order:
-                    ia.append(i)
-                    ib.append(j)
-                    iout.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
-        self._mul_a = np.array(ia)
-        self._mul_b = np.array(ib)
-        self._mul_out = np.array(iout)
+        # a multi-index as one integer in base order + 1: sums of indices of
+        # total degree <= order never carry, so keys add like the indices
+        place = (order + 1) ** np.arange(dim)
+        keys = rows @ place
+        sorter = np.argsort(keys)
+
+        def position(k):
+            return sorter[np.searchsorted(keys, k, sorter=sorter)]
+
+        # product table: every ordered pair (a, b) with |a|+|b| <= order,
+        # stably sorted by |a|+|b| so each trusted order uses a prefix
+        ia, ib = np.nonzero(self.degree[:, None] + self.degree[None, :] <= order)
+        pair_deg = self.degree[ia] + self.degree[ib]
+        by_deg = np.argsort(pair_deg, kind="stable")
+        self._mul_a, self._mul_b = ia[by_deg], ib[by_deg]
+        self._mul_out = position(keys[self._mul_a] + keys[self._mul_b])
+        # (a, b, out) prefixes per trusted order -1 .. MAX_ORDER, where every
+        # order from the context's up takes the whole table
+        ends = np.searchsorted(pair_deg[by_deg], np.arange(-1, MAX_ORDER + 1), side="right")
+        self._prefix = {t: (self._mul_a[:e], self._mul_b[:e], self._mul_out[:e])
+                        for t, e in enumerate(ends, start=-1)}
+        self._scatter = {}          # (probes, trusted) -> flat output index
 
         # derivative table per variable: d/dx_v maps c[a + e_v] -> (a_v + 1) c
-        self._deriv = []
-        for v in range(dim):
-            src, dst, fac = [], [], []
-            for i, a in enumerate(self.indices):
-                up = list(a)
-                up[v] += 1
-                j = self.index_of.get(tuple(up))
-                if j is not None:
-                    src.append(j)
-                    dst.append(i)
-                    fac.append(a[v] + 1)
-            self._deriv.append((np.array(src), np.array(dst), np.array(fac, dtype=float)))
+        below = np.flatnonzero(self.degree < order)
+        self._deriv = [(position(keys[below] + place[v]), below,
+                        (rows[below, v] + 1).astype(float)) for v in range(dim)]
 
-        self._factorials = np.array(
-            [math.prod(math.factorial(k) for k in a) for a in self.indices]
-        )
+        fact = np.array([math.factorial(k) for k in range(order + 1)])
+        self._factorials = fact[rows].prod(axis=1)
 
     # -- raw coefficient-array kernels -------------------------------------
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self._mul_out, weights=a[self._mul_a] * b[self._mul_b], minlength=self.ncoef
-        )
+    def mul(self, a: np.ndarray, b: np.ndarray, trusted: int = MAX_ORDER) -> np.ndarray:
+        """Product of coefficient arrays of shape (..., C), summed over the
+        pairs of degree <= ``trusted`` only (zero above it)."""
+        t = max(trusted, -1)
+        ia, ib, out = self._prefix[t]
+        if a.ndim == b.ndim == 1:
+            return np.bincount(out, weights=a[ia] * b[ib], minlength=self.ncoef)
+        w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
+        lead = w.shape[:-1]
+        probes = math.prod(lead)
+        key = (probes, t)
+        idx = self._scatter.get(key)
+        if idx is None:
+            idx = self._scatter[key] = \
+                (np.arange(probes)[:, None] * self.ncoef + out).ravel()
+        return np.bincount(idx, weights=w.ravel(),
+                           minlength=probes * self.ncoef).reshape(lead + (self.ncoef,))
 
     def deriv(self, c: np.ndarray, var: int) -> np.ndarray:
         src, dst, fac = self._deriv[var]
-        out = np.zeros(self.ncoef)
-        out[dst] = fac * c[src]
+        out = np.zeros(c.shape)
+        if c.ndim == 1:
+            out[dst] = fac * c[src]
+        else:
+            out[:, dst] = fac * c[:, src]
         return out
 
-    def constant(self, value: float) -> "TaylorScalar":
-        c = np.zeros(self.ncoef)
-        c[0] = value
+    def constant(self, value) -> "TaylorScalar":
+        """A constant jet; ``value`` is a float, or a (P,) array for one
+        constant per probe."""
+        c = np.zeros(_shape(value) + (self.ncoef,))
+        c[..., 0] = value
         return TaylorScalar(self, c)
 
-    def variable(self, var: int, value: float) -> "TaylorScalar":
-        c = np.zeros(self.ncoef)
-        c[0] = value
+    def variable(self, var: int, value) -> "TaylorScalar":
+        c = np.zeros(_shape(value) + (self.ncoef,))
+        c[..., 0] = value
         e = [0] * self.dim
         e[var] = 1
-        c[self.index_of[tuple(e)]] = 1.0
+        c[..., self.index_of[tuple(e)]] = 1.0
         return TaylorScalar(self, c)
+
+
+def _shape(value) -> tuple:
+    return value.shape if isinstance(value, np.ndarray) else ()  # np.shape is slow on floats
 
 
 class TaylorScalar:
-    """Coefficients ``c`` over ``ctx``, exact up to total degree ``trusted``
-    (``ctx.order`` when not given)."""
+    """Coefficients ``c`` of shape (C,) or (P, C) over ``ctx``, exact up to
+    total degree ``trusted`` (``ctx.order`` when not given)."""
 
     __slots__ = ("ctx", "c", "trusted")
 
@@ -161,14 +225,15 @@ class TaylorScalar:
                 f"trusted={self.trusted}, c={self.c!r})")
 
     @property
-    def value(self) -> float:
+    def value(self):
+        """The value part: a float, or a (P,) array for a batch."""
         if self.trusted < 0:
             raise TaylorTrustError(
                 f"value of a jet differentiated beyond its order {self.ctx.order} "
                 f"(trusted to {self.trusted})")
-        return float(self.c[0])
+        return float(self.c[0]) if self.c.ndim == 1 else self.c[:, 0]
 
-    def derivative(self, alpha) -> float:
+    def derivative(self, alpha):
         """Mixed partial d^alpha f at the expansion point (alpha! * c_alpha)."""
         alpha = tuple(alpha)
         if sum(alpha) > self.trusted:
@@ -177,11 +242,17 @@ class TaylorScalar:
         i = self.ctx.index_of.get(alpha)
         if i is None:
             raise KeyError(f"multi-index {alpha} does not fit {self.ctx.dim} variables")
-        return float(self.ctx._factorials[i] * self.c[i])
+        v = self.ctx._factorials[i] * self.c[..., i]
+        return float(v) if v.ndim == 0 else v
 
     def deriv(self, var: int) -> "TaylorScalar":
         """Partial derivative; trusted one order below the input."""
         return TaylorScalar(self.ctx, self.ctx.deriv(self.c, var), self.trusted - 1)
+
+    def take(self, probes) -> "TaylorScalar":
+        """The jet at the selected probes of a batch; a constant is kept."""
+        return self if self.c.ndim == 1 else \
+            TaylorScalar(self.ctx, self.c[probes], self.trusted)
 
     # -- ring operations ---------------------------------------------------
 
@@ -224,8 +295,8 @@ class TaylorScalar:
             return TaylorScalar(self.ctx, self.c * float(other), self.trusted)
         if isinstance(other, TaylorScalar):
             o = self._coerce(other)
-            return TaylorScalar(self.ctx, self.ctx.mul(self.c, o.c),
-                                min(self.trusted, o.trusted))
+            t = min(self.trusted, o.trusted)
+            return TaylorScalar(self.ctx, self.ctx.mul(self.c, o.c, t), t)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -251,48 +322,47 @@ class TaylorScalar:
 
 
 def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
-    """f(s) for outer derivatives [f(v), f'(v), ...] at v = s.value, at least
-    ``s.ctx.order + 1`` of them; trusted as far as ``s``."""
-    ctx = s.ctx
+    """f(s) for outer derivatives [f(v), f'(v), ...] at the value column
+    v = ``_val(s)``, at least ``s.ctx.order + 1`` of them; trusted as far as
+    ``s``."""
+    ctx, t = s.ctx, s.trusted
     w = s.c.copy()
-    w[0] = 0.0  # nilpotent part
-    out = np.zeros(ctx.ncoef)
-    out[0] = derivs[0]
+    w[..., 0] = 0.0  # nilpotent part
+    out = np.zeros(w.shape)
+    out[..., :1] = derivs[0]
     wp = w
     fact = 1.0
     for m in range(1, ctx.order + 1):
         fact *= m
         out += (derivs[m] / fact) * wp
         if m < ctx.order:
-            wp = ctx.mul(wp, w)
-    return TaylorScalar(ctx, out, s.trusted)
+            wp = ctx.mul(wp, w, t)
+    return TaylorScalar(ctx, out, t)
 
 
 def recip(s: TaylorScalar) -> TaylorScalar:
-    v = s.value
-    if v == 0.0:
-        raise TaylorDomainError("division by a scalar with zero value part")
+    v = _val(s)
+    _domain(v != 0.0, "division by a jet with value part {v}", v)
     d = [(-1.0) ** m * math.factorial(m) / v ** (m + 1) for m in range(s.ctx.order + 1)]
     return _compose(s, d)
 
 
 def exp(s: TaylorScalar) -> TaylorScalar:
-    ev = math.exp(s.value)
+    ev = np.exp(_val(s))
     return _compose(s, [ev] * (s.ctx.order + 1))
 
 
 def log(s: TaylorScalar) -> TaylorScalar:
-    if s.value <= 0.0:
-        raise TaylorDomainError(f"log of non-positive value {s.value}")
+    v = _val(s)
+    _domain(v > 0.0, "log of non-positive value {v}", v)
     return log_abs(s)
 
 
 def log_abs(s: TaylorScalar) -> TaylorScalar:
     """log|s|; valid for either sign of the value part (used for sigma quotients)."""
-    v = s.value
-    if v == 0.0:
-        raise TaylorDomainError("log of zero")
-    d = [math.log(abs(v))]
+    v = _val(s)
+    _domain(v != 0.0, "log of zero", v)
+    d = [np.log(np.abs(v))]
     d += [(-1.0) ** (m - 1) * math.factorial(m - 1) / v ** m for m in range(1, s.ctx.order + 1)]
     return _compose(s, d)
 
@@ -302,27 +372,27 @@ def sqrt(s: TaylorScalar) -> TaylorScalar:
 
 
 def sin(s: TaylorScalar) -> TaylorScalar:
-    sv, cv = math.sin(s.value), math.cos(s.value)
+    sv, cv = np.sin(_val(s)), np.cos(_val(s))
     return _compose(s, [sv, cv, -sv, -cv, sv])
 
 
 def cos(s: TaylorScalar) -> TaylorScalar:
-    sv, cv = math.sin(s.value), math.cos(s.value)
+    sv, cv = np.sin(_val(s)), np.cos(_val(s))
     return _compose(s, [cv, -sv, -cv, sv, cv])
 
 
 def sinh(s: TaylorScalar) -> TaylorScalar:
-    sv, cv = math.sinh(s.value), math.cosh(s.value)
+    sv, cv = np.sinh(_val(s)), np.cosh(_val(s))
     return _compose(s, [sv, cv, sv, cv, sv])
 
 
 def cosh(s: TaylorScalar) -> TaylorScalar:
-    sv, cv = math.sinh(s.value), math.cosh(s.value)
+    sv, cv = np.sinh(_val(s)), np.cosh(_val(s))
     return _compose(s, [cv, sv, cv, sv, cv])
 
 
 def tanh(s: TaylorScalar) -> TaylorScalar:
-    t = math.tanh(s.value)
+    t = np.tanh(_val(s))
     u = 1.0 - t * t  # sech^2
     # successive derivatives of tanh expressed through t and u
     d = [t, u, -2 * t * u, -2 * u * u + 4 * t * t * u, 16 * t * u * u - 8 * t ** 3 * u]
@@ -330,20 +400,22 @@ def tanh(s: TaylorScalar) -> TaylorScalar:
 
 
 def abs_(s: TaylorScalar) -> TaylorScalar:
-    if s.value == 0.0:
-        raise TaylorDomainError("abs is not differentiable at 0")
-    return s if s.value > 0 else -s
+    v = _val(s)
+    _domain(v != 0.0, "abs has no derivative at {v}", v)
+    return TaylorScalar(s.ctx, np.where(v > 0.0, 1.0, -1.0) * s.c, s.trusted)
 
 
 def power(s: TaylorScalar, p) -> TaylorScalar:
     """s**p.  Integer p is evaluated by repeated multiplication (valid for
-    any value part); fractional p requires a positive value part."""
+    any value part); fractional p requires a positive value part.  A jet
+    exponent that varies (in its derivative part, or from probe to probe)
+    is exp(p log s), which has no derivative at a non-positive base."""
     if isinstance(p, TaylorScalar):
-        nonconst = p.c.copy()
-        nonconst[0] = 0.0
-        if np.any(nonconst != 0.0):
+        if np.any(p.c[..., 1:] != 0.0) or np.any(p.c[..., 0] != p.c.flat[0]):
+            v = _val(s)
+            _domain(v > 0.0, "a variable exponent has no derivative at base {v}", v)
             return exp(p * log(s))
-        p = p.value
+        p = p.c.flat[0]
     pf = float(p)
     if pf == round(pf) and abs(pf) <= 64:
         m = int(round(pf))
@@ -361,13 +433,11 @@ def power(s: TaylorScalar, p) -> TaylorScalar:
             if m:
                 acc = acc * acc
         return out
-    v = s.value
-    if v <= 0.0:
-        raise TaylorDomainError(f"fractional power of non-positive value {v}")
+    v = _val(s)
+    _domain(v > 0.0, "fractional power of non-positive value {v}", v)
     d = []
     coeff = 1.0
     for m in range(s.ctx.order + 1):
         d.append(coeff * v ** (pf - m))
         coeff *= pf - m
     return _compose(s, d)
-

@@ -140,3 +140,38 @@ def test_domain_violation_raises_eval_error():
 def test_missing_variable_is_an_error():
     with pytest.raises(ex.EvalError):
         ex.eval_float(ex.parse("x3"), [1.0, 2.0])
+
+
+def test_only_the_float_ring_is_defined_without_a_derivative():
+    # abs at 0 and a variable exponent at a non-positive base have a value
+    # but no derivative: floats evaluate them, jets name which one they met
+    cases = [("abs(x1)", [0.0, 2.0], 0.0, "abs has no derivative at 0"),
+             ("x1^x2", [-1.0, 2.0], 1.0, "variable exponent has no derivative at base -1"),
+             ("x1^x2", [0.0, 2.0], 0.0, "variable exponent has no derivative at base 0")]
+    for src, x, value, message in cases:
+        e = ex.parse(src)
+        assert ex.eval_float(e, x) == value
+        with pytest.raises(ex.EvalError, match=message) as err:
+            ex.eval_taylor(e, x)
+        assert err.value.probe is None
+        # in a batch, the first failing probe is named
+        batch = [[1.5, 2.0], x, [-2.0, 3.0]]
+        assert list(ex.eval_float(e, np.array(batch).T)) == \
+            [ex.eval_float(e, p) for p in batch]
+        with pytest.raises(ex.EvalError, match=f"{message} \\(probe 1\\)") as err:
+            ex.eval_taylor(e, batch)
+        assert err.value.probe == 1
+    # away from those points both rings agree, probe by probe
+    e = ex.parse("abs(x1) + x1^x2")
+    batch = np.array([[0.5, 2.0], [1.5, -0.5], [2.0, 3.0]])
+    jets = ex.eval_taylor(e, batch)
+    assert jets.c.shape == (3, jets.ctx.ncoef)
+    for p, x in enumerate(batch):
+        assert np.array_equal(jets.c[p], ex.eval_taylor(e, x).c)
+        assert jets.value[p] == pytest.approx(ex.eval_float(e, x), rel=1e-15)
+
+
+def test_constant_expression_is_broadcast_over_a_batch():
+    t = ex.eval_taylor(ex.parse("2 + pi"), np.zeros((4, 3)), order=2)
+    assert t.c.shape == (4, t.ctx.ncoef)
+    assert np.all(t.value == 2 + math.pi)

@@ -141,9 +141,9 @@ def test_sigma_taylor_jet_multiplies(monkeypatch):
         tc = curvature_taylor(models.sphere(n).chart, [0.1] * n)
         count = [0]
 
-        def counting(ctx, a, b):
+        def counting(ctx, a, b, *args):
             count[0] += 1
-            return mul(ctx, a, b)
+            return mul(ctx, a, b, *args)
         monkeypatch.setattr(taylor.TaylorContext, "mul", counting)
         if k == 0:
             sigma_taylor(tc)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -202,3 +203,84 @@ def test_trust_budget():
         x + context(2, 4).variable(0, 0.3)
     with pytest.raises(ty.TaylorTrustError):
         x * context(2, 3).variable(0, 0.3)
+
+
+def double_loop_tables(dim, order):
+    """The context tables as a Python double loop over every pair of
+    multi-indices, the reference for the vectorised construction."""
+    indices = [a for total in range(order + 1)
+               for a in itertools.product(range(total + 1), repeat=dim) if sum(a) == total]
+    index_of = {a: i for i, a in enumerate(indices)}
+    pairs = [(i, j, index_of[tuple(x + y for x, y in zip(a, b))])
+             for i, a in enumerate(indices) for j, b in enumerate(indices)
+             if sum(a) + sum(b) <= order]
+    deriv = []
+    for v in range(dim):
+        rows = []
+        for i, a in enumerate(indices):
+            up = list(a)
+            up[v] += 1
+            if tuple(up) in index_of:
+                rows.append((index_of[tuple(up)], i, a[v] + 1))
+        deriv.append(np.array(rows).T)
+    factorials = [math.prod(math.factorial(k) for k in a) for a in indices]
+    return indices, np.array(pairs).T, deriv, factorials
+
+
+def test_context_tables_match_the_double_loop():
+    for dim in (1, 2, 3, 4, 5, 6, 8):
+        for order in (2, 3, 4):
+            ctx = context(dim, order)
+            indices, (ia, ib, iout), deriv, factorials = double_loop_tables(dim, order)
+            assert ctx.indices == indices and ctx.ncoef == len(indices)
+            assert all(ctx.index_of[a] == i for i, a in enumerate(indices))
+            assert np.array_equal(ctx.degree, [sum(a) for a in indices])
+            # the same pairs, stably sorted by the degree of their product
+            by_deg = np.argsort(ctx.degree[iout], kind="stable")
+            for got, want in zip((ctx._mul_a, ctx._mul_b, ctx._mul_out), (ia, ib, iout)):
+                assert np.array_equal(got, want[by_deg]), (dim, order)
+            for (src, dst, fac), want in zip(ctx._deriv, deriv):
+                assert np.array_equal(np.array([src, dst, fac]), want), (dim, order)
+            assert np.array_equal(ctx._factorials, factorials)
+
+
+def test_trusted_products_are_prefixes():
+    rng = np.random.default_rng(13)
+    for dim, order in ((3, 4), (4, 2), (5, 3)):
+        ctx = context(dim, order)
+        a, b = rng.standard_normal((2, 6, ctx.ncoef))
+        full = ctx.mul(a, b)
+        for p in range(6):
+            assert np.array_equal(full[p], ctx.mul(a[p], b[p]))
+        for t in range(-1, order + 1):
+            low = ctx.degree <= t
+            for got, want in ((ctx.mul(a[0], b[0], t), full[0]), (ctx.mul(a, b, t), full),
+                              (ctx.mul(a[0], b, t), ctx.mul(a[0], b))):
+                assert np.array_equal(got[..., low], want[..., low]), (dim, order, t)
+                assert not np.any(got[..., ~low]), (dim, order, t)
+
+
+@pytest.mark.parametrize("tf,ff,x0", UNIVARIATE)
+def test_batched_functions_equal_single_point(tf, ff, x0):
+    ctx = context(2, 3)
+    xs = x0 + np.array([0.0, 0.05, -0.1, 0.2])
+    batch = tf(ctx.variable(0, xs) * ctx.variable(1, 0.5) + 0.5)
+    assert batch.c.shape == (4, ctx.ncoef) and batch.trusted == 3
+    for p, x in enumerate(xs):
+        single = tf(ctx.variable(0, x) * ctx.variable(1, 0.5) + 0.5)
+        assert np.array_equal(batch.c[p], single.c)
+        assert batch.value[p] == single.value == pytest.approx(ff(x * 0.5 + 0.5), rel=1e-14)
+        assert batch.derivative((1, 1))[p] == single.derivative((1, 1))
+
+
+def test_batched_domain_errors_name_the_first_probe():
+    ctx = context(1, 2)
+    x = ctx.variable(0, np.array([1.0, 0.0, -1.0]))
+    for fn, what in ((ty.recip, "division"), (ty.log, "log"), (ty.abs_, "abs"),
+                     (ty.sqrt, "fractional power")):
+        with pytest.raises(TaylorDomainError, match=f"{what}.* 0 \\(probe 1\\)") as err:
+            fn(x)
+        assert err.value.probe == 1
+    with pytest.raises(TaylorDomainError) as err:
+        ty.log(ctx.variable(0, 0.0))
+    assert err.value.probe is None and "probe" not in str(err.value)
