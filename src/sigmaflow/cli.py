@@ -4,8 +4,11 @@ Subcommands: curvature (tensor + sigma report at a point), verify (soliton
 residual check), flow (rotationally symmetric quotient flow, CSV time
 series), hodge (torus Helmholtz splitting).  Exit codes: 0 success /
 verification pass, 1 verification fail, 2 input error, 3 geometry error,
-4 flow abort.  SIGMAFLOW_THREADS (0 = auto) caps numpy worker threads and
-is read before the first array operation.
+4 flow abort.  Exit 2 prints one error line (after argparse's usage line
+for a bad argument) and covers, among others, a non-positive or non-finite
+`flow`/`verify` number, a flow's n, (k, l) or grid, and a spec's (k, l),
+domain or expressions.  SIGMAFLOW_THREADS (0 = auto) caps numpy worker
+threads and is read before the first array operation.
 """
 
 from __future__ import annotations
@@ -67,22 +70,13 @@ def load_spec_file(path: str):
 
 
 def spec_from_document(doc, origin="<spec>"):
+    """A SolitonSpec from a parsed spec document, whose values their owners
+    check (``ex.parse``, ``MetricChart``, ``SolitonSpec``)."""
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
-    try:
-        dim = int(doc["dim"])
-        metric = doc["metric"]
-        k = int(doc["k"])
-        l = int(doc["l"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"{origin}: missing or malformed required field: {err}") from err
-    if not (isinstance(metric, list) and len(metric) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in metric)):
-        raise InputError(f"{origin}: metric must be a {dim}x{dim} expression array")
-    if not (0 <= l <= dim and 0 <= k <= dim):
-        raise InputError(f"{origin}: indices (k,l) = ({k},{l}) out of range 0..{dim}")
-    if k == l and k != 1:
-        raise InputError(f"{origin}: k = l only allowed for the trivial quotient k = l = 1")
+    missing = [key for key in ("dim", "metric", "k", "l") if key not in doc]
+    if missing:
+        raise InputError(f"{origin}: missing required field(s) {', '.join(missing)}")
 
     def parse(src, what):
         try:
@@ -90,22 +84,12 @@ def spec_from_document(doc, origin="<spec>"):
         except ex.ParseError as err:
             raise InputError(f"{origin}: {what}: {err}") from err
 
-    comps = [[parse(metric[i][j], f"metric[{i}][{j}]") for j in range(dim)]
-             for i in range(dim)]
-    try:
-        domain = [(float(lo), float(hi)) for lo, hi in
-                  doc.get("domain", [(-1.0, 1.0)] * dim)]
-        periodic = [bool(b) for b in doc.get("periodic", [False] * dim)]
-    except (TypeError, ValueError) as err:
-        raise InputError(f"{origin}: malformed domain/periodic: {err}") from err
-    if len(domain) != dim or len(periodic) != dim:
-        raise InputError(f"{origin}: domain/periodic must list {dim} entries")
-    try:
-        chart = MetricChart(dim=dim, comps=comps, domain=tuple(domain),
-                            periodic=tuple(periodic))
-    except GeometryError as err:
-        raise InputError(f"{origin}: {err}") from err
-
+    metric = doc["metric"]
+    if not (isinstance(metric, list) and all(isinstance(row, list) for row in metric)):
+        raise InputError(f"{origin}: metric must be an array of expression arrays")
+    comps = [[parse(src, f"metric[{i}][{j}]") for j, src in enumerate(row)]
+             for i, row in enumerate(metric)]
+    dim = len(comps)  # MetricChart checks it against doc["dim"]
     if "potential" in doc:
         field = soliton.GradientPotential(parse(doc["potential"], "potential"))
     elif "vector_field" in doc:
@@ -117,7 +101,11 @@ def spec_from_document(doc, origin="<spec>"):
     else:
         field = soliton.VectorField([ex.parse("0")] * dim)
     lam = parse(doc["lambda"], "lambda") if "lambda" in doc else ex.parse("0")
-    return soliton.SolitonSpec(chart=chart, field=field, lam=lam, k=k, l=l)
+    try:
+        chart = MetricChart(doc["dim"], comps, doc.get("domain", [(-1.0, 1.0)] * dim))
+        return soliton.SolitonSpec(chart=chart, field=field, lam=lam, k=doc["k"], l=doc["l"])
+    except GeometryError as err:
+        raise InputError(f"{origin}: {err}") from err
 
 
 def _resolve(args):
@@ -193,8 +181,6 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.probes <= 0:
-        raise InputError("--probes must be positive")
     spec = _resolve(args)
     if not isinstance(spec, soliton.SolitonSpec):
         spec = soliton.SolitonSpec.from_model(spec)
@@ -220,10 +206,6 @@ def cmd_verify(args) -> int:
 def cmd_flow(args) -> int:
     from . import flow
 
-    if args.grid < 32 or args.grid % 2:
-        raise InputError("--grid must be an even integer >= 32")
-    if args.t_end <= 0:
-        raise InputError("--t-end must be positive")
     u0 = None
     if args.u0:
         try:
@@ -233,7 +215,10 @@ def cmd_flow(args) -> int:
         if ex.max_var(tree) > 1:
             raise InputError("--u0 may reference x1 (the latitude) only")
         u0 = lambda th: ex.eval_float(tree, [th])
-    state = flow.FlowState.from_function(args.n, args.k, args.l, args.grid, u0)
+    try:
+        state = flow.FlowState.from_function(args.n, args.k, args.l, args.grid, u0)
+    except GeometryError as err:  # FlowState checks n, (k, l) and the grid
+        raise InputError(str(err)) from err
     if 2 * args.l == args.n:
         print(f"warning: E_{args.l} diagnostic omitted (l = n/2 path integral "
               "not implemented; column holds int sigma_l dv)", file=sys.stderr)
@@ -305,6 +290,17 @@ def cmd_hodge(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def _positive(kind):
+    """argparse type for the numbers only the CLI reads: a finite ``kind`` > 0."""
+    def convert(text):
+        value = kind(text)  # a ValueError reads "invalid positive int value"
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return value
+    convert.__name__ = f"positive {kind.__name__}"
+    return convert
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="sigmaflow",
@@ -327,9 +323,9 @@ def build_parser():
 
     v = sub.add_parser("verify", help="check the soliton equation at probe points")
     add_source(v)
-    v.add_argument("--probes", type=int, default=40)
-    v.add_argument("--tolerance", type=float, default=1e-7)
-    v.add_argument("--trivial-tol", type=float, default=1e-7)
+    v.add_argument("--probes", type=_positive(int), default=40)
+    v.add_argument("--tolerance", type=_positive(float), default=1e-7)
+    v.add_argument("--trivial-tol", type=_positive(float), default=1e-7)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
@@ -340,9 +336,9 @@ def build_parser():
     f.add_argument("--l", type=int, required=True)
     f.add_argument("--grid", type=int, default=64)
     f.add_argument("--u0", help="initial exponent as an expression in x1 = theta")
-    f.add_argument("--t-end", type=float, required=True)
-    f.add_argument("--dt", type=float, default=None)
-    f.add_argument("--cadence", type=int, default=10)
+    f.add_argument("--t-end", type=_positive(float), required=True)
+    f.add_argument("--dt", type=_positive(float), default=None)
+    f.add_argument("--cadence", type=_positive(int), default=10)
     f.add_argument("--csv", help="write diagnostics to this path")
     f.add_argument("--state-json", help="write the final state to this path")
     f.set_defaults(func=cmd_flow)

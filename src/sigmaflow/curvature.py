@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -54,23 +55,34 @@ class GeometryError(ValueError):
     """Point outside the chart domain, non-positive-definite metric, etc."""
 
 
+def check_int(value, what: str, lo: int, hi: float = math.inf):
+    """Raise GeometryError unless ``value`` is an integer (a bool is not) in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not lo <= value <= hi:
+        within = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise GeometryError(f"{what} must be an integer {within}, got {value!r}")
+
+
 # -- charts ----------------------------------------------------------------
 
 
 class MetricChart:
     """A dimension, an n x n symmetric array of component expressions and a
-    validity box.  Symmetry and positive definiteness are probed on a coarse
-    grid at construction time."""
+    validity box of finite intervals lo < hi, all checked here: the shape at
+    once, symmetry and positive definiteness on a coarse grid."""
 
-    def __init__(self, dim, comps, domain, periodic=None, validate=True):
-        if not 2 <= dim <= 8:
-            raise GeometryError(f"chart dimension must be in 2..8, got {dim}")
+    def __init__(self, dim, comps, domain, validate=True):
+        check_int(dim, "chart dimension", 2, 8)
+        if len(comps) != dim or any(len(row) != dim for row in comps):
+            raise GeometryError(f"metric must be a {dim}x{dim} array")
         self.dim = dim
         self.comps = [[_as_expr(comps[i][j]) for j in range(dim)] for i in range(dim)]
-        self.domain = [(float(lo), float(hi)) for lo, hi in domain]
-        if len(self.domain) != dim:
-            raise GeometryError("domain must give one interval per axis")
-        self.periodic = list(periodic) if periodic is not None else [False] * dim
+        try:
+            self.domain = [(float(lo), float(hi)) for lo, hi in domain]
+        except (TypeError, ValueError) as err:
+            raise GeometryError(f"domain must list (lo, hi) number pairs: {err}") from None
+        if len(self.domain) != dim or not all(-math.inf < lo < hi < math.inf
+                                              for lo, hi in self.domain):
+            raise GeometryError(f"domain must be {dim} finite intervals lo < hi: {self.domain}")
         if validate:
             self._validate()
 
@@ -153,8 +165,6 @@ def taylor_inverse(m: np.ndarray) -> np.ndarray:
         for j in range(n):
             inv[i, j] = ctx.constant(1.0 if i == j else 0.0)
     for col in range(n):
-        if np.any(np.abs(a[col, col].value) < 1e-300):
-            raise GeometryError("singular metric")
         pinv = taylor.recip(a[col, col])
         for j in range(n):
             a[col, j] = a[col, j] * pinv

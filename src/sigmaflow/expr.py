@@ -222,8 +222,11 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse ``source`` into an AST.  Raises ParseError with a byte offset."""
-    if not source or not source.strip():
+    """Parse ``source`` into an AST.  Raises ParseError with a byte offset,
+    also when ``source`` is not a string."""
+    if not isinstance(source, str):
+        raise ParseError(f"expression must be a string, not {type(source).__name__}", 0)
+    if not source.strip():
         raise ParseError("empty expression", 0)
     return _Parser(source).parse()
 
@@ -423,53 +426,6 @@ def eval_taylor(e: Expr, point, active=None, order: int = taylor.MAX_ORDER) -> T
         out = TaylorScalar(ctx, np.broadcast_to(out.c, point.shape[:-1] + out.c.shape[-1:])
                            .copy(), out.trusted)
     return out
-
-
-_DERIV_RULES = {
-    "exp": lambda a: Call("exp", a),
-    "log": lambda a: Bin("/", Num(1.0), a),
-    "sin": lambda a: Call("cos", a),
-    "cos": lambda a: Neg(Call("sin", a)),
-    "sinh": lambda a: Call("cosh", a),
-    "cosh": lambda a: Call("sinh", a),
-    "tanh": lambda a: Bin("-", Num(1.0), Bin("^", Call("tanh", a), Num(2.0))),
-    "sqrt": lambda a: Bin("/", Num(1.0), Bin("*", Num(2.0), Call("sqrt", a))),
-}
-
-
-def differentiate(e: Expr, var: int) -> Expr:
-    """Symbolic partial derivative d e / d x_var (no simplification beyond
-    dropping obvious zero branches)."""
-    if isinstance(e, (Num, Const)):
-        return Num(0.0)
-    if isinstance(e, Var):
-        return Num(1.0 if e.index == var else 0.0)
-    if isinstance(e, Neg):
-        return Neg(differentiate(e.arg, var))
-    if isinstance(e, Bin):
-        da = differentiate(e.left, var)
-        db = differentiate(e.right, var)
-        if e.op in "+-":
-            return Bin(e.op, da, db)
-        if e.op == "*":
-            return Bin("+", Bin("*", da, e.right), Bin("*", e.left, db))
-        if e.op == "/":
-            num = Bin("-", Bin("*", da, e.right), Bin("*", e.left, db))
-            return Bin("/", num, Bin("^", e.right, Num(2.0)))
-        # power: general rule d(a^b) = a^b * (db*log(a) + b*da/a); constant
-        # exponents take the short form
-        if isinstance(e.right, Num):
-            p = e.right.value
-            return Bin("*", Bin("*", Num(p), Bin("^", e.left, Num(p - 1))), da)
-        inner = Bin("+", Bin("*", db, Call("log", e.left)),
-                    Bin("/", Bin("*", e.right, da), e.left))
-        return Bin("*", e, inner)
-    if isinstance(e, Call):
-        if e.name == "abs":
-            raise ExprError("abs has no expression-level derivative")
-        outer = _DERIV_RULES[e.name](e.arg)
-        return Bin("*", outer, differentiate(e.arg, var))
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 def shift_vars(e: Expr, offset: int) -> Expr:

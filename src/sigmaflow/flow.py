@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import GeometryError
+from .curvature import GeometryError, check_int
+from .sigma import check_pair
 
 
 class ConeViolation(GeometryError):
@@ -37,6 +38,7 @@ class BlowUp(GeometryError):
 
 @dataclass
 class FlowState:
+    """The exponent u(theta) on S^n; n, (k, l) and the grid are checked here."""
     n: int                  # sphere dimension
     k: int
     l: int
@@ -45,13 +47,9 @@ class FlowState:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
-        if self.n < 3:
-            raise GeometryError("the flow needs sphere dimension >= 3")
-        if len(self.u) < 17:
-            raise GeometryError("grid must have at least 17 nodes (M >= 16)")
-        if not (0 <= self.l < self.k <= self.n or self.k == self.l):
-            if not (0 <= self.k <= self.n and 0 <= self.l <= self.n):
-                raise GeometryError(f"quotient indices ({self.k},{self.l}) out of range")
+        check_int(self.n, "sphere dimension n", 3)
+        _check_grid(len(self.u) - 1)
+        check_pair(self.n, self.k, self.l)
 
     @property
     def grid_size(self) -> int:
@@ -63,9 +61,16 @@ class FlowState:
 
     @classmethod
     def from_function(cls, n: int, k: int, l: int, grid: int, u0=None, t: float = 0.0):
+        _check_grid(grid)  # before the nodes are laid out
         theta = np.linspace(0.0, math.pi, grid + 1)
         u = np.zeros(grid + 1) if u0 is None else np.asarray([u0(th) for th in theta])
         return cls(n=n, k=k, l=l, u=u, t=t)
+
+
+def _check_grid(m):
+    check_int(m, "grid", 32)
+    if m % 2:
+        raise GeometryError(f"grid must be even, got {m}")
 
 
 @dataclass
@@ -129,11 +134,9 @@ def schouten_eigenvalues(state: FlowState) -> tuple[np.ndarray, np.ndarray]:
 def sigma_nodes(state: FlowState, j: int) -> np.ndarray:
     """sigma_j of the two-eigenvalue spectrum (lam_t with multiplicity n-1,
     lam_r once)."""
-    n = state.n
-    if not 0 <= j <= n:
-        raise GeometryError(f"sigma index {j} out of range 0..{n}")
+    check_int(j, "sigma index j", 0, state.n)
     lam_r, lam_t = schouten_eigenvalues(state)
-    return _sigma_from_eigs(n, j, lam_r, lam_t)
+    return _sigma_from_eigs(state.n, j, lam_r, lam_t)
 
 
 def _sigma_from_eigs(n: int, j: int, lam_r, lam_t):
@@ -151,8 +154,6 @@ def quadrature(state: FlowState, values: np.ndarray) -> float:
     if not np.all(np.isfinite(values)):
         raise GeometryError("non-finite integrand")
     m = state.grid_size
-    if m < 32:
-        raise GeometryError("quadrature needs grid resolution >= 32")
     n = state.n
     h = math.pi / m
     theta = state.theta
@@ -279,8 +280,8 @@ def conformal_field_integral(state: FlowState, k: int) -> float:
 
 
 def spectral_derivative(f: np.ndarray) -> np.ndarray:
-    """d f / d theta for samples on [0, pi], via the even 2pi-periodic
-    extension and the FFT."""
+    """d f / d theta for samples on [0, pi], via the even extension of
+    period 2pi and the FFT."""
     m = len(f) - 1
     ext = np.concatenate([f, f[-2:0:-1]])  # length 2m, even about both poles
     freq = np.fft.rfftfreq(2 * m, d=1.0 / (2 * m))  # integer wavenumbers

@@ -92,13 +92,10 @@ def hyperbolic(n: int, k: int = 3, l: int = 1, v=None) -> ModelManifold:
     """Hyperbolic space, Poincare ball chart g = 4 (1-|x|^2)^-2 delta.
 
     Soliton data: f = h_v with the ball-to-hyperboloid height, lambda =
-    -h_v + log(sigma_k/sigma_l); requires k = l (mod 2) for the cone
-    condition."""
+    -h_v + log(sigma_k/sigma_l); the cone condition needs k = l (mod 2),
+    and ``log_quotient`` raises ConeConditionError otherwise."""
     if n < 3:
         raise GeometryError("sigma-bearing models need n >= 3")
-    if (k - l) % 2 != 0:
-        raise GeometryError(
-            f"hyperbolic quotient needs k = l (mod 2); got ({k},{l})")
     box = 0.85 / math.sqrt(n)
     chart = _diag_chart(n, f"4/(1-{_sq_norm(n)})^2", box)
     if v is None:

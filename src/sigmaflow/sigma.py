@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from . import taylor
 from .curvature import (CurvaturePack, GeometryError, MetricChart, TaylorCurvature,
-                        _as_expr, _obj, curvature_taylor, values)
+                        _as_expr, _obj, check_int, curvature_taylor, values)
 from .tensor import TensorValue, sigmas_from_power_sums
 
 
@@ -44,6 +44,13 @@ class SigmaProfile:
     cone_ok: bool
 
 
+def check_pair(n: int, k, l):
+    """The one rule for the quotient indices of sigma_k/sigma_l in dimension
+    n: integers with 0 <= k, l <= n (k = l is the trivial quotient)."""
+    check_int(k, "quotient index k", 0, n)
+    check_int(l, "quotient index l", 0, n)
+
+
 # -- the one sigma path, over floats or jets -------------------------------
 
 
@@ -60,7 +67,9 @@ def sigmas(a) -> list:
 
 def _newton(a, k: int):
     """T_k = sum_{j<=k} (-1)^j sigma_{k-j} a^j by Horner's rule:
-    T_0 = sigma_0 I, T_1 = sigma_1 I - a and T_j = sigma_j I - a T_{j-1}."""
+    T_0 = sigma_0 I, T_1 = sigma_1 I - a and T_j = sigma_j I - a T_{j-1}.
+    T_n vanishes by Cayley-Hamilton, so k runs over 0..n - 1."""
+    check_int(k, "Newton tensor index k", 0, len(a) - 1)
     sig, eye = sigmas(a), np.eye(len(a))
     if k == 0:
         return sig[0] * eye
@@ -100,8 +109,7 @@ def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:
     n = pack.dim
     if n < 3:
         raise GeometryError("sigma-curvatures need dimension >= 3")
-    if not (0 <= k <= n and 0 <= l <= n):
-        raise GeometryError(f"quotient indices ({k},{l}) out of range 0..{n}")
+    check_pair(n, k, l)
     sig = np.array(sigmas(pack.endo), dtype=float)
     return SigmaProfile(n=n, sigmas=sig, k=k, l=l,
                         log_quotient=log_quotient(sig, k, l), cone_ok=True)
@@ -115,10 +123,7 @@ class NewtonTensor:
 
 def newton_tensor(pack: CurvaturePack, k: int) -> NewtonTensor:
     """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j."""
-    n = pack.dim
-    if not 0 <= k <= n - 1:
-        raise GeometryError(f"Newton tensor index k={k} out of range 0..{n - 1}")
-    return NewtonTensor(k, TensorValue(n, (1, 1), _newton(pack.endo, k)))
+    return NewtonTensor(k, TensorValue(pack.dim, (1, 1), _newton(pack.endo, k)))
 
 
 def sigma_taylor(tc: TaylorCurvature) -> list:
@@ -143,8 +148,6 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
     (locally) conformally flat charts, where the identity is established.
     """
     tc = curvature_taylor(chart, x, order=3)  # one derivative of T_k
-    if not 0 <= k <= tc.dim - 1:
-        raise GeometryError(f"Newton tensor index k={k} out of range 0..{tc.dim - 1}")
     tk = newton_tensor_taylor(tc, k)
     div = tc.div_endomorphism(tk)
     return TensorValue(tc.dim, (0, 1), values(div))

@@ -23,8 +23,8 @@ from . import expr as ex
 from . import probes
 from .curvature import (GeometryError, MetricChart, _as_expr, curvature_taylor,
                         probe_batches, values)
-from .sigma import (ConeConditionError, cone_values, log_quotient, log_quotient_taylor,
-                    sigma_taylor)
+from .sigma import (ConeConditionError, check_pair, cone_values, log_quotient,
+                    log_quotient_taylor, sigma_taylor)
 
 TRIVIAL_TOL = 1e-7
 
@@ -46,6 +46,9 @@ class SolitonSpec:
     lam: "ex.Expr"
     k: int
     l: int
+
+    def __post_init__(self):
+        check_pair(self.chart.dim, self.k, self.l)
 
     @classmethod
     def from_model(cls, model) -> "SolitonSpec":

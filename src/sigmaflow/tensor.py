@@ -1,5 +1,5 @@
-"""Dense pointwise tensors, symmetric spectra and elementary symmetric
-polynomials.
+"""Dense pointwise tensors, symmetric spectra, elementary symmetric
+polynomials and Newton's identities.
 
 Component layout: contravariant slots first, then covariant slots,
 row-major.  Dimensions are desk-scale (<= 8), so everything is dense.
@@ -32,54 +32,6 @@ class TensorValue:
             )
         object.__setattr__(self, "components", comps)
 
-    @property
-    def rank(self) -> int:
-        return sum(self.valence)
-
-
-def scalar(value: float) -> float:
-    return float(value)
-
-
-def contract(t: TensorValue, slot_a: int, slot_b: int) -> TensorValue:
-    """Contract contravariant slot ``slot_a`` against covariant slot
-    ``slot_b`` (both indexed within their own variance group)."""
-    p, q = t.valence
-    if not 0 <= slot_a < p:
-        raise TensorError(f"contravariant slot {slot_a} out of range for valence {t.valence}")
-    if not 0 <= slot_b < q:
-        raise TensorError(f"covariant slot {slot_b} out of range for valence {t.valence}")
-    comps = np.trace(t.components, axis1=slot_a, axis2=p + slot_b)
-    if p + q == 2:
-        return float(comps)
-    return TensorValue(t.dim, (p - 1, q - 1), comps)
-
-
-def symmetrize2(t: TensorValue) -> TensorValue:
-    if t.valence != (0, 2):
-        raise TensorError("symmetrize2 expects a (0,2) tensor")
-    return TensorValue(t.dim, (0, 2), 0.5 * (t.components + t.components.T))
-
-
-def raise_index(t: TensorValue, metric: np.ndarray, slot: int = 0) -> TensorValue:
-    """Raise covariant slot ``slot`` with the inverse of ``metric``."""
-    p, q = t.valence
-    if not 0 <= slot < q:
-        raise TensorError("no such covariant slot")
-    ginv = np.linalg.inv(metric)
-    comps = np.tensordot(ginv, np.moveaxis(t.components, p + slot, 0), axes=(1, 0))
-    comps = np.moveaxis(comps, 0, p)  # raised slot becomes last contravariant
-    return TensorValue(t.dim, (p + 1, q - 1), comps)
-
-
-def lower_index(t: TensorValue, metric: np.ndarray, slot: int = 0) -> TensorValue:
-    p, q = t.valence
-    if not 0 <= slot < p:
-        raise TensorError("no such contravariant slot")
-    comps = np.tensordot(metric, np.moveaxis(t.components, slot, 0), axes=(1, 0))
-    comps = np.moveaxis(comps, 0, p - 1 + q)  # lowered slot becomes last covariant
-    return TensorValue(t.dim, (p - 1, q + 1), comps)
-
 
 # -- symmetric eigenvalues -------------------------------------------------
 
@@ -87,10 +39,6 @@ def lower_index(t: TensorValue, metric: np.ndarray, slot: int = 0) -> TensorValu
 @dataclass(frozen=True)
 class SymmetricSpectrum:
     eigenvalues: np.ndarray  # ascending
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50) -> np.ndarray:
@@ -143,15 +91,6 @@ def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> SymmetricSpectrum:
 
 
 # -- elementary symmetric polynomials --------------------------------------
-
-
-def elementary_symmetric(spec: SymmetricSpectrum | np.ndarray, k: int) -> float:
-    """sigma_k of the eigenvalues via the product-coefficient recurrence."""
-    eig = spec.eigenvalues if isinstance(spec, SymmetricSpectrum) else np.asarray(spec)
-    n = len(eig)
-    if not 0 <= k <= n:
-        raise TensorError(f"k={k} out of range 0..{n}")
-    return elementary_all(eig)[k]
 
 
 def elementary_all(eig) -> np.ndarray:

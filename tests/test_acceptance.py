@@ -162,7 +162,7 @@ def test_criterion_06_conformal_laws():
                    if i == j else "0" for j in range(4)] for i in range(4)]
         direct_chart = MetricChart(
             dim=4, comps=[[ex.parse(s) for s in row] for row in scaled],
-            domain=((-0.7, 0.7),) * 4, periodic=(False,) * 4)
+            domain=((-0.7, 0.7),) * 4)
         x = rng.uniform(-0.4, 0.4, size=4).tolist()
         dpack = curvature_at(direct_chart, x)
         a_err = np.max(np.abs(conformal_schouten(base, x, src).components
@@ -301,7 +301,7 @@ def test_criterion_12_oracle_equivalence():
             ["0", "1 + x1^2/4", "0"],
             ["0", "0", "1 + x1^2/8 + x2^2/8"]]
     chart = MetricChart(dim=3, comps=[[ex.parse(s) for s in row] for row in rows],
-                        domain=((-1.0, 1.0),) * 3, periodic=(False,) * 3)
+                        domain=((-1.0, 1.0),) * 3)
     x = [0.25, -0.35, 0.15]
     pack = curvature_at(chart, x)
     lowered, _ = fd_riemann_lowered(chart, x)

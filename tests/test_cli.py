@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from sigmaflow import cli
 from sigmaflow.cli import main
 
 
@@ -251,11 +256,83 @@ def test_evaluator_failure_exits_2(argv):
     assert err.count("offset") <= 1
 
 
-def test_malformed_domain_exits_2(tmp_path):
-    doc = {"dim": 2, "metric": [["1", "0"], ["0", "1"]], "domain": "abc",
-           "k": 1, "l": 1}
-    path = tmp_path / "domain.json"
+SPHERE3 = [["4/(1 + x1^2 + x2^2 + x3^2)^2" if i == j else "0" for j in range(3)]
+           for i in range(3)]
+
+
+def spec_path(tmp_path, name, **fields):
+    doc = {"dim": 3, "metric": SPHERE3, "domain": [[-0.9, 0.9]] * 3, "k": 2, "l": 1}
+    doc.update(fields)
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run_cli("curvature", "--file", str(path))
-    assert code == 2
-    assert err.startswith("input error:") and "domain" in err
+    return str(path)
+
+
+def assert_input_error(argv, what):
+    code, _, err = run_cli(*argv)
+    assert code == 2, (argv, code, err)
+    assert err.startswith("input error:") and err.count("\n") == 1, err
+    assert what in err, err
+
+
+def test_malformed_domain_exits_2(tmp_path):
+    # a chart domain is dim finite intervals lo < hi, whatever reads the spec
+    for i, domain in enumerate(["abc", [[1, -1]] * 3, [[0, 0]] * 3,
+                                [[float("nan"), 1]] * 3, [[-1, 1]] * 2]):
+        path = spec_path(tmp_path, f"domain{i}", domain=domain)
+        for command in ("curvature", "verify"):
+            assert_input_error((command, "--file", path), "domain")
+
+
+def test_malformed_spec_exits_2(tmp_path):
+    cases = [
+        ({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "metric[0][0]: expression must be"),
+        ({"potential": 5}, "potential: expression must be a string"),
+        ({"k": 2.7}, "quotient index k"),
+        ({"k": True}, "quotient index k"),
+        ({"dim": 3.9}, "chart dimension"),
+    ]
+    for i, (fields, what) in enumerate(cases):
+        path = spec_path(tmp_path, f"spec{i}", **fields)
+        for command in ("curvature", "verify"):
+            assert_input_error((command, "--file", path), what)
+
+
+def test_spec_k_equal_l_is_the_trivial_quotient(tmp_path):
+    path = spec_path(tmp_path, "k_eq_l", k=2, l=2)
+    code, out, _ = run_cli("curvature", "--file", path, "--json")
+    assert code == 0
+    assert json.loads(out)["log_quotient"] == 0.0
+    code, out, _ = run_cli("verify", "--file", path, "--probes", "5")
+    assert code == 0
+    assert "(trivial)" in out
+
+
+def flow_argv(**changes):
+    opts = {"n": "4", "k": "2", "l": "1", "grid": "32", "t_end": "0.001", **changes}
+    return ("flow", *(part for key, value in opts.items()
+                      for part in ("--" + key.replace("_", "-"), value)))
+
+
+@pytest.mark.parametrize("argv", [
+    flow_argv(cadence="0"),
+    flow_argv(k="-1", l="-1"),
+    flow_argv(k="7", l="7"),
+    flow_argv(k="9"),
+    flow_argv(n="2"),
+    flow_argv(t_end="inf", dt="1e-3"),
+    flow_argv(t_end="nan"),
+    flow_argv(dt="0"),
+    ("verify", "--builtin", "sphere:3", "--tolerance", "nan"),
+], ids=["cadence-0", "k-l-negative", "k-l-above-n", "k-above-n", "n-2", "t-end-inf",
+        "t-end-nan", "dt-0", "tolerance-nan"])
+def test_malformed_arguments_exit_2(argv):
+    # a separate process, so a traceback or a run that never ends shows as such
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sigmaflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert lines[-1].startswith(("input error:", "sigmaflow ")), proc.stderr
+    assert sum("error:" in line for line in lines) == 1, proc.stderr

