@@ -6,9 +6,10 @@ series), hodge (torus Helmholtz splitting).  Exit codes: 0 success /
 verification pass, 1 verification fail, 2 input error, 3 geometry error,
 4 flow abort.  Exit 2 prints one error line (after argparse's usage line
 for a bad argument) and covers, among others, a non-positive or non-finite
-`flow`/`verify` number, a flow's n, (k, l) or grid, and a spec's (k, l),
-domain or expressions.  SIGMAFLOW_THREADS (0 = auto) caps numpy worker
-threads and is read before the first array operation.
+`flow`/`verify` number, a negative `verify` seed, a flow's n, (k, l) or
+grid, a hodge grid, and a spec's (k, l), domain or expressions.
+SIGMAFLOW_THREADS (0 = auto) caps numpy worker threads and is read before
+the first array operation.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np  # noqa: E402  (thread caps must precede the import)
 from . import expr as ex  # noqa: E402
 from . import models, soliton  # noqa: E402
 from .curvature import GeometryError, MetricChart, curvature_at  # noqa: E402
+from .probes import chart_probes  # noqa: E402
 from .sigma import ConeConditionError, sigma_profile  # noqa: E402
 
 
@@ -139,30 +141,27 @@ def cmd_curvature(args) -> int:
     if not chart.contains(x):
         raise InputError(f"point {x} outside the chart domain")
     pack = curvature_at(chart, x)
-    prof = None
-    cone_note = None
-    try:
-        prof = sigma_profile(pack, source.k, source.l)
-    except ConeConditionError as err:
-        cone_note = str(err)
-
     report = {
         "dim": chart.dim,
         "point": x,
         "scalar_curvature": float(pack.scalar),
         "ricci": pack.ricci.tolist(),
-        "schouten": pack.schouten.tolist(),
         "riemann_sup": float(np.max(np.abs(pack.riemann))),
-        "cotton_sup": float(np.max(np.abs(pack.cotton))),
         "ricci_minus_metric_sup": float(np.max(np.abs(pack.ricci - pack.g))),
         "ricci_plus_metric_sup": float(np.max(np.abs(pack.ricci + pack.g))),
     }
-    if prof is not None:
-        report["sigma"] = [float(s) for s in prof.sigmas]
-        report["log_quotient"] = float(prof.log_quotient)
-        report["cone_ok"] = bool(prof.cone_ok)
-    else:
-        report["cone_violation"] = cone_note
+    prof = None
+    if chart.dim >= 3:  # Schouten, Cotton and sigma_k need n >= 3
+        report["schouten"] = pack.schouten.tolist()
+        report["cotton_sup"] = float(np.max(np.abs(pack.cotton)))
+        try:
+            prof = sigma_profile(pack, source.k, source.l)
+        except ConeConditionError as err:
+            report["cone_violation"] = str(err)
+        else:
+            report["sigma"] = [float(s) for s in prof.sigmas]
+            report["log_quotient"] = float(prof.log_quotient)
+            report["cone_ok"] = bool(prof.cone_ok)
 
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -170,13 +169,14 @@ def cmd_curvature(args) -> int:
         print(f"dim = {chart.dim}, point = {x}")
         print(f"R = {pack.scalar:.6f}")
         print(f"|Rm|_sup = {_fmt(report['riemann_sup'])}")
-        print(f"|Cotton|_sup = {_fmt(report['cotton_sup'])}")
+        if "cotton_sup" in report:
+            print(f"|Cotton|_sup = {_fmt(report['cotton_sup'])}")
         if prof is not None:
             sig = ", ".join(_fmt(s) for s in prof.sigmas[1:])
             print(f"sigma_1..{chart.dim} = {sig}")
             print(f"log sigma_{source.k}/sigma_{source.l} = {_fmt(prof.log_quotient)}")
-        else:
-            print(f"cone condition fails: {cone_note}")
+        elif "cone_violation" in report:
+            print(f"cone condition fails: {report['cone_violation']}")
     return EXIT_OK
 
 
@@ -184,8 +184,11 @@ def cmd_verify(args) -> int:
     spec = _resolve(args)
     if not isinstance(spec, soliton.SolitonSpec):
         spec = soliton.SolitonSpec.from_model(spec)
-    report = soliton.soliton_residual(spec, count=args.probes, seed=args.seed,
-                                      trivial_tol=args.trivial_tol)
+    try:  # halton_points checks the seed
+        points = chart_probes(spec.chart, args.probes, seed=args.seed)
+    except GeometryError as err:
+        raise InputError(str(err)) from err
+    report = soliton.soliton_residual(spec, points, trivial_tol=args.trivial_tol)
     doc = report.to_dict()
     doc["tolerance"] = args.tolerance
     doc["pass"] = bool(report.sup < args.tolerance)

@@ -422,9 +422,11 @@ def eval_taylor(e: Expr, point, active=None, order: int = taylor.MAX_ORDER) -> T
         for i in range(dim)
     ]
     out = _run(e, env, _jets(ctx))
-    if out.c.shape[:-1] != point.shape[:-1]:
-        out = TaylorScalar(ctx, np.broadcast_to(out.c, point.shape[:-1] + out.c.shape[-1:])
-                           .copy(), out.trusted)
+    lead = point.shape[:-1]
+    if out.c.shape[:-1] != lead:
+        c = ctx.zero(lead) if ctx.is_zero(out.c) else \
+            np.broadcast_to(out.c, lead + out.c.shape[-1:]).copy()
+        out = TaylorScalar(ctx, c, out.trusted)
     return out
 
 

@@ -37,9 +37,7 @@ class TorusField:
         shape = comps[0].shape
         if len(shape) != dim or any(c.shape != shape for c in comps):
             raise HodgeError("component grids must share one shape per axis")
-        for nax in shape:
-            if nax < 4 or nax & (nax - 1):
-                raise HodgeError(f"grid extent {nax} is not a power of two >= 4")
+        _check_extents(shape)
         if any(not np.all(np.isfinite(c)) for c in comps):
             raise HodgeError("non-finite field samples")
         return cls(dim=dim, shape=shape, components=comps)
@@ -47,9 +45,16 @@ class TorusField:
     @classmethod
     def from_exprs(cls, exprs, shape):
         """Sample callables f(x) (x an array of coordinates in [0, 2pi))."""
+        _check_extents(shape)
         axes = [np.arange(nax) * (2 * math.pi / nax) for nax in shape]
         grids = np.meshgrid(*axes, indexing="ij")
         return cls.from_arrays([f(*grids) for f in exprs])
+
+
+def _check_extents(shape):
+    for nax in shape:
+        if nax < 4 or nax & (nax - 1):
+            raise HodgeError(f"grid extent {nax} is not a power of two >= 4")
 
 
 def _wavenumbers(shape):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .curvature import check_int
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
@@ -24,9 +26,11 @@ def _halton_1d(i: int, base: int) -> float:
 def halton_points(domain, count: int, seed: int = 0, margin: float = 0.1) -> np.ndarray:
     """``count`` points in the box ``domain`` (list of (lo, hi) pairs).
 
-    ``seed`` offsets the sequence start, so different seeds give disjoint
-    deterministic point sets.
+    ``seed`` >= 0 offsets the sequence start, so different seeds give
+    disjoint deterministic point sets; a negative seed is rejected, since
+    every index <= 0 gives the same point.
     """
+    check_int(seed, "probe seed", 0)
     dim = len(domain)
     if dim > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} axes supported")

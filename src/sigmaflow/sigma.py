@@ -56,7 +56,10 @@ def check_pair(n: int, k, l):
 
 def sigmas(a) -> list:
     """sigma_0..sigma_n of the endomorphism ``a`` by Newton's identities on
-    the power traces tr(a^m), m = 1..n, which take n - 1 matrix products."""
+    the power traces tr(a^m), m = 1..n, which take n - 1 matrix products.
+    ``a`` is None below dimension 3, where g^{-1}A is not defined."""
+    if a is None:
+        raise GeometryError("sigma-curvatures need dimension >= 3")
     n = len(a)
     traces, power = [np.trace(a)], a
     for _ in range(n - 1):
@@ -69,8 +72,9 @@ def _newton(a, k: int):
     """T_k = sum_{j<=k} (-1)^j sigma_{k-j} a^j by Horner's rule:
     T_0 = sigma_0 I, T_1 = sigma_1 I - a and T_j = sigma_j I - a T_{j-1}.
     T_n vanishes by Cayley-Hamilton, so k runs over 0..n - 1."""
+    sig = sigmas(a)  # which rejects a below dimension 3
     check_int(k, "Newton tensor index k", 0, len(a) - 1)
-    sig, eye = sigmas(a), np.eye(len(a))
+    eye = np.eye(len(a))
     if k == 0:
         return sig[0] * eye
     acc = sig[1] * eye - a
@@ -107,8 +111,6 @@ def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:
     Raises ConeConditionError when sigma_k * sigma_l <= 0.
     """
     n = pack.dim
-    if n < 3:
-        raise GeometryError("sigma-curvatures need dimension >= 3")
     check_pair(n, k, l)
     sig = np.array(sigmas(pack.endo), dtype=float)
     return SigmaProfile(n=n, sigmas=sig, k=k, l=l,

@@ -38,6 +38,22 @@ of degree <= t are a prefix of it.  A product trusted to t sums only that
 prefix; since every output coefficient of degree d collects exactly the
 pairs with |a| + |b| = d, in table order, each coefficient of degree <= t
 comes out bitwise equal to the full product's, and those above t are zero.
+
+Structural zeros: each context keeps one shared, read-only zero coefficient
+array per shape (``zero``), (C,) for one point and (P, C) for each batch
+size in use, and ``is_zero`` tells it apart from an array that merely
+holds zeros.  Zeros are born there: ``constant(0.0)``, a derivative or a
+nilpotent part whose coefficients all vanish (a jet that does not depend
+on that variable, or a constant), and the batch broadcast of a zero in
+``expr.eval_taylor``.  They propagate without arithmetic: ``mul`` is still
+called for every product, but with a zero operand it returns the zero of
+the broadcast shape without the gather, multiply and bincount; the
+derivative, negation and scalar multiples of a zero are the zero; and a
+sum or difference with a zero is the other operand's array whenever that
+keeps the result's shape.  ``trusted`` is set as for any other jet.  Every
+trusted coefficient equals the one computed in full, since zero times a
+finite number is zero.  Coefficient arrays are never written in place; the
+read-only flag enforces that for the shared zeros.
 """
 
 from __future__ import annotations
@@ -151,6 +167,8 @@ class TaylorContext:
         self._prefix = {t: (self._mul_a[:e], self._mul_b[:e], self._mul_out[:e])
                         for t, e in enumerate(ends, start=-1)}
         self._scatter = {}          # (probes, trusted) -> flat output index
+        self._zeros = {}            # lead shape -> the shared zero
+        self._zero_ids = set()      # their ids, for a fast is_zero
 
         # derivative table per variable: d/dx_v maps c[a + e_v] -> (a_v + 1) c
         below = np.flatnonzero(self.degree < order)
@@ -160,11 +178,29 @@ class TaylorContext:
         fact = np.array([math.factorial(k) for k in range(order + 1)])
         self._factorials = fact[rows].prod(axis=1)
 
+    # -- structural zeros --------------------------------------------------
+
+    def zero(self, lead: tuple = ()) -> np.ndarray:
+        """The shared, read-only zero coefficient array of shape lead + (C,)."""
+        z = self._zeros.get(lead)
+        if z is None:
+            z = self._zeros[lead] = np.zeros(lead + (self.ncoef,))
+            z.flags.writeable = False
+            self._zero_ids.add(id(z))
+        return z
+
+    def is_zero(self, c: np.ndarray) -> bool:
+        """Whether ``c`` is a shared zero; an array that only holds zeros is not."""
+        return id(c) in self._zero_ids
+
     # -- raw coefficient-array kernels -------------------------------------
 
     def mul(self, a: np.ndarray, b: np.ndarray, trusted: int = MAX_ORDER) -> np.ndarray:
         """Product of coefficient arrays of shape (..., C), summed over the
-        pairs of degree <= ``trusted`` only (zero above it)."""
+        pairs of degree <= ``trusted`` only (zero above it); the shared zero
+        of the broadcast shape when either operand is a shared zero."""
+        if self.is_zero(a) or self.is_zero(b):
+            return self.zero(_lead(a, b))
         t = max(trusted, -1)
         ia, ib, out = self._prefix[t]
         if a.ndim == b.ndim == 1:
@@ -180,18 +216,31 @@ class TaylorContext:
         return np.bincount(idx, weights=w.ravel(),
                            minlength=probes * self.ncoef).reshape(lead + (self.ncoef,))
 
+    def add(self, a: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
+        """a + sign * b for sign +1 or -1; an operand itself when the other
+        is a shared zero that broadcasts into its shape."""
+        if self.is_zero(b) and _fits(b, a):
+            return a
+        if self.is_zero(a) and _fits(a, b):
+            return b if sign > 0 else -b
+        return a + b if sign > 0 else a - b
+
     def deriv(self, c: np.ndarray, var: int) -> np.ndarray:
+        if self.is_zero(c):
+            return c
         src, dst, fac = self._deriv[var]
         out = np.zeros(c.shape)
         if c.ndim == 1:
             out[dst] = fac * c[src]
         else:
             out[:, dst] = fac * c[:, src]
-        return out
+        return out if out.any() else self.zero(c.shape[:-1])
 
     def constant(self, value) -> "TaylorScalar":
         """A constant jet; ``value`` is a float, or a (P,) array for one
-        constant per probe."""
+        constant per probe.  The constant 0.0 is the shared zero."""
+        if not isinstance(value, np.ndarray) and value == 0.0:
+            return TaylorScalar(self, self.zero())
         c = np.zeros(_shape(value) + (self.ncoef,))
         c[..., 0] = value
         return TaylorScalar(self, c)
@@ -207,6 +256,20 @@ class TaylorContext:
 
 def _shape(value) -> tuple:
     return value.shape if isinstance(value, np.ndarray) else ()  # np.shape is slow on floats
+
+
+def _fits(z: np.ndarray, c: np.ndarray) -> bool:
+    """Whether coefficients ``z`` broadcast into the shape of ``c``."""
+    return z.ndim == 1 or z.shape == c.shape
+
+
+def _lead(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The probe shape of a product of coefficient arrays ``a`` and ``b``."""
+    if _fits(b, a):
+        return a.shape[:-1]
+    if _fits(a, b):
+        return b.shape[:-1]
+    return np.broadcast_shapes(a.shape, b.shape)[:-1]
 
 
 class TaylorScalar:
@@ -251,8 +314,12 @@ class TaylorScalar:
 
     def take(self, probes) -> "TaylorScalar":
         """The jet at the selected probes of a batch; a constant is kept."""
-        return self if self.c.ndim == 1 else \
-            TaylorScalar(self.ctx, self.c[probes], self.trusted)
+        if self.c.ndim == 1:
+            return self
+        c = self.c[probes]
+        if self.ctx.is_zero(self.c):
+            c = self.ctx.zero(c.shape[:-1])
+        return TaylorScalar(self.ctx, c, self.trusted)
 
     # -- ring operations ---------------------------------------------------
 
@@ -271,7 +338,7 @@ class TaylorScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return TaylorScalar(self.ctx, self.c + o.c, min(self.trusted, o.trusted))
+        return TaylorScalar(self.ctx, self.ctx.add(self.c, o.c), min(self.trusted, o.trusted))
 
     __radd__ = __add__
 
@@ -279,19 +346,24 @@ class TaylorScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return TaylorScalar(self.ctx, self.c - o.c, min(self.trusted, o.trusted))
+        return TaylorScalar(self.ctx, self.ctx.add(self.c, o.c, -1),
+                            min(self.trusted, o.trusted))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return TaylorScalar(self.ctx, o.c - self.c, min(self.trusted, o.trusted))
+        return TaylorScalar(self.ctx, self.ctx.add(o.c, self.c, -1),
+                            min(self.trusted, o.trusted))
 
     def __neg__(self):
-        return TaylorScalar(self.ctx, -self.c, self.trusted)
+        return self if self.ctx.is_zero(self.c) else \
+            TaylorScalar(self.ctx, -self.c, self.trusted)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
+            if self.ctx.is_zero(self.c):
+                return self
             return TaylorScalar(self.ctx, self.c * float(other), self.trusted)
         if isinstance(other, TaylorScalar):
             o = self._coerce(other)
@@ -303,6 +375,8 @@ class TaylorScalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
+            if self.ctx.is_zero(self.c):
+                return self
             return TaylorScalar(self.ctx, self.c / float(other), self.trusted)
         if isinstance(other, TaylorScalar):
             return self * recip(other)
@@ -328,6 +402,8 @@ def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
     ctx, t = s.ctx, s.trusted
     w = s.c.copy()
     w[..., 0] = 0.0  # nilpotent part
+    if not w.any():  # s is a constant
+        w = ctx.zero(w.shape[:-1])
     out = np.zeros(w.shape)
     out[..., :1] = derivs[0]
     wp = w

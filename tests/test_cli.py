@@ -83,6 +83,29 @@ def test_spec_file_roundtrip(tmp_path):
     assert json.loads(out)["scalar_curvature"] == pytest.approx(6.0, rel=1e-9)
 
 
+def test_curvature_of_a_2d_spec(tmp_path):
+    # the stereographic chart of the round S^2; sigma_k needs n >= 3
+    conformal = "4/(1 + x1^2 + x2^2)^2"
+    doc = {"dim": 2, "metric": [[conformal, "0"], ["0", conformal]],
+           "domain": [[-0.9, 0.9]] * 2, "k": 2, "l": 1}
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("curvature", "--file", str(path), "--point", "0.2,-0.3", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["scalar_curvature"] == pytest.approx(2.0, abs=1e-9)
+    assert report["ricci_minus_metric_sup"] < 1e-9  # Ric = g
+    assert report["riemann_sup"] > 0
+    assert not {"schouten", "cotton_sup", "sigma", "cone_violation"} & set(report)
+    code, out, _ = run_cli("curvature", "--file", str(path))
+    assert code == 0
+    assert "R = 2.000000" in out and "Cotton" not in out and "sigma" not in out
+    # the soliton equation reads sigma_k/sigma_l, which n = 2 does not have
+    code, _, err = run_cli("verify", "--file", str(path), "--probes", "3")
+    assert code == 3
+    assert err == "geometry error: sigma-curvatures need dimension >= 3\n"
+
+
 def test_asymmetric_spec_rejected(tmp_path):
     doc = {
         "dim": 2,
@@ -324,8 +347,10 @@ def flow_argv(**changes):
     flow_argv(t_end="nan"),
     flow_argv(dt="0"),
     ("verify", "--builtin", "sphere:3", "--tolerance", "nan"),
+    ("verify", "--builtin", "sphere:3", "--seed", "-1", "--probes", "4"),
+    ("hodge", "--n", "2", "--grid", "0", "--field", "x1; x2"),
 ], ids=["cadence-0", "k-l-negative", "k-l-above-n", "k-above-n", "n-2", "t-end-inf",
-        "t-end-nan", "dt-0", "tolerance-nan"])
+        "t-end-nan", "dt-0", "tolerance-nan", "seed-negative", "hodge-grid-0"])
 def test_malformed_arguments_exit_2(argv):
     # a separate process, so a traceback or a run that never ends shows as such
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from sigmaflow import models
+from sigmaflow.curvature import GeometryError
 from sigmaflow.probes import chart_probes, halton_points
 
 
@@ -20,6 +22,15 @@ def test_deterministic_given_seed():
     assert np.array_equal(a, b)
     c = halton_points(domain, 20, seed=6)
     assert not np.array_equal(a, c)
+
+
+def test_seeds_give_distinct_points():
+    domain = ((-1.0, 1.0),) * 3
+    rows = np.concatenate([halton_points(domain, 40, seed=s) for s in range(4)])
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(GeometryError, match="probe seed"):
+            halton_points(domain, 4, seed=seed)
 
 
 def test_low_discrepancy_spread():

@@ -118,6 +118,17 @@ def test_indices_checked_for_floats_and_jets():
             sigma_profile(pack, k, l)
 
 
+def test_sigma_quantities_need_dimension_3():
+    conformal = "4/(1 + x1^2 + x2^2)^2"
+    chart = MetricChart(2, [[conformal, "0"], ["0", conformal]], [(-0.9, 0.9)] * 2)
+    x = [0.1, 0.2]
+    pack = curvature_at(chart, x)
+    for fn in (lambda: sigma_profile(pack, 1, 0), lambda: newton_tensor(pack, 1),
+               lambda: sigma_taylor(pack.taylor), lambda: divergence_newton(chart, x, 1)):
+        with pytest.raises(GeometryError, match="dimension >= 3"):
+            fn()
+
+
 ONE_PATH_MODELS = ("sphere:3", "sphere:4", "sphere:5", "sphere:8", "hyperbolic:4",
                    "hyperbolic:6", "example4:4", "example4:5", "example4:6",
                    "product_line_sphere:3", "warped:sinh:sphere:5")
