@@ -273,14 +273,13 @@ def cmd_hodge(args) -> int:
             (args.grid,) * args.n)
     except hodge.HodgeError as err:
         raise InputError(str(err)) from err
-    rep = hodge.decomposition_report(field)
     y, h = hodge.hodge_decompose(field)
     doc = {
         "grid": args.grid,
         "dim": args.n,
         "Y_sup": float(max(np.max(np.abs(c)) for c in y.components)),
         "potential_sup": float(np.max(np.abs(h))),
-        **rep,
+        **hodge.decomposition_report(field, y, h),
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -98,9 +98,10 @@ def hodge_decompose(field: TorusField):
     return y, h
 
 
-def decomposition_report(field: TorusField):
-    """Residual diagnostics: sup |div Y|, sup reconstruction error, |mean h|."""
-    y, h = hodge_decompose(field)
+def decomposition_report(field: TorusField, y: TorusField, h: np.ndarray):
+    """Residual diagnostics of the decomposition (Y, h) of ``field``, as
+    ``hodge_decompose`` returns it: sup |div Y|, sup reconstruction error,
+    |mean h|."""
     h_hat = np.fft.fftn(h)
     recon = [np.fft.ifftn(_spectral_partial(h_hat, field.shape, a)).real + yc
              for a, yc in enumerate(y.components)]

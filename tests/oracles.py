@@ -1,13 +1,17 @@
 """Reference implementations that only the tests use: index gymnastics
-and contractions of dense tensors, sigma_k by index, and a symbolic partial
-derivative of expressions.  Each is checked by its own test and serves as
-an independent oracle for the program's jet pipeline."""
+and contractions of dense tensors, sigma_k by index, a symbolic partial
+derivative of expressions, and the quotient flow's grid formulas without
+cached tables.  Each is checked by its own test and serves as an
+independent oracle for the program's jet pipeline or flow."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var
+from sigmaflow.flow import FlowState, sphere_area
 from sigmaflow.tensor import (SymmetricSpectrum, TensorError, TensorValue,
                               elementary_all)
 
@@ -111,3 +115,109 @@ def differentiate(e: Expr, var: int) -> Expr:
         outer = _DERIV_RULES[e.name](e.arg)
         return Bin("*", outer, differentiate(e.arg, var))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# -- the quotient flow, one grid formula per call --------------------------
+# Nodes from linspace on every call, the stencil over an explicitly padded
+# array, the trapezoid sum with halved endpoints, and a FlowState built (and
+# checked) for every RK4 stage.  There is no cone or blow-up handling: the
+# oracle runs only on data that stays in the positive cone.
+
+
+def pad_even(u: np.ndarray) -> np.ndarray:
+    """Two ghost nodes per side by even reflection about both poles."""
+    return np.concatenate([u[2:0:-1], u, u[-2:-4:-1]])
+
+
+def flow_derivatives(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = len(u) - 1
+    h = math.pi / m
+    p = pad_even(u)
+    i = np.arange(2, m + 3)
+    du = (p[i - 2] - 8 * p[i - 1] + 8 * p[i + 1] - p[i + 2]) / (12 * h)
+    ddu = (-p[i - 2] + 16 * p[i - 1] - 30 * p[i] + 16 * p[i + 1] - p[i + 2]) / (12 * h * h)
+    du[0] = du[-1] = 0.0
+    return du, ddu
+
+
+def flow_quadrature(state: FlowState, values: np.ndarray) -> float:
+    n, m = state.n, state.grid_size
+    theta = np.linspace(0.0, math.pi, m + 1)
+    w = values * np.exp(-n * state.u) * np.sin(theta) ** (n - 1)
+    return sphere_area(n - 1) * ((math.pi / m) * (np.sum(w[1:-1]) + 0.5 * (w[0] + w[-1])))
+
+
+def flow_sigmas(state: FlowState):
+    """The tangential eigenvalue lam_t and sigma_k, sigma_l at the nodes."""
+    u, n = state.u, state.n
+    theta = np.linspace(0.0, math.pi, len(u))
+    du, ddu = flow_derivatives(u)
+    cot_term = np.empty_like(u)
+    cot_term[1:-1] = du[1:-1] / np.tan(theta[1:-1])
+    cot_term[0], cot_term[-1] = ddu[0], ddu[-1]
+    e2u = np.exp(2.0 * u)
+    lam_r = e2u * (0.5 + ddu + 0.5 * du * du)
+    lam_t = e2u * (0.5 + cot_term - 0.5 * du * du)
+
+    def sigma(j):
+        if j == 0:
+            return np.ones_like(u)
+        a = math.comb(n - 1, j) * lam_t ** j if j <= n - 1 else 0.0
+        return a + math.comb(n - 1, j - 1) * lam_t ** (j - 1) * lam_r
+    return lam_t, sigma(state.k), sigma(state.l)
+
+
+def flow_log_quotient(state: FlowState):
+    """Nodal log(sigma_k/sigma_l), log r_{k,l} and int sigma_l dv."""
+    _, sk, sl = flow_sigmas(state)
+    logq = np.log(np.abs(sk)) - np.log(np.abs(sl))
+    energy = flow_quadrature(state, sl)
+    return logq, flow_quadrature(state, sl * logq) / energy, energy
+
+
+def flow_rhs(state: FlowState) -> np.ndarray:
+    logq, logr, _ = flow_log_quotient(state)
+    return 0.5 * (logq - logr)
+
+
+def flow_stable_dt(state: FlowState, safety: float = 0.5) -> float:
+    n, k, l = state.n, state.k, state.l
+    lam_t, sk, sl = flow_sigmas(state)
+    dsk = math.comb(n - 1, k - 1) * lam_t ** (k - 1) if k >= 1 else 0.0
+    dsl = math.comb(n - 1, l - 1) * lam_t ** (l - 1) if l >= 1 else 0.0
+    gain = np.max(np.exp(2 * state.u) * np.abs(dsk / sk - dsl / sl))
+    h = math.pi / state.grid_size
+    return safety * h * h / (1.0 + float(gain))
+
+
+def flow_step(state: FlowState, dt: float) -> FlowState:
+    n, k, l, u, t = state.n, state.k, state.l, state.u, state.t
+
+    def rhs_at(uu, tt):
+        return flow_rhs(FlowState(n, k, l, uu, tt))
+
+    k1 = rhs_at(u, t)
+    k2 = rhs_at(u + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs_at(u + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs_at(u + dt * k3, t + dt)
+    return FlowState(n, k, l, u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), t + dt)
+
+
+def flow_run(state: FlowState, t_end: float, dt: float | None = None,
+             cadence: int = 10) -> list[tuple]:
+    """Diagnostic rows (t, E_l, log r_{k,l}, sup |log q - log r|, volume)."""
+    dt = flow_stable_dt(state) if dt is None else dt
+
+    def sample(s):
+        logq, logr, energy = flow_log_quotient(s)
+        return (s.t, energy, logr, float(np.max(np.abs(logq - logr))),
+                flow_quadrature(s, np.ones_like(s.u)))
+
+    rows = [sample(state)]
+    nstep = 0
+    while state.t < t_end - 1e-12:
+        state = flow_step(state, min(dt, t_end - state.t))
+        nstep += 1
+        if nstep % cadence == 0 or state.t >= t_end - 1e-12:
+            rows.append(sample(state))
+    return rows

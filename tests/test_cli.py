@@ -181,14 +181,16 @@ def test_verify_probes_zero_usage_error():
 
 def test_flow_round_data_fixed_point(tmp_path):
     out_csv = tmp_path / "flow.csv"
-    code, _, _ = run_cli("flow", "--n", "4", "--k", "2", "--l", "1",
-                         "--grid", "48", "--t-end", "0.01",
-                         "--csv", str(out_csv))
-    assert code == 0
-    with open(out_csv) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows
-    assert all(float(r["sup_dev"]) < 1e-9 for r in rows)
+    # a constant --u0 only rescales the round metric
+    for u0 in ((), ("--u0=1",)):
+        code, _, _ = run_cli("flow", "--n", "4", "--k", "2", "--l", "1",
+                             "--grid", "48", "--t-end", "0.01",
+                             "--csv", str(out_csv), *u0)
+        assert code == 0
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert all(float(r["sup_dev"]) < 1e-9 for r in rows)
 
 
 def test_flow_perturbed_conserves_energy(tmp_path):
@@ -238,6 +240,21 @@ def test_hodge_pure_gradient():
     doc = json.loads(out)
     assert doc["Y_sup"] < 1e-10
     assert doc["reconstruction"] < 1e-9
+
+
+def test_hodge_decomposes_once(monkeypatch):
+    from sigmaflow import hodge
+    calls = [0]
+    decompose = hodge.hodge_decompose
+
+    def counting(field):
+        calls[0] += 1
+        return decompose(field)
+    monkeypatch.setattr(hodge, "hodge_decompose", counting)
+    code, out, _ = run_cli("hodge", "--n", "2", "--grid", "32", "--json",
+                           "--field", "cos(x1)*cos(x2) - sin(x2); sin(x1)")
+    assert code == 0 and calls[0] == 1
+    assert json.loads(out)["reconstruction"] < 1e-9
 
 
 def test_hodge_odd_grid_exit_2():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from sigmaflow import flow
 from sigmaflow.curvature import GeometryError
 from sigmaflow.flow import (BlowUp, ConeViolation, FlowState, conformal_field_integral,
                             derivatives, flow_rhs, log_r_kl, quadrature, run,
                             schouten_eigenvalues, sigma_nodes, spectral_derivative,
                             sphere_area, stable_dt, step)
+from sigmaflow.sigma import check_pair
 
 
 def perturbed(n, k, l, grid, amp=0.05, t=0.0):
@@ -198,7 +201,7 @@ def test_conformal_field_integral_perturbed():
 
 def test_grid_convergence_of_rhs():
     def u0(th):
-        return 0.08 * math.cos(th) + 0.03 * math.cos(2 * th)
+        return 0.08 * np.cos(th) + 0.03 * np.cos(2 * th)
 
     ref = FlowState.from_function(4, 2, 1, 512, u0)
     rref = flow_rhs(ref)
@@ -211,7 +214,7 @@ def test_grid_convergence_of_rhs():
 
 def test_temporal_convergence_order():
     def u0(th):
-        return 0.08 * math.cos(th) + 0.03 * math.cos(2 * th)
+        return 0.08 * np.cos(th) + 0.03 * np.cos(2 * th)
 
     # dt stays just inside the RK4 stability region so the temporal
     # truncation error dominates both roundoff and instability transients
@@ -227,3 +230,61 @@ def test_temporal_convergence_order():
     e1 = np.max(np.abs(sols[1] - sols[4]))
     e2 = np.max(np.abs(sols[2] - sols[4]))
     assert 8.0 <= e1 / e2 <= 32.0
+
+
+def close_to(value, reference, rel):
+    """|value - reference| within rel of reference's sup norm."""
+    scale = np.max(np.abs(reference))
+    return np.max(np.abs(np.asarray(value) - reference)) <= rel * scale
+
+
+@pytest.mark.parametrize("grid", (32, 64, 128, 512))
+def test_grid_tables_match_the_reference_formulas(grid):
+    theta = np.linspace(0, math.pi, grid + 1)
+    u = 0.05 * np.cos(theta) + 0.02 * np.cos(2 * theta)
+    ref_du, ref_ddu = oracles.flow_derivatives(u)
+    du, ddu = derivatives(u)
+    assert close_to(du, ref_du, 1e-12) and close_to(ddu, ref_ddu, 1e-12)
+    for n in range(3, 7):
+        for k, l in ((2, 1), (3, 1), (1, 2)):
+            try:
+                s = FlowState(n, k, l, u)
+            except GeometryError:  # (k, l) not allowed in dimension n
+                continue
+            _, _, sl = oracles.flow_sigmas(s)
+            assert close_to(quadrature(s, sl), oracles.flow_quadrature(s, sl), 1e-12)
+            assert close_to(flow_rhs(s), oracles.flow_rhs(s), 1e-12)
+            assert close_to(stable_dt(s), oracles.flow_stable_dt(s), 1e-12)
+
+
+@pytest.mark.parametrize("n, k, l, grid", ((4, 2, 1, 64), (5, 3, 1, 128)))
+def test_run_matches_the_reference_run(n, k, l, grid):
+    state = perturbed(n, k, l, grid, amp=0.08)
+    dt = stable_dt(state)
+    ref = np.array(oracles.flow_run(state, 50 * dt, dt=dt, cadence=5)).T
+    _, diag = run(state, 50 * dt, dt=dt, cadence=5)
+    assert diag.aborted is None
+    assert len(diag.times) == ref.shape[1] == 11
+    assert np.max(np.abs(np.array(diag.times) - ref[0])) <= 1e-14
+    for column, expect in zip((diag.energy, diag.log_r, diag.sup_dev, diag.volume), ref[1:]):
+        assert close_to(column, expect, 1e-12)
+
+
+def test_grid_tables_and_checks_are_built_once(monkeypatch):
+    s = perturbed(4, 2, 1, 64)
+    tables = (s.theta, *flow._nodes(64), *flow._stencil(64), flow._STENCIL,
+              flow._sin_power(4, 64))
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    assert perturbed(5, 3, 1, 64).theta is s.theta
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return check_pair(*args)
+    monkeypatch.setattr(flow, "check_pair", counting)
+    steps = 3
+    _, diag = run(s, steps * 1e-4, dt=1e-4, cadence=1)
+    assert diag.aborted is None and len(diag.times) == steps + 1
+    assert calls[0] == 0

@@ -56,7 +56,7 @@ def test_report_residuals_2d_and_3d():
         lambda x, y: np.sin(x + 2 * y) + np.cos(3 * x),
         lambda x, y: np.exp(np.cos(y)) * np.sin(x),
     ], (64, 64))
-    rep = decomposition_report(f2)
+    rep = decomposition_report(f2, *hodge_decompose(f2))
     assert rep["div_residual"] < 1e-9
     assert rep["reconstruction"] < 1e-9
     assert rep["potential_mean"] < 1e-12
@@ -66,7 +66,7 @@ def test_report_residuals_2d_and_3d():
         lambda x, y, z: np.sin(z + x),
         lambda x, y, z: np.cos(x) * np.sin(2 * y) + np.cos(z),
     ], (32, 32, 32))
-    rep3 = decomposition_report(f3)
+    rep3 = decomposition_report(f3, *hodge_decompose(f3))
     assert rep3["div_residual"] < 1e-9
     assert rep3["reconstruction"] < 1e-9
 
