@@ -8,8 +8,8 @@ verification pass, 1 verification fail, 2 input error, 3 geometry error,
 for a bad argument) and covers, among others, a non-positive or non-finite
 `flow`/`verify` number, a negative `verify` seed, a flow's n, (k, l) or
 grid, a hodge grid, and a spec's (k, l), domain or expressions.
-SIGMAFLOW_THREADS (0 = auto) caps numpy worker threads and is read before
-the first array operation.
+numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS, which must be set before Python starts.
 """
 
 from __future__ import annotations
@@ -18,32 +18,21 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+
+import numpy as np
+
+from . import expr as ex
+from . import models, soliton
+from .curvature import GeometryError, MetricChart, curvature_at
+from .probes import chart_probes
+from .sigma import ConeConditionError, sigma_profile
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
 EXIT_FLOW_ABORT = 4
-
-
-def _cap_threads():
-    raw = os.environ.get("SIGMAFLOW_THREADS", "").strip()
-    if raw and raw != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, raw)
-
-
-_cap_threads()
-
-import numpy as np  # noqa: E402  (thread caps must precede the import)
-
-from . import expr as ex  # noqa: E402
-from . import models, soliton  # noqa: E402
-from .curvature import GeometryError, MetricChart, curvature_at  # noqa: E402
-from .probes import chart_probes  # noqa: E402
-from .sigma import ConeConditionError, sigma_profile  # noqa: E402
 
 
 class InputError(ValueError):

@@ -29,6 +29,16 @@ metric is Gauss-Jordan elimination without pivoting: the metric has passed
 the Cholesky check, so it is symmetric positive definite, where elimination
 without pivoting is stable.
 
+Every stage is a numpy contraction over object arrays of jets (``@``,
+``np.einsum``, ``np.trace``, element-wise ``*``), which call the jet
+product once per term, as the same sums written as index loops would.
+Symmetric stages (Christoffel, Ricci, Schouten, Hessians, L_X g) are
+computed on i <= j and mirrored, Riemann on m < nu and negated for
+nu < m.  Stages are built one slice at a time where whole-table
+temporaries would raise peak memory: Christoffel per first lower index,
+Riemann per (m, nu) pair, its lowering per (k, l) block over the same
+array, and nabla A per first index.
+
 Sign conventions: Riemann (1,3) tensor
 R^r_{s m n} = d_m Gamma^r_{n s} - d_n Gamma^r_{m s} + Gamma^r_{m t}Gamma^t_{n s}
 - Gamma^r_{n t}Gamma^t_{m s}; Ricci as the (m = r) trace.  With this choice
@@ -139,6 +149,30 @@ def _obj(shape):
     return np.empty(shape, dtype=object)
 
 
+# deriv of each element, resolved per call so that a rebound TaylorScalar.deriv is used
+_deriv = np.frompyfunc(lambda s, var: s.deriv(var), 2, 1)
+
+
+def _d(t, var=None) -> np.ndarray:
+    """The derivative of every jet of the array ``t`` along ``var``, an
+    index or an index array that broadcasts against ``t``; without ``var``,
+    along every coordinate, as a new first axis."""
+    t = np.asarray(t, dtype=object)
+    if var is None:
+        n = t.flat[0].ctx.dim
+        var = np.arange(n).reshape((n,) + (1,) * t.ndim)
+    return _deriv(t, var)
+
+
+def _sym(upper: np.ndarray, n: int) -> np.ndarray:
+    """The jet array symmetric in its last two axes, of length n, whose
+    ``np.triu_indices(n)`` entries are the last axis of ``upper``."""
+    i, j = np.triu_indices(n)
+    out = _obj(upper.shape[:-1] + (n, n))
+    out[..., i, j] = out[..., j, i] = upper
+    return out
+
+
 def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = chart.dim
@@ -156,28 +190,21 @@ def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.nd
 
 def taylor_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite Taylor-valued matrix by
-    Gauss-Jordan elimination without pivoting."""
+    Gauss-Jordan elimination without pivoting, one pivot column at a time:
+    scale the pivot row, then subtract its multiples from every row whose
+    pivot-column entry is not all zeros."""
     n = m.shape[0]
     ctx = m[0, 0].ctx
     a = m.copy()
-    inv = _obj((n, n))
-    for i in range(n):
-        for j in range(n):
-            inv[i, j] = ctx.constant(1.0 if i == j else 0.0)
+    inv = np.full((n, n), ctx.constant(0.0), dtype=object)
+    np.fill_diagonal(inv, ctx.constant(1.0))
     for col in range(n):
         pinv = taylor.recip(a[col, col])
-        for j in range(n):
-            a[col, j] = a[col, j] * pinv
-            inv[col, j] = inv[col, j] * pinv
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r, col]
-            if np.all(f.c == 0.0):
-                continue
-            for j in range(n):
-                a[r, j] = a[r, j] - f * a[col, j]
-                inv[r, j] = inv[r, j] - f * inv[col, j]
+        a[col], inv[col] = a[col] * pinv, inv[col] * pinv
+        rows = [r for r in range(n) if r != col and not np.all(a[r, col].c == 0.0)]
+        f = a[rows, col]
+        a[rows] -= np.multiply.outer(f, a[col])
+        inv[rows] -= np.multiply.outer(f, inv[col])
     return inv
 
 
@@ -230,85 +257,47 @@ class TaylorCurvature:
         return self.g[0, 0].ctx.order
 
     def cov_deriv_02(self, t: np.ndarray) -> np.ndarray:
-        """nabla_i t_jk for a Taylor (0,2) tensor; output indexed [i, j, k]."""
-        n = self.dim
-        gam = self.christoffel
-        out = _obj((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    s = t[j, k].deriv(i)
-                    for l in range(n):
-                        s = s - gam[l, i, j] * t[l, k] - gam[l, i, k] * t[j, l]
-                    out[i, j, k] = s
+        """nabla_i t_jk = d_i t_jk - Gamma^l_ij t_lk - Gamma^l_ik t_jl for a
+        Taylor (0,2) tensor; output indexed [i, j, k], one i at a time."""
+        out = _obj((self.dim,) * 3)
+        for i in range(self.dim):
+            gam = self.christoffel[:, i]  # [l, j] = Gamma^l_ij
+            out[i] = (_d(t, i) - np.einsum("lj,lk->jk", gam, t)
+                      - np.einsum("lk,jl->jk", gam, t))
         return out
 
     def grad_scalar(self, s: TaylorScalar) -> np.ndarray:
         """Contravariant gradient components (g^{ij} d_j s)."""
-        n = self.dim
-        ds = [s.deriv(j) for j in range(n)]
-        return np.array(
-            [sum((self.ginv[i, j] * ds[j] for j in range(n)),
-                 start=s.ctx.constant(0.0)) for i in range(n)],
-            dtype=object,
-        )
+        return self.ginv @ _d(s)
 
     def hessian_scalar(self, s: TaylorScalar) -> np.ndarray:
-        n = self.dim
-        ds = [s.deriv(i) for i in range(n)]
-        out = _obj((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                h = ds[i].deriv(j)
-                for k in range(n):
-                    h = h - self.christoffel[k, i, j] * ds[k]
-                out[i, j] = out[j, i] = h
-        return out
+        """d_i d_j s - Gamma^k_ij d_k s, on i <= j."""
+        i, j = np.triu_indices(self.dim)
+        ds = _d(s)
+        return _sym(_d(ds[i], j) - self.christoffel[:, i, j].T @ ds, self.dim)
 
     def laplacian_scalar(self, s: TaylorScalar) -> TaylorScalar:
-        hess = self.hessian_scalar(s)
-        acc = s.ctx.constant(0.0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = acc + self.ginv[i, j] * hess[i, j]
-        return acc
+        return np.sum(self.ginv * self.hessian_scalar(s))
 
     def lie_metric(self, xvec: np.ndarray) -> np.ndarray:
-        """(L_X g)_ij for contravariant Taylor components X^k."""
-        n = self.dim
-        xlow = [sum((self.g[j, k] * xvec[k] for k in range(n)),
-                    start=xvec[0].ctx.constant(0.0)) for j in range(n)]
-        out = _obj((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                a = xlow[j].deriv(i) + xlow[i].deriv(j)
-                for k in range(n):
-                    a = a - 2.0 * self.christoffel[k, i, j] * xlow[k]
-                out[i, j] = out[j, i] = a
-        return out
+        """(L_X g)_ij = d_i X_j + d_j X_i - 2 Gamma^k_ij X_k for contravariant
+        Taylor components X^k, on i <= j."""
+        i, j = np.triu_indices(self.dim)
+        xlow = self.g @ xvec
+        return _sym(_d(xlow[j], i) + _d(xlow[i], j)
+                    - (2.0 * self.christoffel[:, i, j]).T @ xlow, self.dim)
 
     def div_vector(self, xvec: np.ndarray) -> TaylorScalar:
-        n = self.dim
-        acc = xvec[0].ctx.constant(0.0)
-        for i in range(n):
-            acc = acc + xvec[i].deriv(i)
-            for k in range(n):
-                acc = acc + self.christoffel[i, i, k] * xvec[k]
-        return acc
+        """d_i X^i + Gamma^i_ik X^k, with Gamma^i_ik summed over i first."""
+        return np.sum(_d(xvec, np.arange(self.dim))) + np.trace(self.christoffel) @ xvec
 
     def div_endomorphism(self, t: np.ndarray) -> np.ndarray:
-        """(div T)_j = nabla_i T^i_j for a Taylor (1,1) tensor."""
-        n = self.dim
+        """(div T)_j = nabla_i T^i_j = d_i T^i_j + Gamma^i_il T^l_j -
+        Gamma^l_ij T^i_l for a Taylor (1,1) tensor, with Gamma^i_il summed
+        over i first."""
         gam = self.christoffel
-        out = _obj((n,))
-        for j in range(n):
-            acc = t[0, 0].ctx.constant(0.0)
-            for i in range(n):
-                acc = acc + t[i, j].deriv(i)
-                for l in range(n):
-                    acc = acc + gam[i, i, l] * t[l, j] - gam[l, i, j] * t[i, l]
-            out[j] = acc
-        return out
+        return (np.sum(_d(t, np.arange(self.dim)[:, None]), axis=0)
+                + np.trace(gam) @ t - np.einsum("lij,il->j", gam, t))
 
 
 def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
@@ -332,92 +321,42 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
             except np.linalg.LinAlgError:
                 raise GeometryError(f"metric not positive definite at {p}") from None
     ginv = taylor_inverse(g)
-    ctx = g[0, 0].ctx
-    zero = ctx.constant(0.0)
+    i, j = np.triu_indices(n)
 
-    dg = _obj((n, n, n))  # dg[l, i, j] = d_l g_ij
-    for l in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                dg[l, i, j] = dg[l, j, i] = g[i, j].deriv(l)
+    dg = _sym(_d(g[i, j]), n)  # dg[l, i, j] = d_l g_ij
+    # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), one i at a time
+    gam = _obj((n, n, n))
+    for a in range(n):
+        gam[:, a, a:] = gam[:, a:, a] = \
+            0.5 * (ginv @ (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
 
-    gam = _obj((n, n, n))  # Gamma^k_ij
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                acc = zero
-                for l in range(n):
-                    acc = acc + ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                gam[k, i, j] = gam[k, j, i] = 0.5 * acc
+    # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
+    riem13 = np.full((n,) * 4, g[0, 0].ctx.constant(0.0), dtype=object)
+    for m, nu in zip(*np.triu_indices(n, 1)):
+        gm, gn = gam[:, m], gam[:, nu]  # [r, t] = Gamma^r_{m t}
+        r = _d(gn, m) - _d(gm, nu) + gm @ gn - gn @ gm
+        riem13[:, :, m, nu], riem13[:, :, nu, m] = r, -r
 
-    # Riemann (1,3), antisymmetric in the last index pair
-    riem13 = _obj((n, n, n, n))  # R^r_{s m n}
-    for r in range(n):
-        for s in range(n):
-            for m in range(n):
-                riem13[r, s, m, m] = zero
-                for nu in range(m + 1, n):
-                    acc = gam[r, nu, s].deriv(m) - gam[r, m, s].deriv(nu)
-                    for t in range(n):
-                        acc = acc + gam[r, m, t] * gam[t, nu, s] \
-                                  - gam[r, nu, t] * gam[t, m, s]
-                    riem13[r, s, m, nu] = acc
-                    riem13[r, s, nu, m] = -acc
+    ric = _sym(np.trace(riem13[:, i, :, j], axis1=1, axis2=2), n)
 
-    ric = _obj((n, n))
-    for s in range(n):
-        for nu in range(s, n):
-            acc = zero
-            for m in range(n):
-                acc = acc + riem13[m, s, m, nu]
-            ric[s, nu] = ric[nu, s] = acc
-
-    # lowered R_ijkl, written over riem13 one (j, k, l) column at a time so
-    # that a batch holds one rank-4 array, not two
+    # lowered R_ijkl, written over riem13 one (k, l) block at a time so that
+    # a batch holds one rank-4 array, not two
     riem = riem13
-    for j in range(n):
-        for k in range(n):
-            for l in range(k + 1, n):
-                col = []
-                for i in range(n):
-                    acc = zero
-                    for m in range(n):
-                        acc = acc + g[i, m] * riem13[m, j, k, l]
-                    col.append(acc)
-                for i, acc in enumerate(col):
-                    riem[i, j, k, l] = acc
-                    riem[i, j, l, k] = -acc
+    for k, l in zip(*np.triu_indices(n, 1)):
+        block = g @ riem13[:, :, k, l]
+        riem[:, :, k, l], riem[:, :, l, k] = block, -block
 
-    scal = zero
-    for i in range(n):
-        for j in range(n):
-            scal = scal + ginv[i, j] * ric[i, j]
-
-    schouten = endo = cotton = None
+    scal = np.sum(ginv * ric)
+    schouten = endo = None
     if n >= 3:
-        schouten = _obj((n, n))
         coef = scal * (1.0 / (2.0 * (n - 1)))
-        for i in range(n):
-            for j in range(i, n):
-                schouten[i, j] = schouten[j, i] = \
-                    (ric[i, j] - coef * g[i, j]) * (1.0 / (n - 2))
-        endo = _obj((n, n))
-        for i in range(n):
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + ginv[i, k] * schouten[k, j]
-                endo[i, j] = acc
+        schouten = _sym((ric[i, j] - coef * g[i, j]) * (1.0 / (n - 2)), n)
+        endo = ginv @ schouten
 
     tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None)
     if n >= 3 and order >= 3:
         da = tc.cov_deriv_02(schouten)
-        cotton = _obj((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    cotton[i, j, k] = da[i, j, k] - da[j, i, k]
-        tc.cotton = cotton
+        tc.cotton = da - da.transpose(1, 0, 2)
     return tc
 
 

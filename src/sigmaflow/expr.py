@@ -399,14 +399,12 @@ def eval_float(e: Expr, point):
     return float(out) if shape == () else np.broadcast_to(out, shape).copy()
 
 
-def eval_taylor(e: Expr, point, active=None, order: int = taylor.MAX_ORDER) -> TaylorScalar:
+def eval_taylor(e: Expr, point, order: int = taylor.MAX_ORDER) -> TaylorScalar:
     """Evaluate over Taylor scalars of ``order`` (2, 3 or 4) centered at
     ``point``, of shape (n,), or at each row of a (P, n) batch of probe
-    points in one tree walk.
+    points in one tree walk, with every coordinate a variable.
 
-    ``active`` restricts which coordinates carry a first-order seed; by
-    default every coordinate of ``point`` is active.  The result's
-    coefficient at multi-index alpha, |alpha| <= order, encodes
+    The result's coefficient at multi-index alpha, |alpha| <= order, encodes
     d^alpha e(point) / alpha!, and it is trusted to ``order``.  For a batch
     its coefficients have shape (P, C), also when ``e`` is constant.  Jets
     that are combined with a curvature pipeline must share its order
@@ -415,12 +413,8 @@ def eval_taylor(e: Expr, point, active=None, order: int = taylor.MAX_ORDER) -> T
     point = np.asarray(point, dtype=float)
     dim = point.shape[-1]
     ctx = taylor.context(dim, order)
-    active = set(range(1, dim + 1) if active is None else active)
     coords = point.T
-    env = [
-        ctx.variable(i, coords[i]) if (i + 1) in active else ctx.constant(coords[i])
-        for i in range(dim)
-    ]
+    env = [ctx.variable(i, coords[i]) for i in range(dim)]
     out = _run(e, env, _jets(ctx))
     lead = point.shape[:-1]
     if out.c.shape[:-1] != lead:

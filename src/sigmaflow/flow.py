@@ -43,9 +43,13 @@ class BlowUp(GeometryError):
     pass
 
 
+U_MAX = 10.0  # sup|u|: a FlowState above it is refused, a step above it is a BlowUp
+
+
 @dataclass
 class FlowState:
-    """The exponent u(theta) on S^n; n, (k, l) and the grid are checked here."""
+    """The exponent u(theta) on S^n; n, (k, l), the grid and sup|u| <= U_MAX
+    are checked here."""
     n: int                  # sphere dimension
     k: int
     l: int
@@ -57,6 +61,9 @@ class FlowState:
         check_int(self.n, "sphere dimension n", 3)
         _check_grid(len(self.u) - 1)
         check_pair(self.n, self.k, self.l)
+        sup = np.abs(self.u).max()
+        if not sup <= U_MAX:
+            raise GeometryError(f"sup|u| = {sup:.6g} exceeds {U_MAX:g}")
 
     @property
     def grid_size(self) -> int:
@@ -283,8 +290,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     k3 = rhs_at(u + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = rhs_at(u + dt * k3, t + dt)
     unew = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.abs(unew).max() > 10.0:
-        raise BlowUp(f"sup|u| exceeded 10 at t = {t + dt:.6f}")
+    if np.abs(unew).max() > U_MAX:
+        raise BlowUp(f"sup|u| exceeded {U_MAX:g} at t = {t + dt:.6f}")
     return state._evolved(unew, t + dt)
 
 

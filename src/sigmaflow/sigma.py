@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from . import taylor
 from .curvature import (CurvaturePack, GeometryError, MetricChart, TaylorCurvature,
-                        _as_expr, _obj, check_int, curvature_taylor, values)
+                        _as_expr, _d, _sym, check_int, curvature_taylor, values)
 from .tensor import TensorValue, sigmas_from_power_sums
 
 
@@ -165,27 +165,18 @@ def _conformal_base(chart0: MetricChart, x, phi):
     pt = ex.eval_taylor(_as_expr(phi), x, order=tc0.order)
     if pt.value <= 0.0:
         raise GeometryError(f"conformal factor must be positive, got {pt.value}")
-    n = tc0.dim
     w = taylor.log(pt)
-    hess = tc0.hessian_scalar(w)
-    dw = [w.deriv(i) for i in range(n)]
-    grad2 = w.ctx.constant(0.0)
-    for i in range(n):
-        for j in range(n):
-            grad2 = grad2 + tc0.ginv[i, j] * dw[i] * dw[j]
-    return tc0, w, hess, dw, grad2
+    dw = _d(w)
+    grad2 = np.einsum("ij,i,j->", tc0.ginv, dw, dw)
+    return tc0, w, tc0.hessian_scalar(w), dw, grad2
 
 
 def _conformal_schouten_taylor(tc0: TaylorCurvature, hess, dw, grad2):
     """Schouten of e^{2w} g_0 from base-chart data (Taylor level):
     A = A_0 - hess_0 w + dw (x) dw - 1/2 |dw|^2_0 g_0."""
-    n = tc0.dim
-    out = _obj((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = (tc0.schouten[i, j] - hess[i, j]
-                                     + dw[i] * dw[j] - 0.5 * grad2 * tc0.g[i, j])
-    return out
+    i, j = np.triu_indices(tc0.dim)
+    return _sym(tc0.schouten[i, j] - hess[i, j] + dw[i] * dw[j]
+                - (0.5 * grad2) * tc0.g[i, j], tc0.dim)
 
 
 def conformal_schouten(chart0: MetricChart, x, phi) -> TensorValue:
@@ -202,13 +193,8 @@ def conformal_ricci(chart0: MetricChart, x, phi) -> TensorValue:
     with w = log phi."""
     tc0, w, hess, dw, grad2 = _conformal_base(chart0, x, phi)
     n = tc0.dim
+    i, j = np.triu_indices(n)
     lap = tc0.laplacian_scalar(w)
-    out = _obj((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = (
-                tc0.ricci[i, j]
-                - (n - 2) * (hess[i, j] - dw[i] * dw[j])
-                - (lap + (n - 2) * grad2) * tc0.g[i, j]
-            )
+    out = _sym(tc0.ricci[i, j] - (n - 2) * (hess[i, j] - dw[i] * dw[j])
+               - (lap + (n - 2) * grad2) * tc0.g[i, j], n)
     return TensorValue(n, (0, 2), values(out))

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: index gymnastics
 and contractions of dense tensors, sigma_k by index, a symbolic partial
-derivative of expressions, and the quotient flow's grid formulas without
-cached tables.  Each is checked by its own test and serves as an
-independent oracle for the program's jet pipeline or flow."""
+derivative of expressions, the quotient flow's grid formulas without
+cached tables, and the curvature pipeline as index loops over jets.  Each
+is checked by its own test and serves as an independent oracle for the
+program's jet pipeline or flow."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 
+from sigmaflow import taylor
+from sigmaflow.curvature import MetricChart, TaylorCurvature, taylor_metric
 from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var
 from sigmaflow.flow import FlowState, sphere_area
 from sigmaflow.tensor import (SymmetricSpectrum, TensorError, TensorValue,
@@ -221,3 +224,242 @@ def flow_run(state: FlowState, t_end: float, dt: float | None = None,
         if nstep % cadence == 0 or state.t >= t_end - 1e-12:
             rows.append(sample(state))
     return rows
+
+
+# -- the curvature pipeline as index loops ---------------------------------
+# Every stage written as explicit sums of jet products, entry by entry, in
+# the ring of the program's own pipeline: Gauss-Jordan on whole entries,
+# the stages of ``curvature_taylor`` after the inverse, the seven covariant
+# operators and the bodies of the conformal laws.  The program computes the
+# same quantities as numpy contractions over jet arrays.
+
+
+def _obj(shape):
+    return np.empty(shape, dtype=object)
+
+
+def loop_inverse(m: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination without pivoting, one entry at a time."""
+    n = m.shape[0]
+    ctx = m[0, 0].ctx
+    a = m.copy()
+    inv = _obj((n, n))
+    for i in range(n):
+        for j in range(n):
+            inv[i, j] = ctx.constant(1.0 if i == j else 0.0)
+    for col in range(n):
+        pinv = taylor.recip(a[col, col])
+        for j in range(n):
+            a[col, j] = a[col, j] * pinv
+            inv[col, j] = inv[col, j] * pinv
+        for r in range(n):
+            if r == col:
+                continue
+            f = a[r, col]
+            if np.all(f.c == 0.0):
+                continue
+            for j in range(n):
+                a[r, j] = a[r, j] - f * a[col, j]
+                inv[r, j] = inv[r, j] - f * inv[col, j]
+    return inv
+
+
+class LoopCurvature(TaylorCurvature):
+    """The pipeline's fields with the covariant operators as index loops."""
+
+    def cov_deriv_02(self, t):
+        n = self.dim
+        gam = self.christoffel
+        out = _obj((n, n, n))
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    s = t[j, k].deriv(i)
+                    for l in range(n):
+                        s = s - gam[l, i, j] * t[l, k] - gam[l, i, k] * t[j, l]
+                    out[i, j, k] = s
+        return out
+
+    def grad_scalar(self, s):
+        n = self.dim
+        ds = [s.deriv(j) for j in range(n)]
+        return np.array(
+            [sum((self.ginv[i, j] * ds[j] for j in range(n)),
+                 start=s.ctx.constant(0.0)) for i in range(n)],
+            dtype=object,
+        )
+
+    def hessian_scalar(self, s):
+        n = self.dim
+        ds = [s.deriv(i) for i in range(n)]
+        out = _obj((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                h = ds[i].deriv(j)
+                for k in range(n):
+                    h = h - self.christoffel[k, i, j] * ds[k]
+                out[i, j] = out[j, i] = h
+        return out
+
+    def laplacian_scalar(self, s):
+        hess = self.hessian_scalar(s)
+        acc = s.ctx.constant(0.0)
+        for i in range(self.dim):
+            for j in range(self.dim):
+                acc = acc + self.ginv[i, j] * hess[i, j]
+        return acc
+
+    def lie_metric(self, xvec):
+        n = self.dim
+        xlow = [sum((self.g[j, k] * xvec[k] for k in range(n)),
+                    start=xvec[0].ctx.constant(0.0)) for j in range(n)]
+        out = _obj((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                a = xlow[j].deriv(i) + xlow[i].deriv(j)
+                for k in range(n):
+                    a = a - 2.0 * self.christoffel[k, i, j] * xlow[k]
+                out[i, j] = out[j, i] = a
+        return out
+
+    def div_vector(self, xvec):
+        n = self.dim
+        acc = xvec[0].ctx.constant(0.0)
+        for i in range(n):
+            acc = acc + xvec[i].deriv(i)
+            for k in range(n):
+                acc = acc + self.christoffel[i, i, k] * xvec[k]
+        return acc
+
+    def div_endomorphism(self, t):
+        n = self.dim
+        gam = self.christoffel
+        out = _obj((n,))
+        for j in range(n):
+            acc = t[0, 0].ctx.constant(0.0)
+            for i in range(n):
+                acc = acc + t[i, j].deriv(i)
+                for l in range(n):
+                    acc = acc + gam[i, i, l] * t[l, j] - gam[l, i, j] * t[i, l]
+            out[j] = acc
+        return out
+
+
+def loop_curvature(chart: MetricChart, x, order: int) -> LoopCurvature:
+    """The curvature pipeline of ``curvature_taylor`` for n >= 3 (without
+    its input checks), every stage an index loop over jets."""
+    g = taylor_metric(chart, np.asarray(x, dtype=float), order)
+    n = chart.dim
+    ginv = loop_inverse(g)
+    zero = g[0, 0].ctx.constant(0.0)
+
+    dg = _obj((n, n, n))  # dg[l, i, j] = d_l g_ij
+    for l in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                dg[l, i, j] = dg[l, j, i] = g[i, j].deriv(l)
+
+    gam = _obj((n, n, n))  # Gamma^k_ij
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                acc = zero
+                for l in range(n):
+                    acc = acc + ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+                gam[k, i, j] = gam[k, j, i] = 0.5 * acc
+
+    riem13 = _obj((n, n, n, n))  # R^r_{s m nu}
+    for r in range(n):
+        for s in range(n):
+            for m in range(n):
+                riem13[r, s, m, m] = zero
+                for nu in range(m + 1, n):
+                    acc = gam[r, nu, s].deriv(m) - gam[r, m, s].deriv(nu)
+                    for t in range(n):
+                        acc = acc + gam[r, m, t] * gam[t, nu, s] \
+                                  - gam[r, nu, t] * gam[t, m, s]
+                    riem13[r, s, m, nu] = acc
+                    riem13[r, s, nu, m] = -acc
+
+    ric = _obj((n, n))
+    for s in range(n):
+        for nu in range(s, n):
+            acc = zero
+            for m in range(n):
+                acc = acc + riem13[m, s, m, nu]
+            ric[s, nu] = ric[nu, s] = acc
+
+    riem = _obj((n, n, n, n))  # R_ijkl
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    acc = zero
+                    for m in range(n):
+                        acc = acc + g[i, m] * riem13[m, j, k, l]
+                    riem[i, j, k, l] = acc
+
+    scal = zero
+    for i in range(n):
+        for j in range(n):
+            scal = scal + ginv[i, j] * ric[i, j]
+
+    schouten = _obj((n, n))
+    coef = scal * (1.0 / (2.0 * (n - 1)))
+    for i in range(n):
+        for j in range(i, n):
+            schouten[i, j] = schouten[j, i] = \
+                (ric[i, j] - coef * g[i, j]) * (1.0 / (n - 2))
+    endo = _obj((n, n))
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + ginv[i, k] * schouten[k, j]
+            endo[i, j] = acc
+
+    tc = LoopCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None)
+    if order >= 3:
+        da = tc.cov_deriv_02(schouten)
+        cotton = _obj((n, n, n))
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    cotton[i, j, k] = da[i, j, k] - da[j, i, k]
+        tc.cotton = cotton
+    return tc
+
+
+def loop_conformal_base(tc0: LoopCurvature, w):
+    """(hess_0 w, dw, |dw|^2_0) for the conformal laws of e^{2w} g_0."""
+    n = tc0.dim
+    dw = [w.deriv(i) for i in range(n)]
+    grad2 = w.ctx.constant(0.0)
+    for i in range(n):
+        for j in range(n):
+            grad2 = grad2 + tc0.ginv[i, j] * dw[i] * dw[j]
+    return tc0.hessian_scalar(w), dw, grad2
+
+
+def loop_conformal_schouten(tc0: LoopCurvature, hess, dw, grad2) -> np.ndarray:
+    n = tc0.dim
+    out = _obj((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = (tc0.schouten[i, j] - hess[i, j]
+                                     + dw[i] * dw[j] - 0.5 * grad2 * tc0.g[i, j])
+    return out
+
+
+def loop_conformal_ricci(tc0: LoopCurvature, w, hess, dw, grad2) -> np.ndarray:
+    n = tc0.dim
+    lap = tc0.laplacian_scalar(w)
+    out = _obj((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = (
+                tc0.ricci[i, j]
+                - (n - 2) * (hess[i, j] - dw[i] * dw[j])
+                - (lap + (n - 2) * grad2) * tc0.g[i, j]
+            )
+    return out

@@ -366,8 +366,11 @@ def flow_argv(**changes):
     ("verify", "--builtin", "sphere:3", "--tolerance", "nan"),
     ("verify", "--builtin", "sphere:3", "--seed", "-1", "--probes", "4"),
     ("hodge", "--n", "2", "--grid", "0", "--field", "x1; x2"),
+    flow_argv(u0="700*x1"),
+    flow_argv(u0="11"),
 ], ids=["cadence-0", "k-l-negative", "k-l-above-n", "k-above-n", "n-2", "t-end-inf",
-        "t-end-nan", "dt-0", "tolerance-nan", "seed-negative", "hodge-grid-0"])
+        "t-end-nan", "dt-0", "tolerance-nan", "seed-negative", "hodge-grid-0",
+        "u0-overflows", "u0-above-bound"])
 def test_malformed_arguments_exit_2(argv):
     # a separate process, so a traceback or a run that never ends shows as such
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -375,6 +378,7 @@ def test_malformed_arguments_exit_2(argv):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert lines[-1].startswith(("input error:", "sigmaflow ")), proc.stderr
     assert sum("error:" in line for line in lines) == 1, proc.stderr

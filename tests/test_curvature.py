@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (loop_conformal_base, loop_conformal_ricci, loop_conformal_schouten,
+                     loop_curvature)
 from sigmaflow import expr as ex
-from sigmaflow import models
-from sigmaflow.curvature import (GeometryError, MetricChart, covariant_ops,
+from sigmaflow import models, sigma, taylor
+from sigmaflow.curvature import (GeometryError, MetricChart, _d, covariant_ops,
                                  curvature_at, curvature_taylor,
-                                 kulkarni_nomizu)
+                                 kulkarni_nomizu, values)
+from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import log_quotient_taylor
 from sigmaflow.taylor import TaylorTrustError
 from sigmaflow.tensor import TensorValue
+from test_batched import charts
 
 
 def chart_from_strings(rows, domain=None):
@@ -314,3 +318,70 @@ def test_order_two_pipeline_refuses_untrusted_reads():
         tc.riemann[0, 1, 0, 1].derivative((1, 1, 0, 0))
     with pytest.raises(TaylorTrustError):
         tc.scalar + curvature_taylor(chart, x).scalar  # orders 2 and 4
+
+
+# -- contractions against index loops --------------------------------------
+
+ORACLE_TOL = 1e-13
+PIPELINE_FIELDS = ("g", "ginv", "christoffel", "riemann", "ricci", "scalar", "schouten",
+                   "endo", "cotton")
+
+
+def assert_jets_close(got, want, what):
+    """Equal trusted orders and, in every trusted coefficient, agreement to
+    ORACLE_TOL x max(1, |v|); a constant broadcasts against a batch."""
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert got.shape == want.shape, what
+    for idx in np.ndindex(want.shape):
+        a, b = got[idx], want[idx]
+        assert a.trusted == b.trusted, (what, idx)
+        keep = b.ctx.degree <= b.trusted
+        ca, cb = np.broadcast_arrays(a.c[..., keep], b.c[..., keep])
+        assert np.all(np.abs(ca - cb) <= ORACLE_TOL * np.maximum(1.0, np.abs(cb))), (what, idx)
+
+
+def test_contractions_match_the_index_loops():
+    # every pipeline field and every covariant operator equals the index-loop
+    # reference of tests/oracles.py, on charts with and without off-diagonal
+    # metric terms, at every order, at one point and on a 16-probe batch
+    f = ex.parse("exp(0.3*x1)*cos(x2) + x2*x3^2")
+    phi = "exp(0.1*x1 + 0.2*sin(x2))"
+    for name, chart in charts():
+        n = chart.dim
+        field = [ex.parse(f"sin({0.2 * (i + 1)}*x{i + 1}) + x{(i + 1) % n + 1}^2")
+                 for i in range(n)]
+        points = chart_probes(chart, 16, seed=3)
+        for order in (2, 3, 4):
+            for x in (points[0], points):
+                what = (name, order, x.shape)
+                tc, ref = curvature_taylor(chart, x, order), loop_curvature(chart, x, order)
+                for fld in PIPELINE_FIELDS:
+                    if getattr(tc, fld) is None:
+                        assert order == 2 and fld == "cotton", what
+                        continue
+                    assert_jets_close(getattr(tc, fld), getattr(ref, fld), what + (fld,))
+                s = ex.eval_taylor(f, x, order=order)
+                xv = np.array([ex.eval_taylor(c, x, order=order) for c in field], dtype=object)
+                t = np.multiply.outer(xv, _d(s))  # neither symmetric nor trace-free
+                for op, arg in [("cov_deriv_02", t), ("grad_scalar", s),
+                                ("hessian_scalar", s), ("laplacian_scalar", s),
+                                ("lie_metric", xv), ("div_vector", xv),
+                                ("div_endomorphism", t)]:
+                    assert_jets_close(getattr(tc, op)(arg), getattr(ref, op)(arg), what + (op,))
+                w = taylor.log(ex.eval_taylor(ex.parse(phi), x, order=order))
+                hess, dw, grad2 = loop_conformal_base(ref, w)
+                want = loop_conformal_schouten(ref, hess, dw, grad2)
+                dw_t = _d(w)
+                got = sigma._conformal_schouten_taylor(
+                    tc, tc.hessian_scalar(w), dw_t, np.einsum("ij,i,j->", tc.ginv, dw_t, dw_t))
+                assert_jets_close(got, want, what + ("conformal_schouten",))
+                if x.ndim == 1 and order == 2:  # the conformal laws' own pipeline
+                    assert_jets_close(sigma._conformal_base(chart, x, phi)[4], grad2,
+                                      what + ("|dw|^2",))
+                    ricci = loop_conformal_ricci(ref, w, hess, dw, grad2)
+                    for law, want in [(sigma.conformal_schouten, want),
+                                      (sigma.conformal_ricci, ricci)]:
+                        got, want = law(chart, x, phi).components, values(want)
+                        assert np.all(np.abs(got - want)
+                                      <= ORACLE_TOL * np.maximum(1.0, np.abs(want))), \
+                            what + (law.__name__,)

@@ -110,15 +110,6 @@ def test_eval_taylor_against_finite_differences():
     assert t.derivative((0, 2)) == pytest.approx(fd2, rel=1e-5, abs=1e-6)
 
 
-def test_eval_taylor_active_subset():
-    # inactive variables enter as constants
-    e = ex.parse("x1 * x2")
-    t = ex.eval_taylor(e, [2.0, 3.0], active=[1])
-    assert t.value == pytest.approx(6.0)
-    assert t.derivative((1, 0)) == pytest.approx(3.0)
-    assert t.derivative((0, 1)) == pytest.approx(0.0)
-
-
 def test_shift_vars():
     e = ex.parse("x1 + sin(x2)")
     shifted = ex.shift_vars(e, 2)

@@ -148,7 +148,10 @@ def test_stable_dt_positive_and_small():
 def test_blowup_detection():
     s = FlowState(3, 2, 1, np.full(65, 9.99))
     with pytest.raises(BlowUp):
-        step(FlowState(3, 2, 1, s.u + 0.02), 1e-5)
+        step(s._evolved(s.u + 0.02, s.t), 1e-5)
+    # the same bound is checked when a state is built
+    with pytest.raises(GeometryError, match="exceeds 10"):
+        FlowState(3, 2, 1, s.u + 0.02)
 
 
 def test_cone_violation_aborts_with_partial_diagnostics():

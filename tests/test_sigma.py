@@ -177,6 +177,41 @@ def test_sigma_taylor_jet_multiplies(monkeypatch):
             (n - 1) * n ** 3 + n * (n + 1) // 2 + max(k - 1, 0) * n ** 3, (n, k)
 
 
+def test_covariant_operator_jet_multiplies(monkeypatch):
+    # each operator forms the products of its contraction once; div_vector
+    # and div_endomorphism sum Gamma^i_ik over i before contracting
+    mul = taylor.TaylorContext.mul
+    count = [0]
+
+    def counting(ctx, a, b, *args):
+        count[0] += 1
+        return mul(ctx, a, b, *args)
+
+    model = models.sphere(4)
+    x = np.array([0.1, -0.2, 0.15, 0.05])
+    tc = curvature_taylor(model.chart, x, order=3)
+    f = ex.eval_taylor(model.potential, x, order=3)
+    xv = np.array([ex.eval_taylor(c, x, order=3)
+                   for c in models.builtin("example4:4").vector_field], dtype=object)
+    t2 = newton_tensor_taylor(tc, 2)
+    phi = "exp(0.1*x1 + 0.2*sin(x2))"  # each law runs its own order-2 pipeline
+    cases = [("cov_deriv_02", lambda: tc.cov_deriv_02(tc.schouten), 512),
+             ("grad_scalar", lambda: tc.grad_scalar(f), 16),
+             ("hessian_scalar", lambda: tc.hessian_scalar(f), 40),
+             ("laplacian_scalar", lambda: tc.laplacian_scalar(f), 56),
+             ("lie_metric", lambda: tc.lie_metric(xv), 56),
+             ("div_vector", lambda: tc.div_vector(xv), 4),
+             ("div_endomorphism", lambda: tc.div_endomorphism(t2), 80),
+             ("conformal_schouten", lambda: conformal_schouten(model.chart, x, phi), 1583),
+             ("conformal_ricci", lambda: conformal_ricci(model.chart, x, phi), 1639)]
+    for name, operator, expected in cases:
+        count[0] = 0
+        monkeypatch.setattr(taylor.TaylorContext, "mul", counting)
+        operator()
+        monkeypatch.undo()
+        assert count[0] == expected, name
+
+
 PACK_FIELDS = ("g", "ginv", "christoffel", "riemann", "ricci", "scalar", "schouten",
                "weyl", "cotton", "endo")
 
