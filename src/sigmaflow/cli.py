@@ -15,7 +15,6 @@ OMP_NUM_THREADS, which must be set before Python starts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -41,6 +40,19 @@ class InputError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _expression(src, what: str, top: int | None = None):
+    """The expression ``src`` parsed, with ``what`` naming it in the error,
+    and, given ``top``, no variable above x<top>."""
+    try:
+        tree = ex.parse(src)
+    except ex.ParseError as err:
+        raise InputError(f"{what}: {err}") from err
+    if top is not None and ex.max_var(tree) > top:
+        raise InputError(f"{what} references more than {top} "
+                         f"variable{'s' if top > 1 else ''}")
+    return tree
 
 
 # -- metric-spec files -----------------------------------------------------
@@ -69,29 +81,23 @@ def spec_from_document(doc, origin="<spec>"):
     if missing:
         raise InputError(f"{origin}: missing required field(s) {', '.join(missing)}")
 
-    def parse(src, what):
-        try:
-            return ex.parse(src)
-        except ex.ParseError as err:
-            raise InputError(f"{origin}: {what}: {err}") from err
-
     metric = doc["metric"]
     if not (isinstance(metric, list) and all(isinstance(row, list) for row in metric)):
         raise InputError(f"{origin}: metric must be an array of expression arrays")
-    comps = [[parse(src, f"metric[{i}][{j}]") for j, src in enumerate(row)]
+    comps = [[_expression(src, f"{origin}: metric[{i}][{j}]") for j, src in enumerate(row)]
              for i, row in enumerate(metric)]
     dim = len(comps)  # MetricChart checks it against doc["dim"]
     if "potential" in doc:
-        field = soliton.GradientPotential(parse(doc["potential"], "potential"))
+        field = soliton.GradientPotential(_expression(doc["potential"], f"{origin}: potential"))
     elif "vector_field" in doc:
         raw = doc["vector_field"]
         if not (isinstance(raw, list) and len(raw) == dim):
             raise InputError(f"{origin}: vector_field needs {dim} components")
         field = soliton.VectorField(
-            [parse(s, f"vector_field[{a}]") for a, s in enumerate(raw)])
+            [_expression(s, f"{origin}: vector_field[{a}]") for a, s in enumerate(raw)])
     else:
         field = soliton.VectorField([ex.parse("0")] * dim)
-    lam = parse(doc["lambda"], "lambda") if "lambda" in doc else ex.parse("0")
+    lam = _expression(doc["lambda"], f"{origin}: lambda") if "lambda" in doc else ex.parse("0")
     try:
         chart = MetricChart(doc["dim"], comps, doc.get("domain", [(-1.0, 1.0)] * dim))
         return soliton.SolitonSpec(chart=chart, field=field, lam=lam, k=doc["k"], l=doc["l"])
@@ -150,7 +156,7 @@ def cmd_curvature(args) -> int:
         else:
             report["sigma"] = [float(s) for s in prof.sigmas]
             report["log_quotient"] = float(prof.log_quotient)
-            report["cone_ok"] = bool(prof.cone_ok)
+            report["cone_ok"] = True  # sigma_profile raised otherwise
 
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -200,33 +206,24 @@ def cmd_flow(args) -> int:
 
     u0 = None
     if args.u0:
-        try:
-            tree = ex.parse(args.u0)
-        except ex.ParseError as err:
-            raise InputError(f"--u0: {err}") from err
-        if ex.max_var(tree) > 1:
-            raise InputError("--u0 may reference x1 (the latitude) only")
+        tree = _expression(args.u0, "--u0", 1)  # x1 is the latitude
         u0 = lambda th: ex.eval_float(tree, [th])
     try:
         state = flow.FlowState.from_function(args.n, args.k, args.l, args.grid, u0)
     except GeometryError as err:  # FlowState checks n, (k, l) and the grid
         raise InputError(str(err)) from err
-    if 2 * args.l == args.n:
+    final, diag = flow.run(state, args.t_end, dt=args.dt, cadence=args.cadence)
+    if diag.energy_omitted:
         print(f"warning: E_{args.l} diagnostic omitted (l = n/2 path integral "
               "not implemented; column holds int sigma_l dv)", file=sys.stderr)
-    final, diag = flow.run(state, args.t_end, dt=args.dt, cadence=args.cadence)
 
     rows = zip(diag.times, diag.energy, diag.log_r, diag.sup_dev, diag.volume)
+    lines = ["t,E_l,log_r_kl,sup_dev,volume"] + [",".join(_fmt(v) for v in row) for row in rows]
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "E_l", "log_r_kl", "sup_dev", "volume"])
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+        with open(args.csv, "w", newline="\r\n") as fh:  # the csv module's line ends
+            fh.write("\n".join(lines) + "\n")
     else:
-        print("t,E_l,log_r_kl,sup_dev,volume")
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        print("\n".join(lines))
     if args.state_json:
         with open(args.state_json, "w") as fh:
             json.dump({"n": final.n, "k": final.k, "l": final.l,
@@ -246,15 +243,7 @@ def cmd_hodge(args) -> int:
     exprs = [part.strip() for part in args.field.split(";")]
     if len(exprs) != args.n:
         raise InputError(f"--field needs {args.n} component expressions")
-    trees = []
-    for a, src in enumerate(exprs):
-        try:
-            tree = ex.parse(src)
-        except ex.ParseError as err:
-            raise InputError(f"--field[{a}]: {err}") from err
-        if ex.max_var(tree) > args.n:
-            raise InputError(f"--field[{a}] references more than {args.n} variables")
-        trees.append(tree)
+    trees = [_expression(src, f"--field[{a}]", args.n) for a, src in enumerate(exprs)]
 
     try:
         field = hodge.TorusField.from_exprs(

@@ -22,12 +22,14 @@ pipeline.
 points of shape (P, n) and runs one pipeline for the whole batch: every
 jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
 arrays of shape (P, ...).  The domain and positive-definiteness checks run
-per probe and name the first probe that fails.  Memory grows with P, so
-callers split large probe sets with ``probe_batches``, which keeps the
-estimated jet storage of one pipeline under ``BATCH_BYTES``.  The inverse
-metric is Gauss-Jordan elimination without pivoting: the metric has passed
-the Cholesky check, so it is symmetric positive definite, where elimination
-without pivoting is stable.
+per probe and name the first probe that fails.  Jets combined with a
+pipeline are evaluated by ``TaylorCurvature.jet`` at its ``points`` and
+order.  ``curvature_at``, the conformal laws and ``divergence_newton`` take
+one point.  Memory grows with P, so callers split large probe sets with
+``probe_batches``, which keeps the estimated jet storage of one pipeline
+under ``BATCH_BYTES``.  The inverse metric is Gauss-Jordan elimination
+without pivoting: the metric has passed the Cholesky check, so it is
+symmetric positive definite, where elimination without pivoting is stable.
 
 Every stage is a numpy contraction over object arrays of jets (``@``,
 ``np.einsum``, ``np.trace``, element-wise ``*``), which call the jet
@@ -221,14 +223,15 @@ def values(arr) -> np.ndarray:
 BATCH_BYTES = 32 * 2 ** 20
 
 
-def probe_batches(points, dim: int, order: int) -> list:
-    """Consecutive slices of the (P, dim) ``points`` whose pipelines at
+def probe_batches(points, order: int) -> list:
+    """Consecutive slices of the (P, n) ``points`` whose pipelines at
     ``order`` each keep an estimated <= BATCH_BYTES of jet coefficients:
     the rank-4 Riemann array and about four rank-3 arrays of C doubles per
     probe dominate."""
     points = np.asarray(points, dtype=float)
-    per_probe = 8 * math.comb(dim + order, order) * (dim ** 4 + 4 * dim ** 3)
-    size = max(1, BATCH_BYTES // per_probe)
+    n = points.shape[-1]
+    per_probe = 8 * math.comb(n + order, order) * (n ** 4 + 4 * n ** 3)
+    size = max(1, BATCH_BYTES // max(1, per_probe))
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 
@@ -238,8 +241,8 @@ class TaylorCurvature:
 
     Trusted derivative orders: g to p, christoffel to p - 1, riemann /
     ricci / scalar / schouten / endo to p - 2, cotton to p - 3; cotton is
-    None below order 3.  Jets combined with these (f, X, lambda, phi) are
-    evaluated at ``order``.
+    None below order 3.  ``jet`` evaluates the jets combined with these (f,
+    X, lambda, phi) at the pipeline's ``points``, (n,) or (P, n), and order.
     """
     dim: int
     g: np.ndarray
@@ -251,10 +254,15 @@ class TaylorCurvature:
     schouten: np.ndarray | None      # (0,2), n >= 3
     endo: np.ndarray | None          # (1,1) g^{-1} A
     cotton: np.ndarray | None        # (0,3) C_ijk
+    points: np.ndarray | None = None
 
     @property
     def order(self) -> int:
         return self.g[0, 0].ctx.order
+
+    def jet(self, e) -> TaylorScalar:
+        """``e``, an Expr or its source, as a jet at the pipeline's points and order."""
+        return ex.eval_taylor(_as_expr(e), self.points, order=self.order)
 
     def cov_deriv_02(self, t: np.ndarray) -> np.ndarray:
         """nabla_i t_jk = d_i t_jk - Gamma^l_ij t_lk - Gamma^l_ik t_jl for a
@@ -353,7 +361,7 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
         schouten = _sym((ric[i, j] - coef * g[i, j]) * (1.0 / (n - 2)), n)
         endo = ginv @ schouten
 
-    tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None)
+    tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
     if n >= 3 and order >= 3:
         da = tc.cov_deriv_02(schouten)
         tc.cotton = da - da.transpose(1, 0, 2)
@@ -368,7 +376,6 @@ class CurvaturePack:
     """Floating curvature values at one point, with the order-3 Taylor
     pipeline data attached as ``taylor`` for re-differentiation (one
     derivative of curvature)."""
-    point: np.ndarray
     dim: int
     g: np.ndarray
     ginv: np.ndarray
@@ -405,7 +412,17 @@ def _kn_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _one_point(chart: MetricChart, x, what: str) -> np.ndarray:
+    """x as the one point of shape (n,) that ``what`` takes."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise GeometryError(f"{what} takes one point of shape ({chart.dim},), "
+                            f"got shape {x.shape}")
+    return x
+
+
 def curvature_at(chart: MetricChart, x) -> CurvaturePack:
+    x = _one_point(chart, x, "curvature_at")
     tc = curvature_taylor(chart, x, order=3)  # Cotton reads one derivative of A
     n = tc.dim
     g = values(tc.g)
@@ -417,7 +434,6 @@ def curvature_at(chart: MetricChart, x) -> CurvaturePack:
         cotton = values(tc.cotton)
         endo = values(tc.endo)
     return CurvaturePack(
-        point=np.asarray(x, dtype=float),
         dim=n,
         g=g,
         ginv=values(tc.ginv),
@@ -449,13 +465,12 @@ def covariant_ops(chart: MetricChart, x, f: "ex.Expr | str | None" = None,
     tc = curvature_taylor(chart, x, order=2)
     out = CovariantOps()
     if f is not None:
-        ft = ex.eval_taylor(_as_expr(f), x, order=tc.order)
+        ft = tc.jet(f)
         out.gradient = values(tc.grad_scalar(ft))
         out.hessian = values(tc.hessian_scalar(ft))
         out.laplacian = tc.laplacian_scalar(ft).value
     if X is not None:
-        xv = np.array([ex.eval_taylor(_as_expr(c), x, order=tc.order) for c in X],
-                      dtype=object)
+        xv = np.array([tc.jet(c) for c in X], dtype=object)
         out.lie_g = values(tc.lie_metric(xv))
         out.divergence = tc.div_vector(xv).value
     return out

@@ -20,10 +20,14 @@ One tree walk evaluates an expression over two rings: float arrays
 apply the same domain rules to the value part, and a domain violation or a
 non-finite result raises ``EvalError`` in either.
 
-Where a derivative is undefined, only the float ring is defined: ``abs`` at
-0, and a variable exponent at a non-positive base (``x1^x2`` at (-1, 2) is
-1 as a float).  The jet ring raises ``EvalError`` there, saying which of
-the two it met, at the first failing probe of a batch (``EvalError.probe``).
+Only the float ring is defined in three cases, where the jet ring raises
+``EvalError`` saying which it met: ``abs`` at 0 and a variable exponent at
+a non-positive base, which have no derivative (``x1^x2`` at (-1, 2) is 1
+as a float), and a derivative coefficient outside the double range near a
+point where the derivatives blow up (``1/x1`` at 1e-100 is 1e100 as a
+float, but its third derivative, -6e400, is not a double, nor is that of
+``sqrt(x1)`` at 1e-200).  The first two name the first failing probe of a
+batch (``EvalError.probe``).
 """
 
 from __future__ import annotations
@@ -315,6 +319,7 @@ class _Ring:
     coeffs: Callable     # element -> every number that must be finite
     fn: dict             # function name -> unary map
     power: Callable      # (base, exponent) -> element
+    out_of_range: str | None = None  # what an ArithmeticError means; None: numpy says
 
 
 _FLOATS = _Ring(const=np.float64, value=lambda v: v, coeffs=lambda v: v,
@@ -325,7 +330,8 @@ def _jets(ctx: taylor.TaylorContext) -> _Ring:
     # taylor functions are looked up at call time, so rebinding them (as a
     # tracer does) reaches the walk
     return _Ring(const=ctx.constant, value=lambda s: s.value, coeffs=lambda s: s.c,
-                 fn=_TAYLOR_FN, power=lambda a, b: taylor.power(a, b))
+                 fn=_TAYLOR_FN, power=lambda a, b: taylor.power(a, b),
+                 out_of_range="a jet coefficient left the double range")
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -372,8 +378,10 @@ def _evaluate(e: Expr, env, ring: _Ring):
                 _require(ring.value(v) > 0, f"{e.name} of non-positive value",
                          ring.value(v))
             return ring.fn[e.name](v)
-    except (taylor.TaylorDomainError, ArithmeticError) as exc:
-        raise EvalError(f"{unparse(e)}: {exc}", getattr(exc, "probe", None)) from exc
+    except taylor.TaylorDomainError as exc:
+        raise EvalError(f"{unparse(e)}: {exc}", exc.probe) from exc
+    except ArithmeticError as exc:
+        raise EvalError(f"{unparse(e)}: {ring.out_of_range or exc}") from exc
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -35,8 +35,6 @@ class ConeViolation(GeometryError):
         super().__init__(
             f"cone condition violated at node {node} (theta = {theta:.4f}, "
             f"t = {t:.6f}): sigma_k = {sigma_k:.6g}, sigma_l = {sigma_l:.6g}")
-        self.node = node
-        self.t = t
 
 
 class BlowUp(GeometryError):
@@ -44,6 +42,7 @@ class BlowUp(GeometryError):
 
 
 U_MAX = 10.0  # sup|u|: a FlowState above it is refused, a step above it is a BlowUp
+DT_SAFETY = 0.5  # share of the parabolic step bound that stable_dt takes
 
 
 @dataclass
@@ -75,14 +74,14 @@ class FlowState:
         return _nodes(self.grid_size)[0]
 
     @classmethod
-    def from_function(cls, n: int, k: int, l: int, grid: int, u0=None, t: float = 0.0):
+    def from_function(cls, n: int, k: int, l: int, grid: int, u0=None):
         """u = u0(theta), with ``u0`` called once on the whole node array; a
         scalar result (a constant u0) is broadcast to every node."""
         _check_grid(grid)  # before the nodes are laid out
         theta = _nodes(grid)[0]
         u = np.zeros(grid + 1) if u0 is None else \
             np.array(np.broadcast_to(u0(theta), theta.shape), dtype=float)
-        return cls(n=n, k=k, l=l, u=u, t=t)
+        return cls(n=n, k=k, l=l, u=u)
 
     def _evolved(self, u: np.ndarray, t: float) -> FlowState:
         """This state's checked n, (k, l) and grid with a new u of the same
@@ -134,7 +133,6 @@ def _sin_power(n: int, m: int) -> np.ndarray:
 
 @dataclass
 class FlowDiagnostics:
-    l: int
     times: list = field(default_factory=list)
     energy: list = field(default_factory=list)        # E_l = int sigma_l dv
     log_r: list = field(default_factory=list)
@@ -263,17 +261,17 @@ def flow_rhs(state: FlowState) -> np.ndarray:
     return rhs
 
 
-def stable_dt(state: FlowState, safety: float = 0.5) -> float:
-    """Conservative parabolic step bound dt = safety h^2 / (1 + gain), where
-    the gain estimates the sensitivity of the right side to u''."""
+def stable_dt(state: FlowState) -> float:
+    """Conservative parabolic step bound dt = DT_SAFETY h^2 / (1 + gain),
+    where the gain estimates the sensitivity of the right side to u''."""
     n, k, l = state.n, state.k, state.l
     lam_t, sk, sl = _nodal_sigmas(state)
     # d log sigma_j / d u'' = e^{2u} * (d sigma_j / d lam_r) / sigma_j
-    dsk = math.comb(n - 1, k - 1) * lam_t ** (k - 1) if k >= 1 else 0.0
-    dsl = math.comb(n - 1, l - 1) * lam_t ** (l - 1) if l >= 1 else 0.0
+    dsk, dsl = (math.comb(n - 1, j - 1) * lam_t ** (j - 1) if j >= 1 else 0.0
+                for j in (k, l))
     gain = np.max(np.exp(2 * state.u) * np.abs(dsk / sk - dsl / sl))
     h = math.pi / state.grid_size
-    return safety * h * h / (1.0 + float(gain))
+    return DT_SAFETY * h * h / (1.0 + float(gain))
 
 
 def step(state: FlowState, dt: float) -> FlowState:
@@ -303,7 +301,7 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
     diagnostics; the E_{n/2} path-integral functional is not implemented,
     so for l = n/2 the conservation diagnostic column holds int sigma_l dv
     but is flagged as omitted."""
-    diag = FlowDiagnostics(l=state.l, energy_omitted=(2 * state.l == state.n))
+    diag = FlowDiagnostics(energy_omitted=(2 * state.l == state.n))
     if dt is None:
         dt = stable_dt(state)
 

@@ -24,23 +24,21 @@ class HodgeError(ValueError):
 class TorusField:
     """Sampled vector field: components[a] holds X^a on the uniform grid,
     axis ordering matching coordinate ordering."""
-    dim: int
     shape: tuple
     components: tuple
 
     @classmethod
     def from_arrays(cls, comps):
         comps = tuple(np.asarray(c, dtype=float) for c in comps)
-        dim = len(comps)
-        if dim not in (2, 3):
+        if len(comps) not in (2, 3):
             raise HodgeError("only 2- and 3-dimensional tori are supported")
         shape = comps[0].shape
-        if len(shape) != dim or any(c.shape != shape for c in comps):
+        if len(shape) != len(comps) or any(c.shape != shape for c in comps):
             raise HodgeError("component grids must share one shape per axis")
         _check_extents(shape)
         if any(not np.all(np.isfinite(c)) for c in comps):
             raise HodgeError("non-finite field samples")
-        return cls(dim=dim, shape=shape, components=comps)
+        return cls(shape=shape, components=comps)
 
     @classmethod
     def from_exprs(cls, exprs, shape):
@@ -57,43 +55,31 @@ def _check_extents(shape):
             raise HodgeError(f"grid extent {nax} is not a power of two >= 4")
 
 
-def _wavenumbers(shape):
-    return [np.fft.fftfreq(nax, d=1.0 / nax) for nax in shape]
-
-
-def _spectral_partial(fhat, shape, axis):
-    m = _wavenumbers(shape)[axis]
-    idx = [None] * len(shape)
-    idx[axis] = slice(None)
-    return 1j * m[tuple(idx)] * fhat
+def _partials(shape):
+    """The spectral partials i m_a of each axis a, on one sparse grid of
+    integer wavenumbers m."""
+    ms = np.meshgrid(*(np.fft.fftfreq(nax, d=1.0 / nax) for nax in shape),
+                     indexing="ij", sparse=True)
+    return [1j * m for m in ms]
 
 
 def divergence(field: TorusField) -> np.ndarray:
-    out = np.zeros(field.shape)
-    for a, comp in enumerate(field.components):
-        chat = np.fft.fftn(comp)
-        out += np.fft.ifftn(_spectral_partial(chat, field.shape, a)).real
-    return out
+    # summed in real space, one component at a time: a sum in Fourier space
+    # rounds differently (div_residual moves in its third digit)
+    return sum(np.fft.ifftn(d * np.fft.fftn(comp)).real
+               for d, comp in zip(_partials(field.shape), field.components))
 
 
 def hodge_decompose(field: TorusField):
     """Return (Y, h) with X = Y + grad h, div Y = 0, mean h = 0."""
-    shape = field.shape
-    div_hat = np.zeros(shape, dtype=complex)
-    for a, comp in enumerate(field.components):
-        div_hat += _spectral_partial(np.fft.fftn(comp), shape, a)
-
-    m2 = np.zeros(shape)
-    for a, m in enumerate(_wavenumbers(shape)):
-        idx = [None] * len(shape)
-        idx[a] = slice(None)
-        m2 = m2 + m[tuple(idx)] ** 2
+    partials = _partials(field.shape)
+    div_hat = sum(d * np.fft.fftn(comp) for d, comp in zip(partials, field.components))
+    lap = sum((d * d).real for d in partials)  # -|m|^2, exactly
     with np.errstate(divide="ignore", invalid="ignore"):
-        h_hat = np.where(m2 > 0, div_hat / np.where(m2 > 0, -m2, 1.0), 0.0)
+        h_hat = np.where(lap < 0, div_hat / np.where(lap < 0, lap, 1.0), 0.0)
 
     h = np.fft.ifftn(h_hat).real
-    grads = [np.fft.ifftn(_spectral_partial(h_hat, shape, a)).real
-             for a in range(field.dim)]
+    grads = [np.fft.ifftn(d * h_hat).real for d in partials]
     y = TorusField.from_arrays([c - g for c, g in zip(field.components, grads)])
     return y, h
 
@@ -103,10 +89,8 @@ def decomposition_report(field: TorusField, y: TorusField, h: np.ndarray):
     ``hodge_decompose`` returns it: sup |div Y|, sup reconstruction error,
     |mean h|."""
     h_hat = np.fft.fftn(h)
-    recon = [np.fft.ifftn(_spectral_partial(h_hat, field.shape, a)).real + yc
-             for a, yc in enumerate(y.components)]
-    sup_recon = max(np.max(np.abs(r - c))
-                    for r, c in zip(recon, field.components))
+    sup_recon = max(np.max(np.abs(np.fft.ifftn(d * h_hat).real + yc - c)) for d, yc, c
+                    in zip(_partials(field.shape), y.components, field.components))
     return {
         "div_residual": float(np.max(np.abs(divergence(y)))),
         "reconstruction": float(sup_recon),

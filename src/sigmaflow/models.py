@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .curvature import GeometryError, MetricChart, curvature_at, curvature_taylor, values
-from .sigma import log_quotient, sigmas
+from .curvature import GeometryError, MetricChart, curvature_at
+from .sigma import log_quotient, sigma_profile, sigmas
 from .tensor import TensorValue
 
 
@@ -35,9 +35,10 @@ def _sq_norm(n: int, start: int = 1) -> str:
     return "(" + " + ".join(f"x{i}^2" for i in range(start, start + n)) + ")"
 
 
-def _diag_chart(n: int, entry: str, box: float) -> MetricChart:
-    comps = [[entry if i == j else "0" for j in range(n)] for i in range(n)]
-    return MetricChart(n, comps, [(-box, box)] * n)
+def _diag_chart(n: int, diagonal: list, domain) -> MetricChart:
+    """The chart of the n x n diagonal metric with these entries over ``domain``."""
+    return MetricChart(n, [[diagonal[i] if i == j else "0" for j in range(n)]
+                           for i in range(n)], domain)
 
 
 def _logq_const(n: int, k: int, l: int, base: float) -> float:
@@ -49,7 +50,7 @@ def _logq_const(n: int, k: int, l: int, base: float) -> float:
 
 
 def euclidean(n: int) -> ModelManifold:
-    chart = _diag_chart(n, "1", 2.0)
+    chart = _diag_chart(n, ["1"] * n, [(-2.0, 2.0)] * n)
     return ModelManifold(
         name=f"euclidean:{n}", chart=chart,
         golden=[("scalar", 0.0, 1e-12, "flat space"),
@@ -57,70 +58,65 @@ def euclidean(n: int) -> ModelManifold:
     )
 
 
-def sphere(n: int, k: int = 2, l: int = 1, v=None) -> ModelManifold:
+def sphere(n: int, k: int = 2, l: int = 1) -> ModelManifold:
     """Round unit sphere, stereographic chart g = 4 (1+|x|^2)^-2 delta.
 
     Soliton data: f = h_v (ambient height pulled back through the inverse
     stereographic map), lambda = h_v + log(sigma_k/sigma_l)."""
-    if n < 3:
-        raise GeometryError("sigma-bearing models need n >= 3")
-    chart = _diag_chart(n, f"4/(1+{_sq_norm(n)})^2", 0.9)
-    if v is None:
-        v = np.arange(1.0, n + 2.0)
-    v = np.asarray(v, dtype=float)
+    return _space_form(n, 1, k, l, _sphere_height, lambda: 0.9)
+
+
+def _sphere_height(n: int) -> str:
+    v = np.arange(1.0, n + 2.0)
     v = v / np.linalg.norm(v)
-    h = _sphere_height(n, v)
-    logq = _logq_const(n, k, l, 0.5)
-    lam = f"({h}) + {logq!r}"
-    golden = [("scalar", float(n * (n - 1)), 1e-9, "round sphere"),
-              ("schouten_vs_metric", 0.5, 1e-9, "A = g/2")]
-    golden += [(f"sigma:{j}", math.comb(n, j) / 2 ** j, 1e-9, "sigma table")
-               for j in range(1, n + 1)]
-    return ModelManifold(
-        name=f"sphere:{n}", chart=chart,
-        potential=ex.parse(h), lam=ex.parse(lam), k=k, l=l, golden=golden,
-    )
-
-
-def _sphere_height(n: int, v) -> str:
     s = _sq_norm(n)
     lin = " + ".join(f"{float(v[i - 1])!r}*x{i}" for i in range(1, n + 1))
     return f"(2*({lin}) + {float(v[n])!r}*(1 - {s})) / (1 + {s})"
 
 
-def hyperbolic(n: int, k: int = 3, l: int = 1, v=None) -> ModelManifold:
+def hyperbolic(n: int, k: int = 3, l: int = 1) -> ModelManifold:
     """Hyperbolic space, Poincare ball chart g = 4 (1-|x|^2)^-2 delta.
 
     Soliton data: f = h_v with the ball-to-hyperboloid height, lambda =
     -h_v + log(sigma_k/sigma_l); the cone condition needs k = l (mod 2),
     and ``log_quotient`` raises ConeConditionError otherwise."""
-    if n < 3:
-        raise GeometryError("sigma-bearing models need n >= 3")
-    box = 0.85 / math.sqrt(n)
-    chart = _diag_chart(n, f"4/(1-{_sq_norm(n)})^2", box)
-    if v is None:
-        vp = 0.1 * np.arange(1.0, n + 1.0)  # spatial part, arbitrary
-        v = np.concatenate(([math.sqrt(1.0 + vp @ vp)], vp))
-    v = np.asarray(v, dtype=float)
-    h = _hyperbolic_height(n, v)
-    logq = _logq_const(n, k, l, -0.5)
-    lam = f"-({h}) + {logq!r}"
-    golden = [("scalar", float(-n * (n - 1)), 1e-9, "hyperbolic space"),
-              ("schouten_vs_metric", -0.5, 1e-9, "A = -g/2")]
-    golden += [(f"sigma:{j}", (-1) ** j * math.comb(n, j) / 2 ** j, 1e-9, "sigma table")
-               for j in range(1, n + 1)]
-    return ModelManifold(
-        name=f"hyperbolic:{n}", chart=chart,
-        potential=ex.parse(h), lam=ex.parse(lam), k=k, l=l, golden=golden,
-    )
+    return _space_form(n, -1, k, l, _hyperbolic_height, lambda: 0.85 / math.sqrt(n))
 
 
-def _hyperbolic_height(n: int, v) -> str:
+def _hyperbolic_height(n: int) -> str:
     # hyperboloid embedding of the ball: X_1 = (1+s)/(1-s), X_{i+1} = 2 x_i/(1-s);
     # h_v = <X, v> in the Lorentzian pairing -X_1 v_1 + sum X_{i+1} v_{i+1}
+    vp = 0.1 * np.arange(1.0, n + 1.0)  # spatial part, arbitrary
+    v = np.concatenate(([math.sqrt(1.0 + vp @ vp)], vp))
     s = _sq_norm(n)
     lin = " + ".join(f"{float(v[i])!r}*x{i}" for i in range(1, n + 1))
     return f"(-{float(v[0])!r}*(1 + {s}) + 2*({lin})) / (1 - {s})"
+
+
+_SPACE_FORMS = {1: ("sphere", "+", "", "round sphere"),
+                -1: ("hyperbolic", "-", "-", "hyperbolic space")}
+
+
+def _space_form(n: int, sign: int, k: int, l: int, height, box) -> ModelManifold:
+    """The space form of curvature ``sign`` (+1 or -1) in its conformally flat
+    chart g = 4 (1 + sign |x|^2)^-2 delta on the box [-box(), box()]^n, with
+    f = height(n), lambda = sign f + log(sigma_k/sigma_l) and the golden
+    values R = sign n(n-1), A = sign g/2, sigma_j = C(n, j) (sign/2)^j."""
+    if n < 3:
+        raise GeometryError("sigma-bearing models need n >= 3")
+    name, op, neg, note = _SPACE_FORMS[sign]
+    half = box()
+    chart = _diag_chart(n, [f"4/(1{op}{_sq_norm(n)})^2"] * n, [(-half, half)] * n)
+    h = height(n)
+    lam = f"{neg}({h}) + {_logq_const(n, k, l, sign / 2)!r}"
+    golden = [("scalar", float(sign * n * (n - 1)), 1e-9, note),
+              ("schouten_vs_metric", sign / 2, 1e-9, f"A = {neg}g/2")]
+    golden += [(f"sigma:{j}", math.comb(n, j) * (sign / 2) ** j, 1e-9, "sigma table")
+               for j in range(1, n + 1)]
+    return ModelManifold(
+        name=f"{name}:{n}", chart=chart,
+        potential=ex.parse(h), lam=ex.parse(lam), k=k, l=l, golden=golden,
+    )
 
 
 def product_line_sphere(n: int) -> ModelManifold:
@@ -129,14 +125,8 @@ def product_line_sphere(n: int) -> ModelManifold:
     The paper's displayed metric dt^2 + g_{R^n} is read as a typo for
     dt^2 + g_{S^n}; with flat g_{R^n} every sigma_j would vanish and no
     quotient could be formed."""
-    dim = n + 1
-    s = _sq_norm(n, start=2)
-    comps = [["0"] * dim for _ in range(dim)]
-    comps[0][0] = "1"
-    for i in range(1, dim):
-        comps[i][i] = f"4/(1+{s})^2"
-    domain = [(-1.0, 1.0)] + [(-0.9, 0.9)] * n
-    chart = MetricChart(dim, comps, domain)
+    chart = _diag_chart(n + 1, ["1"] + [f"4/(1+{_sq_norm(n, start=2)})^2"] * n,
+                        [(-1.0, 1.0)] + [(-0.9, 0.9)] * n)
     # sigma_1 computes to (n-1)/2 here, not the n/2 the source example quotes;
     # with k = l the quotient is 1 either way and the soliton is trivial.
     golden = [("sigma:1", (n - 1) / 2.0, 1e-9, "product line x sphere")]
@@ -146,7 +136,7 @@ def product_line_sphere(n: int) -> ModelManifold:
     )
 
 
-def example4(n: int, k: int = 3, l: int = 1) -> ModelManifold:
+def example4(n: int) -> ModelManifold:
     """Diagonal metric g_ii = e^{2 u_i} on R^n with u_i = log cosh(x_{tau(i)})
     for even i (tau the n-cycle), zero for odd i.
 
@@ -165,14 +155,9 @@ def example4(n: int, k: int = 3, l: int = 1) -> ModelManifold:
     fallback below picks (3, 2), lam = log(sigma_3/sigma_2) = -log 6."""
     if n < 4:
         raise GeometryError("the log-cosh model needs n >= 4")
-    comps = [["0"] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        if i % 2 == 0:
-            tau = i + 1 if i < n else 1
-            comps[i - 1][i - 1] = f"cosh(x{tau})^2"
-        else:
-            comps[i - 1][i - 1] = "1"
-    chart = MetricChart(n, comps, [(-1.0, 1.0)] * n)
+    k, l = 3, 1
+    chart = _diag_chart(n, [f"cosh(x{i % n + 1})^2" if i % 2 == 0 else "1"
+                            for i in range(1, n + 1)], [(-1.0, 1.0)] * n)
     xfield = [ex.parse("1" if i % 2 == 0 else "0") for i in range(1, n + 1)]
     golden = []
     if n % 2 == 0:
@@ -264,6 +249,8 @@ def warped_ricci_formula(spec: WarpedProductSpec, point) -> TensorValue:
 # -- name resolution -------------------------------------------------------
 
 _XI_NAMES = {"one": "1", "sinh": "sinh(x1)", "cosh": "cosh(x1)"}
+_FAMILIES = {"euclidean": euclidean, "sphere": sphere, "hyperbolic": hyperbolic,
+             "product_line_sphere": product_line_sphere, "example4": example4}
 
 
 def builtin(name: str) -> ModelManifold:
@@ -272,16 +259,8 @@ def builtin(name: str) -> ModelManifold:
     parts = name.replace("(", ":").replace(")", "").split(":")
     kind = parts[0]
     try:
-        if kind == "euclidean":
-            return euclidean(int(parts[1]))
-        if kind == "sphere":
-            return sphere(int(parts[1]))
-        if kind == "hyperbolic":
-            return hyperbolic(int(parts[1]))
-        if kind == "product_line_sphere":
-            return product_line_sphere(int(parts[1]))
-        if kind == "example4":
-            return example4(int(parts[1]))
+        if kind in _FAMILIES:
+            return _FAMILIES[kind](int(parts[1]))
         if kind == "warped":
             xi = _XI_NAMES.get(parts[1], parts[1])
             fiber = builtin(":".join(parts[2:]))
@@ -298,8 +277,6 @@ def builtin(name: str) -> ModelManifold:
 def check_golden(model: ModelManifold, points) -> list[tuple[str, float, float, bool]]:
     """Evaluate every golden entry at every point.  Returns
     (quantity, worst error, tolerance, passed) rows."""
-    from .sigma import sigma_profile
-
     rows = []
     for quantity, expected, tol, _note in model.golden:
         worst = 0.0

@@ -12,18 +12,10 @@ import numpy as np
 from .curvature import check_int
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+MARGIN = 0.1  # share of each axis kept clear at both ends
 
 
-def _halton_1d(i: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
-def halton_points(domain, count: int, seed: int = 0, margin: float = 0.1) -> np.ndarray:
+def halton_points(domain, count: int, seed: int = 0) -> np.ndarray:
     """``count`` points in the box ``domain`` (list of (lo, hi) pairs).
 
     ``seed`` >= 0 offsets the sequence start, so different seeds give
@@ -31,18 +23,21 @@ def halton_points(domain, count: int, seed: int = 0, margin: float = 0.1) -> np.
     every index <= 0 gives the same point.
     """
     check_int(seed, "probe seed", 0)
-    dim = len(domain)
-    if dim > len(_PRIMES):
+    lo, hi = np.asarray(domain, dtype=float).reshape(len(domain), 2).T
+    if len(lo) > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} axes supported")
-    pts = np.empty((count, dim))
+    # radical inverses over as many digits as base 2 needs; an index past
+    # int64 (a huge seed) stays a Python int in an object array
     start = 20 + 1013 * seed
-    for row in range(count):
-        for d in range(dim):
-            lo, hi = domain[d]
-            pad = margin * (hi - lo)
-            u = _halton_1d(start + row, _PRIMES[d])
-            pts[row, d] = lo + pad + u * (hi - lo - 2 * pad)
-    return pts
+    base = np.array(_PRIMES[:len(lo)])
+    i = np.tile(np.array([start + row for row in range(count)])[:, None], len(base))
+    f, u = np.ones(len(base)), np.zeros((count, len(base)))
+    for _ in range((start + count).bit_length()):
+        f = f / base
+        u = u + f * (i % base)
+        i = i // base
+    pad = MARGIN * (hi - lo)
+    return lo + pad + u.astype(float) * (hi - lo - 2 * pad)
 
 
 def chart_probes(chart, count: int, seed: int = 0) -> np.ndarray:

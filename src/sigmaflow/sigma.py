@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import taylor
 from .curvature import (CurvaturePack, GeometryError, MetricChart, TaylorCurvature,
-                        _as_expr, _d, _sym, check_int, curvature_taylor, values)
+                        _d, _one_point, _sym, check_int, curvature_taylor, values)
 from .tensor import TensorValue, sigmas_from_power_sums
 
 
@@ -36,12 +35,8 @@ class ConeConditionError(GeometryError):
 
 @dataclass(frozen=True)
 class SigmaProfile:
-    n: int
     sigmas: np.ndarray          # sigma_0 .. sigma_n
-    k: int
-    l: int
     log_quotient: float
-    cone_ok: bool
 
 
 def check_pair(n: int, k, l):
@@ -110,22 +105,14 @@ def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:
 
     Raises ConeConditionError when sigma_k * sigma_l <= 0.
     """
-    n = pack.dim
-    check_pair(n, k, l)
+    check_pair(pack.dim, k, l)
     sig = np.array(sigmas(pack.endo), dtype=float)
-    return SigmaProfile(n=n, sigmas=sig, k=k, l=l,
-                        log_quotient=log_quotient(sig, k, l), cone_ok=True)
+    return SigmaProfile(sigmas=sig, log_quotient=log_quotient(sig, k, l))
 
 
-@dataclass(frozen=True)
-class NewtonTensor:
-    k: int
-    value: TensorValue  # (1,1)
-
-
-def newton_tensor(pack: CurvaturePack, k: int) -> NewtonTensor:
-    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j."""
-    return NewtonTensor(k, TensorValue(pack.dim, (1, 1), _newton(pack.endo, k)))
+def newton_tensor(pack: CurvaturePack, k: int) -> TensorValue:
+    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j, a (1,1) tensor."""
+    return TensorValue(pack.dim, (1, 1), _newton(pack.endo, k))
 
 
 def sigma_taylor(tc: TaylorCurvature) -> list:
@@ -149,6 +136,7 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
     Returned for inspection; the vanishing div T_k = 0 is only asserted on
     (locally) conformally flat charts, where the identity is established.
     """
+    x = _one_point(chart, x, "divergence_newton")
     tc = curvature_taylor(chart, x, order=3)  # one derivative of T_k
     tk = newton_tensor_taylor(tc, k)
     div = tc.div_endomorphism(tk)
@@ -159,10 +147,10 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
 
 
 def _conformal_base(chart0: MetricChart, x, phi):
-    """Base pipeline at x and the jets of w = log phi for g = phi^2 g_0:
-    (tc0, w, hess_0 w, dw, |dw|^2_0), at order 2: the laws read values only."""
-    tc0 = curvature_taylor(chart0, x, order=2)
-    pt = ex.eval_taylor(_as_expr(phi), x, order=tc0.order)
+    """Base pipeline at the one point x and the jets of w = log phi for g =
+    phi^2 g_0: (tc0, w, hess_0 w, dw, |dw|^2_0), at order 2 (values only)."""
+    tc0 = curvature_taylor(chart0, _one_point(chart0, x, "a conformal law"), order=2)
+    pt = tc0.jet(phi)
     if pt.value <= 0.0:
         raise GeometryError(f"conformal factor must be positive, got {pt.value}")
     w = taylor.log(pt)

@@ -7,10 +7,11 @@ second-order with the scalar-curvature coupling) and the constant-scalar
 second-order identity are checked by re-running the curvature pipeline on
 Taylor data, never by finite-differencing outputs.
 
-Each check runs its whole (P, n) probe set through one batched curvature
-pipeline (``curvature_taylor`` at every probe at once), split only where
-``curvature.probe_batches`` finds that the jets of one pipeline would
-exceed its fixed memory budget ``curvature.BATCH_BYTES``.
+The three checks share one probe loop (``_pipelines``): one batched
+pipeline (``curvature_taylor`` at every probe at once) per (P, n) probe set,
+split only where ``curvature.probe_batches`` finds that its jets would
+exceed the memory budget ``curvature.BATCH_BYTES``.  f, X and lambda are
+read as jets of that pipeline (``TaylorCurvature.jet``).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import numpy as np
 
 from . import expr as ex
 from . import probes
-from .curvature import (GeometryError, MetricChart, _as_expr, curvature_taylor,
-                        probe_batches, values)
+from .curvature import GeometryError, MetricChart, curvature_taylor, probe_batches, values
 from .sigma import (ConeConditionError, check_pair, cone_values, log_quotient,
                     log_quotient_taylor, sigma_taylor)
 
 TRIVIAL_TOL = 1e-7
+ZERO_TOL = 1e-8     # |lambda| at or below it classifies as steady
+R_TOL = 1e-6        # relative deviation of R that obata_check accepts
 
 
 @dataclass
@@ -92,55 +94,53 @@ def _gnorm2(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
 
 
-def _probes(spec: SolitonSpec, probe_set, count: int, seed: int) -> np.ndarray:
-    if probe_set is None:
-        return probes.chart_probes(spec.chart, count, seed=seed)
-    return np.asarray(probe_set, dtype=float)
+def _pipelines(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
+               requires: str | None = None):
+    """The pipeline at ``order`` of each batch of the probe set; a check that
+    needs a gradient soliton says so in ``requires``."""
+    if requires and not isinstance(spec.field, GradientPotential):
+        raise GeometryError(f"{requires} a gradient soliton")
+    pts = probes.chart_probes(spec.chart, count, seed=seed) if probe_set is None else probe_set
+    for x in probe_batches(pts, order):
+        yield curvature_taylor(spec.chart, x, order=order)
 
 
-def _psi(spec: SolitonSpec, tc, x):
-    """psi = log(sigma_k/sigma_l) - lambda as a jet at the probes x."""
-    return log_quotient_taylor(tc, spec.k, spec.l) \
-        - ex.eval_taylor(_as_expr(spec.lam), x, order=tc.order)
+def _psi(spec: SolitonSpec, tc):
+    """psi = log(sigma_k/sigma_l) - lambda as a jet at the pipeline's probes."""
+    return log_quotient_taylor(tc, spec.k, spec.l) - tc.jet(spec.lam)
 
 
-def _point_data(spec: SolitonSpec, x):
-    """The cone violations of the (P, n) batch x as (probe, error) pairs and,
-    at its admissible probes, the residual tensor, L_X g, psi, lambda and
-    g^{-1}, at order 2: the residual reads values of hess f, L_X g and psi
-    only."""
-    tc = curvature_taylor(spec.chart, x, order=2)
+def _point_data(spec: SolitonSpec, tc):
+    """The cone violations of the order-2 pipeline's probes as (probe, error)
+    pairs and, at its admissible probes, the g-norms of the residual and of
+    L_X g, |psi| and lambda: the residual reads values of hess f, L_X g and
+    psi only."""
     sig = sigma_taylor(tc)
-    vk, vl, ok = (np.broadcast_to(v, len(x)) for v in cone_values(sig, spec.k, spec.l))
-    violations = [(x[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
+    vk, vl, ok = (np.broadcast_to(v, len(tc.points)) for v in cone_values(sig, spec.k, spec.l))
+    violations = [(tc.points[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
                   for i in np.flatnonzero(~ok)]
     keep = np.flatnonzero(ok)
-    lam = ex.eval_taylor(_as_expr(spec.lam), x, order=tc.order).take(keep)
+    lam = tc.jet(spec.lam).take(keep)
     psi = log_quotient([s.take(keep) for s in sig], spec.k, spec.l) - lam
     if isinstance(spec.field, GradientPotential):
-        ft = ex.eval_taylor(_as_expr(spec.field.f), x, order=tc.order)
-        lie = 2.0 * values(tc.hessian_scalar(ft))[keep]
+        lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.field.f)))[keep]
     else:
-        xv = np.array([ex.eval_taylor(_as_expr(c), x, order=tc.order)
-                       for c in spec.field.components], dtype=object)
+        xv = np.array([tc.jet(c) for c in spec.field.components], dtype=object)
         lie = values(tc.lie_metric(xv))[keep]
     residual = 0.5 * lie - psi.value[:, None, None] * values(tc.g)[keep]
-    return violations, residual, lie, psi.value, lam.value, values(tc.ginv)[keep]
+    ginv = values(tc.ginv)[keep]
+    return (violations, np.sqrt(_gnorm2(ginv, residual)), np.sqrt(_gnorm2(ginv, lie)),
+            np.abs(psi.value), lam.value)
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
                      seed: int = 0, trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
-    pts = _probes(spec, probe_set, count, seed)
-    violations, rnorm, lie_norm, psi, lam = [], [], [], [], []
-    for x in probe_batches(pts, spec.chart.dim, 2):
-        bad, residual, lie, psi_v, lam_v, ginv = _point_data(spec, x)
-        violations += bad
-        rnorm.append(np.sqrt(_gnorm2(ginv, residual)))
-        lie_norm.append(np.sqrt(_gnorm2(ginv, lie)))
-        psi.append(np.abs(psi_v))
-        lam.append(lam_v)
-    rnorm, lie_norm, psi, lam = (np.concatenate(v) if v else np.empty(0)
-                                 for v in (rnorm, lie_norm, psi, lam))
+    # map holds no pipeline while the next batch's is built, as a loop would
+    pipelines = _pipelines(spec, probe_set, count, seed, 2)
+    batches = list(map(lambda tc: _point_data(spec, tc), pipelines))
+    violations = [v for batch in batches for v in batch[0]]
+    rnorm, lie_norm, psi, lam = (np.concatenate([batch[i] for batch in batches] or [[]])
+                                 for i in range(1, 5))
     if rnorm.size == 0:
         raise violations[0][1] if violations else ValueError("no probe points")
     lam_min, lam_max = float(lam.min()), float(lam.max())
@@ -154,18 +154,14 @@ def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
     )
 
 
-def _classify(lam_min: float, lam_max: float, zero_tol: float = 1e-8) -> str:
-    if lam_max < -zero_tol:
+def _classify(lam_min: float, lam_max: float) -> str:
+    if lam_max < -ZERO_TOL:
         return "expanding"
-    if lam_min > zero_tol:
+    if lam_min > ZERO_TOL:
         return "shrinking"
-    if abs(lam_min) <= zero_tol and abs(lam_max) <= zero_tol:
+    if abs(lam_min) <= ZERO_TOL and abs(lam_max) <= ZERO_TOL:
         return "steady"
     return "indefinite"
-
-
-def classify(spec: SolitonSpec, probe_set=None, count: int = 40, seed: int = 0) -> str:
-    return soliton_residual(spec, probe_set, count=count, seed=seed).classification
 
 
 @dataclass
@@ -185,14 +181,12 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     """Residuals of the three structural identities of a gradient quotient
     soliton, by pipeline re-differentiation (the second-order item consumes
     fourth-order Taylor data of the metric)."""
-    if not isinstance(spec.field, GradientPotential):
-        raise GeometryError("structural identities require a gradient soliton")
     res_a = res_b = res_c = 0.0
-    for x in probe_batches(_probes(spec, probe_set, count, seed), spec.chart.dim, 4):
-        tc = curvature_taylor(spec.chart, x, order=4)  # lap psi reads A to order 2
+    for tc in _pipelines(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
+                         "structural identities require"):
         n = tc.dim
-        psi = _psi(spec, tc, x)
-        ft = ex.eval_taylor(_as_expr(spec.field.f), x, order=tc.order)
+        psi = _psi(spec, tc)
+        ft = tc.jet(spec.field.f)
         ginv = values(tc.ginv)
         ric = values(tc.ricci)
 
@@ -212,28 +206,26 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
 
 
 def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
-                seed: int = 0, r_tol: float = 1e-6) -> float:
+                seed: int = 0) -> float:
     """Residual of the constant-scalar-curvature second-order identity
     hess psi = -(R / (n(n-1))) psi g, with psi = log sigma_k/sigma_l - lambda.
 
-    Raises GeometryError when R is not constant over the probe set (the
-    identity presupposes constant scalar curvature)."""
-    if not isinstance(spec.field, GradientPotential):
-        raise GeometryError("the second-order identity requires a gradient soliton")
-    data = [(x, curvature_taylor(spec.chart, x, order=4))  # hess psi reads A to order 2
-            for x in probe_batches(_probes(spec, probe_set, count, seed),
-                                   spec.chart.dim, 4)]
-    scalars = np.concatenate([tc.scalar.value for _, tc in data])
+    Raises GeometryError when R deviates from its mean over the probe set by
+    more than R_TOL (1 + |mean|): the identity presupposes constant scalar
+    curvature."""
+    data = list(_pipelines(spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
+                           "the second-order identity requires"))
+    scalars = np.concatenate([tc.scalar.value for tc in data])
     mean_r = float(np.mean(scalars))
     dev = float(np.max(np.abs(scalars - mean_r)))
-    if dev > r_tol * (1.0 + abs(mean_r)):
+    if dev > R_TOL * (1.0 + abs(mean_r)):
         raise GeometryError(
             f"scalar curvature not constant on probes: deviation {dev:.3g} "
             f"about mean {mean_r:.6g}")
     worst = 0.0
-    for x, tc in data:
+    for tc in data:
         n = tc.dim
-        psi = _psi(spec, tc, x)
+        psi = _psi(spec, tc)
         hess = values(tc.hessian_scalar(psi))
         resid = hess + (mean_r / (n * (n - 1))) * psi.value[:, None, None] * values(tc.g)
         worst = max(worst, float(np.max(np.sqrt(_gnorm2(values(tc.ginv), resid)))))

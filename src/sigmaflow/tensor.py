@@ -36,11 +36,6 @@ class TensorValue:
 # -- symmetric eigenvalues -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetricSpectrum:
-    eigenvalues: np.ndarray  # ascending
-
-
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
     a = np.array(a, dtype=float)
@@ -70,7 +65,7 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50) 
     return np.sort(np.diag(a))
 
 
-def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> SymmetricSpectrum:
+def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a metric-self-adjoint (1,1) tensor.
 
     The endomorphism is moved to a metric-orthonormal frame via the
@@ -87,7 +82,7 @@ def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> SymmetricSpectrum:
     chol = np.linalg.cholesky(metric)
     frame = chol.T @ comps @ np.linalg.inv(chol.T)
     frame = 0.5 * (frame + frame.T)
-    return SymmetricSpectrum(jacobi_eigenvalues(frame))
+    return jacobi_eigenvalues(frame)
 
 
 # -- elementary symmetric polynomials --------------------------------------

@@ -1,9 +1,9 @@
 """Reference implementations that only the tests use: index gymnastics
-and contractions of dense tensors, sigma_k by index, a symbolic partial
-derivative of expressions, the quotient flow's grid formulas without
-cached tables, and the curvature pipeline as index loops over jets.  Each
-is checked by its own test and serves as an independent oracle for the
-program's jet pipeline or flow."""
+and contractions of dense tensors, sigma_k by index, Halton probes by
+scalar loops, a symbolic partial derivative of expressions, the quotient
+flow's grid formulas without cached tables, and the curvature pipeline as
+index loops over jets.  Each is checked by its own test and serves as an
+independent oracle for the program's jet pipeline, probes or flow."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from sigmaflow import taylor
 from sigmaflow.curvature import MetricChart, TaylorCurvature, taylor_metric
 from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var
 from sigmaflow.flow import FlowState, sphere_area
-from sigmaflow.tensor import (SymmetricSpectrum, TensorError, TensorValue,
-                              elementary_all)
+from sigmaflow.tensor import TensorError, TensorValue, elementary_all
 
 
 # -- dense tensors ---------------------------------------------------------
@@ -62,13 +61,32 @@ def lower_index(t: TensorValue, metric: np.ndarray, slot: int = 0) -> TensorValu
     return TensorValue(t.dim, (p - 1, q + 1), comps)
 
 
-def elementary_symmetric(spec: SymmetricSpectrum | np.ndarray, k: int) -> float:
+def elementary_symmetric(eig: np.ndarray, k: int) -> float:
     """sigma_k of the eigenvalues via the product-coefficient recurrence."""
-    eig = spec.eigenvalues if isinstance(spec, SymmetricSpectrum) else np.asarray(spec)
+    eig = np.asarray(eig)
     n = len(eig)
     if not 0 <= k <= n:
         raise TensorError(f"k={k} out of range 0..{n}")
     return elementary_all(eig)[k]
+
+
+# -- Halton probes ---------------------------------------------------------
+
+
+def halton_points(domain, count: int, seed: int = 0) -> np.ndarray:
+    """``probes.halton_points`` one radical inverse at a time, in Python
+    integers: the loop the vectorised version must match bit for bit."""
+    pts = np.empty((count, len(domain)))
+    for row in range(count):
+        for d, (lo, hi) in enumerate(domain):
+            base, i, f, u = (2, 3, 5, 7, 11, 13, 17, 19)[d], 20 + 1013 * seed + row, 1.0, 0.0
+            while i > 0:
+                f /= base
+                u += f * (i % base)
+                i //= base
+            pad = 0.1 * (hi - lo)
+            pts[row, d] = lo + pad + u * (hi - lo - 2 * pad)
+    return pts
 
 
 # -- symbolic derivative ---------------------------------------------------

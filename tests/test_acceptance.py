@@ -120,7 +120,7 @@ def test_criterion_04_newton_identities():
             pack = curvature_at(model.chart, x)
             sig = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
             for k in range(n):
-                tk = newton_tensor(pack, k).value.components
+                tk = newton_tensor(pack, k).components
                 scale = max(abs(sig[k]), abs(sig[k + 1]), 1e-3)
                 tr_err = max(tr_err,
                              abs(np.trace(tk) - (n - k) * sig[k]) / scale,
@@ -323,7 +323,7 @@ def test_criterion_12_oracle_equivalence():
         direct = sum((-1.0) ** j * sig[k - j]
                      * np.linalg.matrix_power(pack.endo, j)
                      for j in range(k + 1))
-        horner = newton_tensor(pack, k).value.components
+        horner = newton_tensor(pack, k).components
         newt_err = max(newt_err, float(np.max(np.abs(direct - horner))))
     ok = fd_err < 1e-6 and eig_err < 1e-8 and newt_err < 1e-10
     report(12, ok, f"FD Riemann {fd_err:.2e}, charpoly eigenvalues "

@@ -5,7 +5,7 @@ run whole probe sets through it report what a per-probe loop reports."""
 import numpy as np
 import pytest
 
-from sigmaflow import cli, curvature, models
+from sigmaflow import cli, curvature, models, sigma
 from sigmaflow import expr as ex
 from sigmaflow.curvature import (GeometryError, MetricChart, curvature_taylor,
                                  probe_batches, values)
@@ -206,7 +206,7 @@ def test_split_batches_report_what_one_batch_reports(monkeypatch):
     pts = chart_probes(spec.chart, 10, seed=0)
     whole = soliton_residual(spec, probe_set=pts)
     monkeypatch.setattr(curvature, "BATCH_BYTES", 1)  # one probe per batch
-    assert len(probe_batches(pts, 3, 2)) == 10
+    assert len(probe_batches(pts, 2)) == 10
     split = soliton_residual(spec, probe_set=pts)
     assert split.to_dict() == whole.to_dict()
     assert [x.tolist() for x, _ in split.cone_violations] == \
@@ -215,7 +215,7 @@ def test_split_batches_report_what_one_batch_reports(monkeypatch):
 
 def test_benchmark_probe_sets_fit_one_batch():
     for dim, order, count in ((3, 2, 16), (4, 2, 16), (5, 2, 16), (4, 4, 12)):
-        assert len(probe_batches(np.zeros((count, dim)), dim, order)) == 1
+        assert len(probe_batches(np.zeros((count, dim)), order)) == 1
 
 
 def test_one_pipeline_per_probe_set(pipeline_orders):
@@ -230,3 +230,20 @@ def test_one_pipeline_per_probe_set(pipeline_orders):
     for fn in calls:
         pipeline_orders.declared(fn)
         assert len(pipeline_orders.requested) == 1
+
+
+def test_single_point_entry_points_refuse_a_batch():
+    # curvature_at, the conformal laws and divergence_newton report at one
+    # point; a (P, n) batch is a GeometryError, never a numpy or tensor error
+    chart = models.sphere(4).chart
+    pts = chart_probes(chart, 2, seed=1)
+    calls = [lambda: curvature.curvature_at(chart, pts),
+             lambda: sigma.conformal_schouten(chart, pts, "exp(0.1*x1)"),
+             lambda: sigma.conformal_ricci(chart, pts, "exp(0.1*x1)"),
+             lambda: sigma.divergence_newton(chart, pts, 1)]
+    for fn in calls:
+        with pytest.raises(GeometryError, match=r"one point of shape \(4,\), got shape \(2, 4\)"):
+            fn()
+    # covariant_ops takes a batch
+    ops = curvature.covariant_ops(chart, pts, f="x1")
+    assert ops.hessian.shape == (2, 4, 4)

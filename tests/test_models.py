@@ -67,8 +67,7 @@ def test_example4_odd_dim_has_flat_direction():
     x = probe(model, count=1)[0]
     pack = curvature_at(model.chart, x)
     assert np.max(np.abs(pack.ricci + pack.g)) > 0.4
-    prof = sigma_profile(pack, model.k, model.l)
-    assert prof.cone_ok
+    sigma_profile(pack, model.k, model.l)  # ConeConditionError otherwise
 
 
 def test_product_line_sphere_sigma1():

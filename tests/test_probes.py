@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sigmaflow import models
 from sigmaflow.curvature import GeometryError
 from sigmaflow.probes import chart_probes, halton_points
@@ -46,3 +47,17 @@ def test_chart_probes_respect_domain():
     model = models.hyperbolic(4)
     for x in chart_probes(model.chart, 30):
         assert model.chart.contains(x)
+
+
+def test_points_equal_the_scalar_loop_bit_for_bit():
+    # numpy's int64 would wrap where the loop's Python integers grow, so a
+    # seed past int64 is one of the cases
+    domains = [((-1.0, 1.0),) * 3, ((0.5, 1.5), (-2.0, 3.0)), ((-0.9, 0.9),) * 8,
+               ((-1, 1), (0, 4))]
+    for domain in domains:
+        for seed in (0, 1, 904, 10 ** 6, 10 ** 20):
+            for count in (0, 1, 7, 40):
+                got = halton_points(domain, count, seed=seed)
+                want = oracles.halton_points(domain, count, seed=seed)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                    (domain, seed, count)

@@ -8,7 +8,7 @@ from sigmaflow.curvature import GeometryError, covariant_ops
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import ConeConditionError
 from sigmaflow.soliton import (GradientPotential, SolitonSpec, VectorField,
-                               classify, lemma_structural_check, obata_check,
+                               lemma_structural_check, obata_check,
                                soliton_residual)
 
 
@@ -143,7 +143,7 @@ def test_classification_shrinking_steady_expanding():
     model = models.example4(4)
     base = float(ex.eval_float(model.lam, [0.1] * 4))
     assert base < 0.0
-    assert classify(spec_of(model), count=6) == "expanding"
+    assert soliton_residual(spec_of(model), count=6).classification == "expanding"
     shrunk = SolitonSpec(chart=model.chart,
                          field=VectorField(model.vector_field),
                          lam=ex.parse(f"{-base}"), k=model.k, l=model.l)
