@@ -7,7 +7,8 @@ verification pass, 1 verification fail, 2 input error, 3 geometry error,
 4 flow abort.  Exit 2 prints one error line (after argparse's usage line
 for a bad argument) and covers, among others, a non-positive or non-finite
 `flow`/`verify` number, a negative `verify` seed, a flow's n, (k, l) or
-grid, a hodge grid, and a spec's (k, l), domain or expressions.
+grid, a hodge grid, a spec's (k, l), domain or expressions, and an input
+too large for memory.
 numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS, which must be set before Python starts.
 """
@@ -305,7 +306,7 @@ def build_parser():
     add_source(v)
     v.add_argument("--probes", type=_positive(int), default=40)
     v.add_argument("--tolerance", type=_positive(float), default=1e-7)
-    v.add_argument("--trivial-tol", type=_positive(float), default=1e-7)
+    v.add_argument("--trivial-tol", type=_positive(float), default=soliton.TRIVIAL_TOL)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
@@ -342,8 +343,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ex.EvalError) as err:
-        print(f"input error: {err}", file=sys.stderr)
+    except (InputError, ex.EvalError, MemoryError) as err:  # MemoryError: input too large
+        print(f"input error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except (GeometryError, ConeConditionError) as err:
         print(f"geometry error: {err}", file=sys.stderr)

@@ -22,13 +22,14 @@ pipeline.
 points of shape (P, n) and runs one pipeline for the whole batch: every
 jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
 arrays of shape (P, ...).  The domain and positive-definiteness checks run
-per probe and name the first probe that fails.  Jets combined with a
+per probe and name the first probe that fails; the metric's test is the
+chart's, a positive smallest eigenvalue.  Jets combined with a
 pipeline are evaluated by ``TaylorCurvature.jet`` at its ``points`` and
 order.  ``curvature_at``, the conformal laws and ``divergence_newton`` take
 one point.  Memory grows with P, so callers split large probe sets with
 ``probe_batches``, which keeps the estimated jet storage of one pipeline
 under ``BATCH_BYTES``.  The inverse metric is Gauss-Jordan elimination
-without pivoting: the metric has passed the Cholesky check, so it is
+without pivoting: the metric has passed the eigenvalue test, so it is
 symmetric positive definite, where elimination without pivoting is stable.
 
 Every stage is a numpy contraction over object arrays of jets (``@``,
@@ -83,11 +84,11 @@ class MetricChart:
     once, symmetry and positive definiteness on a coarse grid."""
 
     def __init__(self, dim, comps, domain, validate=True):
-        check_int(dim, "chart dimension", 2, 8)
+        check_int(dim, "chart dimension", 2, taylor.MAX_DIM)
         if len(comps) != dim or any(len(row) != dim for row in comps):
             raise GeometryError(f"metric must be a {dim}x{dim} array")
         self.dim = dim
-        self.comps = [[_as_expr(comps[i][j]) for j in range(dim)] for i in range(dim)]
+        self.comps = [[ex.as_expr(comps[i][j]) for j in range(dim)] for i in range(dim)]
         try:
             self.domain = [(float(lo), float(hi)) for lo, hi in domain]
         except (TypeError, ValueError) as err:
@@ -99,7 +100,12 @@ class MetricChart:
             self._validate()
 
     def _validate(self):
-        x = self.probe_grid(3)
+        # a 3-point grid per axis, 5% clear of both ends
+        axes = []
+        for lo, hi in self.domain:
+            pad = 0.05 * (hi - lo)
+            axes.append(np.linspace(lo + pad, hi - pad, 3))
+        x = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(self.dim, -1)
         g = self.metric_values(x)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -116,15 +122,6 @@ class MetricChart:
         if not np.all(ok):
             raise GeometryError(f"{what} at {x[:, np.argmin(ok)].tolist()}")
 
-    def probe_grid(self, per_axis: int) -> np.ndarray:
-        """Small interior grid used for construction-time checks, as stacked
-        coordinates of shape (dim, per_axis ** dim)."""
-        axes = []
-        for lo, hi in self.domain:
-            pad = 0.05 * (hi - lo)
-            axes.append(np.linspace(lo + pad, hi - pad, per_axis))
-        return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(self.dim, -1)
-
     def contains(self, x) -> bool:
         return all(lo - 1e-12 <= xi <= hi + 1e-12
                    for xi, (lo, hi) in zip(x, self.domain))
@@ -138,10 +135,6 @@ class MetricChart:
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = ex.eval_float(self.comps[i][j], x)
         return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
-def _as_expr(e):
-    return ex.parse(e) if isinstance(e, str) else e
 
 
 # -- Taylor-valued tensor algebra -----------------------------------------
@@ -262,7 +255,7 @@ class TaylorCurvature:
 
     def jet(self, e) -> TaylorScalar:
         """``e``, an Expr or its source, as a jet at the pipeline's points and order."""
-        return ex.eval_taylor(_as_expr(e), self.points, order=self.order)
+        return ex.eval_taylor(ex.as_expr(e), self.points, order=self.order)
 
     def cov_deriv_02(self, t: np.ndarray) -> np.ndarray:
         """nabla_i t_jk = d_i t_jk - Gamma^l_ij t_lk - Gamma^l_ik t_jl for a
@@ -319,15 +312,10 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
             raise GeometryError(f"point {p} outside chart domain")
     n = chart.dim
     g = taylor_metric(chart, x, order)
-    gv = values(g)
-    try:
-        np.linalg.cholesky(gv)
-    except np.linalg.LinAlgError:
-        for p, m in zip(x.reshape(-1, n), gv.reshape(-1, n, n)):  # name the first
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                raise GeometryError(f"metric not positive definite at {p}") from None
+    ok = np.linalg.eigvalsh(values(g))[..., 0] > 0  # the chart's test, per probe
+    if not np.all(ok):
+        raise GeometryError(
+            f"metric not positive definite at {x.reshape(-1, n)[ok.argmin()]}")
     ginv = taylor_inverse(g)
     i, j = np.triu_indices(n)
 

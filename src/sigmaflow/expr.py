@@ -1,7 +1,8 @@
 """Closed-form expression language for metric components and soliton data.
 
 Grammar (standard precedence, ``^`` right-associative and tighter than
-unary minus):
+unary minus).  One table, ``_PREC``, states how tightly each operator
+binds; the parser climbs it and the printer parenthesizes by it:
 
     expr   :=  term  (('+' | '-') term)*
     term   :=  unary (('*' | '/') unary)*
@@ -107,6 +108,8 @@ Expr = Num | Var | Const | Neg | Bin | Call
 
 # -- tokenizer / parser ----------------------------------------------------
 
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -159,25 +162,17 @@ class _Parser:
             raise ParseError(f"unexpected {text!r}", off)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                e = Bin(text, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def expr(self, level: int = _PREC["+"]) -> Expr:
+        """Precedence climbing: ``unary`` operands joined by the
+        left-associative operators of ``_PREC`` that bind at ``level`` or
+        tighter, and looser than unary minus."""
         e = self.unary()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                e = Bin(text, e, self.unary())
-            else:
+            if kind != "op" or not level <= _PREC.get(text, 0) < _PREC["neg"]:
                 return e
+            self.next()
+            e = Bin(text, e, self.expr(_PREC[text] + 1))
 
     def unary(self) -> Expr:
         kind, text, _ = self.peek()
@@ -235,9 +230,12 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-# -- pretty printer --------------------------------------------------------
+def as_expr(e) -> Expr:
+    """``e`` parsed when it is a string, else ``e`` itself."""
+    return parse(e) if isinstance(e, str) else e
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+# -- pretty printer --------------------------------------------------------
 
 
 def _fmt_num(v: float) -> str:

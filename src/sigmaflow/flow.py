@@ -186,8 +186,14 @@ def sigma_nodes(state: FlowState, j: int) -> np.ndarray:
     """sigma_j of the two-eigenvalue spectrum (lam_t with multiplicity n-1,
     lam_r once)."""
     check_int(j, "sigma index j", 0, state.n)
+    return _nodal_sigmas(state, j)[1]
+
+
+def _nodal_sigmas(state: FlowState, *js):
+    """The tangential eigenvalue lam_t and, for each j of ``js``, sigma_j at
+    the nodes, from one evaluation of the spectrum."""
     lam_r, lam_t = schouten_eigenvalues(state)
-    return _sigma_from_eigs(state.n, j, lam_r, lam_t)
+    return (lam_t, *(_sigma_from_eigs(state.n, j, lam_r, lam_t) for j in js))
 
 
 def _sigma_from_eigs(n: int, j: int, lam_r, lam_t):
@@ -223,17 +229,10 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
-def _nodal_sigmas(state: FlowState):
-    """The tangential eigenvalue lam_t and sigma_k, sigma_l at the nodes."""
-    lam_r, lam_t = schouten_eigenvalues(state)
-    return (lam_t, _sigma_from_eigs(state.n, state.k, lam_r, lam_t),
-            _sigma_from_eigs(state.n, state.l, lam_r, lam_t))
-
-
 def _log_quotient_nodes(state: FlowState):
     """Nodal log(sigma_k/sigma_l), its sigma_l-weighted mean log r_{k,l} and
     int sigma_l dv."""
-    _, sk, sl = _nodal_sigmas(state)
+    _, sk, sl = _nodal_sigmas(state, state.k, state.l)
     bad = sk * sl <= 0.0
     if bad.any():
         node = int(np.argmax(bad))
@@ -265,7 +264,7 @@ def stable_dt(state: FlowState) -> float:
     """Conservative parabolic step bound dt = DT_SAFETY h^2 / (1 + gain),
     where the gain estimates the sensitivity of the right side to u''."""
     n, k, l = state.n, state.k, state.l
-    lam_t, sk, sl = _nodal_sigmas(state)
+    lam_t, sk, sl = _nodal_sigmas(state, k, l)
     # d log sigma_j / d u'' = e^{2u} * (d sigma_j / d lam_r) / sigma_j
     dsk, dsl = (math.comb(n - 1, j - 1) * lam_t ** (j - 1) if j >= 1 else 0.0
                 for j in (k, l))

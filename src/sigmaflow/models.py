@@ -3,7 +3,9 @@
 The catalog covers the flat space, the round sphere in the stereographic
 chart, hyperbolic space in the Poincare ball, the product of a line with a
 round sphere, the diagonal log-cosh metric on R^n, and warped products over
-an interval.
+an interval.  ``warped`` is the one constructor of a warped product: it
+checks the warping factor and builds the chart, whose Ricci tensor
+``warped_ricci_formula`` assembles from the factor and the fiber.
 """
 
 from __future__ import annotations
@@ -186,59 +188,41 @@ def example4(n: int) -> ModelManifold:
 # -- warped products -------------------------------------------------------
 
 
-@dataclass
-class WarpedProductSpec:
-    fiber: ModelManifold
-    xi: "ex.Expr"                 # warping factor as an expression in x1 = t
-    interval: tuple[float, float]
-
-
 def warped(xi, fiber: ModelManifold, interval=(0.5, 1.5)) -> ModelManifold:
-    """Warped product dt^2 + xi(t)^2 g_fiber; fiber coordinates shift up by
-    one so that x1 is the interval coordinate."""
-    spec = warped_spec(xi, fiber, interval)
-    return ModelManifold(name=f"warped[{ex.unparse(spec.xi)};{fiber.name}]",
-                         chart=warped_chart(spec))
-
-
-def warped_spec(xi, fiber: ModelManifold, interval=(0.5, 1.5)) -> WarpedProductSpec:
-    xi = ex.parse(xi) if isinstance(xi, str) else xi
+    """Warped product dt^2 + xi(t)^2 g_fiber, with xi (an Expr or its source
+    in x1 = t) checked positive at 7 points of ``interval``; fiber
+    coordinates shift up by one so that x1 is the interval coordinate."""
+    xi = ex.as_expr(xi)
     lo, hi = interval
     t = np.linspace(lo, hi, 7)
     bad = ex.eval_float(xi, [t]) <= 0.0
     if bad.any():
         raise GeometryError(f"warping factor must be positive on the interval; "
                             f"fails at t = {t[bad][0]}")
-    return WarpedProductSpec(fiber=fiber, xi=xi, interval=(float(lo), float(hi)))
-
-
-def warped_chart(spec: WarpedProductSpec) -> MetricChart:
-    m = spec.fiber.chart.dim
-    dim = m + 1
-    xi2 = ex.Bin("^", spec.xi, ex.Num(2.0))
-    comps = [[ex.Num(0.0)] * dim for _ in range(dim)]
+    m = fiber.chart.dim
+    xi2 = ex.Bin("^", xi, ex.Num(2.0))
+    comps = [[ex.Num(0.0)] * (m + 1) for _ in range(m + 1)]
     comps[0][0] = ex.Num(1.0)
     for i in range(m):
         for j in range(m):
-            fib = ex.shift_vars(spec.fiber.chart.comps[i][j], 1)
+            fib = ex.shift_vars(fiber.chart.comps[i][j], 1)
             comps[i + 1][j + 1] = ex.Bin("*", xi2, fib)
-    domain = [spec.interval] + spec.fiber.chart.domain
-    return MetricChart(dim, comps, domain)
+    chart = MetricChart(m + 1, comps, [(float(lo), float(hi))] + fiber.chart.domain)
+    return ModelManifold(name=f"warped[{ex.unparse(xi)};{fiber.name}]", chart=chart)
 
 
-def warped_ricci_formula(spec: WarpedProductSpec, point) -> TensorValue:
+def warped_ricci_formula(xi, fiber: ModelManifold, point) -> TensorValue:
     """Ricci of dt^2 + xi^2 g_F assembled from the warped-product formula
     Ric = Ric^F - (n-1)(xi''/xi) dt (x) dt - [(n-2) xi'^2 + xi xi''] g^F,
-    in the coordinates of ``warped_chart`` (fiber block unscaled by xi^2)."""
+    in the coordinates of ``warped`` (fiber block unscaled by xi^2)."""
     point = np.asarray(point, dtype=float)
-    m = spec.fiber.chart.dim
-    n = m + 1
+    n = fiber.chart.dim + 1
     t, fiber_pt = point[0], point[1:]
-    xt = ex.eval_taylor(spec.xi, [t])
+    xt = ex.eval_taylor(ex.as_expr(xi), [t])
     xi, dxi, ddxi = xt.value, xt.derivative((1,)), xt.derivative((2,))
     if xi <= 0.0:
         raise GeometryError(f"warping factor non-positive at t = {t}")
-    fiber_pack = curvature_at(spec.fiber.chart, fiber_pt)
+    fiber_pack = curvature_at(fiber.chart, fiber_pt)
     gf = fiber_pack.g
     out = np.zeros((n, n))
     out[0, 0] = -(n - 1) * ddxi / xi

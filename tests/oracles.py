@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use: index gymnastics
 and contractions of dense tensors, sigma_k by index, Halton probes by
-scalar loops, a symbolic partial derivative of expressions, the quotient
-flow's grid formulas without cached tables, and the curvature pipeline as
-index loops over jets.  Each is checked by its own test and serves as an
-independent oracle for the program's jet pipeline, probes or flow."""
+scalar loops, a symbolic partial derivative of expressions and a variable
+substitution, the quotient flow's grid formulas without cached tables, and
+the curvature pipeline as index loops over jets.  Each is checked by its
+own test and serves as an independent oracle for the program's jet
+pipeline, probes or flow."""
 
 from __future__ import annotations
 
@@ -136,6 +137,20 @@ def differentiate(e: Expr, var: int) -> Expr:
         outer = _DERIV_RULES[e.name](e.arg)
         return Bin("*", outer, differentiate(e.arg, var))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def substitute(e: Expr, exprs) -> Expr:
+    """``e`` with every variable x_i replaced by ``exprs[i - 1]``: e o phi
+    for the map phi whose components ``exprs`` are."""
+    if isinstance(e, Var):
+        return exprs[e.index - 1]
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, exprs))
+    if isinstance(e, Call):
+        return Call(e.name, substitute(e.arg, exprs))
+    if isinstance(e, Bin):
+        return Bin(e.op, substitute(e.left, exprs), substitute(e.right, exprs))
+    return e
 
 
 # -- the quotient flow, one grid formula per call --------------------------

@@ -179,12 +179,12 @@ def test_criterion_07_warped_ricci():
     worst = 0.0
     for xi in ("1", "sinh(x1)", "cosh(x1)"):
         for fiber_builder in (models.sphere, models.hyperbolic):
-            spec = models.warped_spec(xi, fiber_builder(3))
-            chart = models.warped_chart(spec)
+            fiber = fiber_builder(3)
+            chart = models.warped(xi, fiber).chart
             for _ in range(3):
                 x = [rng.uniform(0.6, 1.4),
                      *rng.uniform(-0.2, 0.2, size=3)]
-                formula = models.warped_ricci_formula(spec, x).components
+                formula = models.warped_ricci_formula(xi, fiber, x).components
                 direct = curvature_at(chart, x).ricci
                 worst = max(worst, float(np.max(np.abs(formula - direct))))
     report(7, worst < 1e-7,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -382,3 +383,21 @@ def test_malformed_arguments_exit_2(argv):
     lines = proc.stderr.strip().splitlines()
     assert lines[-1].startswith(("input error:", "sigmaflow ")), proc.stderr
     assert sum("error:" in line for line in lines) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("hodge", "--n", "2", "--grid", "1048576", "--field", "x1; x2"), 4_096_000_000),
+    (flow_argv(grid="1000000000000", t_end="0.1"), 4_096_000_000),
+    (("verify", "--builtin", "sphere:3", "--probes", "1000000000"), 2_048_000_000),
+], ids=["hodge-grid", "flow-grid", "verify-probes"])
+def test_inputs_too_large_for_memory_exit_2(argv, cap):
+    # in a process whose address space is capped, so that no run can take
+    # the machine's memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sigmaflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1, proc.stderr

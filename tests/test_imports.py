@@ -1,6 +1,8 @@
 """No dead imports in the package: every name a module of ``sigmaflow``
 (other than ``__init__``, which re-exports) imports is used in that module.
-A string annotation such as ``"ex.Expr"`` counts as a use."""
+A string annotation such as ``"ex.Expr"`` counts as a use.  No dead private
+names either: every module-level ``_name`` is read, taken as an attribute or
+imported somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -52,3 +54,46 @@ def test_the_guard_sees_string_annotations_and_dead_names():
     source = ("from . import expr as ex\nfrom .curvature import values, _d\n"
               "def f(e: 'ex.Expr'):\n    return _d(e)\n")
     assert dead_imports(source) == {"values"}
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """The ``_name`` bound at module level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Names read, attributes taken and names imported anywhere in ``tree``."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def dead_privates(sources: dict) -> dict:
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = set().union(*map(referenced_names, trees.values()))
+    return {name: sorted(dead) for name, tree in trees.items()
+            if (dead := private_definitions(tree) - refs)}
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_privates(sources) == {}
+
+
+def test_the_guard_sees_dead_private_names():
+    sources = {"a.py": "_used = 1\n_dead = 2\ndef _gone(): pass\nclass _Kept: pass\n",
+               "b.py": "from .a import _used\nimport a\nprint(a._Kept)\n"}
+    assert dead_privates(sources) == {"a.py": ["_dead", "_gone"]}

@@ -93,14 +93,13 @@ def test_golden_tables_all_pass():
 @pytest.mark.parametrize("fiber_name", ["sphere", "hyperbolic"])
 def test_warped_ricci_formula_vs_direct(xi_name, xi_src, fiber_name):
     fiber = getattr(models, fiber_name)(3)
-    spec = models.warped_spec(xi_src, fiber)
-    chart = models.warped_chart(spec)
+    chart = models.warped(xi_src, fiber).chart
     rng = np.random.default_rng(71)
     for _ in range(3):
         t = rng.uniform(0.6, 1.4)
         fp = rng.uniform(-0.2, 0.2, size=3)
         x = [t, *fp]
-        formula = models.warped_ricci_formula(spec, x).components
+        formula = models.warped_ricci_formula(xi_src, fiber, x).components
         direct = curvature_at(chart, x).ricci
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(formula - direct)) < 1e-10 * scale
@@ -125,7 +124,7 @@ def test_builtin_names():
 
 def test_warping_factor_must_be_positive():
     with pytest.raises(GeometryError):
-        models.warped_spec("x1 - 1", models.sphere(3))
+        models.warped("x1 - 1", models.sphere(3))
 
 
 def test_hyperbolic_parity_constraint():

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from sigmaflow import models
-from sigmaflow.curvature import GeometryError
+from sigmaflow.curvature import BATCH_BYTES, GeometryError
 from sigmaflow.probes import chart_probes, halton_points
 
 
@@ -61,3 +61,11 @@ def test_points_equal_the_scalar_loop_bit_for_bit():
                 want = oracles.halton_points(domain, count, seed=seed)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
                     (domain, seed, count)
+
+
+def test_a_count_past_the_jet_budget_is_refused_before_it_is_built():
+    # the (count, dim) points alone would exceed the budget that bounds one
+    # pipeline's jets
+    domain = ((-1.0, 1.0),) * 8
+    with pytest.raises(GeometryError, match="probe budget"):
+        halton_points(domain, BATCH_BYTES // (8 * len(domain)) + 1)

@@ -1,6 +1,7 @@
-"""Property test over metric-spec documents: whatever a document holds,
-``curvature --file`` ends in exit 0, 2 (input error) or 3 (geometry error)
-and never raises."""
+"""Property tests over metric-spec documents: whatever a document holds,
+``curvature --file`` ends in exit 0, 2 (input error) or 3 (geometry error),
+``verify --file`` in 0 to 3 (1: the residual check failed), an error exit
+prints one stderr line, and no exception leaves ``cli.main``."""
 
 import io
 import json
@@ -12,7 +13,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sigmaflow import expr as ex
 from sigmaflow.cli import main
+from test_rings import TREES
 
 ABSENT = object()
 
@@ -76,3 +79,49 @@ def test_curvature_exit_code_on_any_spec_document(doc):
     assert code in (0, 2, 3), (doc, code, err.getvalue())
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def assert_exit(argv, codes, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in codes, (doc, argv, code, err.getvalue())
+    # an error exit prints one line; a pass or a failed residual check none
+    assert err.getvalue().count("\n") == (code >= 2), (doc, argv, err.getvalue())
+
+
+SPHERE3 = "4/(1 + x1^2 + x2^2 + x3^2)^2"
+
+
+@st.composite
+def tree_documents(draw):
+    """The round 3-sphere's spec with one random expression tree (the ring
+    test's) in a metric component, the potential, a vector-field component
+    or lambda."""
+    metric = [[SPHERE3 if i == j else "0" for j in range(3)] for i in range(3)]
+    doc = {"dim": 3, "metric": metric, "domain": [[-0.9, 0.9]] * 3, "k": 2, "l": 1,
+           "potential": "x1", "lambda": "0"}
+    src = ex.unparse(draw(TREES))
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    slot = draw(st.sampled_from(("metric", "potential", "vector_field", "lambda")))
+    if slot == "metric":
+        metric[i][j] = metric[j][i] = src
+    elif slot == "vector_field":
+        del doc["potential"]
+        doc["vector_field"] = ["0"] * 3
+        doc["vector_field"][i] = src
+    else:
+        doc[slot] = src
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree_documents())
+def test_exit_codes_on_random_expressions(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert_exit(["curvature", "--file", path], (0, 2, 3), doc)
+        assert_exit(["verify", "--file", path, "--probes", "5"], (0, 1, 2, 3), doc)
