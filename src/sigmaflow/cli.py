@@ -88,26 +88,24 @@ def spec_from_document(doc, origin="<spec>"):
     comps = [[_expression(src, f"{origin}: metric[{i}][{j}]") for j, src in enumerate(row)]
              for i, row in enumerate(metric)]
     dim = len(comps)  # MetricChart checks it against doc["dim"]
+    potential, vector_field = None, [ex.parse("0")] * dim  # the zero field, if neither is given
     if "potential" in doc:
-        field = soliton.GradientPotential(_expression(doc["potential"], f"{origin}: potential"))
+        potential = _expression(doc["potential"], f"{origin}: potential")
     elif "vector_field" in doc:
         raw = doc["vector_field"]
         if not (isinstance(raw, list) and len(raw) == dim):
             raise InputError(f"{origin}: vector_field needs {dim} components")
-        field = soliton.VectorField(
-            [_expression(s, f"{origin}: vector_field[{a}]") for a, s in enumerate(raw)])
-    else:
-        field = soliton.VectorField([ex.parse("0")] * dim)
+        vector_field = [_expression(s, f"{origin}: vector_field[{a}]") for a, s in enumerate(raw)]
     lam = _expression(doc["lambda"], f"{origin}: lambda") if "lambda" in doc else ex.parse("0")
     try:
         chart = MetricChart(doc["dim"], comps, doc.get("domain", [(-1.0, 1.0)] * dim))
-        return soliton.SolitonSpec(chart=chart, field=field, lam=lam, k=doc["k"], l=doc["l"])
+        return soliton.SolitonSpec(chart, lam, doc["k"], doc["l"], potential, vector_field)
     except GeometryError as err:
         raise InputError(f"{origin}: {err}") from err
 
 
 def _resolve(args):
-    """The builtin model or spec file named on the command line (a chart and (k, l))."""
+    """The SolitonSpec of the builtin model or spec file named on the command line."""
     if getattr(args, "builtin", None):
         try:
             return models.builtin(args.builtin)
@@ -177,9 +175,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _resolve(args)
-    if not isinstance(spec, soliton.SolitonSpec):
-        spec = soliton.SolitonSpec.from_model(spec)
+    spec = soliton.SolitonSpec.from_model(_resolve(args))
     try:  # halton_points checks the seed
         points = chart_probes(spec.chart, args.probes, seed=args.seed)
     except GeometryError as err:
@@ -213,7 +209,10 @@ def cmd_flow(args) -> int:
         state = flow.FlowState.from_function(args.n, args.k, args.l, args.grid, u0)
     except GeometryError as err:  # FlowState checks n, (k, l) and the grid
         raise InputError(str(err)) from err
-    final, diag = flow.run(state, args.t_end, dt=args.dt, cadence=args.cadence)
+    try:
+        final, diag = flow.run(state, args.t_end, dt=args.dt, cadence=args.cadence)
+    except flow.StepLimitError as err:
+        raise InputError(str(err)) from err
     if diag.energy_omitted:
         print(f"warning: E_{args.l} diagnostic omitted (l = n/2 path integral "
               "not implemented; column holds int sigma_l dv)", file=sys.stderr)
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     except (InputError, ex.EvalError, MemoryError) as err:  # MemoryError: input too large
         print(f"input error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
-    except (GeometryError, ConeConditionError) as err:
+    except GeometryError as err:
         print(f"geometry error: {err}", file=sys.stderr)
         return EXIT_GEOMETRY
 

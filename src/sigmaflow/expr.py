@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -109,6 +109,8 @@ Expr = Num | Var | Const | Neg | Bin | Call
 # -- tokenizer / parser ----------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+MAX_DEPTH = 200  # levels of a tree (a walk recurses once a level) and of unary() calls
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -140,6 +142,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0  # open unary() calls
 
     def peek(self):
         return self.tokens[self.i]
@@ -160,6 +163,9 @@ class _Parser:
         kind, text, off = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {text!r}", off)
+        # a chain nests too; a tree deeper than MAX_DEPTH has more tokens
+        if len(self.tokens) > MAX_DEPTH and max(d for _, d in _walk(e)) > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, 0)
         return e
 
     def expr(self, level: int = _PREC["+"]) -> Expr:
@@ -175,11 +181,17 @@ class _Parser:
             e = Bin(text, e, self.expr(_PREC[text] + 1))
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:  # before the recursion it bounds
+            raise ParseError(_TOO_DEEP, off)
         if kind == "op" and text == "-":
             self.next()
-            return Neg(self.unary())
-        return self.power()
+            e = Neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -222,7 +234,7 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse ``source`` into an AST.  Raises ParseError with a byte offset,
-    also when ``source`` is not a string."""
+    also when ``source`` is not a string or nests deeper than MAX_DEPTH."""
     if not isinstance(source, str):
         raise ParseError(f"expression must be a string, not {type(source).__name__}", 0)
     if not source.strip():
@@ -288,16 +300,17 @@ def unparse(e: Expr) -> str:
 # -- evaluation ------------------------------------------------------------
 
 
+def _walk(e: Expr):
+    """Every node of ``e`` with its depth, without recursion."""
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack += [(c, depth + 1) for c in vars(node).values() if isinstance(c, Expr)]
+
+
 def max_var(e: Expr) -> int:
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Neg):
-        return max_var(e.arg)
-    if isinstance(e, Call):
-        return max_var(e.arg)
-    if isinstance(e, Bin):
-        return max(max_var(e.left), max_var(e.right))
-    return 0
+    return max((node.index for node, _ in _walk(e) if isinstance(node, Var)), default=0)
 
 
 _FLOAT_FN = {name: getattr(np, name) for name in FUNCTIONS}
@@ -434,10 +447,5 @@ def shift_vars(e: Expr, offset: int) -> Expr:
     """Rename every variable x_i to x_{i+offset} (used to embed fiber charts)."""
     if isinstance(e, Var):
         return Var(e.index + offset)
-    if isinstance(e, Neg):
-        return Neg(shift_vars(e.arg, offset))
-    if isinstance(e, Call):
-        return Call(e.name, shift_vars(e.arg, offset))
-    if isinstance(e, Bin):
-        return Bin(e.op, shift_vars(e.left, offset), shift_vars(e.right, offset))
-    return e
+    return replace(e, **{key: shift_vars(child, offset) for key, child in vars(e).items()
+                         if isinstance(child, Expr)})

@@ -41,7 +41,12 @@ class BlowUp(GeometryError):
     pass
 
 
+class StepLimitError(ValueError):
+    """A run of more than MAX_STEPS steps, refused before its first."""
+
+
 U_MAX = 10.0  # sup|u|: a FlowState above it is refused, a step above it is a BlowUp
+MAX_STEPS = 10 ** 6  # run refuses more steps of dt; a 1e300-step run would never end
 DT_SAFETY = 0.5  # share of the parabolic step bound that stable_dt takes
 
 
@@ -311,6 +316,9 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
 
     try:
         sample(state)
+        if not t_end - state.t <= MAX_STEPS * dt:
+            raise StepLimitError(f"t_end = {t_end:g} needs more than {MAX_STEPS} steps "
+                                 f"of dt = {dt:g}")
         nstep = 0
         while state.t < t_end - 1e-12:
             state = step(state, min(dt, t_end - state.t))

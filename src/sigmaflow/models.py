@@ -1,4 +1,5 @@
-"""Built-in model manifolds with soliton data and golden curvature values.
+"""Built-in model manifolds with soliton data and golden curvature values,
+each a ``soliton.SolitonSpec``.
 
 The catalog covers the flat space, the round sphere in the stereographic
 chart, hyperbolic space in the Poincare ball, the product of a line with a
@@ -11,26 +12,14 @@ checks the warping factor and builds the chart, whose Ricci tensor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from .curvature import GeometryError, MetricChart, curvature_at
-from .sigma import log_quotient, sigma_profile, sigmas
+from .sigma import cone_values, log_quotient, sigma_profile, sigmas
+from .soliton import SolitonSpec
 from .tensor import TensorValue
-
-
-@dataclass
-class ModelManifold:
-    name: str
-    chart: MetricChart
-    potential: "ex.Expr | None" = None      # gradient soliton potential f
-    vector_field: list | None = None        # contravariant Expr components
-    lam: "ex.Expr | None" = None            # soliton function lambda
-    k: int = 1
-    l: int = 1
-    golden: list = field(default_factory=list)  # (quantity, expected, tol, note)
 
 
 def _sq_norm(n: int, start: int = 1) -> str:
@@ -51,16 +40,14 @@ def _logq_const(n: int, k: int, l: int, base: float) -> float:
 # -- the catalog -----------------------------------------------------------
 
 
-def euclidean(n: int) -> ModelManifold:
+def euclidean(n: int) -> SolitonSpec:
     chart = _diag_chart(n, ["1"] * n, [(-2.0, 2.0)] * n)
-    return ModelManifold(
-        name=f"euclidean:{n}", chart=chart,
-        golden=[("scalar", 0.0, 1e-12, "flat space"),
-                ("riemann_sup", 0.0, 1e-12, "flat space")],
-    )
+    return SolitonSpec(chart, name=f"euclidean:{n}",
+                       golden=[("scalar", 0.0, 1e-12, "flat space"),
+                               ("riemann_sup", 0.0, 1e-12, "flat space")])
 
 
-def sphere(n: int, k: int = 2, l: int = 1) -> ModelManifold:
+def sphere(n: int, k: int = 2, l: int = 1) -> SolitonSpec:
     """Round unit sphere, stereographic chart g = 4 (1+|x|^2)^-2 delta.
 
     Soliton data: f = h_v (ambient height pulled back through the inverse
@@ -76,7 +63,7 @@ def _sphere_height(n: int) -> str:
     return f"(2*({lin}) + {float(v[n])!r}*(1 - {s})) / (1 + {s})"
 
 
-def hyperbolic(n: int, k: int = 3, l: int = 1) -> ModelManifold:
+def hyperbolic(n: int, k: int = 3, l: int = 1) -> SolitonSpec:
     """Hyperbolic space, Poincare ball chart g = 4 (1-|x|^2)^-2 delta.
 
     Soliton data: f = h_v with the ball-to-hyperboloid height, lambda =
@@ -99,7 +86,7 @@ _SPACE_FORMS = {1: ("sphere", "+", "", "round sphere"),
                 -1: ("hyperbolic", "-", "-", "hyperbolic space")}
 
 
-def _space_form(n: int, sign: int, k: int, l: int, height, box) -> ModelManifold:
+def _space_form(n: int, sign: int, k: int, l: int, height, box) -> SolitonSpec:
     """The space form of curvature ``sign`` (+1 or -1) in its conformally flat
     chart g = 4 (1 + sign |x|^2)^-2 delta on the box [-box(), box()]^n, with
     f = height(n), lambda = sign f + log(sigma_k/sigma_l) and the golden
@@ -115,13 +102,11 @@ def _space_form(n: int, sign: int, k: int, l: int, height, box) -> ModelManifold
               ("schouten_vs_metric", sign / 2, 1e-9, f"A = {neg}g/2")]
     golden += [(f"sigma:{j}", math.comb(n, j) * (sign / 2) ** j, 1e-9, "sigma table")
                for j in range(1, n + 1)]
-    return ModelManifold(
-        name=f"{name}:{n}", chart=chart,
-        potential=ex.parse(h), lam=ex.parse(lam), k=k, l=l, golden=golden,
-    )
+    return SolitonSpec(chart, ex.parse(lam), k, l, potential=ex.parse(h),
+                       name=f"{name}:{n}", golden=golden)
 
 
-def product_line_sphere(n: int) -> ModelManifold:
+def product_line_sphere(n: int) -> SolitonSpec:
     """R x S^n with f = t: the trivial quotient soliton with k = l.
 
     The paper's displayed metric dt^2 + g_{R^n} is read as a typo for
@@ -132,13 +117,11 @@ def product_line_sphere(n: int) -> ModelManifold:
     # sigma_1 computes to (n-1)/2 here, not the n/2 the source example quotes;
     # with k = l the quotient is 1 either way and the soliton is trivial.
     golden = [("sigma:1", (n - 1) / 2.0, 1e-9, "product line x sphere")]
-    return ModelManifold(
-        name=f"product_line_sphere:{n}", chart=chart,
-        potential=ex.parse("x1"), lam=ex.parse("0"), k=1, l=1, golden=golden,
-    )
+    return SolitonSpec(chart, ex.parse("0"), potential=ex.parse("x1"),
+                       name=f"product_line_sphere:{n}", golden=golden)
 
 
-def example4(n: int) -> ModelManifold:
+def example4(n: int) -> SolitonSpec:
     """Diagonal metric g_ii = e^{2 u_i} on R^n with u_i = log cosh(x_{tau(i)})
     for even i (tau the n-cycle), zero for odd i.
 
@@ -177,18 +160,16 @@ def example4(n: int) -> ModelManifold:
         # pair of one sigma vector computed through the pipeline.
         sig = sigmas(curvature_at(chart, np.full(n, 0.2)).endo)
         pairs = [(k, l)] + [(kk, ll) for kk in range(2, n + 1) for ll in range(1, kk)]
-        k, l = next(((kk, ll) for kk, ll in pairs if sig[kk] * sig[ll] > 0.0), (k, l))
+        k, l = next((p for p in pairs if cone_values(sig, *p)[2]), (k, l))
         logq = log_quotient(sig, k, l)  # ConeConditionError if no pair is admissible
-    return ModelManifold(
-        name=f"example4:{n}", chart=chart,
-        vector_field=xfield, lam=ex.parse(repr(logq)), k=k, l=l, golden=golden,
-    )
+    return SolitonSpec(chart, ex.parse(repr(logq)), k, l, vector_field=xfield,
+                       name=f"example4:{n}", golden=golden)
 
 
 # -- warped products -------------------------------------------------------
 
 
-def warped(xi, fiber: ModelManifold, interval=(0.5, 1.5)) -> ModelManifold:
+def warped(xi, fiber: SolitonSpec, interval=(0.5, 1.5)) -> SolitonSpec:
     """Warped product dt^2 + xi(t)^2 g_fiber, with xi (an Expr or its source
     in x1 = t) checked positive at 7 points of ``interval``; fiber
     coordinates shift up by one so that x1 is the interval coordinate."""
@@ -208,10 +189,10 @@ def warped(xi, fiber: ModelManifold, interval=(0.5, 1.5)) -> ModelManifold:
             fib = ex.shift_vars(fiber.chart.comps[i][j], 1)
             comps[i + 1][j + 1] = ex.Bin("*", xi2, fib)
     chart = MetricChart(m + 1, comps, [(float(lo), float(hi))] + fiber.chart.domain)
-    return ModelManifold(name=f"warped[{ex.unparse(xi)};{fiber.name}]", chart=chart)
+    return SolitonSpec(chart, name=f"warped[{ex.unparse(xi)};{fiber.name}]")
 
 
-def warped_ricci_formula(xi, fiber: ModelManifold, point) -> TensorValue:
+def warped_ricci_formula(xi, fiber: SolitonSpec, point) -> TensorValue:
     """Ricci of dt^2 + xi^2 g_F assembled from the warped-product formula
     Ric = Ric^F - (n-1)(xi''/xi) dt (x) dt - [(n-2) xi'^2 + xi xi''] g^F,
     in the coordinates of ``warped`` (fiber block unscaled by xi^2)."""
@@ -237,7 +218,7 @@ _FAMILIES = {"euclidean": euclidean, "sphere": sphere, "hyperbolic": hyperbolic,
              "product_line_sphere": product_line_sphere, "example4": example4}
 
 
-def builtin(name: str) -> ModelManifold:
+def builtin(name: str) -> SolitonSpec:
     """Resolve a CLI-style model name such as ``sphere:4`` or
     ``warped:sinh:sphere:3``."""
     parts = name.replace("(", ":").replace(")", "").split(":")
@@ -258,7 +239,7 @@ def builtin(name: str) -> ModelManifold:
 # -- golden-value runner ---------------------------------------------------
 
 
-def check_golden(model: ModelManifold, points) -> list[tuple[str, float, float, bool]]:
+def check_golden(model: SolitonSpec, points) -> list[tuple[str, float, float, bool]]:
     """Evaluate every golden entry at every point.  Returns
     (quantity, worst error, tolerance, passed) rows."""
     rows = []

@@ -5,7 +5,9 @@ evaluated pointwise over a deterministic probe set; gradient solitons use
 the Hessian form.  The structural identities (trace, first-order, and
 second-order with the scalar-curvature coupling) and the constant-scalar
 second-order identity are checked by re-running the curvature pipeline on
-Taylor data, never by finite-differencing outputs.
+Taylor data, never by finite-differencing outputs.  ``SolitonSpec`` is the
+one record of a chart with its soliton data, a builtin model's included;
+it says when f wins over X.
 
 The three checks share one probe loop (``_pipelines``): one batched
 pipeline (``curvature_taylor`` at every probe at once) per (P, n) probe set,
@@ -16,7 +18,7 @@ read as jets of that pipeline (``TaylorCurvature.jet``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,38 +34,32 @@ R_TOL = 1e-6        # relative deviation of R that obata_check accepts
 
 
 @dataclass
-class GradientPotential:
-    f: "ex.Expr"
-
-
-@dataclass
-class VectorField:
-    components: list
-
-
-@dataclass
 class SolitonSpec:
+    """A metric chart with its quotient pair (k, l) and, for a soliton, the
+    function lambda and the field X: the gradient of ``potential`` f when it
+    is set (it wins over ``vector_field``), else ``vector_field``, the
+    contravariant components of X.  ``name`` and the ``golden`` rows
+    (quantity, expected, tol, note) label a builtin model."""
     chart: MetricChart
-    field: "GradientPotential | VectorField"
-    lam: "ex.Expr"
-    k: int
-    l: int
+    lam: "ex.Expr | None" = None
+    k: int = 1
+    l: int = 1
+    potential: "ex.Expr | None" = None
+    vector_field: list | None = None
+    name: str = ""
+    golden: list = field(default_factory=list)
 
     def __post_init__(self):
         check_pair(self.chart.dim, self.k, self.l)
 
-    @classmethod
-    def from_model(cls, model) -> "SolitonSpec":
-        if model.potential is not None:
-            fld = GradientPotential(model.potential)
-        elif model.vector_field is not None:
-            fld = VectorField(model.vector_field)
-        else:
+    @staticmethod
+    def from_model(model: "SolitonSpec") -> "SolitonSpec":
+        """``model`` itself, once it is known to carry soliton data."""
+        if model.potential is None and model.vector_field is None:
             raise GeometryError(f"model {model.name} carries no soliton data")
         if model.lam is None:
             raise GeometryError(f"model {model.name} carries no lambda")
-        return cls(chart=model.chart, field=fld, lam=model.lam,
-                   k=model.k, l=model.l)
+        return model
 
 
 @dataclass
@@ -98,7 +94,8 @@ def _pipelines(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
                requires: str | None = None):
     """The pipeline at ``order`` of each batch of the probe set; a check that
     needs a gradient soliton says so in ``requires``."""
-    if requires and not isinstance(spec.field, GradientPotential):
+    SolitonSpec.from_model(spec)  # a chart without lambda or X is no soliton
+    if requires and spec.potential is None:
         raise GeometryError(f"{requires} a gradient soliton")
     pts = probes.chart_probes(spec.chart, count, seed=seed) if probe_set is None else probe_set
     for x in probe_batches(pts, order):
@@ -122,10 +119,10 @@ def _point_data(spec: SolitonSpec, tc):
     keep = np.flatnonzero(ok)
     lam = tc.jet(spec.lam).take(keep)
     psi = log_quotient([s.take(keep) for s in sig], spec.k, spec.l) - lam
-    if isinstance(spec.field, GradientPotential):
-        lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.field.f)))[keep]
+    if spec.potential is not None:
+        lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.potential)))[keep]
     else:
-        xv = np.array([tc.jet(c) for c in spec.field.components], dtype=object)
+        xv = np.array([tc.jet(c) for c in spec.vector_field], dtype=object)
         lie = values(tc.lie_metric(xv))[keep]
     residual = 0.5 * lie - psi.value[:, None, None] * values(tc.g)[keep]
     ginv = values(tc.ginv)[keep]
@@ -186,7 +183,7 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
                          "structural identities require"):
         n = tc.dim
         psi = _psi(spec, tc)
-        ft = tc.jet(spec.field.f)
+        ft = tc.jet(spec.potential)
         ginv = values(tc.ginv)
         ric = values(tc.ricci)
 

@@ -11,8 +11,8 @@ from sigmaflow.curvature import (GeometryError, MetricChart, curvature_taylor,
                                  probe_batches, values)
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import ConeConditionError, log_quotient_taylor
-from sigmaflow.soliton import (GradientPotential, SolitonSpec, lemma_structural_check,
-                               obata_check, soliton_residual)
+from sigmaflow.soliton import (SolitonSpec, lemma_structural_check, obata_check,
+                               soliton_residual)
 
 BUILTINS = ("euclidean:3", "sphere:4", "hyperbolic:4", "example4:4", "example4:5",
             "product_line_sphere:3", "warped:sinh:sphere:5")
@@ -100,10 +100,10 @@ def reference_residual(spec, pts):
             continue
         lam = ex.eval_taylor(spec.lam, x, order=2)
         psi = logq - lam
-        if isinstance(spec.field, GradientPotential):
-            lie = 2.0 * values(tc.hessian_scalar(ex.eval_taylor(spec.field.f, x, order=2)))
+        if spec.potential is not None:
+            lie = 2.0 * values(tc.hessian_scalar(ex.eval_taylor(spec.potential, x, order=2)))
         else:
-            xv = np.array([ex.eval_taylor(c, x, order=2) for c in spec.field.components],
+            xv = np.array([ex.eval_taylor(c, x, order=2) for c in spec.vector_field],
                           dtype=object)
             lie = values(tc.lie_metric(xv))
         ginv = values(tc.ginv)
@@ -123,7 +123,7 @@ def reference_lemma(spec, pts):
         tc = curvature_taylor(spec.chart, x, order=4)
         n = tc.dim
         psi = log_quotient_taylor(tc, spec.k, spec.l) - ex.eval_taylor(spec.lam, x)
-        ft = ex.eval_taylor(spec.field.f, x)
+        ft = ex.eval_taylor(spec.potential, x)
         ginv, ric = values(tc.ginv), values(tc.ricci)
         df = np.array([ft.deriv(i).value for i in range(n)])
         dpsi = np.array([psi.deriv(i).value for i in range(n)])

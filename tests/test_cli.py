@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from sigmaflow import cli
+from sigmaflow import cli, models
+from sigmaflow import expr as ex
 from sigmaflow.cli import main
 
 
@@ -401,3 +402,48 @@ def test_inputs_too_large_for_memory_exit_2(argv, cap):
                           capture_output=True, text=True, timeout=120, preexec_fn=limit)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_deep_expressions_exit_2(tmp_path):
+    # the sum parses without recursion; the minus signs and parentheses nest
+    chain = "+".join(["0*x1"] * 1499 + ["1"])
+    metric = [[chain if i == j == 0 else "1" if i == j else "0" for j in range(3)]
+              for i in range(3)]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"dim": 3, "metric": metric, "k": 1, "l": 1}))
+    for argv in (("curvature", "--file", str(path)),
+                 ("hodge", "--n", "2", "--grid", "4", "--field=" + "-" * 990 + "x1;0"),
+                 ("hodge", "--n", "2", "--grid", "4",
+                  "--field=" + "(" * 250 + "x1" + ")" * 250 + ";0")):
+        assert_input_error(argv, "nested deeper than")
+
+
+@pytest.mark.parametrize("changes", [{"t_end": "1e300"}, {"t_end": "1", "dt": "1e-300"}],
+                         ids=["t-end-1e300", "dt-1e-300"])
+def test_flow_of_too_many_steps_exits_2(changes):
+    # neither run would end: t + dt == t once t is large, and 1e300 steps are too many
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sigmaflow.cli", *flow_argv(**changes)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "more than 1000000 steps" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["sphere:4", "example4:4"])
+def test_spec_document_verifies_as_its_builtin(tmp_path, name):
+    # the builtin's chart and soliton data written out with unparse, which
+    # re-parses to the same trees
+    model = models.builtin(name)
+    doc = {"dim": model.chart.dim, "k": model.k, "l": model.l,
+           "metric": [[ex.unparse(c) for c in row] for row in model.chart.comps],
+           "domain": model.chart.domain, "lambda": ex.unparse(model.lam)}
+    if model.potential is not None:
+        doc["potential"] = ex.unparse(model.potential)
+    else:
+        doc["vector_field"] = [ex.unparse(c) for c in model.vector_field]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    builtin = run_cli("verify", "--builtin", name, "--json")
+    assert builtin[0] == 0
+    assert run_cli("verify", "--file", str(path), "--json") == builtin

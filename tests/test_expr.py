@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import differentiate
 from sigmaflow import expr as ex
@@ -167,3 +169,42 @@ def test_constant_expression_is_broadcast_over_a_batch():
     t = ex.eval_taylor(ex.parse("2 + pi"), np.zeros((4, 3)), order=2)
     assert t.c.shape == (4, t.ctx.ncoef)
     assert np.all(t.value == 2 + math.pi)
+
+
+M = ex.MAX_DEPTH
+# the deepest input of each kind that parse accepts, and one a level deeper
+DEEPEST = {"parentheses": ("(" * (M - 1) + "x1" + ")" * (M - 1), "(" * M + "x1" + ")" * M),
+           "unary minus": ("-" * (M - 1) + "x1", "-" * M + "x1"),
+           "function calls": ("sin(" * (M - 1) + "x1" + ")" * (M - 1),
+                              "sin(" * M + "x1" + ")" * M),
+           "power chain": ("^".join(["x1"] * M), "^".join(["x1"] * (M + 1))),
+           "sum chain": ("+".join(["x1"] * M), "+".join(["x1"] * (M + 1)))}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(DEEPEST)))
+def test_the_deepest_accepted_input_evaluates_and_unparses(kind):
+    # every tree walk recurses once a level, so MAX_DEPTH must leave room
+    # for the walks under pytest and hypothesis
+    source, deeper = DEEPEST[kind]
+    e = ex.parse(source)
+    value = ex.eval_float(e, [0.5])
+    assert np.isfinite(value)
+    assert ex.eval_taylor(e, [0.5]).value == pytest.approx(value, rel=1e-12)
+    assert ex.eval_taylor(e, np.full((3, 1), 0.5), order=2).c.shape[0] == 3
+    assert ex.parse(ex.unparse(e)) == e
+    assert ex.max_var(e) == 1
+    assert ex.max_var(ex.shift_vars(e, 2)) == 3
+    with pytest.raises(ex.ParseError, match=f"nested deeper than {M} levels"):
+        ex.parse(deeper)
+
+
+def test_deep_inputs_are_parse_errors():
+    # a chain that parses without recursion, and nesting that the parser
+    # refuses before it recurses
+    sources = {"+".join(["0*x1"] * 1499 + ["1"]): 0, "-" * 990 + "x1": 200,
+               "(" * 250 + "x1" + ")" * 250: 200}
+    for source, offset in sources.items():
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse(source)
+        assert err.value.offset == offset

@@ -291,3 +291,12 @@ def test_grid_tables_and_checks_are_built_once(monkeypatch):
     _, diag = run(s, steps * 1e-4, dt=1e-4, cadence=1)
     assert diag.aborted is None and len(diag.times) == steps + 1
     assert calls[0] == 0
+
+
+def test_run_refuses_too_many_steps_before_the_first(monkeypatch):
+    # t + dt == t once t is large, so the first run would never end
+    state = perturbed(4, 2, 1, 32)
+    monkeypatch.setattr(flow, "step", lambda *args: pytest.fail("a step was taken"))
+    for t_end, dt in ((1e300, None), (1.0, 1e-300), (1.0, 0.99e-6)):
+        with pytest.raises(flow.StepLimitError, match="more than 1000000 steps"):
+            run(state, t_end, dt=dt)

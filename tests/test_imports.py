@@ -2,7 +2,8 @@
 (other than ``__init__``, which re-exports) imports is used in that module.
 A string annotation such as ``"ex.Expr"`` counts as a use.  No dead private
 names either: every module-level ``_name`` is read, taken as an attribute or
-imported somewhere in the package."""
+imported somewhere in the package.  No dead public names: every module-level
+def or class of the package is referenced in ``src``, ``tests`` or ``bench``."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,31 @@ def test_the_guard_sees_dead_private_names():
     sources = {"a.py": "_used = 1\n_dead = 2\ndef _gone(): pass\nclass _Kept: pass\n",
                "b.py": "from .a import _used\nimport a\nprint(a._Kept)\n"}
     assert dead_privates(sources) == {"a.py": ["_dead", "_gone"]}
+
+
+def public_definitions(tree: ast.Module) -> set:
+    """The public names bound at module level by a def or a class."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def dead_publics(sources: dict, readers: list) -> dict:
+    """The public defs of ``sources`` that no tree of ``readers`` references."""
+    refs = set().union(*(referenced_names(ast.parse(text)) for text in readers))
+    return {name: sorted(dead) for name, text in sources.items()
+            if (dead := public_definitions(ast.parse(text)) - refs)}
+
+
+def test_every_public_name_is_referenced():
+    root = PACKAGE.parents[1]
+    readers = [path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_publics(sources, readers) == {}
+
+
+def test_the_guard_sees_dead_public_names():
+    sources = {"a.py": "def used(): pass\ndef gone(): pass\nclass Alias: pass\n"}
+    readers = [*sources.values(), "from a import used\n"]
+    assert dead_publics(sources, readers) == {"a.py": ["Alias", "gone"]}

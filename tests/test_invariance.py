@@ -29,7 +29,7 @@ from sigmaflow import expr as ex
 from sigmaflow import models
 from sigmaflow.curvature import MetricChart, _kn_array, curvature_taylor, values
 from sigmaflow.sigma import sigma_taylor
-from sigmaflow.soliton import GradientPotential, SolitonSpec, _gnorm2, _point_data
+from sigmaflow.soliton import SolitonSpec, _gnorm2, _point_data
 
 TOL = 1e-10
 MODELS = {3: ("sphere:3", "hyperbolic:3", "warped:cosh:euclidean:2"),
@@ -114,7 +114,7 @@ def invariants(tc, spec) -> np.ndarray:
     sig = np.stack([np.broadcast_to(s.value, len(g)) for s in sigma_taylor(tc)], axis=-1)
     violations, rnorm, _, _, _ = _point_data(spec, tc)
     assert not violations, violations
-    xvec = tc.grad_scalar(tc.jet(spec.field.f))
+    xvec = tc.grad_scalar(tc.jet(spec.potential))
     lie = np.sqrt(_gnorm2(ginv, values(tc.lie_metric(xvec))))
     cols = [tc.scalar.value, norm4(rm), _gnorm2(ginv, ric), norm4(weyl), sq_c, rnorm, lie]
     return np.column_stack([*cols, sig])
@@ -143,7 +143,7 @@ def pullbacks(draw):
     # the model's quotient where it carries soliton data; sigma_0 / sigma_0,
     # which no point violates, on the warped products (sigma_1 vanishes on some)
     k, l = (model.k, model.l) if model.lam is not None else (0, 0)
-    spec = SolitonSpec(model.chart, GradientPotential(ex.parse(f)), ex.parse(lam), k, l)
+    spec = SolitonSpec(model.chart, ex.parse(lam), k, l, potential=ex.parse(f))
     offsets = st.lists(st.floats(-0.45, 0.45), min_size=n, max_size=n)
     x = mid + np.array(half) * np.array([draw(offsets) for _ in range(POINTS)])
     return model.name, spec, phi, box, x
@@ -155,8 +155,8 @@ def pullbacks(draw):
 def test_invariants_agree_in_pulled_back_charts(case):
     name, spec, phi, box, x = case
     chart = pullback(spec.chart, phi, box)
-    pulled = SolitonSpec(chart, GradientPotential(substitute(spec.field.f, phi)),
-                         substitute(spec.lam, phi), spec.k, spec.l)
+    pulled = SolitonSpec(chart, substitute(spec.lam, phi), spec.k, spec.l,
+                         potential=substitute(spec.potential, phi))
     image = np.array([[ex.eval_float(p, xi) for p in phi] for xi in x])
     got = invariants(curvature_taylor(chart, x, order=3), pulled)
     want = invariants(curvature_taylor(spec.chart, image, order=3), spec)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sigmaflow import expr as ex
 from sigmaflow import models
 from sigmaflow.curvature import GeometryError, curvature_at
 from sigmaflow.probes import chart_probes
@@ -130,3 +131,11 @@ def test_warping_factor_must_be_positive():
 def test_hyperbolic_parity_constraint():
     with pytest.raises(GeometryError):
         models.hyperbolic(4, k=2, l=1)  # sigma_2 > 0 but sigma_1 < 0
+
+
+def test_example4_odd_falls_back_to_the_first_pair_in_the_cone():
+    # n = 5: sigma_1 < 0 < sigma_3, so the default (3, 1) is outside the cone
+    # and (3, 2) is the first admissible pair, with lambda = -log 6
+    model = models.example4(5)
+    assert (model.k, model.l) == (3, 2)
+    assert ex.eval_float(model.lam, [0.0] * 5) == pytest.approx(-math.log(6.0), rel=1e-12)

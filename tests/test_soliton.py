@@ -7,8 +7,7 @@ from sigmaflow import models
 from sigmaflow.curvature import GeometryError, covariant_ops
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import ConeConditionError
-from sigmaflow.soliton import (GradientPotential, SolitonSpec, VectorField,
-                               lemma_structural_check, obata_check,
+from sigmaflow.soliton import (SolitonSpec, lemma_structural_check, obata_check,
                                soliton_residual)
 
 
@@ -54,7 +53,7 @@ def test_product_trivial_steady():
 def test_wrong_lambda_is_rejected():
     model = models.sphere(4)
     broken = SolitonSpec(chart=model.chart,
-                         field=GradientPotential(model.potential),
+                         potential=model.potential,
                          lam=ex.parse("0"), k=model.k, l=model.l)
     rep = soliton_residual(broken, count=10)
     assert rep.sup > 1e-2
@@ -66,7 +65,7 @@ def test_residual_scales_linearly_in_lambda_perturbation():
     for eps in (1e-3, 2e-3):
         lam = ex.parse(f"({ex.unparse(model.lam)}) + {eps}")
         spec = SolitonSpec(chart=model.chart,
-                           field=GradientPotential(model.potential),
+                           potential=model.potential,
                            lam=lam, k=model.k, l=model.l)
         sups.append(soliton_residual(spec, count=10).sup)
     # residual = |psi - 0| * |g| pointwise, so doubling eps doubles sup
@@ -77,7 +76,7 @@ def test_spec_checks_the_quotient_pair():
     model = models.sphere(3)
     for k, l in ((4, 1), (1, -1), (2.0, 1), (True, 1)):
         with pytest.raises(GeometryError, match="quotient index"):
-            SolitonSpec(chart=model.chart, field=GradientPotential(model.potential),
+            SolitonSpec(chart=model.chart, potential=model.potential,
                         lam=model.lam, k=k, l=l)
 
 
@@ -90,9 +89,9 @@ def test_gradient_and_explicit_vector_field_agree():
     conf = f"(1 + x1^2 + x2^2 + x3^2)^2 / 4"  # inverse metric factor
     comps = [ex.parse(f"({conf}) * ({ex.unparse(differentiate(f, i + 1))})")
              for i in range(n)]
-    grad_spec = SolitonSpec(chart=model.chart, field=GradientPotential(f),
+    grad_spec = SolitonSpec(chart=model.chart, potential=f,
                             lam=model.lam, k=model.k, l=model.l)
-    vec_spec = SolitonSpec(chart=model.chart, field=VectorField(comps),
+    vec_spec = SolitonSpec(chart=model.chart, vector_field=comps,
                            lam=model.lam, k=model.k, l=model.l)
     pts = chart_probes(model.chart, 8, seed=3)
     rg = soliton_residual(grad_spec, probe_set=pts)
@@ -132,7 +131,7 @@ def test_obata_rejects_nonconstant_scalar():
     rows = [[ex.parse("exp(2*x1*x2)" if i == j else "0") for j in range(3)]
             for i in range(3)]
     chart = MetricChart(dim=3, comps=rows, domain=((-0.5, 0.5),) * 3)
-    spec = SolitonSpec(chart=chart, field=GradientPotential(ex.parse("x1")),
+    spec = SolitonSpec(chart=chart, potential=ex.parse("x1"),
                        lam=ex.parse("0"), k=1, l=1)
     with pytest.raises(GeometryError):
         obata_check(spec)
@@ -145,7 +144,7 @@ def test_classification_shrinking_steady_expanding():
     assert base < 0.0
     assert soliton_residual(spec_of(model), count=6).classification == "expanding"
     shrunk = SolitonSpec(chart=model.chart,
-                         field=VectorField(model.vector_field),
+                         vector_field=model.vector_field,
                          lam=ex.parse(f"{-base}"), k=model.k, l=model.l)
     # lambda > 0 everywhere classifies as shrinking (equation no longer
     # holds; classification only reads the sign of lambda)
@@ -162,7 +161,7 @@ def test_killing_field_keeps_example4_trivial():
 def test_every_probe_outside_cone_reports_its_sigmas():
     # hyperbolic 4-space: sigma_1 = -2 < 0 < sigma_2 = 3/2 at every probe
     chart = models.hyperbolic(4).chart
-    spec = SolitonSpec(chart=chart, field=VectorField([ex.parse("0")] * 4),
+    spec = SolitonSpec(chart=chart, vector_field=[ex.parse("0")] * 4,
                        lam=ex.parse("0"), k=2, l=1)
     with pytest.raises(ConeConditionError) as err:
         soliton_residual(spec, count=5)
@@ -187,3 +186,12 @@ def test_residual_at_order_2_matches_order_4(pipeline_orders):
                 assert got[key] == v, key
             else:
                 assert abs(got[key] - v) <= 1e-13 * max(1.0, abs(v)), key
+
+
+def test_checks_refuse_a_model_without_soliton_data():
+    # a builtin without lambda or X is a SolitonSpec too, but no soliton
+    for check in (soliton_residual, lemma_structural_check, obata_check):
+        with pytest.raises(GeometryError, match="euclidean:3 carries no soliton data"):
+            check(models.euclidean(3), count=3)
+    sphere = models.sphere(3)
+    assert SolitonSpec.from_model(sphere) is sphere
