@@ -319,6 +319,8 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
         if not t_end - state.t <= MAX_STEPS * dt:
             raise StepLimitError(f"t_end = {t_end:g} needs more than {MAX_STEPS} steps "
                                  f"of dt = {dt:g}")
+        if state.t + dt == state.t:
+            raise StepLimitError(f"a step of dt = {dt:g} does not advance t = {state.t:g}")
         nstep = 0
         while state.t < t_end - 1e-12:
             state = step(state, min(dt, t_end - state.t))

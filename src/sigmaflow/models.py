@@ -19,6 +19,7 @@ from . import expr as ex
 from .curvature import GeometryError, MetricChart, curvature_at
 from .sigma import cone_values, log_quotient, sigma_profile, sigmas
 from .soliton import SolitonSpec
+from .taylor import MAX_DIM
 from .tensor import TensorValue
 
 
@@ -223,6 +224,10 @@ def builtin(name: str) -> SolitonSpec:
     ``warped:sinh:sphere:3``."""
     parts = name.replace("(", ":").replace(")", "").split(":")
     kind = parts[0]
+    nest = next(i for i, head in enumerate(parts[::2] + [""]) if head != "warped")
+    if nest > MAX_DIM - 2:  # each warped: prefix adds a dimension to a chart of >= 2
+        raise GeometryError(f"{nest} nested warped products need a chart of more than "
+                            f"{MAX_DIM} dimensions")
     try:
         if kind in _FAMILIES:
             return _FAMILIES[kind](int(parts[1]))

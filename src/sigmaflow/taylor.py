@@ -50,10 +50,12 @@ called for every product, but with a zero operand it returns the zero of
 the broadcast shape without the gather, multiply and bincount; the
 derivative, negation and scalar multiples of a zero are the zero; and a
 sum or difference with a zero is the other operand's array whenever that
-keeps the result's shape.  ``trusted`` is set as for any other jet.  Every
+keeps the result's shape, and the other jet itself when the zero is
+trusted at least as far.  ``trusted`` is set as for any other jet.  Every
 trusted coefficient equals the one computed in full, since zero times a
-finite number is zero.  Coefficient arrays are never written in place; the
-read-only flag enforces that for the shared zeros.
+finite number is zero.  Jets are immutable, and coefficient arrays are
+never written in place; the read-only flag enforces that for the shared
+zeros.  Every zero test goes through ``TaylorContext.is_zero``.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class TaylorContext:
         pairs of degree <= ``trusted`` only (zero above it); the shared zero
         of the broadcast shape when either operand is a shared zero."""
         if self.is_zero(a) or self.is_zero(b):
-            return self.zero(_lead(a, b))
+            return self.zero() if a.ndim == b.ndim == 1 else self.zero(_lead(a, b))
         t = max(trusted, -1)
         ia, ib, out = self._prefix[t]
         if a.ndim == b.ndim == 1:  # one point: 3.4 us, 5.0 through the batch path (n=4, p=3)
@@ -215,15 +217,6 @@ class TaylorContext:
                 (np.arange(probes)[:, None] * self.ncoef + out).ravel()
         return np.bincount(idx, weights=w.ravel(),
                            minlength=probes * self.ncoef).reshape(lead + (self.ncoef,))
-
-    def add(self, a: np.ndarray, b: np.ndarray, sign: int = 1) -> np.ndarray:
-        """a + sign * b for sign +1 or -1; an operand itself when the other
-        is a shared zero that broadcasts into its shape."""
-        if self.is_zero(b) and _fits(b, a):
-            return a
-        if self.is_zero(a) and _fits(a, b):
-            return b if sign > 0 else -b
-        return a + b if sign > 0 else a - b
 
     def deriv(self, c: np.ndarray, var: int) -> np.ndarray:
         if self.is_zero(c):
@@ -258,16 +251,11 @@ def _shape(value) -> tuple:
     return value.shape if isinstance(value, np.ndarray) else ()  # np.shape is slow on floats
 
 
-def _fits(z: np.ndarray, c: np.ndarray) -> bool:
-    """Whether coefficients ``z`` broadcast into the shape of ``c``."""
-    return z.ndim == 1 or z.shape == c.shape
-
-
 def _lead(a: np.ndarray, b: np.ndarray) -> tuple:
     """The probe shape of a product of coefficient arrays ``a`` and ``b``."""
-    if _fits(b, a):
+    if b.ndim == 1 or b.shape == a.shape:
         return a.shape[:-1]
-    if _fits(a, b):
+    if a.ndim == 1:
         return b.shape[:-1]
     return np.broadcast_shapes(a.shape, b.shape)[:-1]
 
@@ -322,74 +310,94 @@ class TaylorScalar:
         return TaylorScalar(self.ctx, c, self.trusted)
 
     # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, TaylorScalar):
-            if other.ctx is not self.ctx:
-                raise TaylorTrustError(
-                    f"jets of two contexts combined: dim {self.ctx.dim} order "
-                    f"{self.ctx.order} and dim {other.ctx.dim} order {other.ctx.order}")
-            return other
-        if isinstance(other, (int, float)):
-            return self.ctx.constant(float(other))
-        return NotImplemented
+    # Each operator tests its operand's type once: a jet of the same context,
+    # a number (the constant jet, or a scalar factor in * and /), or anything
+    # else, for which it returns NotImplemented.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return TaylorScalar(self.ctx, self.ctx.add(self.c, o.c), min(self.trusted, o.trusted))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return TaylorScalar(self.ctx, self.ctx.add(self.c, o.c, -1),
-                            min(self.trusted, o.trusted))
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return TaylorScalar(self.ctx, self.ctx.add(o.c, self.c, -1),
-                            min(self.trusted, o.trusted))
+        return _sum(self, other, -1, swap=True)
 
     def __neg__(self):
         return self if self.ctx.is_zero(self.c) else \
             TaylorScalar(self.ctx, -self.c, self.trusted)
 
     def __mul__(self, other):
+        ctx = self.ctx
+        if type(other) is TaylorScalar:
+            if other.ctx is not ctx:
+                raise _mixed(self, other)
+            t = self.trusted if self.trusted < other.trusted else other.trusted
+            return TaylorScalar(ctx, ctx.mul(self.c, other.c, t), t)
         if isinstance(other, (int, float)):
-            if self.ctx.is_zero(self.c):
+            if ctx.is_zero(self.c):
                 return self
-            return TaylorScalar(self.ctx, self.c * float(other), self.trusted)
-        if isinstance(other, TaylorScalar):
-            o = self._coerce(other)
-            t = min(self.trusted, o.trusted)
-            return TaylorScalar(self.ctx, self.ctx.mul(self.c, o.c, t), t)
+            return TaylorScalar(ctx, self.c * float(other), self.trusted)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is TaylorScalar:
+            if other.ctx is not self.ctx:
+                raise _mixed(self, other)
+            return self * recip(other)
         if isinstance(other, (int, float)):
             if self.ctx.is_zero(self.c):
                 return self
             return TaylorScalar(self.ctx, self.c / float(other), self.trusted)
-        if isinstance(other, TaylorScalar):
-            return self * recip(other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * recip(self)
+        if type(other) is TaylorScalar:
+            if other.ctx is not self.ctx:
+                raise _mixed(self, other)
+            return other * recip(self)
+        if isinstance(other, (int, float)):
+            return self.ctx.constant(float(other)) * recip(self)
+        return NotImplemented
 
     def __pow__(self, p):
         return power(self, p)
+
+
+def _mixed(x: TaylorScalar, y: TaylorScalar) -> TaylorTrustError:
+    return TaylorTrustError(
+        f"jets of two contexts combined: dim {x.ctx.dim} order "
+        f"{x.ctx.order} and dim {y.ctx.dim} order {y.ctx.order}")
+
+
+def _sum(x: TaylorScalar, other, sign: int, swap: bool = False):
+    """x + sign * other, or other - x with ``swap``, trusted as far as both.
+    With a shared zero that broadcasts into the other operand's shape, no
+    sum is formed: an added operand is returned itself when the zero is
+    trusted at least as far, else as a jet on its array, and a subtracted
+    one is negated."""
+    ctx = x.ctx
+    if type(other) is TaylorScalar:
+        if other.ctx is not ctx:
+            raise _mixed(x, other)
+    elif isinstance(other, (int, float)):
+        other = ctx.constant(float(other))
+    else:
+        return NotImplemented
+    x, y = (other, x) if swap else (x, other)
+    a, b = x.c, y.c
+    t = x.trusted if x.trusted < y.trusted else y.trusted
+    if ctx.is_zero(b) and (b.ndim == 1 or b.shape == a.shape):
+        return x if t == x.trusted else TaylorScalar(ctx, a, t)
+    if ctx.is_zero(a) and (a.ndim == 1 or a.shape == b.shape):
+        if sign < 0:
+            return TaylorScalar(ctx, -b, t)
+        return y if t == y.trusted else TaylorScalar(ctx, b, t)
+    return TaylorScalar(ctx, a + b if sign > 0 else a - b, t)
 
 
 # -- composition with a univariate outer function --------------------------

@@ -277,6 +277,14 @@ def test_unknown_builtin_exit_2():
     assert code == 2
 
 
+def test_warped_nesting_beyond_max_dim_exits_2():
+    code, out, err = run_cli("curvature", "--builtin", "warped:sinh:" * 1200 + "sphere:2")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert "1200 nested warped products need a chart of more than 8 dimensions" in err
+    # six prefixes over a 2-dimensional chart still fit
+    assert models.builtin("warped:one:" * 6 + "euclidean:2").chart.dim == 8
+
+
 def test_point_outside_domain_exit_2():
     code, _, _ = run_cli("curvature", "--builtin", "sphere:3",
                          "--point", "5,0,0")

@@ -300,3 +300,11 @@ def test_run_refuses_too_many_steps_before_the_first(monkeypatch):
     for t_end, dt in ((1e300, None), (1.0, 1e-300), (1.0, 0.99e-6)):
         with pytest.raises(flow.StepLimitError, match="more than 1000000 steps"):
             run(state, t_end, dt=dt)
+
+
+def test_run_refuses_a_step_that_does_not_advance_time(monkeypatch):
+    # within the step bound, but t + dt == t at t = 1e17
+    state = FlowState(4, 2, 1, np.zeros(33), t=1e17)
+    monkeypatch.setattr(flow, "step", lambda *args: pytest.fail("a step was taken"))
+    with pytest.raises(flow.StepLimitError, match="does not advance t = 1e"):
+        run(state, 1e17 + 1024, dt=0.01)

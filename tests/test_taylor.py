@@ -205,6 +205,49 @@ def test_trust_budget():
         x * context(2, 3).variable(0, 0.3)
 
 
+RING_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__rtruediv__")
+
+
+@pytest.mark.parametrize("op", RING_OPS)
+def test_operator_semantics(op):
+    ctx = context(2, 3)
+    x = ctx.variable(0, 0.3) * ctx.variable(1, -0.2) + 0.7
+    low = ctx.variable(1, 0.4).deriv(1) + x           # trusted to 2
+    with pytest.raises(ty.TaylorTrustError, match="two contexts"):
+        getattr(x, op)(context(2, 4).variable(0, 0.3))
+    for number in (2, 2.5, np.float64(-1.5)):
+        got, want = getattr(x, op)(number), getattr(x, op)(ctx.constant(float(number)))
+        assert got.trusted == want.trusted == 3
+        # x / number divides; x / constant multiplies by its reciprocal
+        np.testing.assert_allclose(got.c, want.c, rtol=1e-15, atol=0.0)
+    for other in ("a", None, [1.0]):
+        assert getattr(x, op)(other) is NotImplemented
+    assert getattr(x, op)(low).trusted == getattr(low, op)(x).trusted == 2
+
+
+def test_foreign_operands_raise_type_error():
+    x = context(2, 2).variable(0, 0.3)
+    for other in ("a", None, [1.0]):
+        for fn in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x,
+                   lambda: x / other, lambda: other / x):
+            with pytest.raises(TypeError):
+                fn()
+
+
+def test_sum_with_a_zero_returns_the_other_jet_when_trust_allows():
+    ctx = context(2, 3)
+    x = ctx.variable(0, 0.3) + 1.0
+    zero = ctx.constant(0.0)
+    assert x + zero is x and zero + x is x and x - zero is x and x + 0 is x
+    low = zero.deriv(0)                                # trusted to 2
+    for s in (x + low, low + x, x - low):
+        assert s is not x and s.c is x.c and s.trusted == 2
+    assert (zero - x).c is not x.c
+    np.testing.assert_array_equal((zero - x).c, -x.c)
+
+
 def double_loop_tables(dim, order):
     """The context tables as a Python double loop over every pair of
     multi-indices, the reference for the vectorised construction."""

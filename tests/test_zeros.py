@@ -90,3 +90,35 @@ def test_every_zero_product_takes_the_zero_path(monkeypatch):
         calls, by_value, skipped = products(
             monkeypatch, lambda: curvature_taylor(chart, chart_probes(chart, 1)[0], order=3))
         assert by_value == skipped > calls / 2, name
+
+
+def test_jets_built_per_pipeline(monkeypatch):
+    # a count, not a timing: a sum with a shared zero builds no new jet
+    built = [0]
+    init = taylor.TaylorScalar.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    sphere8 = models.sphere(8).chart
+    point = 0.1 * np.arange(1, 9) / 8
+    monkeypatch.setattr(taylor.TaylorScalar, "__init__", counted)
+    curvature_taylor(sphere8, point, order=3)
+    assert built[0] == 69807
+
+
+def test_materialised_zeros_compute_every_product(monkeypatch):
+    calls = [0, 0]
+    mul = taylor.TaylorContext.mul
+
+    def counted(self, a, b, trusted=taylor.MAX_ORDER):
+        out = mul(self, a, b, trusted)
+        calls[0] += 1
+        calls[1] += id(out) in self._zero_ids   # the shared zeros, past the hook
+        return out
+
+    materialise_zeros(monkeypatch)
+    monkeypatch.setattr(taylor.TaylorContext, "mul", counted)
+    curvature_taylor(models.sphere(8).chart, 0.1 * np.arange(1, 9) / 8, order=3)
+    assert calls == [54428, 0]
