@@ -32,9 +32,12 @@ under ``BATCH_BYTES``.  The inverse metric is Gauss-Jordan elimination
 without pivoting: the metric has passed the eigenvalue test, so it is
 symmetric positive definite, where elimination without pivoting is stable.
 
-Every stage is a numpy contraction over object arrays of jets (``@``,
-``np.einsum``, ``np.trace``, element-wise ``*``), which call the jet
-product once per term, as the same sums written as index loops would.
+Every stage is a contraction over object arrays of jets.  Each matrix
+product, and each sum over an index that an ``einsum`` would write, is
+``taylor.matmul``: one ``TaylorContext.mul`` call per term, in numpy's
+operand order, summed left to right on the coefficient arrays, one jet per
+output.  Traces and element-wise ``*`` stay numpy's.  Every stage thus
+forms the products the same sums written as index loops would.
 Symmetric stages (Christoffel, Ricci, Schouten, Hessians, L_X g) are
 computed on i <= j and mirrored, Riemann on m < nu and negated for
 nu < m.  Stages are built one slice at a time where whole-table
@@ -263,19 +266,19 @@ class TaylorCurvature:
         out = _obj((self.dim,) * 3)
         for i in range(self.dim):
             gam = self.christoffel[:, i]  # [l, j] = Gamma^l_ij
-            out[i] = (_d(t, i) - np.einsum("lj,lk->jk", gam, t)
-                      - np.einsum("lk,jl->jk", gam, t))
+            out[i] = (_d(t, i) - taylor.matmul(gam.T, t)        # Gamma^l_ij t_lk
+                      - taylor.matmul(gam.T, t.T).T)            # Gamma^l_ik t_jl
         return out
 
     def grad_scalar(self, s: TaylorScalar) -> np.ndarray:
         """Contravariant gradient components (g^{ij} d_j s)."""
-        return self.ginv @ _d(s)
+        return taylor.matmul(self.ginv, _d(s))
 
     def hessian_scalar(self, s: TaylorScalar) -> np.ndarray:
         """d_i d_j s - Gamma^k_ij d_k s, on i <= j."""
         i, j = np.triu_indices(self.dim)
         ds = _d(s)
-        return _sym(_d(ds[i], j) - self.christoffel[:, i, j].T @ ds, self.dim)
+        return _sym(_d(ds[i], j) - taylor.matmul(self.christoffel[:, i, j].T, ds), self.dim)
 
     def laplacian_scalar(self, s: TaylorScalar) -> TaylorScalar:
         return np.sum(self.ginv * self.hessian_scalar(s))
@@ -284,21 +287,24 @@ class TaylorCurvature:
         """(L_X g)_ij = d_i X_j + d_j X_i - 2 Gamma^k_ij X_k for contravariant
         Taylor components X^k, on i <= j."""
         i, j = np.triu_indices(self.dim)
-        xlow = self.g @ xvec
+        xlow = taylor.matmul(self.g, xvec)
         return _sym(_d(xlow[j], i) + _d(xlow[i], j)
-                    - (2.0 * self.christoffel[:, i, j]).T @ xlow, self.dim)
+                    - taylor.matmul((2.0 * self.christoffel[:, i, j]).T, xlow), self.dim)
 
     def div_vector(self, xvec: np.ndarray) -> TaylorScalar:
         """d_i X^i + Gamma^i_ik X^k, with Gamma^i_ik summed over i first."""
-        return np.sum(_d(xvec, np.arange(self.dim))) + np.trace(self.christoffel) @ xvec
+        return (np.sum(_d(xvec, np.arange(self.dim)))
+                + taylor.matmul(np.trace(self.christoffel), xvec))
 
     def div_endomorphism(self, t: np.ndarray) -> np.ndarray:
         """(div T)_j = nabla_i T^i_j = d_i T^i_j + Gamma^i_il T^l_j -
         Gamma^l_ij T^i_l for a Taylor (1,1) tensor, with Gamma^i_il summed
-        over i first."""
-        gam = self.christoffel
-        return (np.sum(_d(t, np.arange(self.dim)[:, None]), axis=0)
-                + np.trace(gam) @ t - np.einsum("lij,il->j", gam, t))
+        over i first and the last term summed over the pairs (i, l) in
+        row-major order."""
+        n, gam = self.dim, self.christoffel
+        pairs = gam.transpose(1, 0, 2).reshape(n * n, n)  # [(i, l), j] = Gamma^l_ij
+        return (np.sum(_d(t, np.arange(n)[:, None]), axis=0)
+                + taylor.matmul(np.trace(gam), t) - taylor.matmul(pairs.T, t.reshape(-1)))
 
 
 def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
@@ -324,13 +330,13 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     gam = _obj((n, n, n))
     for a in range(n):
         gam[:, a, a:] = gam[:, a:, a] = \
-            0.5 * (ginv @ (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
+            0.5 * taylor.matmul(ginv, (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
 
     # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
     riem13 = np.full((n,) * 4, g[0, 0].ctx.constant(0.0), dtype=object)
     for m, nu in zip(*np.triu_indices(n, 1)):
         gm, gn = gam[:, m], gam[:, nu]  # [r, t] = Gamma^r_{m t}
-        r = _d(gn, m) - _d(gm, nu) + gm @ gn - gn @ gm
+        r = _d(gn, m) - _d(gm, nu) + taylor.matmul(gm, gn) - taylor.matmul(gn, gm)
         riem13[:, :, m, nu], riem13[:, :, nu, m] = r, -r
 
     ric = _sym(np.trace(riem13[:, i, :, j], axis1=1, axis2=2), n)
@@ -339,7 +345,7 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     # a batch holds one rank-4 array, not two
     riem = riem13
     for k, l in zip(*np.triu_indices(n, 1)):
-        block = g @ riem13[:, :, k, l]
+        block = taylor.matmul(g, riem13[:, :, k, l])
         riem[:, :, k, l], riem[:, :, l, k] = block, -block
 
     scal = np.sum(ginv * ric)
@@ -347,7 +353,7 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     if n >= 3:
         coef = scal * (1.0 / (2.0 * (n - 1)))
         schouten = _sym((ric[i, j] - coef * g[i, j]) * (1.0 / (n - 2)), n)
-        endo = ginv @ schouten
+        endo = taylor.matmul(ginv, schouten)
 
     tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
     if n >= 3 and order >= 3:

@@ -228,12 +228,13 @@ def builtin(name: str) -> SolitonSpec:
     if nest > MAX_DIM - 2:  # each warped: prefix adds a dimension to a chart of >= 2
         raise GeometryError(f"{nest} nested warped products need a chart of more than "
                             f"{MAX_DIM} dimensions")
+    if kind == "warped":
+        fiber = builtin(":".join(parts[2:]))  # reports its own malformed part, once
     try:
         if kind in _FAMILIES:
             return _FAMILIES[kind](int(parts[1]))
         if kind == "warped":
             xi = _XI_NAMES.get(parts[1], parts[1])
-            fiber = builtin(":".join(parts[2:]))
             interval = (0.5, 1.5) if "sinh" in xi else (-1.0, 1.0)
             return warped(xi, fiber, interval)
     except (IndexError, ValueError) as err:

@@ -58,7 +58,7 @@ def sigmas(a) -> list:
     n = len(a)
     traces, power = [np.trace(a)], a
     for _ in range(n - 1):
-        power = power @ a
+        power = taylor.matmul(power, a)
         traces.append(np.trace(power))
     return sigmas_from_power_sums(traces, n)
 
@@ -74,7 +74,7 @@ def _newton(a, k: int):
         return sig[0] * eye
     acc = sig[1] * eye - a
     for s in sig[2:k + 1]:
-        acc = s * eye - a @ acc
+        acc = s * eye - taylor.matmul(a, acc)
     return acc
 
 

@@ -285,6 +285,17 @@ def test_warped_nesting_beyond_max_dim_exits_2():
     assert models.builtin("warped:one:" * 6 + "euclidean:2").chart.dim == 8
 
 
+def test_a_fibers_error_is_reported_once():
+    name = "warped:sinh:warped:sinh:warped:sinh:sphere:2"
+    code, out, err = run_cli("curvature", "--builtin", name)
+    assert (code, out) == (2, "")
+    assert err == (f"input error: unknown builtin {name!r}: malformed model name "
+                   "'sphere:2': sigma-bearing models need n >= 3\n")
+    code, out, err = run_cli("curvature", "--builtin", "warped:sinh:nosuch:3")
+    assert (code, out, err) == (2, "", "input error: unknown builtin "
+                                "'warped:sinh:nosuch:3': unknown model 'nosuch:3'\n")
+
+
 def test_point_outside_domain_exit_2():
     code, _, _ = run_cli("curvature", "--builtin", "sphere:3",
                          "--point", "5,0,0")

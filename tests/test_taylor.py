@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sigmaflow import taylor as ty
 from sigmaflow.taylor import TaylorDomainError, TaylorScalar, context
+from test_zeros import materialise_zeros
 
 
 def central_fd(f, x, order, h):
@@ -246,6 +248,81 @@ def test_sum_with_a_zero_returns_the_other_jet_when_trust_allows():
         assert s is not x and s.c is x.c and s.trusted == 2
     assert (zero - x).c is not x.c
     np.testing.assert_array_equal((zero - x).c, -x.c)
+
+
+def test_division_by_the_number_zero_raises():
+    ctx = context(2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jet in (ctx.variable(0, 0.3), ctx.constant(0.0), ctx.variable(1, np.array([0.1, 0.2]))):
+            for zero in (0, 0.0, -0.0, np.float64(0.0)):
+                with pytest.raises(TaylorDomainError, match="division by zero"):
+                    jet / zero
+        with pytest.raises(TaylorDomainError, match="division by a jet with value part 0"):
+            ctx.variable(0, 0.3) / ctx.constant(0.0)
+
+
+def random_jets(ctx, rng, shape, probes=3):
+    """An object array of jets: dense ones trusted to a random order, shared
+    zeros, and a one-point (C,) or batched (P, C) array for each; the first
+    row of a 2-D array is all zeros."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        lead = () if rng.random() < 0.5 else (probes,)
+        trusted = int(rng.integers(ctx.order - 2, ctx.order + 1))
+        if rng.random() < 0.3 or (len(shape) == 2 and idx[0] == 0):
+            out[idx] = TaylorScalar(ctx, ctx.zero(lead), trusted)
+        else:
+            out[idx] = TaylorScalar(ctx, rng.standard_normal(lead + (ctx.ncoef,)), trusted)
+    return out
+
+
+SHAPES = [((3, 4), (4, 5)), ((3, 4), (4,)), ((4,), (4, 5)), ((4,), (4,))]
+
+
+@pytest.mark.parametrize("materialised", (False, True))
+@pytest.mark.parametrize("shape_a, shape_b", SHAPES)
+def test_matmul_is_numpys_object_product_bit_for_bit(shape_a, shape_b, materialised,
+                                                     monkeypatch):
+    if materialised:
+        materialise_zeros(monkeypatch)
+    rng = np.random.default_rng(17)
+    for dim, order in ((3, 4), (4, 3), (2, 2)):
+        ctx = context(dim, order)
+        a, b = random_jets(ctx, rng, shape_a), random_jets(ctx, rng, shape_b)
+        got = np.asarray(ty.matmul(a, b), dtype=object)
+        want = np.asarray(a @ b, dtype=object)
+        assert got.shape == want.shape
+        for g, w in zip(got.flat, want.flat, strict=True):
+            assert g.trusted == w.trusted and g.c.shape == w.c.shape
+            assert g.c.tobytes() == w.c.tobytes()
+            assert ctx.is_zero(g.c) == ctx.is_zero(w.c)
+        fa, fb = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        assert np.array_equal(ty.matmul(fa, fb), fa @ fb)
+
+
+def test_matmul_forms_every_product_through_the_context(monkeypatch):
+    calls = [0]
+    mul = ty.TaylorContext.mul
+
+    def counted(self, a, b, trusted=ty.MAX_ORDER):
+        calls[0] += 1
+        return mul(self, a, b, trusted)
+
+    monkeypatch.setattr(ty.TaylorContext, "mul", counted)
+    ctx = context(3, 3)
+    rng = np.random.default_rng(5)
+    for (i, j), (_, k) in SHAPES[:1] + [((6, 2), (2, 7))]:
+        calls[0] = 0
+        ty.matmul(random_jets(ctx, rng, (i, j)), random_jets(ctx, rng, (j, k)))
+        assert calls[0] == i * j * k
+    x = ctx.variable(0, 0.3)
+    with pytest.raises(ty.TaylorTrustError, match="two contexts"):
+        ty.matmul(np.array([x, x]), np.array([x, context(3, 4).variable(0, 0.3)]))
+    for a, b in ((np.array([x, x]), np.array([x, 1.0], dtype=object)),
+                 (np.eye(2), np.array([x, x]))):
+        with pytest.raises(TypeError, match="float"):
+            ty.matmul(a, b)
 
 
 def double_loop_tables(dim, order):

@@ -93,7 +93,8 @@ def test_every_zero_product_takes_the_zero_path(monkeypatch):
 
 
 def test_jets_built_per_pipeline(monkeypatch):
-    # a count, not a timing: a sum with a shared zero builds no new jet
+    # a count, not a timing: a sum with a shared zero builds no new jet, and
+    # a contraction builds one jet per output, none per term
     built = [0]
     init = taylor.TaylorScalar.__init__
 
@@ -105,7 +106,7 @@ def test_jets_built_per_pipeline(monkeypatch):
     point = 0.1 * np.arange(1, 9) / 8
     monkeypatch.setattr(taylor.TaylorScalar, "__init__", counted)
     curvature_taylor(sphere8, point, order=3)
-    assert built[0] == 69807
+    assert built[0] == 18495
 
 
 def test_materialised_zeros_compute_every_product(monkeypatch):
