@@ -4,11 +4,12 @@ Subcommands: curvature (tensor + sigma report at a point), verify (soliton
 residual check), flow (rotationally symmetric quotient flow, CSV time
 series), hodge (torus Helmholtz splitting).  Exit codes: 0 success /
 verification pass, 1 verification fail, 2 input error, 3 geometry error,
-4 flow abort.  Exit 2 prints one error line (after argparse's usage line
-for a bad argument) and covers, among others, a non-positive or non-finite
-`flow`/`verify` number, a negative `verify` seed, a flow's n, (k, l) or
-grid, a hodge grid, a spec's (k, l), domain or expressions, and an input
-too large for memory.
+4 flow abort, 5 internal error (a program fault, in one line).  Exit 2
+prints one error line (after argparse's usage line for a bad argument) and
+covers, among others, a non-positive or non-finite `flow`/`verify` number,
+a negative `verify` seed, a flow's n, (k, l) or grid, a hodge grid, a
+spec's (k, l), domain or expressions, a builtin name with parts after its
+dimension, and an input too large for memory.
 numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS, which must be set before Python starts.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import expr as ex
 from . import models, soliton
-from .curvature import GeometryError, MetricChart, curvature_at
+from .curvature import GeometryError, MetricChart, curvature_at, values
 from .probes import chart_probes
 from .sigma import ConeConditionError, sigma_profile
 
@@ -33,6 +34,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
 EXIT_FLOW_ABORT = 4
+EXIT_INTERNAL = 5
 
 
 class InputError(ValueError):
@@ -134,22 +136,23 @@ def cmd_curvature(args) -> int:
          else [0.5 * (lo + hi) for lo, hi in chart.domain])
     if not chart.contains(x):
         raise InputError(f"point {x} outside the chart domain")
-    pack = curvature_at(chart, x)
+    tc = curvature_at(chart, x)
+    scalar, ricci, g = tc.scalar.value, values(tc.ricci), values(tc.g)
     report = {
         "dim": chart.dim,
         "point": x,
-        "scalar_curvature": float(pack.scalar),
-        "ricci": pack.ricci.tolist(),
-        "riemann_sup": float(np.max(np.abs(pack.riemann))),
-        "ricci_minus_metric_sup": float(np.max(np.abs(pack.ricci - pack.g))),
-        "ricci_plus_metric_sup": float(np.max(np.abs(pack.ricci + pack.g))),
+        "scalar_curvature": float(scalar),
+        "ricci": ricci.tolist(),
+        "riemann_sup": float(np.max(np.abs(values(tc.riemann)))),
+        "ricci_minus_metric_sup": float(np.max(np.abs(ricci - g))),
+        "ricci_plus_metric_sup": float(np.max(np.abs(ricci + g))),
     }
     prof = None
     if chart.dim >= 3:  # Schouten, Cotton and sigma_k need n >= 3
-        report["schouten"] = pack.schouten.tolist()
-        report["cotton_sup"] = float(np.max(np.abs(pack.cotton)))
+        report["schouten"] = values(tc.schouten).tolist()
+        report["cotton_sup"] = float(np.max(np.abs(values(tc.cotton))))
         try:
-            prof = sigma_profile(pack, source.k, source.l)
+            prof = sigma_profile(tc, source.k, source.l)
         except ConeConditionError as err:
             report["cone_violation"] = str(err)
         else:
@@ -161,7 +164,7 @@ def cmd_curvature(args) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(f"dim = {chart.dim}, point = {x}")
-        print(f"R = {pack.scalar:.6f}")
+        print(f"R = {scalar:.6f}")
         print(f"|Rm|_sup = {_fmt(report['riemann_sup'])}")
         if "cotton_sup" in report:
             print(f"|Cotton|_sup = {_fmt(report['cotton_sup'])}")
@@ -348,6 +351,10 @@ def main(argv=None) -> int:
     except GeometryError as err:
         print(f"geometry error: {err}", file=sys.stderr)
         return EXIT_GEOMETRY
+    except Exception as err:  # a program fault, not a failed verification
+        print(" ".join(f"internal error: {type(err).__name__}: {err}".split()),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ order it reads:
            the structural identities; also ``curvature_taylor``'s default.
 
 Reading a coefficient the order does not cover raises ``TaylorTrustError``.
-``curvature_at`` extracts the plain floating values into a ``CurvaturePack``
-and keeps the Taylor data attached for callers that re-differentiate the
-pipeline.
+``curvature_at`` returns the order-3 ``TaylorCurvature`` itself, the one
+record of a pipeline's results: a caller reads floats as value parts where
+it needs them (``values(tc.ricci)``, ``tc.scalar.value``).  The Weyl tensor
+is not a field; W = Rm - A ⊠ g is one ``kulkarni_nomizu`` call away.
 
 ``curvature_taylor`` takes one point of shape (n,) or a batch of P probe
 points of shape (P, n) and runs one pipeline for the whole batch: every
@@ -56,7 +57,7 @@ C_{ijk} = nabla_i A_{jk} - nabla_j A_{ik}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -362,48 +363,25 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     return tc
 
 
-# -- floating-point façade -------------------------------------------------
-
-
-@dataclass
-class CurvaturePack:
-    """Floating curvature values at one point, with the order-3 Taylor
-    pipeline data attached as ``taylor`` for re-differentiation (one
-    derivative of curvature)."""
-    dim: int
-    g: np.ndarray
-    ginv: np.ndarray
-    christoffel: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    schouten: np.ndarray | None
-    weyl: np.ndarray | None
-    cotton: np.ndarray | None
-    endo: np.ndarray | None          # g^{-1} A
-    taylor: TaylorCurvature = field(repr=False, default=None)
+# -- one-point entry points -----------------------------------------------
 
 
 def kulkarni_nomizu(a: TensorValue, b: TensorValue) -> TensorValue:
     """(a ⊠ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il.
 
-    With this normalization Rm = W + A ⊠ g is totally trace-free on the
-    round sphere (checked in the test suite), so no extra factor is needed.
+    With this normalization the Weyl tensor W = Rm - A ⊠ g is totally
+    trace-free on the round sphere (checked in the test suite), so no extra
+    factor is needed.
     """
     if a.valence != (0, 2) or b.valence != (0, 2):
         raise ValueError("kulkarni_nomizu expects (0,2) tensors")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return TensorValue(a.dim, (0, 4), _kn_array(a.components, b.components))
-
-
-def _kn_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("ik,jl->ijkl", a, b)
-        + np.einsum("jl,ik->ijkl", a, b)
-        - np.einsum("il,jk->ijkl", a, b)
-        - np.einsum("jk,il->ijkl", a, b)
-    )
+    x, y = a.components, b.components
+    return TensorValue(a.dim, (0, 4), np.einsum("ik,jl->ijkl", x, y)
+                       + np.einsum("jl,ik->ijkl", x, y)
+                       - np.einsum("il,jk->ijkl", x, y)
+                       - np.einsum("jk,il->ijkl", x, y))
 
 
 def _one_point(chart: MetricChart, x, what: str) -> np.ndarray:
@@ -415,32 +393,11 @@ def _one_point(chart: MetricChart, x, what: str) -> np.ndarray:
     return x
 
 
-def curvature_at(chart: MetricChart, x) -> CurvaturePack:
-    x = _one_point(chart, x, "curvature_at")
-    tc = curvature_taylor(chart, x, order=3)  # Cotton reads one derivative of A
-    n = tc.dim
-    g = values(tc.g)
-    riem = values(tc.riemann)
-    schouten = weyl = cotton = endo = None
-    if n >= 3:
-        schouten = values(tc.schouten)
-        weyl = riem - _kn_array(schouten, g)
-        cotton = values(tc.cotton)
-        endo = values(tc.endo)
-    return CurvaturePack(
-        dim=n,
-        g=g,
-        ginv=values(tc.ginv),
-        christoffel=values(tc.christoffel),
-        riemann=riem,
-        ricci=values(tc.ricci),
-        scalar=tc.scalar.value,
-        schouten=schouten,
-        weyl=weyl,
-        cotton=cotton,
-        endo=endo,
-        taylor=tc,
-    )
+def curvature_at(chart: MetricChart, x) -> TaylorCurvature:
+    """The order-3 pipeline at the one point x: Cotton reads one derivative
+    of A.  Its floats are the value parts, ``values(tc.ricci)`` or
+    ``tc.scalar.value``."""
+    return curvature_taylor(chart, _one_point(chart, x, "curvature_at"), order=3)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curvature import GeometryError, MetricChart, curvature_at
+from .curvature import GeometryError, MetricChart, curvature_at, values
 from .sigma import cone_values, log_quotient, sigma_profile, sigmas
 from .soliton import SolitonSpec
 from .taylor import MAX_DIM
@@ -159,7 +159,7 @@ def example4(n: int) -> SolitonSpec:
         # constant (the metric is homogeneous), but the default quotient pair
         # may violate the cone condition; fall back to the first admissible
         # pair of one sigma vector computed through the pipeline.
-        sig = sigmas(curvature_at(chart, np.full(n, 0.2)).endo)
+        sig = sigmas(values(curvature_at(chart, np.full(n, 0.2)).endo))
         pairs = [(k, l)] + [(kk, ll) for kk in range(2, n + 1) for ll in range(1, kk)]
         k, l = next((p for p in pairs if cone_values(sig, *p)[2]), (k, l))
         logq = log_quotient(sig, k, l)  # ConeConditionError if no pair is admissible
@@ -204,11 +204,10 @@ def warped_ricci_formula(xi, fiber: SolitonSpec, point) -> TensorValue:
     xi, dxi, ddxi = xt.value, xt.derivative((1,)), xt.derivative((2,))
     if xi <= 0.0:
         raise GeometryError(f"warping factor non-positive at t = {t}")
-    fiber_pack = curvature_at(fiber.chart, fiber_pt)
-    gf = fiber_pack.g
+    tc = curvature_at(fiber.chart, fiber_pt)
     out = np.zeros((n, n))
     out[0, 0] = -(n - 1) * ddxi / xi
-    out[1:, 1:] = fiber_pack.ricci - ((n - 2) * dxi ** 2 + xi * ddxi) * gf
+    out[1:, 1:] = values(tc.ricci) - ((n - 2) * dxi ** 2 + xi * ddxi) * values(tc.g)
     return TensorValue(n, (0, 2), out)
 
 
@@ -232,6 +231,8 @@ def builtin(name: str) -> SolitonSpec:
         fiber = builtin(":".join(parts[2:]))  # reports its own malformed part, once
     try:
         if kind in _FAMILIES:
+            if len(parts) > 2:
+                raise ValueError(f"unexpected {':'.join(parts[2:])!r} after the dimension")
             return _FAMILIES[kind](int(parts[1]))
         if kind == "warped":
             xi = _XI_NAMES.get(parts[1], parts[1])
@@ -252,18 +253,18 @@ def check_golden(model: SolitonSpec, points) -> list[tuple[str, float, float, bo
     for quantity, expected, tol, _note in model.golden:
         worst = 0.0
         for x in points:
-            pack = curvature_at(model.chart, x)
+            tc = curvature_at(model.chart, x)
             if quantity == "scalar":
-                err = abs(pack.scalar - expected) / max(1.0, abs(expected))
+                err = abs(tc.scalar.value - expected) / max(1.0, abs(expected))
             elif quantity == "riemann_sup":
-                err = float(np.max(np.abs(pack.riemann)))
+                err = float(np.max(np.abs(values(tc.riemann))))
             elif quantity == "ricci_vs_metric":
-                err = float(np.max(np.abs(pack.ricci - expected * pack.g)))
+                err = float(np.max(np.abs(values(tc.ricci) - expected * values(tc.g))))
             elif quantity == "schouten_vs_metric":
-                err = float(np.max(np.abs(pack.schouten - expected * pack.g)))
+                err = float(np.max(np.abs(values(tc.schouten) - expected * values(tc.g))))
             elif quantity.startswith("sigma:"):
                 j = int(quantity.split(":")[1])
-                prof = sigma_profile(pack, model.k, model.l)
+                prof = sigma_profile(tc, model.k, model.l)
                 err = abs(prof.sigmas[j] - expected) / max(1.0, abs(expected))
             else:
                 raise ValueError(f"unknown golden quantity {quantity!r}")

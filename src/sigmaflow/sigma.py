@@ -3,9 +3,11 @@ transformation laws.
 
 One sigma path serves both rings: ``sigmas`` (Newton's identities on the
 power traces tr(A^m)), the Horner loop ``_newton`` and the cone check in
-``log_quotient`` run unchanged on the float ``CurvaturePack.endo`` and on
-the object array of Taylor jets ``TaylorCurvature.endo`` whose value part
-it is.  No eigenvalues are computed.
+``log_quotient`` run unchanged on the object array of Taylor jets
+``TaylorCurvature.endo`` and on its value part ``values(tc.endo)``.  The
+one-point reports ``sigma_profile`` and ``newton_tensor`` take the record
+and run the float ring, far cheaper than sigma jets whose derivatives
+they would not read.  No eigenvalues are computed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import taylor
-from .curvature import (CurvaturePack, GeometryError, MetricChart, TaylorCurvature,
-                        _d, _one_point, _sym, check_int, curvature_taylor, values)
+from .curvature import (GeometryError, MetricChart, TaylorCurvature, _d, _one_point,
+                        _sym, check_int, curvature_taylor, values)
 from .tensor import TensorValue, sigmas_from_power_sums
 
 
@@ -100,19 +102,30 @@ def log_quotient(sig, k: int, l: int):
     return math.log(abs(vk)) - math.log(abs(vl))
 
 
-def sigma_profile(pack: CurvaturePack, k: int, l: int) -> SigmaProfile:
-    """All sigma_j of g^{-1}A at the pack's point plus log(sigma_k/sigma_l).
+def _endo_values(tc: TaylorCurvature, what: str):
+    """g^{-1}A's value part at the one point of ``tc``; None below n = 3."""
+    if tc.endo is None:
+        return None
+    a = values(tc.endo)
+    if a.ndim != 2:
+        raise GeometryError(f"{what} takes the record of one point, got {len(a)} probes")
+    return a
+
+
+def sigma_profile(tc: TaylorCurvature, k: int, l: int) -> SigmaProfile:
+    """All sigma_j of g^{-1}A at the record's point plus log(sigma_k/sigma_l).
 
     Raises ConeConditionError when sigma_k * sigma_l <= 0.
     """
-    check_pair(pack.dim, k, l)
-    sig = np.array(sigmas(pack.endo), dtype=float)
+    check_pair(tc.dim, k, l)
+    sig = np.array(sigmas(_endo_values(tc, "sigma_profile")), dtype=float)
     return SigmaProfile(sigmas=sig, log_quotient=log_quotient(sig, k, l))
 
 
-def newton_tensor(pack: CurvaturePack, k: int) -> TensorValue:
-    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j, a (1,1) tensor."""
-    return TensorValue(pack.dim, (1, 1), _newton(pack.endo, k))
+def newton_tensor(tc: TaylorCurvature, k: int) -> TensorValue:
+    """T_k = sum_{j<=k} (-1)^j sigma_{k-j} (g^{-1}A)^j at the record's point,
+    a (1,1) tensor."""
+    return TensorValue(tc.dim, (1, 1), _newton(_endo_values(tc, "newton_tensor"), k))
 
 
 def sigma_taylor(tc: TaylorCurvature) -> list:
@@ -155,7 +168,7 @@ def _conformal_base(chart0: MetricChart, x, phi):
         raise GeometryError(f"conformal factor must be positive, got {pt.value}")
     w = taylor.log(pt)
     dw = _d(w)
-    grad2 = np.einsum("ij,i,j->", tc0.ginv, dw, dw)
+    grad2 = taylor.matmul(dw, taylor.matmul(tc0.ginv, dw))
     return tc0, w, tc0.hessian_scalar(w), dw, grad2
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr as ex
 from . import probes
-from .curvature import GeometryError, MetricChart, curvature_taylor, probe_batches, values
+from .curvature import GeometryError, MetricChart, _d, curvature_taylor, probe_batches, values
 from .sigma import (ConeConditionError, check_pair, cone_values, log_quotient,
                     log_quotient_taylor, sigma_taylor)
 
@@ -168,11 +168,6 @@ class StructuralResiduals:
     second_order: float         # (n-1) lap psi + <grad R, grad f>/2 + psi R = 0
 
 
-def _grad(s, n: int) -> np.ndarray:
-    """Coordinate gradient values of a jet, shape (P, n)."""
-    return np.stack([s.deriv(i).value for i in range(n)], axis=-1)
-
-
 def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
                            seed: int = 0) -> StructuralResiduals:
     """Residuals of the three structural identities of a gradient quotient
@@ -190,13 +185,13 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
         lap_f = tc.laplacian_scalar(ft).value
         res_a = max(res_a, float(np.max(np.abs(lap_f - n * psi.value))))
 
-        dpsi, df = _grad(psi, n), _grad(ft, n)
+        dpsi, df = values(_d(psi)), values(_d(ft))
         item_b = (n - 1) * dpsi + (ric @ (ginv @ df[..., None]))[..., 0]
         norm_b = np.sqrt(np.einsum("...i,...ij,...j->...", item_b, ginv, item_b))
         res_b = max(res_b, float(np.max(norm_b)))
 
         lap_psi = tc.laplacian_scalar(psi).value
-        pairing = np.einsum("...i,...ij,...j->...", _grad(tc.scalar, n), ginv, df)
+        pairing = np.einsum("...i,...ij,...j->...", values(_d(tc.scalar)), ginv, df)
         res_c = max(res_c, float(np.max(np.abs(
             (n - 1) * lap_psi + 0.5 * pairing + psi.value * tc.scalar.value))))
     return StructuralResiduals(res_a, res_b, res_c)

@@ -19,7 +19,7 @@ from sigmaflow import expr as ex
 from sigmaflow import flow, hodge, models
 from sigmaflow.cli import main as cli_main
 from sigmaflow.curvature import (MetricChart, covariant_ops, curvature_at,
-                                 curvature_taylor)
+                                 curvature_taylor, values)
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import (conformal_ricci, conformal_schouten,
                              divergence_newton, newton_tensor, sigma_profile)
@@ -47,8 +47,8 @@ def test_criterion_01_sigma_golden_tables():
             model = (builder(n) if sign > 0 else
                      models.hyperbolic(n, k=3, l=1))
             for x in chart_probes(model.chart, 10, seed=n):
-                pack = curvature_at(model.chart, x)
-                sig = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
+                tc = curvature_at(model.chart, x)
+                sig = elementary_all(np.sort(np.linalg.eigvals(values(tc.endo)).real))
                 for k in range(n + 1):
                     expect = sign ** k * math.comb(n, k) / 2 ** k
                     worst = max(worst, abs(sig[k] - expect) / abs(expect))
@@ -77,10 +77,10 @@ def test_criterion_02_example4():
             ric_label = "Ric+g-dx1dx1"
         ric_err = sig_err = lie_err = 0.0
         for x in chart_probes(model.chart, 20, seed=n):
-            pack = curvature_at(model.chart, x)
+            tc = curvature_at(model.chart, x)
             ric_err = max(ric_err,
-                          float(np.max(np.abs(pack.ricci + pack.g - flat))))
-            sig = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
+                          float(np.max(np.abs(values(tc.ricci) + values(tc.g) - flat))))
+            sig = elementary_all(np.sort(np.linalg.eigvals(values(tc.endo)).real))
             for k, expect in enumerate(sig_expect):
                 sig_err = max(sig_err, abs(sig[k] - expect) / abs(expect))
             ops = covariant_ops(model.chart, x, X=model.vector_field)
@@ -99,10 +99,10 @@ def test_criterion_03_hessian_identities():
         for builder, sign in ((models.sphere, -1.0), (models.hyperbolic, 1.0)):
             model = builder(n) if sign < 0 else models.hyperbolic(n, k=3, l=1)
             for x in chart_probes(model.chart, 8, seed=2 * n):
-                pack = curvature_at(model.chart, x)
+                tc = curvature_at(model.chart, x)
                 ops = covariant_ops(model.chart, x, f=model.potential)
                 hval = ex.eval_float(model.potential, x)
-                resid = ops.hessian - sign * hval * pack.g
+                resid = ops.hessian - sign * hval * values(tc.g)
                 worst = max(worst, float(np.max(np.abs(resid))))
     report(3, worst < 1e-8,
            f"hess h_v = -/+ h_v g on S^n/H^n sup err {worst:.2e} (< 1e-8)")
@@ -117,14 +117,14 @@ def test_criterion_04_newton_identities():
     for model in all_models:
         n = model.chart.dim
         for x in chart_probes(model.chart, 4, seed=1):
-            pack = curvature_at(model.chart, x)
-            sig = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
+            tc = curvature_at(model.chart, x)
+            sig = elementary_all(np.sort(np.linalg.eigvals(values(tc.endo)).real))
             for k in range(n):
-                tk = newton_tensor(pack, k).components
+                tk = newton_tensor(tc, k).components
                 scale = max(abs(sig[k]), abs(sig[k + 1]), 1e-3)
                 tr_err = max(tr_err,
                              abs(np.trace(tk) - (n - k) * sig[k]) / scale,
-                             abs(np.trace(tk @ pack.endo)
+                             abs(np.trace(tk @ values(tc.endo))
                                  - (k + 1) * sig[k + 1]) / scale)
     for model in (models.sphere(4), models.hyperbolic(4)):
         for x in chart_probes(model.chart, 3, seed=4):
@@ -164,11 +164,11 @@ def test_criterion_06_conformal_laws():
             dim=4, comps=[[ex.parse(s) for s in row] for row in scaled],
             domain=((-0.7, 0.7),) * 4)
         x = rng.uniform(-0.4, 0.4, size=4).tolist()
-        dpack = curvature_at(direct_chart, x)
+        dtc = curvature_at(direct_chart, x)
         a_err = np.max(np.abs(conformal_schouten(base, x, src).components
-                              - dpack.schouten))
+                              - values(dtc.schouten)))
         r_err = np.max(np.abs(conformal_ricci(base, x, src).components
-                              - dpack.ricci))
+                              - values(dtc.ricci)))
         worst = max(worst, float(a_err), float(r_err))
     report(6, worst < 1e-7,
            f"conformal Schouten/Ricci laws vs direct, sup {worst:.2e} (< 1e-7)")
@@ -185,7 +185,7 @@ def test_criterion_07_warped_ricci():
                 x = [rng.uniform(0.6, 1.4),
                      *rng.uniform(-0.2, 0.2, size=3)]
                 formula = models.warped_ricci_formula(xi, fiber, x).components
-                direct = curvature_at(chart, x).ricci
+                direct = values(curvature_at(chart, x).ricci)
                 worst = max(worst, float(np.max(np.abs(formula - direct))))
     report(7, worst < 1e-7,
            f"warped-product Ricci assembly vs chart, sup {worst:.2e} (< 1e-7)")
@@ -303,9 +303,9 @@ def test_criterion_12_oracle_equivalence():
     chart = MetricChart(dim=3, comps=[[ex.parse(s) for s in row] for row in rows],
                         domain=((-1.0, 1.0),) * 3)
     x = [0.25, -0.35, 0.15]
-    pack = curvature_at(chart, x)
+    tc = curvature_at(chart, x)
     lowered, _ = fd_riemann_lowered(chart, x)
-    fd_err = float(np.max(np.abs(pack.riemann - lowered)))
+    fd_err = float(np.max(np.abs(values(tc.riemann) - lowered)))
 
     rng = np.random.default_rng(5)
     eig_err = 0.0
@@ -317,13 +317,13 @@ def test_criterion_12_oracle_equivalence():
         eig_err = max(eig_err, float(np.max(np.abs(mine - oracle))))
 
     newt_err = 0.0
-    pack = curvature_at(models.hyperbolic(4).chart, [0.1, -0.05, 0.15, 0.0])
-    sig = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
+    tc = curvature_at(models.hyperbolic(4).chart, [0.1, -0.05, 0.15, 0.0])
+    sig = elementary_all(np.sort(np.linalg.eigvals(values(tc.endo)).real))
     for k in range(4):
         direct = sum((-1.0) ** j * sig[k - j]
-                     * np.linalg.matrix_power(pack.endo, j)
+                     * np.linalg.matrix_power(values(tc.endo), j)
                      for j in range(k + 1))
-        horner = newton_tensor(pack, k).components
+        horner = newton_tensor(tc, k).components
         newt_err = max(newt_err, float(np.max(np.abs(direct - horner))))
     ok = fd_err < 1e-6 and eig_err < 1e-8 and newt_err < 1e-10
     report(12, ok, f"FD Riemann {fd_err:.2e}, charpoly eigenvalues "

@@ -244,6 +244,11 @@ def test_single_point_entry_points_refuse_a_batch():
     for fn in calls:
         with pytest.raises(GeometryError, match=r"one point of shape \(4,\), got shape \(2, 4\)"):
             fn()
+    # the float sigma reports read the record of one point
+    batch = curvature.curvature_taylor(chart, pts, order=2)
+    for fn in (lambda: sigma.sigma_profile(batch, 2, 1), lambda: sigma.newton_tensor(batch, 1)):
+        with pytest.raises(GeometryError, match="takes the record of one point, got 2 probes"):
+            fn()
     # covariant_ops takes a batch
     ops = curvature.covariant_ops(chart, pts, f="x1")
     assert ops.hessian.shape == (2, 4, 4)

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from sigmaflow import cli, models
+from sigmaflow import cli, curvature, models
 from sigmaflow import expr as ex
 from sigmaflow.cli import main
+from sigmaflow.taylor import TaylorTrustError
 
 
 def run_cli(*argv):
@@ -294,6 +295,23 @@ def test_a_fibers_error_is_reported_once():
     code, out, err = run_cli("curvature", "--builtin", "warped:sinh:nosuch:3")
     assert (code, out, err) == (2, "", "input error: unknown builtin "
                                 "'warped:sinh:nosuch:3': unknown model 'nosuch:3'\n")
+
+
+def test_parts_after_the_dimension_exit_2():
+    for name, rest in (("sphere:3:4", "'4'"), ("warped:sinh:hyperbolic:3:x:y", "'x:y'")):
+        code, out, err = run_cli("curvature", "--builtin", name)
+        assert (code, out, err.count("\n")) == (2, "", 1), name
+        assert err.endswith(f"unexpected {rest} after the dimension\n"), err
+
+
+def test_a_program_fault_has_its_own_exit_code(monkeypatch):
+    # a fault inside the pipeline is neither a pass (0) nor a failed verification (1)
+    def planted(*args, **kwargs):
+        raise TaylorTrustError("planted fault")
+    monkeypatch.setattr(curvature, "curvature_taylor", planted)
+    code, out, err = run_cli("curvature", "--builtin", "sphere:4")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert (out, err) == ("", "internal error: TaylorTrustError: planted fault\n")
 
 
 def test_point_outside_domain_exit_2():

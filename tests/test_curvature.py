@@ -72,6 +72,12 @@ def fd_riemann_lowered(chart, x, h=1e-4):
     return np.einsum("ir,rsmn->ismn", g, up), up
 
 
+def weyl(tc):
+    """W = Rm - A ⊠ g from the value parts of the record ``tc``."""
+    a, g = (TensorValue(tc.dim, (0, 2), values(t)) for t in (tc.schouten, tc.g))
+    return values(tc.riemann) - kulkarni_nomizu(a, g).components
+
+
 SPHERE3 = [
     ["4/(1 + x1^2 + x2^2 + x3^2)^2" if i == j else "0" for j in range(3)]
     for i in range(3)
@@ -80,21 +86,21 @@ SPHERE3 = [
 
 def test_flat_metric_everything_vanishes():
     chart = chart_from_strings([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    pack = curvature_at(chart, [0.2, -0.5, 0.8])
-    assert np.max(np.abs(pack.christoffel)) == 0.0
-    assert np.max(np.abs(pack.riemann)) == 0.0
-    assert pack.scalar == 0.0
-    assert np.max(np.abs(pack.cotton)) == 0.0
+    tc = curvature_at(chart, [0.2, -0.5, 0.8])
+    assert np.max(np.abs(values(tc.christoffel))) == 0.0
+    assert np.max(np.abs(values(tc.riemann))) == 0.0
+    assert tc.scalar.value == 0.0
+    assert np.max(np.abs(values(tc.cotton))) == 0.0
 
 
 def test_polar_coordinates_flat_plane():
     # ds^2 = dr^2 + r^2 dphi^2 is flat but has nonzero Christoffel symbols
     chart = chart_from_strings([["1", "0"], ["0", "x1^2"]],
                                domain=[(0.5, 2.0), (0.0, 6.0)])
-    pack = curvature_at(chart, [1.3, 2.0])
-    assert pack.christoffel[0, 1, 1] == pytest.approx(-1.3, rel=1e-12)
-    assert pack.christoffel[1, 0, 1] == pytest.approx(1 / 1.3, rel=1e-12)
-    assert np.max(np.abs(pack.riemann)) < 1e-12
+    tc = curvature_at(chart, [1.3, 2.0])
+    assert values(tc.christoffel)[0, 1, 1] == pytest.approx(-1.3, rel=1e-12)
+    assert values(tc.christoffel)[1, 0, 1] == pytest.approx(1 / 1.3, rel=1e-12)
+    assert np.max(np.abs(values(tc.riemann))) < 1e-12
 
 
 def test_christoffel_against_finite_differences():
@@ -105,9 +111,9 @@ def test_christoffel_against_finite_differences():
     ]
     chart = chart_from_strings(rows)
     x = [0.3, -0.4, 0.5]
-    pack = curvature_at(chart, x)
+    tc = curvature_at(chart, x)
     oracle = fd_christoffel(chart, x)
-    assert np.max(np.abs(pack.christoffel - oracle)) < 1e-8
+    assert np.max(np.abs(values(tc.christoffel) - oracle)) < 1e-8
 
 
 def test_riemann_against_finite_differences():
@@ -118,32 +124,32 @@ def test_riemann_against_finite_differences():
     ]
     chart = chart_from_strings(rows)
     x = [0.25, -0.35, 0.15]
-    pack = curvature_at(chart, x)
+    tc = curvature_at(chart, x)
     lowered, _ = fd_riemann_lowered(chart, x)
-    assert np.max(np.abs(pack.riemann - lowered)) < 1e-6
+    assert np.max(np.abs(values(tc.riemann) - lowered)) < 1e-6
 
 
 def test_round_sphere_constant_curvature():
     chart = chart_from_strings(SPHERE3, domain=[(-0.9, 0.9)] * 3)
     for x in ([0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [0.7, 0.1, -0.6]):
-        pack = curvature_at(chart, x)
-        assert pack.scalar == pytest.approx(6.0, rel=1e-11)
-        assert np.max(np.abs(pack.ricci - 2 * pack.g)) < 1e-11
-        assert np.max(np.abs(pack.schouten - 0.5 * pack.g)) < 1e-11
+        tc = curvature_at(chart, x)
+        assert tc.scalar.value == pytest.approx(6.0, rel=1e-11)
+        assert np.max(np.abs(values(tc.ricci) - 2 * values(tc.g))) < 1e-11
+        assert np.max(np.abs(values(tc.schouten) - 0.5 * values(tc.g))) < 1e-11
         # space form: Rm_ijkl = g_ik g_jl - g_il g_jk
-        g = pack.g
+        g = values(tc.g)
         rm = (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
-        assert np.max(np.abs(pack.riemann - rm)) < 1e-10
-        assert np.max(np.abs(pack.cotton)) < 1e-10
-        assert np.max(np.abs(pack.weyl)) < 1e-10
+        assert np.max(np.abs(values(tc.riemann) - rm)) < 1e-10
+        assert np.max(np.abs(values(tc.cotton))) < 1e-10
+        assert np.max(np.abs(weyl(tc))) < 1e-10
 
 
 def test_hyperbolic_constant_curvature():
     model = models.hyperbolic(4)
     x = [0.1, -0.2, 0.15, 0.05]
-    pack = curvature_at(model.chart, x)
-    assert pack.scalar == pytest.approx(-12.0, rel=1e-11)
-    assert np.max(np.abs(pack.ricci + 3 * pack.g)) < 1e-10
+    tc = curvature_at(model.chart, x)
+    assert tc.scalar.value == pytest.approx(-12.0, rel=1e-11)
+    assert np.max(np.abs(values(tc.ricci) + 3 * values(tc.g))) < 1e-10
 
 
 def test_riemann_symmetries_generic_metric():
@@ -153,8 +159,8 @@ def test_riemann_symmetries_generic_metric():
         ["0", "sin(x1)/7", "1 + x1^2/2"],
     ]
     chart = chart_from_strings(rows)
-    pack = curvature_at(chart, [0.4, 0.3, -0.2])
-    rm = pack.riemann
+    tc = curvature_at(chart, [0.4, 0.3, -0.2])
+    rm = values(tc.riemann)
     scale = np.max(np.abs(rm))
     assert np.max(np.abs(rm + np.swapaxes(rm, 0, 1))) < 1e-11 * scale
     assert np.max(np.abs(rm + np.swapaxes(rm, 2, 3))) < 1e-11 * scale
@@ -163,9 +169,9 @@ def test_riemann_symmetries_generic_metric():
     bianchi = rm + np.transpose(rm, (0, 2, 3, 1)) + np.transpose(rm, (0, 3, 1, 2))
     assert np.max(np.abs(bianchi)) < 1e-11 * scale
     # Ricci is symmetric and the trace of Riemann
-    assert np.max(np.abs(pack.ricci - pack.ricci.T)) < 1e-11 * scale
-    tr = np.einsum("ij,ikjl->kl", pack.ginv, rm)
-    assert np.max(np.abs(pack.ricci - tr)) < 1e-10 * scale
+    assert np.max(np.abs(values(tc.ricci) - values(tc.ricci).T)) < 1e-11 * scale
+    tr = np.einsum("ij,ikjl->kl", values(tc.ginv), rm)
+    assert np.max(np.abs(values(tc.ricci) - tr)) < 1e-10 * scale
 
 
 def test_weyl_is_totally_trace_free():
@@ -176,12 +182,12 @@ def test_weyl_is_totally_trace_free():
         ["0", "0", "0", "1 + x1^2/3"],
     ]
     chart = chart_from_strings(rows)
-    pack = curvature_at(chart, [0.3, 0.2, -0.4, 0.1])
+    tc = curvature_at(chart, [0.3, 0.2, -0.4, 0.1])
     for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        tr = np.einsum("ij,...->...", pack.ginv,
-                       np.moveaxis(pack.weyl, axes, (0, 1)))
-        tr = np.einsum("ij,ij...->...", pack.ginv,
-                       np.moveaxis(pack.weyl, axes, (0, 1)))
+        tr = np.einsum("ij,...->...", values(tc.ginv),
+                       np.moveaxis(weyl(tc), axes, (0, 1)))
+        tr = np.einsum("ij,ij...->...", values(tc.ginv),
+                       np.moveaxis(weyl(tc), axes, (0, 1)))
         assert np.max(np.abs(tr)) < 1e-10
 
 
@@ -193,11 +199,11 @@ def test_weyl_plus_schouten_product_reconstructs_riemann():
         ["0", "0", "0", "1 + x2^2/7"],
     ]
     chart = chart_from_strings(rows)
-    pack = curvature_at(chart, [0.2, 0.4, -0.3, 0.5])
-    a = TensorValue(4, (0, 2), pack.schouten)
-    g = TensorValue(4, (0, 2), pack.g)
+    tc = curvature_at(chart, [0.2, 0.4, -0.3, 0.5])
+    a = TensorValue(4, (0, 2), values(tc.schouten))
+    g = TensorValue(4, (0, 2), values(tc.g))
     kn = kulkarni_nomizu(a, g).components
-    assert np.max(np.abs(pack.riemann - (pack.weyl + kn))) < 1e-10
+    assert np.max(np.abs(values(tc.riemann) - (weyl(tc) + kn))) < 1e-10
 
 
 def test_kulkarni_nomizu_sectional_pattern():
@@ -213,8 +219,8 @@ def test_cotton_vanishes_for_conformally_flat():
     rows = [["exp(2*sin(x1)*x2)" if i == j else "0" for j in range(3)]
             for i in range(3)]
     chart = chart_from_strings(rows)
-    pack = curvature_at(chart, [0.35, 0.25, -0.45])
-    assert np.max(np.abs(pack.cotton)) < 1e-10
+    tc = curvature_at(chart, [0.35, 0.25, -0.45])
+    assert np.max(np.abs(values(tc.cotton))) < 1e-10
 
 
 def test_cotton_antisymmetry_first_pair():
@@ -224,12 +230,12 @@ def test_cotton_antisymmetry_first_pair():
         ["0", "0", "1 + exp(x1)/4"],
     ]
     chart = chart_from_strings(rows)
-    pack = curvature_at(chart, [0.2, -0.1, 0.3])
-    c = pack.cotton
+    tc = curvature_at(chart, [0.2, -0.1, 0.3])
+    c = values(tc.cotton)
     assert np.max(np.abs(c)) > 1e-4  # genuinely non conformally flat
     assert np.max(np.abs(c + np.swapaxes(c, 0, 1))) < 1e-12
     # trace over the antisymmetric pair vanishes
-    assert np.max(np.abs(np.einsum("ij,ijk->k", pack.ginv, c))) < 1e-10
+    assert np.max(np.abs(np.einsum("ij,ijk->k", values(tc.ginv), c))) < 1e-10
 
 
 def test_second_bianchi_contracted():

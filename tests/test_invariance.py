@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 from oracles import differentiate, substitute
 from sigmaflow import expr as ex
 from sigmaflow import models
-from sigmaflow.curvature import MetricChart, _kn_array, curvature_taylor, values
+from sigmaflow.curvature import MetricChart, curvature_taylor, kulkarni_nomizu, values
 from sigmaflow.sigma import sigma_taylor
 from sigmaflow.soliton import SolitonSpec, _gnorm2, _point_data
+from sigmaflow.tensor import TensorValue
 
 TOL = 1e-10
 MODELS = {3: ("sphere:3", "hyperbolic:3", "warped:cosh:euclidean:2"),
@@ -102,7 +103,9 @@ def invariants(tc, spec) -> np.ndarray:
     rows of a (P, m) array."""
     ginv, g = values(tc.ginv), values(tc.g)
     rm, ric, sch = values(tc.riemann), values(tc.ricci), values(tc.schouten)
-    weyl = rm - np.array([_kn_array(a, b) for a, b in zip(sch, g)])
+    weyl = rm - np.array([kulkarni_nomizu(TensorValue(tc.dim, (0, 2), a),
+                                          TensorValue(tc.dim, (0, 2), b)).components
+                          for a, b in zip(sch, g)])
     cot = values(tc.cotton)
 
     def norm4(t):

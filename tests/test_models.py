@@ -5,7 +5,7 @@ import pytest
 
 from sigmaflow import expr as ex
 from sigmaflow import models
-from sigmaflow.curvature import GeometryError, curvature_at
+from sigmaflow.curvature import GeometryError, curvature_at, values
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import sigma_profile
 from sigmaflow.tensor import elementary_all
@@ -19,12 +19,12 @@ def probe(model, count=10, seed=0):
 def test_sphere_sigma_golden(n):
     model = models.sphere(n, k=2, l=1)
     for x in probe(model):
-        pack = curvature_at(model.chart, x)
-        prof = sigma_profile(pack, 2, 1)
+        tc = curvature_at(model.chart, x)
+        prof = sigma_profile(tc, 2, 1)
         for k in range(n + 1):
             expect = math.comb(n, k) / 2 ** k
             assert abs(prof.sigmas[k] - expect) < 1e-8 * abs(expect)
-        assert pack.scalar == pytest.approx(n * (n - 1), rel=1e-9)
+        assert tc.scalar.value == pytest.approx(n * (n - 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -32,28 +32,28 @@ def test_hyperbolic_sigma_golden(n):
     k, l = (3, 1) if n >= 3 else (2, 1)
     model = models.hyperbolic(n, k=k, l=l)
     for x in probe(model):
-        pack = curvature_at(model.chart, x)
-        eig = np.sort(np.linalg.eigvals(pack.endo).real)
+        tc = curvature_at(model.chart, x)
+        eig = np.sort(np.linalg.eigvals(values(tc.endo)).real)
         sigmas = elementary_all(eig)
         for j in range(n + 1):
             expect = (-1) ** j * math.comb(n, j) / 2 ** j
             assert abs(sigmas[j] - expect) < 1e-8 * abs(expect)
-        assert pack.scalar == pytest.approx(-n * (n - 1), rel=1e-9)
+        assert tc.scalar.value == pytest.approx(-n * (n - 1), rel=1e-9)
 
 
 def test_euclidean_model_is_flat():
     model = models.euclidean(3)
-    pack = curvature_at(model.chart, [0.4, -0.2, 0.6])
-    assert np.max(np.abs(pack.riemann)) == 0.0
+    tc = curvature_at(model.chart, [0.4, -0.2, 0.6])
+    assert np.max(np.abs(values(tc.riemann))) == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_example4_even_dim_einstein(n):
     model = models.example4(n)
     for x in probe(model, count=5):
-        pack = curvature_at(model.chart, x)
-        assert np.max(np.abs(pack.ricci + pack.g)) < 1e-10
-        eig = np.sort(np.linalg.eigvals(pack.endo).real)
+        tc = curvature_at(model.chart, x)
+        assert np.max(np.abs(values(tc.ricci) + values(tc.g))) < 1e-10
+        eig = np.sort(np.linalg.eigvals(values(tc.endo)).real)
         sigmas = elementary_all(eig)
         for j in range(n + 1):
             expect = (-1) ** j * math.comb(n, j) / (2 ** j * (n - 1) ** j)
@@ -66,16 +66,16 @@ def test_example4_odd_dim_has_flat_direction():
     # satisfies the cone condition
     model = models.example4(5)
     x = probe(model, count=1)[0]
-    pack = curvature_at(model.chart, x)
-    assert np.max(np.abs(pack.ricci + pack.g)) > 0.4
-    sigma_profile(pack, model.k, model.l)  # ConeConditionError otherwise
+    tc = curvature_at(model.chart, x)
+    assert np.max(np.abs(values(tc.ricci) + values(tc.g))) > 0.4
+    sigma_profile(tc, model.k, model.l)  # ConeConditionError otherwise
 
 
 def test_product_line_sphere_sigma1():
     model = models.product_line_sphere(3)
     for x in probe(model, count=5):
-        pack = curvature_at(model.chart, x)
-        prof = sigma_profile(pack, 1, 1)
+        tc = curvature_at(model.chart, x)
+        prof = sigma_profile(tc, 1, 1)
         assert prof.sigmas[1] == pytest.approx((3 - 1) / 2.0, rel=1e-9)
         assert prof.log_quotient == pytest.approx(0.0, abs=1e-12)
 
@@ -101,7 +101,7 @@ def test_warped_ricci_formula_vs_direct(xi_name, xi_src, fiber_name):
         fp = rng.uniform(-0.2, 0.2, size=3)
         x = [t, *fp]
         formula = models.warped_ricci_formula(xi_src, fiber, x).components
-        direct = curvature_at(chart, x).ricci
+        direct = values(curvature_at(chart, x).ricci)
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(formula - direct)) < 1e-10 * scale
 
@@ -110,8 +110,8 @@ def test_warped_hyperbolic_space_form():
     # dt^2 + sinh(t)^2 g_{S^3} is hyperbolic 4-space: Ric = -3 g
     model = models.builtin("warped:sinh:sphere:3")
     x = [1.1, 0.1, -0.15, 0.2]
-    pack = curvature_at(model.chart, x)
-    assert np.max(np.abs(pack.ricci + 3 * pack.g)) < 1e-9
+    tc = curvature_at(model.chart, x)
+    assert np.max(np.abs(values(tc.ricci) + 3 * values(tc.g))) < 1e-9
 
 
 def test_builtin_names():

@@ -35,8 +35,8 @@ def brute_newton_tensor(endo, sigmas, k):
 
 def test_sphere_sigma_table():
     model = models.sphere(4)
-    pack = curvature_at(model.chart, [0.2, -0.1, 0.3, 0.15])
-    prof = sigma_profile(pack, 2, 1)
+    tc = curvature_at(model.chart, [0.2, -0.1, 0.3, 0.15])
+    prof = sigma_profile(tc, 2, 1)
     for k in range(5):
         assert prof.sigmas[k] == pytest.approx(math.comb(4, k) / 2 ** k, rel=1e-10)
     assert prof.log_quotient == pytest.approx(math.log(1.5 / 2.0), rel=1e-10)
@@ -44,9 +44,9 @@ def test_sphere_sigma_table():
 
 def test_cone_condition_raises():
     chart = conformal_chart("1", 3)  # flat: every sigma_k = 0
-    pack = curvature_at(chart, [0.0, 0.0, 0.0])
+    tc = curvature_at(chart, [0.0, 0.0, 0.0])
     with pytest.raises(ConeConditionError):
-        sigma_profile(pack, 2, 1)
+        sigma_profile(tc, 2, 1)
 
 
 def test_newton_tensor_direct_matrix_oracle():
@@ -54,12 +54,12 @@ def test_newton_tensor_direct_matrix_oracle():
     model = models.hyperbolic(5)
     for _ in range(3):
         x = (rng.uniform(-0.2, 0.2, size=5)).tolist()
-        pack = curvature_at(model.chart, x)
-        eig = np.sort(np.linalg.eigvals(pack.endo).real)
+        tc = curvature_at(model.chart, x)
+        eig = np.sort(np.linalg.eigvals(values(tc.endo)).real)
         sigmas = elementary_all(eig)
         for k in range(5):
-            tk = newton_tensor(pack, k)
-            oracle = brute_newton_tensor(pack.endo, sigmas, k)
+            tk = newton_tensor(tc, k)
+            oracle = brute_newton_tensor(values(tc.endo), sigmas, k)
             assert np.max(np.abs(tk.components - oracle)) < 1e-10
 
 
@@ -68,13 +68,13 @@ def test_newton_trace_identities():
     for model in (models.sphere(4), models.hyperbolic(4),
                   models.example4(4), models.sphere(5)):
         n = model.chart.dim
-        pack = curvature_at(model.chart, [0.1] * n)
-        sigmas = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
+        tc = curvature_at(model.chart, [0.1] * n)
+        sigmas = elementary_all(np.sort(np.linalg.eigvals(values(tc.endo)).real))
         for k in range(n):
-            tk = newton_tensor(pack, k).components
+            tk = newton_tensor(tc, k).components
             assert np.trace(tk) == pytest.approx((n - k) * sigmas[k],
                                                  rel=1e-9, abs=1e-12)
-            assert np.trace(tk @ pack.endo) == pytest.approx(
+            assert np.trace(tk @ values(tc.endo)) == pytest.approx(
                 (k + 1) * sigmas[k + 1], rel=1e-9, abs=1e-12)
 
 
@@ -82,9 +82,9 @@ def test_sigma_taylor_matches_eigenvalue_route():
     model = models.sphere(4)
     x = [0.15, 0.05, -0.2, 0.1]
     tc = curvature_taylor(model.chart, x)
-    pack = curvature_at(model.chart, x)
+    tc3 = curvature_at(model.chart, x)
     sig_t = sigma_taylor(tc)
-    sigmas = elementary_all(np.sort(np.linalg.eigvals(pack.endo).real))
+    sigmas = elementary_all(np.sort(np.linalg.eigvals(values(tc3.endo)).real))
     for k in range(5):
         assert sig_t[k].value == pytest.approx(sigmas[k], rel=1e-10)
     # the quotient's Taylor expansion is constant on the round sphere
@@ -97,33 +97,33 @@ def test_newton_tensor_taylor_matches_float_route():
     model = models.hyperbolic(4)
     x = [0.1, -0.05, 0.2, 0.0]
     tc = curvature_taylor(model.chart, x)
-    pack = curvature_at(model.chart, x)
+    tc3 = curvature_at(model.chart, x)
     for k in range(4):
         tk_t = values(newton_tensor_taylor(tc, k))
-        tk_f = newton_tensor(pack, k).components
+        tk_f = newton_tensor(tc3, k).components
         assert np.max(np.abs(tk_t - tk_f)) < 1e-10
 
 
 def test_indices_checked_for_floats_and_jets():
     # T_n vanishes by Cayley-Hamilton: an index >= n is an error, not a zero tensor
-    pack = curvature_at(models.sphere(4).chart, [0.1, 0.2, -0.1, 0.0])
+    tc = curvature_at(models.sphere(4).chart, [0.1, 0.2, -0.1, 0.0])
     for k in (4, -1, 1.0):
         with pytest.raises(GeometryError, match="Newton tensor index"):
-            newton_tensor_taylor(pack.taylor, k)
+            newton_tensor_taylor(tc, k)
         with pytest.raises(GeometryError, match="Newton tensor index"):
-            newton_tensor(pack, k)
+            newton_tensor(tc, k)
     for k, l in ((5, 1), (2.5, 1), (2, -1)):
         with pytest.raises(GeometryError, match="quotient index"):
-            sigma_profile(pack, k, l)
+            sigma_profile(tc, k, l)
 
 
 def test_sigma_quantities_need_dimension_3():
     conformal = "4/(1 + x1^2 + x2^2)^2"
     chart = MetricChart(2, [[conformal, "0"], ["0", conformal]], [(-0.9, 0.9)] * 2)
     x = [0.1, 0.2]
-    pack = curvature_at(chart, x)
-    for fn in (lambda: sigma_profile(pack, 1, 0), lambda: newton_tensor(pack, 1),
-               lambda: sigma_taylor(pack.taylor), lambda: divergence_newton(chart, x, 1)):
+    tc = curvature_at(chart, x)
+    for fn in (lambda: sigma_profile(tc, 1, 0), lambda: newton_tensor(tc, 1),
+               lambda: sigma_taylor(tc), lambda: divergence_newton(chart, x, 1)):
         with pytest.raises(GeometryError, match="dimension >= 3"):
             fn()
 
@@ -143,15 +143,15 @@ def test_float_sigmas_are_the_value_part_of_the_jet_path():
         model = models.builtin(name)
         n = model.chart.dim
         for x in probes.chart_probes(model.chart, 3, seed=1):
-            pack = curvature_at(model.chart, x)
-            prof = sigma_profile(pack, model.k, model.l)
-            jets = [s.value for s in sigma_taylor(pack.taylor)]
-            spec = sym_eigenvalues(TensorValue(n, (1, 1), pack.endo), pack.g)
+            tc = curvature_at(model.chart, x)
+            prof = sigma_profile(tc, model.k, model.l)
+            jets = [s.value for s in sigma_taylor(tc)]
+            spec = sym_eigenvalues(TensorValue(n, (1, 1), values(tc.endo)), values(tc.g))
             assert _close(prof.sigmas, jets), (name, x)
             assert _close(prof.sigmas, elementary_all(spec)), (name, x)
             for k in (1, n - 1):  # T_{n-1} runs every step of the Horner loop
-                tk = newton_tensor(pack, k).components
-                assert _close(tk, values(newton_tensor_taylor(pack.taylor, k))), (name, x, k)
+                tk = newton_tensor(tc, k).components
+                assert _close(tk, values(newton_tensor_taylor(tc, k))), (name, x, k)
 
 
 def test_sigma_taylor_jet_multiplies(monkeypatch):
@@ -201,8 +201,8 @@ def test_covariant_operator_jet_multiplies(monkeypatch):
              ("lie_metric", lambda: tc.lie_metric(xv), 56),
              ("div_vector", lambda: tc.div_vector(xv), 4),
              ("div_endomorphism", lambda: tc.div_endomorphism(t2), 80),
-             ("conformal_schouten", lambda: conformal_schouten(model.chart, x, phi), 1583),
-             ("conformal_ricci", lambda: conformal_ricci(model.chart, x, phi), 1639)]
+             ("conformal_schouten", lambda: conformal_schouten(model.chart, x, phi), 1571),
+             ("conformal_ricci", lambda: conformal_ricci(model.chart, x, phi), 1627)]
     for name, operator, expected in cases:
         count[0] = 0
         monkeypatch.setattr(taylor.TaylorContext, "mul", counting)
@@ -212,7 +212,7 @@ def test_covariant_operator_jet_multiplies(monkeypatch):
 
 
 PACK_FIELDS = ("g", "ginv", "christoffel", "riemann", "ricci", "scalar", "schouten",
-               "weyl", "cotton", "endo")
+               "cotton", "endo")
 
 
 def test_declared_orders_match_order_4(pipeline_orders):
@@ -224,6 +224,9 @@ def test_declared_orders_match_order_4(pipeline_orders):
         want = pipeline_orders.at(4, fn)
         for f in fields or ("components",):
             a, b = getattr(got, f), getattr(want, f)
+            if fields:  # the pipeline record holds jets: compare their value parts
+                a, b = (None if v is None else values(np.asarray(v, dtype=object))
+                        for v in (a, b))
             assert (a is None) == (b is None) and (a is None or _close(a, b)), (name, x, f)
 
     for name in ONE_PATH_MODELS:
@@ -261,7 +264,7 @@ def test_conformal_schouten_law_vs_direct():
         direct_chart = conformal_chart(f"({src})^2", 4, box=1.0)
         x = rng.uniform(-0.5, 0.5, size=4).tolist()
         via_law = conformal_schouten(base, x, src).components
-        direct = curvature_at(direct_chart, x).schouten
+        direct = values(curvature_at(direct_chart, x).schouten)
         assert np.max(np.abs(via_law - direct)) < 1e-10
 
 
@@ -277,7 +280,7 @@ def test_conformal_ricci_law_vs_direct():
     )
     x = [0.2, -0.3, 0.1]
     via_law = conformal_ricci(base, x, src).components
-    direct = curvature_at(direct_chart, x).ricci
+    direct = values(curvature_at(direct_chart, x).ricci)
     assert np.max(np.abs(via_law - direct)) < 1e-10
 
 
