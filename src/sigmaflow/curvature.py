@@ -38,7 +38,16 @@ product, and each sum over an index that an ``einsum`` would write, is
 ``taylor.matmul``: one ``TaylorContext.mul`` call per term, in numpy's
 operand order, summed left to right on the coefficient arrays, one jet per
 output.  Traces and element-wise ``*`` stay numpy's.  Every stage thus
-forms the products the same sums written as index loops would.
+forms the products the same sums written as index loops would.  Each
+product is summed only to the order its stage keeps (``taylor`` header,
+trusted-prefix rule).  A contraction summed with a derivative takes that
+derivative's order as ``matmul``'s ``trusted``, one below its operands':
+Riemann's Gamma Gamma terms p - 2, beside d Gamma; the Gamma A terms of
+nabla A, and so of Cotton, p - 3; the Gamma ds term of a Hessian of s
+trusted(s) - 2; and the Gamma T terms of div T trusted(T) - 1.  The other
+stages' products already keep their operands' lower order: g^-1 dg in
+Christoffel p - 1; the lowering g R, g^-1 Ric and g^-1 A p - 2; and the
+Gamma X terms of L_X g and div X the order of dX.
 Symmetric stages (Christoffel, Ricci, Schouten, Hessians, L_X g) are
 computed on i <= j and mirrored, Riemann on m < nu and negated for
 nu < m.  Stages are built one slice at a time where whole-table
@@ -92,7 +101,10 @@ class MetricChart:
         if len(comps) != dim or any(len(row) != dim for row in comps):
             raise GeometryError(f"metric must be a {dim}x{dim} array")
         self.dim = dim
-        self.comps = [[ex.as_expr(comps[i][j]) for j in range(dim)] for i in range(dim)]
+        # each distinct string parsed once, in row-major order of first use
+        strings = dict.fromkeys(c for row in comps for c in row if isinstance(c, str))
+        parsed = {c: ex.parse(c) for c in strings}
+        self.comps = [[parsed[c] if isinstance(c, str) else c for c in row] for row in comps]
         try:
             self.domain = [(float(lo), float(hi)) for lo, hi in domain]
         except (TypeError, ValueError) as err:
@@ -132,13 +144,19 @@ class MetricChart:
 
     def metric_values(self, x) -> np.ndarray:
         """g at the point x, shape (n, n); for stacked coordinates x of shape
-        (n, ...), one matrix per point, shape (..., n, n)."""
+        (n, ...), one matrix per point, shape (..., n, n).  Each distinct
+        component is evaluated once."""
+        x = np.asarray(x, dtype=float)
         n = self.dim
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = ex.eval_float(self.comps[i][j], x)
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+        entries = {}  # component -> its (i, j) on and above the diagonal
+        for i, j in zip(*np.triu_indices(n)):
+            entries.setdefault(self.comps[i][j], []).append((i, j))
+        g = np.empty(x.shape[1:] + (n, n))
+        for e, at in entries.items():
+            v = ex.eval_float(e, x)
+            for i, j in at:
+                g[..., i, j] = g[..., j, i] = v
+        return g
 
 
 # -- Taylor-valued tensor algebra -----------------------------------------
@@ -161,6 +179,11 @@ def _d(t, var=None) -> np.ndarray:
         n = t.flat[0].ctx.dim
         var = np.arange(n).reshape((n,) + (1,) * t.ndim)
     return _deriv(t, var)
+
+
+def _trust(t) -> int:
+    """The lowest trusted order among the jets of the array ``t``."""
+    return min(s.trusted for s in np.asarray(t, dtype=object).flat)
 
 
 def _sym(upper: np.ndarray, n: int) -> np.ndarray:
@@ -265,10 +288,11 @@ class TaylorCurvature:
         """nabla_i t_jk = d_i t_jk - Gamma^l_ij t_lk - Gamma^l_ik t_jl for a
         Taylor (0,2) tensor; output indexed [i, j, k], one i at a time."""
         out = _obj((self.dim,) * 3)
+        cap = _trust(t) - 1  # the trust of d_i t
         for i in range(self.dim):
             gam = self.christoffel[:, i]  # [l, j] = Gamma^l_ij
-            out[i] = (_d(t, i) - taylor.matmul(gam.T, t)        # Gamma^l_ij t_lk
-                      - taylor.matmul(gam.T, t.T).T)            # Gamma^l_ik t_jl
+            out[i] = (_d(t, i) - taylor.matmul(gam.T, t, cap)        # Gamma^l_ij t_lk
+                      - taylor.matmul(gam.T, t.T, cap).T)            # Gamma^l_ik t_jl
         return out
 
     def grad_scalar(self, s: TaylorScalar) -> np.ndarray:
@@ -279,7 +303,8 @@ class TaylorCurvature:
         """d_i d_j s - Gamma^k_ij d_k s, on i <= j."""
         i, j = np.triu_indices(self.dim)
         ds = _d(s)
-        return _sym(_d(ds[i], j) - taylor.matmul(self.christoffel[:, i, j].T, ds), self.dim)
+        gds = taylor.matmul(self.christoffel[:, i, j].T, ds, s.trusted - 2)
+        return _sym(_d(ds[i], j) - gds, self.dim)
 
     def laplacian_scalar(self, s: TaylorScalar) -> TaylorScalar:
         return np.sum(self.ginv * self.hessian_scalar(s))
@@ -304,8 +329,10 @@ class TaylorCurvature:
         row-major order."""
         n, gam = self.dim, self.christoffel
         pairs = gam.transpose(1, 0, 2).reshape(n * n, n)  # [(i, l), j] = Gamma^l_ij
+        cap = _trust(t) - 1  # the trust of d_i T^i_j
         return (np.sum(_d(t, np.arange(n)[:, None]), axis=0)
-                + taylor.matmul(np.trace(gam), t) - taylor.matmul(pairs.T, t.reshape(-1)))
+                + taylor.matmul(np.trace(gam), t, cap)
+                - taylor.matmul(pairs.T, t.reshape(-1), cap))
 
 
 def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
@@ -335,9 +362,11 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
 
     # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
     riem13 = np.full((n,) * 4, g[0, 0].ctx.constant(0.0), dtype=object)
+    cap = _trust(gam) - 1  # the trust of d_m Gamma
     for m, nu in zip(*np.triu_indices(n, 1)):
         gm, gn = gam[:, m], gam[:, nu]  # [r, t] = Gamma^r_{m t}
-        r = _d(gn, m) - _d(gm, nu) + taylor.matmul(gm, gn) - taylor.matmul(gn, gm)
+        r = (_d(gn, m) - _d(gm, nu)
+             + taylor.matmul(gm, gn, cap) - taylor.matmul(gn, gm, cap))
         riem13[:, :, m, nu], riem13[:, :, nu, m] = r, -r
 
     ric = _sym(np.trace(riem13[:, i, :, j], axis1=1, axis2=2), n)

@@ -38,6 +38,13 @@ of degree <= t are a prefix of it.  A product trusted to t sums only that
 prefix; since every output coefficient of degree d collects exactly the
 pairs with |a| + |b| = d, in table order, each coefficient of degree <= t
 comes out bitwise equal to the full product's, and those above t are zero.
+The t of a product is the order its caller's result keeps: the lower of
+its operands' orders, and for a contraction that is summed with a
+derivative (``matmul``'s ``trusted``) no more than that derivative's
+order, so no product sums pairs its result drops.  A product trusted to 0
+is its value alone: ``mul`` then forms 0.0 + a_0 b_0, one multiply per
+probe, with no gather and no ``bincount`` (the 0.0 + gives a zero the sign
+``bincount``'s sum from 0.0 gives it), and below 0 it is all zeros.
 
 Structural zeros: each context keeps one shared, read-only zero coefficient
 array per shape (``zero``), (C,) for one point and (P, C) for each batch
@@ -53,19 +60,24 @@ sum or difference with a zero is the other operand's array whenever that
 keeps the result's shape, and the other jet itself when the zero is
 trusted at least as far.  ``trusted`` is set as for any other jet.  Every
 trusted coefficient equals the one computed in full, since zero times a
-finite number is zero.  Jets are immutable, and coefficient arrays are
-never written in place; the read-only flag enforces that for the shared
-zeros.  Every zero test goes through ``TaylorContext.is_zero``.
+finite number is zero; only the sign of a zero can differ, since the
+shared zero holds +0.0 and a derivative is tested over all its
+coefficients, untrusted ones included.  Jets are immutable, and
+coefficient arrays are never written in place; the read-only flag
+enforces that for the shared zeros.  Every zero test goes through
+``TaylorContext.is_zero``.
 
-Contraction: ``matmul(a, b)`` is ``a @ b`` on object arrays of jets, the
-one kernel for every jet contraction.  Its order rule: each product
-a[i, j] * b[j, k] is one ``mul`` call with the left operand first, trusted
-to the lower of the two orders, and the terms are summed j = 0, 1, ...
-left to right on their coefficient arrays, which is numpy's order, so the
-coefficients come out bit for bit as with numpy's object ``@``.  It skips
-shared zeros in the sum as ``+`` does and builds one jet per output, none
-per term, trusted to the minimum over its terms.  On float arrays it is
-plain ``a @ b``, so a caller such as the sigma path runs in either ring.
+Contraction: ``matmul(a, b, trusted=None)`` is ``a @ b`` on object arrays
+of jets, the one kernel for every jet contraction.  Its order rule: each
+product a[i, j] * b[j, k] is one ``mul`` call with the left operand first,
+trusted to the lowest of the two orders and ``trusted`` (None sets no
+cap), and the terms are summed j = 0, 1, ... left to right on their
+coefficient arrays, which is numpy's order, so every coefficient up to an
+output's trusted order comes out bit for bit as with numpy's object ``@``.
+It skips shared zeros in the sum as ``+`` does and builds one jet per
+output, none per term, trusted to the minimum over its terms.  On float
+arrays it is plain ``a @ b``, so a caller such as the sigma path runs in
+either ring.
 """
 
 from __future__ import annotations
@@ -173,11 +185,11 @@ class TaylorContext:
         by_deg = np.argsort(pair_deg, kind="stable")
         self._mul_a, self._mul_b = ia[by_deg], ib[by_deg]
         self._mul_out = position(keys[self._mul_a] + keys[self._mul_b])
-        # (a, b, out) prefixes per trusted order -1 .. MAX_ORDER, where every
+        # (a, b, out) prefixes per trusted order 1 .. MAX_ORDER, where every
         # order from the context's up takes the whole table
-        ends = np.searchsorted(pair_deg[by_deg], np.arange(-1, MAX_ORDER + 1), side="right")
+        ends = np.searchsorted(pair_deg[by_deg], np.arange(1, MAX_ORDER + 1), side="right")
         self._prefix = {t: (self._mul_a[:e], self._mul_b[:e], self._mul_out[:e])
-                        for t, e in enumerate(ends, start=-1)}
+                        for t, e in enumerate(ends, start=1)}
         self._scatter = {}          # (probes, trusted) -> flat output index
         self._zeros = {}            # lead shape -> the shared zero
         self._zero_ids = set()      # their ids, for a fast is_zero
@@ -210,18 +222,24 @@ class TaylorContext:
 
     def mul(self, a: np.ndarray, b: np.ndarray, trusted: int = MAX_ORDER) -> np.ndarray:
         """Product of coefficient arrays of shape (..., C), summed over the
-        pairs of degree <= ``trusted`` only (zero above it); the shared zero
-        of the broadcast shape when either operand is a shared zero."""
+        pairs of degree <= ``trusted`` only (zero above it): for ``trusted``
+        0 that is the value alone, and below 0 nothing; the shared zero of
+        the broadcast shape when either operand is a shared zero."""
         if self.is_zero(a) or self.is_zero(b):
             return self._zero if a.ndim == b.ndim == 1 else self.zero(_lead(a, b))
-        t = max(trusted, -1)
-        ia, ib, out = self._prefix[t]
+        if trusted <= 0:  # at most the value: one multiply per probe, no gather
+            v = 0.0 + a[..., 0] * b[..., 0]  # summed from 0.0 as bincount sums
+            c = np.zeros(v.shape + (self.ncoef,))
+            if trusted == 0:
+                c[..., 0] = v
+            return c
+        ia, ib, out = self._prefix[trusted]
         if a.ndim == b.ndim == 1:  # one point: 3.4 us, 5.0 through the batch path (n=4, p=3)
             return np.bincount(out, weights=a[ia] * b[ib], minlength=self.ncoef)
         w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         lead = w.shape[:-1]
         probes = math.prod(lead)
-        key = (probes, t)
+        key = (probes, trusted)
         idx = self._scatter.get(key)
         if idx is None:
             idx = self._scatter[key] = \
@@ -416,10 +434,12 @@ def _sum(x: TaylorScalar, other, sign: int, swap: bool = False):
 # -- contraction -------------------------------------------------------------
 
 
-def matmul(a: np.ndarray, b: np.ndarray):
+def matmul(a: np.ndarray, b: np.ndarray, trusted: int | None = None):
     """``a @ b`` for 2-D or 1-D operands: numpy's product on float arrays,
-    and numpy's object ``@`` on arrays of jets of one context, bit for bit,
-    with the jet arithmetic inlined by the order rule of the module header.
+    and numpy's object ``@`` on arrays of jets of one context, bit for bit
+    up to each output's trusted order, with the jet arithmetic inlined by
+    the order rule of the module header.  ``trusted`` caps the order every
+    product is summed to, and so each output's trust; None sets no cap.
     Each operand is tested once with ``ctx.is_zero``, since a product with
     a shared-zero operand is the shared zero (``mul``)."""
     if a.dtype != object and b.dtype != object:
@@ -434,8 +454,11 @@ def matmul(a: np.ndarray, b: np.ndarray):
             raise _mixed(first, s)
     ctx = first.ctx
     mul, is_zero = ctx.mul, ctx.is_zero   # looked up now, so a rebound hook is seen
-    rows = [[(s.c, s.trusted, is_zero(s.c)) for s in row] for row in a2]
-    cols = [[(s.c, s.trusted, is_zero(s.c)) for s in col] for col in b2.T]
+    cap = ctx.order if trusted is None else trusted
+    rows = [[(s.c, s.trusted if s.trusted < cap else cap, is_zero(s.c)) for s in row]
+            for row in a2]
+    cols = [[(s.c, s.trusted if s.trusted < cap else cap, is_zero(s.c)) for s in col]
+            for col in b2.T]
     out = np.empty((len(rows), len(cols)), dtype=object)
     for i, row in enumerate(rows):
         for k, col in enumerate(cols):

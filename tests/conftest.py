@@ -47,3 +47,29 @@ class PipelineOrders:
 @pytest.fixture
 def pipeline_orders(monkeypatch):
     return PipelineOrders(monkeypatch)
+
+
+def full_order_products(fn):
+    """fn() as every product was formed before truncation to demand: each
+    ``TaylorContext.mul`` sums its product to the context's order through
+    the ``bincount`` path, and ``taylor.matmul`` drops its ``trusted`` cap,
+    so every jet is trusted as far as its operands alone allow.  A product
+    with a shared zero is still the shared zero.  The reference for
+    products summed only as far as their result is trusted."""
+    mul, matmul = taylor.TaylorContext.mul, taylor.matmul
+
+    def full(self, a, b, trusted=taylor.MAX_ORDER):
+        return mul(self, a, b, self.order)
+
+    def uncapped(a, b, trusted=None):
+        return matmul(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(taylor.TaylorContext, "mul", full)
+        patch.setattr(taylor, "matmul", uncapped)
+        return fn()
+
+
+@pytest.fixture
+def full_order():
+    return full_order_products

@@ -184,26 +184,30 @@ def test_weyl_is_totally_trace_free():
     chart = chart_from_strings(rows)
     tc = curvature_at(chart, [0.3, 0.2, -0.4, 0.1])
     for axes in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        tr = np.einsum("ij,...->...", values(tc.ginv),
-                       np.moveaxis(weyl(tc), axes, (0, 1)))
         tr = np.einsum("ij,ij...->...", values(tc.ginv),
                        np.moveaxis(weyl(tc), axes, (0, 1)))
         assert np.max(np.abs(tr)) < 1e-10
 
 
-def test_weyl_plus_schouten_product_reconstructs_riemann():
+def test_weyl_tensor_is_conformally_invariant():
+    # W^i_jkl of e^{2w} g equals that of g at the same point, on a chart that
+    # is not conformally flat (W != 0)
     rows = [
         ["2 + sin(x2)/3", "0", "0", "0"],
         ["0", "1 + x1^2/5", "x3/9", "0"],
         ["0", "x3/9", "3", "0"],
         ["0", "0", "0", "1 + x2^2/7"],
     ]
-    chart = chart_from_strings(rows)
-    tc = curvature_at(chart, [0.2, 0.4, -0.3, 0.5])
-    a = TensorValue(4, (0, 2), values(tc.schouten))
-    g = TensorValue(4, (0, 2), values(tc.g))
-    kn = kulkarni_nomizu(a, g).components
-    assert np.max(np.abs(values(tc.riemann) - (weyl(tc) + kn))) < 1e-10
+    w = "x1*x2/3 + sin(x3)/5 - x4^2/4"
+    conformal = [[f"exp(2*({w}))*({c})" for c in row] for row in rows]
+    x = [0.2, 0.4, -0.3, 0.5]
+    up = []
+    for chart_rows in (rows, conformal):
+        tc = curvature_at(chart_from_strings(chart_rows), x)
+        up.append(np.einsum("im,mjkl->ijkl", values(tc.ginv), weyl(tc)))
+    scale = np.max(np.abs(up[0]))
+    assert scale > 1e-2
+    assert np.max(np.abs(up[1] - up[0])) < 1e-12 * scale
 
 
 def test_kulkarni_nomizu_sectional_pattern():

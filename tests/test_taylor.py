@@ -380,6 +380,47 @@ def test_trusted_products_are_prefixes():
                 assert not np.any(got[..., ~low]), (dim, order, t)
 
 
+def bincount_prefix(ctx, a, b, t):
+    """The product of ``a`` and ``b`` summed over the pairs of degree <= t by
+    one ``np.bincount`` per probe, as ``mul`` sums a product trusted to t >= 1."""
+    keep = ctx.degree[ctx._mul_a] + ctx.degree[ctx._mul_b] <= t
+    ia, ib, out = ctx._mul_a[keep], ctx._mul_b[keep], ctx._mul_out[keep]
+    a, b = np.broadcast_arrays(a, b)
+    rows = [np.bincount(out, weights=x[ia] * y[ib], minlength=ctx.ncoef)
+            for x, y in zip(a.reshape(-1, ctx.ncoef), b.reshape(-1, ctx.ncoef))]
+    return np.array(rows).reshape(a.shape)
+
+
+def test_value_only_products_equal_the_bincount_prefix():
+    rng = np.random.default_rng(29)
+    ctx = context(4, 3)
+    a, b = rng.standard_normal((2, 4, ctx.ncoef))
+    a[:2, 0], b[1:3, 0] = -0.0, 0.0   # -0.0 * 0.0, -0.0 * x, 0.0 * x and x * y
+    b[3, 0] = -0.0
+    for x, y in ((a[0], b[0]), (a[1], b[3]), (a, b), (a[2], b), (a, b[1])):
+        for t in (-1, 0):
+            got, want = ctx.mul(x, y, t), bincount_prefix(ctx, x, y, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x.shape, t)
+            assert not ctx.is_zero(got) and got.flags.writeable
+
+
+def test_matmul_caps_the_order_of_every_product():
+    rng = np.random.default_rng(31)
+    ctx = context(3, 4)
+    for shape_a, shape_b in SHAPES:
+        a, b = random_jets(ctx, rng, shape_a), random_jets(ctx, rng, shape_b)
+        want = np.asarray(a @ b, dtype=object)
+        for cap in (-1, 0, 1, 2, 3, None):
+            got = np.asarray(ty.matmul(a, b, cap), dtype=object)
+            for g, w in zip(got.flat, want.flat, strict=True):
+                t = w.trusted if cap is None else min(w.trusted, cap)
+                keep = ctx.degree <= t
+                assert g.trusted == t and g.c.shape == w.c.shape, cap
+                assert g.c[..., keep].tobytes() == w.c[..., keep].tobytes(), cap
+                if t == cap:  # no term is summed above the cap
+                    assert not np.any(g.c[..., ~keep]), cap
+
+
 @pytest.mark.parametrize("tf,ff,x0", UNIVARIATE)
 def test_batched_functions_equal_single_point(tf, ff, x0):
     ctx = context(2, 3)
