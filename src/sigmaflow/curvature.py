@@ -7,7 +7,7 @@ costs one order (see ``taylor``), and each entry point asks for the least
 order it reads:
 
     p = 2  values of curvature, Schouten, Hessians and L_X g
-           (``covariant_ops``, soliton residuals, conformal laws);
+           (soliton residuals, conformal laws);
     p = 3  one derivative more: Cotton (``curvature_at``) and the
            divergence of Newton tensors;
     p = 4  two derivatives of curvature: Laplacians of sigma quantities in
@@ -16,7 +16,8 @@ order it reads:
 Reading a coefficient the order does not cover raises ``TaylorTrustError``.
 ``curvature_at`` returns the order-3 ``TaylorCurvature`` itself, the one
 record of a pipeline's results: a caller reads floats as value parts where
-it needs them (``values(tc.ricci)``, ``tc.scalar.value``).  The Weyl tensor
+it needs them (``values(tc.ricci)``, ``tc.scalar.value``), the covariant
+operators' too (``values(tc.hessian_scalar(tc.jet(f)))``).  The Weyl tensor
 is not a field; W = Rm - A ⊠ g is one ``kulkarni_nomizu`` call away.
 
 ``curvature_taylor`` takes one point of shape (n,) or a batch of P probe
@@ -428,29 +429,3 @@ def curvature_at(chart: MetricChart, x) -> TaylorCurvature:
     ``tc.scalar.value``."""
     return curvature_taylor(chart, _one_point(chart, x, "curvature_at"), order=3)
 
-
-@dataclass
-class CovariantOps:
-    gradient: np.ndarray | None = None       # contravariant components
-    hessian: np.ndarray | None = None        # (0,2)
-    laplacian: float | None = None
-    lie_g: np.ndarray | None = None          # (0,2) for a vector field
-    divergence: float | None = None
-
-
-def covariant_ops(chart: MetricChart, x, f: "ex.Expr | str | None" = None,
-                  X=None) -> CovariantOps:
-    """Gradient / Hessian / Laplacian of a scalar, or Lie derivative of g and
-    divergence of a vector field, at one point."""
-    tc = curvature_taylor(chart, x, order=2)
-    out = CovariantOps()
-    if f is not None:
-        ft = tc.jet(f)
-        out.gradient = values(tc.grad_scalar(ft))
-        out.hessian = values(tc.hessian_scalar(ft))
-        out.laplacian = tc.laplacian_scalar(ft).value
-    if X is not None:
-        xv = np.array([tc.jet(c) for c in X], dtype=object)
-        out.lie_g = values(tc.lie_metric(xv))
-        out.divergence = tc.div_vector(xv).value
-    return out

@@ -4,10 +4,10 @@ transformation laws.
 One sigma path serves both rings: ``sigmas`` (Newton's identities on the
 power traces tr(A^m)), the Horner loop ``_newton`` and the cone check in
 ``log_quotient`` run unchanged on the object array of Taylor jets
-``TaylorCurvature.endo`` and on its value part ``values(tc.endo)``.  The
-one-point reports ``sigma_profile`` and ``newton_tensor`` take the record
-and run the float ring, far cheaper than sigma jets whose derivatives
-they would not read.  No eigenvalues are computed.
+``TaylorCurvature.endo`` and on its value part ``values(tc.endo)``, which
+``sigmas`` also takes as a (P, n, n) batch.  Jets serve only where a
+derivative of sigma is read; ``sigma_profile``, ``newton_tensor`` and the
+soliton residual run the float ring.  No eigenvalues are computed.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ def check_pair(n: int, k, l):
 
 
 def sigmas(a) -> list:
-    """sigma_0..sigma_n of the endomorphism ``a`` by Newton's identities on
-    the power traces tr(a^m), m = 1..n, which take n - 1 matrix products.
-    ``a`` is None below dimension 3, where g^{-1}A is not defined."""
+    """sigma_0..sigma_n of ``a`` by Newton's identities on the power traces
+    tr(a^m), m = 1..n, which take n - 1 matrix products.  ``a`` is an n x n
+    matrix of floats or jets, a (P, n, n) float stack, or None below n = 3."""
     if a is None:
         raise GeometryError("sigma-curvatures need dimension >= 3")
-    n = len(a)
-    traces, power = [np.trace(a)], a
+    n = a.shape[-1]
+    traces, power = [np.trace(a, axis1=-2, axis2=-1)], a
     for _ in range(n - 1):
         power = taylor.matmul(power, a)
-        traces.append(np.trace(power))
+        traces.append(np.trace(power, axis1=-2, axis2=-1))
     return sigmas_from_power_sums(traces, n)
 
 
@@ -81,9 +81,9 @@ def _newton(a, k: int):
 
 
 def cone_values(sig, k: int, l: int):
-    """The value parts of sigma_k and sigma_l (floats, or (P,) arrays for a
-    batch of jets) and where sigma_k * sigma_l > 0."""
-    vk, vl = (s.value if isinstance(s, taylor.TaylorScalar) else float(s)
+    """The value parts of sigma_k and sigma_l (float arrays, (P,) for a
+    batch) and where sigma_k * sigma_l > 0."""
+    vk, vl = (s.value if isinstance(s, taylor.TaylorScalar) else np.asarray(s, dtype=float)
               for s in (sig[k], sig[l]))
     return vk, vl, vk * vl > 0.0
 

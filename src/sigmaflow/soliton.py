@@ -13,7 +13,8 @@ The three checks share one probe loop (``_pipelines``): one batched
 pipeline (``curvature_taylor`` at every probe at once) per (P, n) probe set,
 split only where ``curvature.probe_batches`` finds that its jets would
 exceed the memory budget ``curvature.BATCH_BYTES``.  f, X and lambda are
-read as jets of that pipeline (``TaylorCurvature.jet``).
+read as jets of that pipeline (``TaylorCurvature.jet``).  The residual reads
+values only, so it takes sigma and psi in floats from ``values(tc.endo)``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from . import expr as ex
 from . import probes
 from .curvature import GeometryError, MetricChart, _d, curvature_taylor, probe_batches, values
-from .sigma import (ConeConditionError, check_pair, cone_values, log_quotient,
-                    log_quotient_taylor, sigma_taylor)
+from .sigma import ConeConditionError, check_pair, cone_values, log_quotient_taylor, sigmas
 
 TRIVIAL_TOL = 1e-7
 ZERO_TOL = 1e-8     # |lambda| at or below it classifies as steady
@@ -98,6 +98,8 @@ def _pipelines(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
     if requires and spec.potential is None:
         raise GeometryError(f"{requires} a gradient soliton")
     pts = probes.chart_probes(spec.chart, count, seed=seed) if probe_set is None else probe_set
+    if len(pts) == 0:
+        raise GeometryError("no probe points")
     for x in probe_batches(pts, order):
         yield curvature_taylor(spec.chart, x, order=order)
 
@@ -112,22 +114,23 @@ def _point_data(spec: SolitonSpec, tc):
     pairs and, at its admissible probes, the g-norms of the residual and of
     L_X g, |psi| and lambda: the residual reads values of hess f, L_X g and
     psi only."""
-    sig = sigma_taylor(tc)
+    sig = sigmas(tc.endo if tc.endo is None else values(tc.endo))
     vk, vl, ok = (np.broadcast_to(v, len(tc.points)) for v in cone_values(sig, spec.k, spec.l))
     violations = [(tc.points[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
                   for i in np.flatnonzero(~ok)]
     keep = np.flatnonzero(ok)
-    lam = tc.jet(spec.lam).take(keep)
-    psi = log_quotient([s.take(keep) for s in sig], spec.k, spec.l) - lam
+    # lambda as a jet's value: a float evaluation rounds a/b apart from a * recip(b)
+    lam = np.broadcast_to(tc.jet(spec.lam).value, len(tc.points))[keep]
+    psi = np.log(np.abs(vk[keep])) - np.log(np.abs(vl[keep])) - lam  # np.log as in log_abs
     if spec.potential is not None:
         lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.potential)))[keep]
     else:
         xv = np.array([tc.jet(c) for c in spec.vector_field], dtype=object)
         lie = values(tc.lie_metric(xv))[keep]
-    residual = 0.5 * lie - psi.value[:, None, None] * values(tc.g)[keep]
+    residual = 0.5 * lie - psi[:, None, None] * values(tc.g)[keep]
     ginv = values(tc.ginv)[keep]
     return (violations, np.sqrt(_gnorm2(ginv, residual)), np.sqrt(_gnorm2(ginv, lie)),
-            np.abs(psi.value), lam.value)
+            np.abs(psi), lam)
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
@@ -136,10 +139,9 @@ def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
     pipelines = _pipelines(spec, probe_set, count, 0, 2)
     batches = list(map(lambda tc: _point_data(spec, tc), pipelines))
     violations = [v for batch in batches for v in batch[0]]
-    rnorm, lie_norm, psi, lam = (np.concatenate([batch[i] for batch in batches] or [[]])
-                                 for i in range(1, 5))
+    rnorm, lie_norm, psi, lam = (np.concatenate([b[i] for b in batches]) for i in range(1, 5))
     if rnorm.size == 0:
-        raise violations[0][1] if violations else ValueError("no probe points")
+        raise violations[0][1]
     lam_min, lam_max = float(lam.min()), float(lam.max())
     lie_sup, psi_sup = float(lie_norm.max()), float(psi.max())
     return ResidualReport(

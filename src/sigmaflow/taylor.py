@@ -50,22 +50,21 @@ Structural zeros: each context keeps one shared, read-only zero coefficient
 array per shape (``zero``), (C,) for one point and (P, C) for each batch
 size in use, and ``is_zero`` tells it apart from an array that merely
 holds zeros.  Zeros are born there: ``constant(0.0)``, a derivative or a
-nilpotent part whose coefficients all vanish (a jet that does not depend
-on that variable, or a constant), and the batch broadcast of a zero in
-``expr.eval_taylor``.  They propagate without arithmetic: ``mul`` is still
+nilpotent part whose trusted coefficients all vanish (a jet that does not
+depend on that variable, or a constant), and the batch broadcast of a zero
+in ``expr.eval_taylor``.  They propagate without arithmetic: ``mul`` is still
 called for every product, but with a zero operand it returns the zero of
 the broadcast shape without the gather, multiply and bincount; the
 derivative, negation and scalar multiples of a zero are the zero; and a
 sum or difference with a zero is the other operand's array whenever that
 keeps the result's shape, and the other jet itself when the zero is
 trusted at least as far.  ``trusted`` is set as for any other jet.  Every
-trusted coefficient equals the one computed in full, since zero times a
-finite number is zero; only the sign of a zero can differ, since the
-shared zero holds +0.0 and a derivative is tested over all its
-coefficients, untrusted ones included.  Jets are immutable, and
-coefficient arrays are never written in place; the read-only flag
-enforces that for the shared zeros.  Every zero test goes through
-``TaylorContext.is_zero``.
+trusted coefficient equals (==) the one computed in full, since zero times
+a finite number is zero, and the zero tests read trusted coefficients only
+(a prefix), so no untrusted one decides which jets are zeros.  Jets are
+immutable, and coefficient arrays are never written in place; the
+read-only flag enforces that for the shared zeros.  Every zero test goes
+through ``TaylorContext.is_zero``.
 
 Contraction: ``matmul(a, b, trusted=None)`` is ``a @ b`` on object arrays
 of jets, the one kernel for every jet contraction.  Its order rule: each
@@ -199,6 +198,8 @@ class TaylorContext:
         below = np.flatnonzero(self.degree < order)
         self._deriv = [(position(keys[below] + place[v]), below,
                         (rows[below, v] + 1).astype(float)) for v in range(dim)]
+        # _ends[t + 1] coefficients, a prefix, have degree <= t, for t = -1 .. order
+        self._ends = np.searchsorted(self.degree, np.arange(-1, order + 1), side="right").tolist()
 
         fact = np.array([math.factorial(k) for k in range(order + 1)])
         self._factorials = fact[rows].prod(axis=1)
@@ -247,7 +248,8 @@ class TaylorContext:
         return np.bincount(idx, weights=w.ravel(),
                            minlength=probes * self.ncoef).reshape(lead + (self.ncoef,))
 
-    def deriv(self, c: np.ndarray, var: int) -> np.ndarray:
+    def deriv(self, c: np.ndarray, var: int, trusted: int) -> np.ndarray:
+        """d/dx_var of ``c``; the shared zero if it vanishes up to degree ``trusted``."""
         if self.is_zero(c):
             return c
         src, dst, fac = self._deriv[var]
@@ -256,7 +258,7 @@ class TaylorContext:
             out[dst] = fac * c[src]
         else:
             out[:, dst] = fac * c[:, src]
-        return out if out.any() else self.zero(c.shape[:-1])
+        return out if out[..., :self._ends[trusted + 1]].any() else self.zero(c.shape[:-1])
 
     def constant(self, value) -> "TaylorScalar":
         """A constant jet; ``value`` is a float, or a (P,) array for one
@@ -327,16 +329,8 @@ class TaylorScalar:
 
     def deriv(self, var: int) -> "TaylorScalar":
         """Partial derivative; trusted one order below the input."""
-        return TaylorScalar(self.ctx, self.ctx.deriv(self.c, var), self.trusted - 1)
-
-    def take(self, probes) -> "TaylorScalar":
-        """The jet at the selected probes of a batch; a constant is kept."""
-        if self.c.ndim == 1:
-            return self
-        c = self.c[probes]
-        if self.ctx.is_zero(self.c):
-            c = self.ctx.zero(c.shape[:-1])
-        return TaylorScalar(self.ctx, c, self.trusted)
+        t = self.trusted - 1
+        return TaylorScalar(self.ctx, self.ctx.deriv(self.c, var, t), t)
 
     # -- ring operations ---------------------------------------------------
     # Each operator tests its operand's type once: a jet of the same context,
@@ -494,7 +488,7 @@ def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
     ctx, t = s.ctx, s.trusted
     w = s.c.copy()
     w[..., 0] = 0.0  # nilpotent part
-    if not w.any():  # s is a constant
+    if not w[..., :ctx._ends[t + 1]].any():  # s is a constant, as far as it is trusted
         w = ctx.zero(w.shape[:-1])
     out = np.zeros(w.shape)
     out[..., :1] = derivs[0]

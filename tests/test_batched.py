@@ -68,6 +68,17 @@ def test_linear_chart_is_a_round_sphere():
     assert np.allclose(tc.scalar.value, 12.0, rtol=1e-12)
 
 
+def test_float_sigmas_of_a_stack_are_the_sigma_jets_value_parts():
+    # verify takes sigma_0..sigma_n of the (P, n, n) stack values(tc.endo) in
+    # floats; probe by probe they are the value parts of the sigma jets
+    for name, chart in charts():
+        tc = curvature_taylor(chart, chart_probes(chart, 5, seed=6), order=2)
+        got = sigma.sigmas(values(tc.endo))
+        for k, (g, s) in enumerate(zip(got, sigma.sigma_taylor(tc), strict=True)):
+            want = np.broadcast_to(s.value, len(tc.points))
+            assert np.all(np.abs(g - want) <= TOL * np.abs(want)), (name, k, g, want)
+
+
 def test_batch_checks_name_the_first_failing_probe():
     chart = models.sphere(3).chart
     pts = np.array([[0.1, 0.2, 0.3], [5.0, 0.0, 0.0], [6.0, 0.0, 0.0]])
@@ -249,6 +260,5 @@ def test_single_point_entry_points_refuse_a_batch():
     for fn in (lambda: sigma.sigma_profile(batch, 2, 1), lambda: sigma.newton_tensor(batch, 1)):
         with pytest.raises(GeometryError, match="takes the record of one point, got 2 probes"):
             fn()
-    # covariant_ops takes a batch
-    ops = curvature.covariant_ops(chart, pts, f="x1")
-    assert ops.hessian.shape == (2, 4, 4)
+    # the record's covariant operators take a batch
+    assert values(batch.hessian_scalar(batch.jet("x1"))).shape == (2, 4, 4)

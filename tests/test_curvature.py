@@ -7,9 +7,8 @@ from oracles import (loop_conformal_base, loop_conformal_ricci, loop_conformal_s
                      loop_curvature)
 from sigmaflow import expr as ex
 from sigmaflow import models, sigma, taylor
-from sigmaflow.curvature import (GeometryError, MetricChart, _d, covariant_ops,
-                                 curvature_at, curvature_taylor,
-                                 kulkarni_nomizu, values)
+from sigmaflow.curvature import (GeometryError, MetricChart, _d, curvature_at,
+                                 curvature_taylor, kulkarni_nomizu, values)
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import log_quotient_taylor
 from sigmaflow.taylor import TaylorTrustError
@@ -264,20 +263,22 @@ def test_killing_field_lie_derivative_vanishes():
     # rotation field on the round 3-sphere chart
     chart = chart_from_strings(SPHERE3, domain=[(-0.9, 0.9)] * 3)
     x = [0.3, -0.1, 0.4]
-    ops = covariant_ops(chart, x, X=["-x2", "x1", "0"])
-    assert np.max(np.abs(ops.lie_g)) < 1e-12
-    assert ops.divergence == pytest.approx(0.0, abs=1e-12)
+    tc = curvature_taylor(chart, x, order=2)
+    xv = np.array([tc.jet(c) for c in ["-x2", "x1", "0"]], dtype=object)
+    assert np.max(np.abs(values(tc.lie_metric(xv)))) < 1e-12
+    assert tc.div_vector(xv).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hessian_and_laplacian_flat():
     chart = chart_from_strings([["1", "0"], ["0", "1"]])
     x = [0.6, -0.3]
-    ops = covariant_ops(chart, x, f="x1^2*x2 + x2^3")
-    assert np.allclose(ops.hessian,
+    tc = curvature_taylor(chart, x, order=2)
+    f = tc.jet("x1^2*x2 + x2^3")
+    assert np.allclose(values(tc.hessian_scalar(f)),
                        [[2 * x[1], 2 * x[0]], [2 * x[0], 6 * x[1]]],
                        atol=1e-12)
-    assert ops.laplacian == pytest.approx(2 * x[1] + 6 * x[1], rel=1e-12)
-    assert np.allclose(ops.gradient, [2 * x[0] * x[1], x[0] ** 2 + 3 * x[1] ** 2],
+    assert tc.laplacian_scalar(f).value == pytest.approx(2 * x[1] + 6 * x[1], rel=1e-12)
+    assert np.allclose(values(tc.grad_scalar(f)), [2 * x[0] * x[1], x[0] ** 2 + 3 * x[1] ** 2],
                        atol=1e-12)
 
 

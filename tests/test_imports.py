@@ -3,7 +3,10 @@
 A string annotation such as ``"ex.Expr"`` counts as a use.  No dead private
 names either: every module-level ``_name`` is read, taken as an attribute or
 imported somewhere in the package.  No dead public names: every module-level
-def or class of the package is referenced in ``src``, ``tests`` or ``bench``."""
+def or class of the package is referenced in ``src``, ``tests`` or ``bench``.
+No dead members: every method and dataclass field of a package class, dunders
+aside, is referenced there too, as an attribute, a name or a string such as
+the field names a test reads through ``getattr``."""
 
 import ast
 from pathlib import Path
@@ -126,3 +129,50 @@ def test_the_guard_sees_dead_public_names():
     sources = {"a.py": "def used(): pass\ndef gone(): pass\nclass Alias: pass\n"}
     readers = [*sources.values(), "from a import used\n"]
     assert dead_publics(sources, readers) == {"a.py": ["Alias", "gone"]}
+
+
+def member_definitions(tree: ast.Module) -> set:
+    """The methods and annotated (dataclass) fields of the module-level
+    classes, dunders aside."""
+    names = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names.add(node.target.id)
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def string_names(tree: ast.Module) -> set:
+    """The parts of every string constant that is a dotted name, such as
+    ``"ricci"`` or ``"TaylorContext.mul"``."""
+    parts = (c.value.split(".") for c in ast.walk(tree)
+             if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return {p for ps in parts if all(p.isidentifier() for p in ps) for p in ps}
+
+
+def dead_members(sources: dict, readers: list) -> dict:
+    """The members of the classes of ``sources`` that no tree of ``readers``
+    references."""
+    trees = [ast.parse(text) for text in readers]
+    refs = set().union(*map(referenced_names, trees), *map(string_names, trees))
+    return {name: sorted(dead) for name, text in sources.items()
+            if (dead := member_definitions(ast.parse(text)) - refs)}
+
+
+def test_every_method_and_field_is_referenced():
+    root = PACKAGE.parents[1]
+    readers = [path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_members(sources, readers) == {}
+
+
+def test_the_guard_sees_dead_methods_and_fields():
+    sources = {"a.py": ("@dataclass\nclass R:\n    kept: int\n    read: int\n"
+                        "    gone: int\n    def __len__(self): pass\n"
+                        "    def used(self): pass\n    def take(self): pass\n")}
+    readers = [*sources.values(), "r.used()\nprint(getattr(r, 'kept'), r.read)\n"]
+    assert dead_members(sources, readers) == {"a.py": ["gone", "take"]}

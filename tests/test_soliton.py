@@ -4,7 +4,7 @@ import pytest
 from oracles import differentiate
 from sigmaflow import expr as ex
 from sigmaflow import models
-from sigmaflow.curvature import GeometryError, covariant_ops
+from sigmaflow.curvature import GeometryError, curvature_taylor, values
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import ConeConditionError
 from sigmaflow.soliton import (SolitonSpec, lemma_structural_check, obata_check,
@@ -154,8 +154,9 @@ def test_classification_shrinking_steady_expanding():
 def test_killing_field_keeps_example4_trivial():
     model = models.example4(4)
     x = [0.2, 0.1, -0.3, 0.4]
-    ops = covariant_ops(model.chart, x, X=model.vector_field)
-    assert np.max(np.abs(ops.lie_g)) < 1e-12
+    tc = curvature_taylor(model.chart, x, order=2)
+    xv = np.array([tc.jet(c) for c in model.vector_field], dtype=object)
+    assert np.max(np.abs(values(tc.lie_metric(xv)))) < 1e-12
 
 
 def test_every_probe_outside_cone_reports_its_sigmas():
@@ -186,6 +187,14 @@ def test_residual_at_order_2_matches_order_4(pipeline_orders):
                 assert got[key] == v, key
             else:
                 assert abs(got[key] - v) <= 1e-13 * max(1.0, abs(v)), key
+
+
+def test_an_empty_probe_set_is_one_error_in_every_check():
+    spec = spec_of(models.sphere(4))
+    for check in (soliton_residual, lemma_structural_check, obata_check):
+        for empty in ({"probe_set": np.zeros((0, 4))}, {"count": 0}):
+            with pytest.raises(GeometryError, match="^no probe points$"):
+                check(spec, **empty)
 
 
 def test_checks_refuse_a_model_without_soliton_data():
