@@ -27,14 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curvature import GeometryError, check_int
-from .sigma import check_pair
-
-
-class ConeViolation(GeometryError):
-    def __init__(self, node: int, theta: float, sigma_k: float, sigma_l: float, t: float):
-        super().__init__(
-            f"cone condition violated at node {node} (theta = {theta:.4f}, "
-            f"t = {t:.6f}): sigma_k = {sigma_k:.6g}, sigma_l = {sigma_l:.6g}")
+from .sigma import ConeConditionError, check_pair
 
 
 class BlowUp(GeometryError):
@@ -241,8 +234,8 @@ def _log_quotient_nodes(state: FlowState):
     bad = sk * sl <= 0.0
     if bad.any():
         node = int(np.argmax(bad))
-        raise ConeViolation(node, state.theta[node], float(sk[node]), float(sl[node]),
-                            state.t)
+        where = f"at node {node} (theta = {state.theta[node]:.4f}, t = {state.t:.6f})"
+        raise ConeConditionError(state.k, state.l, float(sk[node]), float(sl[node]), where)
     logq = np.log(np.abs(sk)) - np.log(np.abs(sl))
     e_nu = np.exp(-state.n * state.u)
     energy = _integrate(state, e_nu, sl)
@@ -327,7 +320,7 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
             nstep += 1
             if nstep % cadence == 0 or state.t >= t_end - 1e-12:
                 sample(state)
-    except (ConeViolation, BlowUp) as err:
+    except (ConeConditionError, BlowUp) as err:
         diag.aborted = str(err)
     return state, diag
 

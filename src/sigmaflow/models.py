@@ -7,6 +7,7 @@ round sphere, the diagonal log-cosh metric on R^n, and warped products over
 an interval.  ``warped`` is the one constructor of a warped product: it
 checks the warping factor and builds the chart, whose Ricci tensor
 ``warped_ricci_formula`` assembles from the factor and the fiber.
+Lambda and the golden sigma rows of closed-form spectra read ``_sigma_table``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curvature import GeometryError, MetricChart, curvature_at, values
-from .sigma import cone_values, log_quotient, sigma_profile, sigmas
+from .curvature import GeometryError, MetricChart, curvature_taylor, values
+from .sigma import cone_values, log_quotient, sigma_profile
 from .soliton import SolitonSpec
 from .taylor import MAX_DIM
 from .tensor import TensorValue
@@ -33,9 +34,11 @@ def _diag_chart(n: int, diagonal: list, domain) -> MetricChart:
                            for i in range(n)], domain)
 
 
-def _logq_const(n: int, k: int, l: int, base: float) -> float:
-    """log(sigma_k/sigma_l) for constant Schouten eigenvalue ``base``."""
-    return log_quotient([math.comb(n, j) * base ** j for j in range(n + 1)], k, l)
+def _sigma_table(n: int, a: float, last: int = 1) -> list:
+    """sigma_0..sigma_n of the spectrum a (n - 1 times), last * a (once), last
+    = 1 or -1: sigma_j = (C(n-1, j) + last C(n-1, j-1)) a^j, exactly."""
+    return [(math.comb(n - 1, j) + (last * math.comb(n - 1, j - 1) if j else 0)) * a ** j
+            for j in range(n + 1)]
 
 
 # -- the catalog -----------------------------------------------------------
@@ -98,11 +101,11 @@ def _space_form(n: int, sign: int, k: int, l: int, height, box) -> SolitonSpec:
     half = box()
     chart = _diag_chart(n, [f"4/(1{op}{_sq_norm(n)})^2"] * n, [(-half, half)] * n)
     h = height(n)
-    lam = f"{neg}({h}) + {_logq_const(n, k, l, sign / 2)!r}"
+    sig = _sigma_table(n, sign / 2)
+    lam = f"{neg}({h}) + {log_quotient(sig, k, l)!r}"
     golden = [("scalar", float(sign * n * (n - 1)), 1e-9, note),
               ("schouten_vs_metric", sign / 2, 1e-9, f"A = {neg}g/2")]
-    golden += [(f"sigma:{j}", math.comb(n, j) * (sign / 2) ** j, 1e-9, "sigma table")
-               for j in range(1, n + 1)]
+    golden += [(f"sigma:{j}", sig[j], 1e-9, "sigma table") for j in range(1, n + 1)]
     return SolitonSpec(chart, ex.parse(lam), k, l, potential=ex.parse(h),
                        name=f"{name}:{n}", golden=golden)
 
@@ -128,7 +131,7 @@ def example4(n: int) -> SolitonSpec:
 
     For even n this is a product of hyperbolic planes, hence Einstein with
     Ric = -g; for odd n one coordinate direction stays flat and the metric
-    is not Einstein (the golden Einstein values are only attached for even
+    is not Einstein (the golden Einstein row is only attached for even
     n).  X with components (0,1,0,1,...) is a Killing field either way.
 
     Odd n in closed form: (n-1)/2 hyperbolic planes of curvature -1 times
@@ -145,24 +148,19 @@ def example4(n: int) -> SolitonSpec:
     chart = _diag_chart(n, [f"cosh(x{i % n + 1})^2" if i % 2 == 0 else "1"
                             for i in range(1, n + 1)], [(-1.0, 1.0)] * n)
     xfield = [ex.parse("1" if i % 2 == 0 else "0") for i in range(1, n + 1)]
-    golden = []
     if n % 2 == 0:
-        base = -0.5 / (n - 1)  # Schouten eigenvalue of an Einstein Ric = -g
-        logq = _logq_const(n, k, l, base)
+        sig = _sigma_table(n, -0.5 / (n - 1))  # the Schouten spectrum of Ric = -g
         golden = [("ricci_vs_metric", -1.0, 1e-9, "product of hyperbolic planes")]
-        golden += [(f"sigma:{j}",
-                    (-1) ** j * math.comb(n, j) / (2 ** j * (n - 1) ** j),
-                    1e-9, "Einstein sigma table") for j in range(1, n + 1)]
     else:
-        # odd n: one direction stays flat, the metric is not Einstein and the
-        # Schouten spectrum has mixed signs.  The quotient curvature is still
-        # constant (the metric is homogeneous), but the default quotient pair
-        # may violate the cone condition; fall back to the first admissible
-        # pair of one sigma vector computed through the pipeline.
-        sig = sigmas(values(curvature_at(chart, np.full(n, 0.2)).endo))
+        # odd n: a flat direction, mixed signs in the spectrum; the quotient is
+        # still constant (the metric is homogeneous), but the default pair may
+        # violate the cone condition: fall back to the first admissible pair
+        sig = _sigma_table(n, -0.5 / (n - 2), -1)
         pairs = [(k, l)] + [(kk, ll) for kk in range(2, n + 1) for ll in range(1, kk)]
         k, l = next((p for p in pairs if cone_values(sig, *p)[2]), (k, l))
-        logq = log_quotient(sig, k, l)  # ConeConditionError if no pair is admissible
+        golden = []
+    golden += [(f"sigma:{j}", sig[j], 1e-9, "sigma table") for j in range(1, n + 1)]
+    logq = log_quotient(sig, k, l)  # ConeConditionError if no pair is admissible
     return SolitonSpec(chart, ex.parse(repr(logq)), k, l, vector_field=xfield,
                        name=f"example4:{n}", golden=golden)
 
@@ -204,7 +202,7 @@ def warped_ricci_formula(xi, fiber: SolitonSpec, point) -> TensorValue:
     xi, dxi, ddxi = xt.value, xt.derivative((1,)), xt.derivative((2,))
     if xi <= 0.0:
         raise GeometryError(f"warping factor non-positive at t = {t}")
-    tc = curvature_at(fiber.chart, fiber_pt)
+    tc = curvature_taylor(fiber.chart, fiber_pt, order=2)
     out = np.zeros((n, n))
     out[0, 0] = -(n - 1) * ddxi / xi
     out[1:, 1:] = values(tc.ricci) - ((n - 2) * dxi ** 2 + xi * ddxi) * values(tc.g)
@@ -221,7 +219,7 @@ _FAMILIES = {"euclidean": euclidean, "sphere": sphere, "hyperbolic": hyperbolic,
 def builtin(name: str) -> SolitonSpec:
     """Resolve a CLI-style model name such as ``sphere:4`` or
     ``warped:sinh:sphere:3``."""
-    parts = name.replace("(", ":").replace(")", "").split(":")
+    parts = name.split(":")
     kind = parts[0]
     nest = next(i for i, head in enumerate(parts[::2] + [""]) if head != "warped")
     if nest > MAX_DIM - 2:  # each warped: prefix adds a dimension to a chart of >= 2
@@ -253,7 +251,7 @@ def check_golden(model: SolitonSpec, points) -> list[tuple[str, float, float, bo
     for quantity, expected, tol, _note in model.golden:
         worst = 0.0
         for x in points:
-            tc = curvature_at(model.chart, x)
+            tc = curvature_taylor(model.chart, x, order=2)
             if quantity == "scalar":
                 err = abs(tc.scalar.value - expected) / max(1.0, abs(expected))
             elif quantity == "riemann_sup":
@@ -263,9 +261,8 @@ def check_golden(model: SolitonSpec, points) -> list[tuple[str, float, float, bo
             elif quantity == "schouten_vs_metric":
                 err = float(np.max(np.abs(values(tc.schouten) - expected * values(tc.g))))
             elif quantity.startswith("sigma:"):
-                j = int(quantity.split(":")[1])
-                prof = sigma_profile(tc, model.k, model.l)
-                err = abs(prof.sigmas[j] - expected) / max(1.0, abs(expected))
+                sig = sigma_profile(tc, model.k, model.l).sigmas[int(quantity[6:])]
+                err = abs(sig - expected) / max(1.0, abs(expected))
             else:
                 raise ValueError(f"unknown golden quantity {quantity!r}")
             worst = max(worst, err)

@@ -2,17 +2,17 @@
 transformation laws.
 
 One sigma path serves both rings: ``sigmas`` (Newton's identities on the
-power traces tr(A^m)), the Horner loop ``_newton`` and the cone check in
+power traces tr(A^m)), the Horner loop ``_newton`` and the quotient
 ``log_quotient`` run unchanged on the object array of Taylor jets
 ``TaylorCurvature.endo`` and on its value part ``values(tc.endo)``, which
-``sigmas`` also takes as a (P, n, n) batch.  Jets serve only where a
-derivative of sigma is read; ``sigma_profile``, ``newton_tensor`` and the
-soliton residual run the float ring.  No eigenvalues are computed.
+``sigmas`` also takes as a (P, n, n) stack; each sum runs in one order in
+both rings, so a float sigma, T_k or quotient is its jet's value part.  Jets
+serve only where a derivative of sigma is read; ``sigma_profile``,
+``newton_tensor`` and the soliton residual run floats.  No eigenvalues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +26,10 @@ from .tensor import TensorValue, sigmas_from_power_sums
 class ConeConditionError(GeometryError):
     """sigma_k * sigma_l <= 0: the quotient curvature is undefined."""
 
-    def __init__(self, k, l, sigma_k, sigma_l):
-        super().__init__(
-            f"cone condition violated: sigma_{k} = {sigma_k:.6g}, "
-            f"sigma_{l} = {sigma_l:.6g}, product <= 0"
-        )
-        self.sigma_k = sigma_k
-        self.sigma_l = sigma_l
+    def __init__(self, k, l, sigma_k, sigma_l, where: str = ""):
+        super().__init__(f"cone condition violated{where and ' ' + where}: sigma_{k} = "
+                         f"{sigma_k:.6g}, sigma_{l} = {sigma_l:.6g}, product <= 0")
+        self.sigma_k, self.sigma_l = sigma_k, sigma_l
 
 
 @dataclass(frozen=True)
@@ -58,11 +55,16 @@ def sigmas(a) -> list:
     if a is None:
         raise GeometryError("sigma-curvatures need dimension >= 3")
     n = a.shape[-1]
-    traces, power = [np.trace(a, axis1=-2, axis2=-1)], a
+    traces, power = [_trace(a)], a
     for _ in range(n - 1):
         power = taylor.matmul(power, a)
-        traces.append(np.trace(power, axis1=-2, axis2=-1))
+        traces.append(_trace(power))
     return sigmas_from_power_sums(traces, n)
+
+
+def _trace(a):
+    """The trace summed left to right in either ring (np.trace sums floats pairwise)."""
+    return np.cumsum(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)[..., -1][()]
 
 
 def _newton(a, k: int):
@@ -89,9 +91,10 @@ def cone_values(sig, k: int, l: int):
 
 
 def log_quotient(sig, k: int, l: int):
-    """log(sigma_k/sigma_l) from a list of sigmas, as log|sigma_k| -
-    log|sigma_l|.  Raises ConeConditionError unless sigma_k * sigma_l > 0,
-    with the sigmas of the first violating probe of a batch."""
+    """log|sigma_k| - log|sigma_l| of jets, of a stack's (P,) floats or of one
+    point's floats (a float), by ``np.log`` as in ``taylor.log_abs``.  Raises
+    ConeConditionError unless sigma_k * sigma_l > 0, with the sigmas of the
+    first violating probe of a batch."""
     vk, vl, ok = cone_values(sig, k, l)
     if not np.all(ok):
         i = int(np.argmin(np.ravel(ok)))
@@ -99,7 +102,8 @@ def log_quotient(sig, k: int, l: int):
                                          for v in (vk, vl)))
     if isinstance(sig[k], taylor.TaylorScalar):
         return taylor.log_abs(sig[k]) - taylor.log_abs(sig[l])
-    return math.log(abs(vk)) - math.log(abs(vl))
+    logq = np.log(np.abs(vk)) - np.log(np.abs(vl))
+    return float(logq) if logq.ndim == 0 else logq
 
 
 def _endo_values(tc: TaylorCurvature, what: str):
@@ -136,11 +140,6 @@ def sigma_taylor(tc: TaylorCurvature) -> list:
 def newton_tensor_taylor(tc: TaylorCurvature, k: int) -> np.ndarray:
     """T_k of g^{-1}A as an object array of Taylor scalars."""
     return _newton(tc.endo, k)
-
-
-def log_quotient_taylor(tc: TaylorCurvature, k: int, l: int):
-    """log(sigma_k/sigma_l) as a Taylor scalar, guarded by the cone condition."""
-    return log_quotient(sigma_taylor(tc), k, l)
 
 
 def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
@@ -183,6 +182,8 @@ def _conformal_schouten_taylor(tc0: TaylorCurvature, hess, dw, grad2):
 def conformal_schouten(chart0: MetricChart, x, phi) -> TensorValue:
     """Schouten tensor of g = phi^2 g_0 via the conformal transformation law,
     for a positive factor phi given as an expression over the base chart."""
+    if chart0.dim < 3:
+        raise GeometryError("the Schouten tensor needs dimension >= 3")
     tc0, _, hess, dw, grad2 = _conformal_base(chart0, x, phi)
     out = _conformal_schouten_taylor(tc0, hess, dw, grad2)
     return TensorValue(tc0.dim, (0, 2), values(out))

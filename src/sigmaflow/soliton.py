@@ -14,7 +14,8 @@ pipeline (``curvature_taylor`` at every probe at once) per (P, n) probe set,
 split only where ``curvature.probe_batches`` finds that its jets would
 exceed the memory budget ``curvature.BATCH_BYTES``.  f, X and lambda are
 read as jets of that pipeline (``TaylorCurvature.jet``).  The residual reads
-values only, so it takes sigma and psi in floats from ``values(tc.endo)``.
+values only, so it takes sigma and psi in floats from ``values(tc.endo)``,
+the value parts of the jets that the structural checks differentiate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import expr as ex
 from . import probes
 from .curvature import GeometryError, MetricChart, _d, curvature_taylor, probe_batches, values
-from .sigma import ConeConditionError, check_pair, cone_values, log_quotient_taylor, sigmas
+from .sigma import ConeConditionError, check_pair, cone_values, log_quotient, sigma_taylor, sigmas
 
 TRIVIAL_TOL = 1e-7
 ZERO_TOL = 1e-8     # |lambda| at or below it classifies as steady
@@ -106,7 +107,7 @@ def _pipelines(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
 
 def _psi(spec: SolitonSpec, tc):
     """psi = log(sigma_k/sigma_l) - lambda as a jet at the pipeline's probes."""
-    return log_quotient_taylor(tc, spec.k, spec.l) - tc.jet(spec.lam)
+    return log_quotient(sigma_taylor(tc), spec.k, spec.l) - tc.jet(spec.lam)
 
 
 def _point_data(spec: SolitonSpec, tc):
@@ -114,14 +115,15 @@ def _point_data(spec: SolitonSpec, tc):
     pairs and, at its admissible probes, the g-norms of the residual and of
     L_X g, |psi| and lambda: the residual reads values of hess f, L_X g and
     psi only."""
-    sig = sigmas(tc.endo if tc.endo is None else values(tc.endo))
-    vk, vl, ok = (np.broadcast_to(v, len(tc.points)) for v in cone_values(sig, spec.k, spec.l))
+    sig = [np.broadcast_to(s, len(tc.points))
+           for s in sigmas(tc.endo if tc.endo is None else values(tc.endo))]
+    vk, vl, ok = cone_values(sig, spec.k, spec.l)
     violations = [(tc.points[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
                   for i in np.flatnonzero(~ok)]
     keep = np.flatnonzero(ok)
     # lambda as a jet's value: a float evaluation rounds a/b apart from a * recip(b)
     lam = np.broadcast_to(tc.jet(spec.lam).value, len(tc.points))[keep]
-    psi = np.log(np.abs(vk[keep])) - np.log(np.abs(vl[keep])) - lam  # np.log as in log_abs
+    psi = log_quotient([s[keep] for s in sig], spec.k, spec.l) - lam
     if spec.potential is not None:
         lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.potential)))[keep]
     else:
@@ -207,20 +209,25 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     Raises GeometryError when R deviates from its mean over the probe set by
     more than R_TOL (1 + |mean|): the identity presupposes constant scalar
     curvature."""
-    data = list(_pipelines(spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
-                           "the second-order identity requires"))
-    scalars = np.concatenate([tc.scalar.value for tc in data])
+    pipelines = _pipelines(spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
+                           "the second-order identity requires")
+    data = list(map(lambda tc: _obata_floats(spec, tc), pipelines))  # as in soliton_residual
+    scalars = np.concatenate([d[0] for d in data])
     mean_r = float(np.mean(scalars))
     dev = float(np.max(np.abs(scalars - mean_r)))
     if dev > R_TOL * (1.0 + abs(mean_r)):
         raise GeometryError(
             f"scalar curvature not constant on probes: deviation {dev:.3g} "
             f"about mean {mean_r:.6g}")
+    n = spec.chart.dim
     worst = 0.0
-    for tc in data:
-        n = tc.dim
-        psi = _psi(spec, tc)
-        hess = values(tc.hessian_scalar(psi))
-        resid = hess + (mean_r / (n * (n - 1))) * psi.value[:, None, None] * values(tc.g)
-        worst = max(worst, float(np.max(np.sqrt(_gnorm2(values(tc.ginv), resid)))))
+    for _, psi, hess, g, ginv in data:
+        resid = hess + (mean_r / (n * (n - 1))) * psi[:, None, None] * g
+        worst = max(worst, float(np.max(np.sqrt(_gnorm2(ginv, resid)))))
     return worst
+
+
+def _obata_floats(spec: SolitonSpec, tc):
+    """What obata_check reads of a pipeline: R, psi, hess psi, g and g^-1."""
+    psi = _psi(spec, tc)
+    return tc.scalar.value, psi.value, *map(values, (tc.hessian_scalar(psi), tc.g, tc.ginv))

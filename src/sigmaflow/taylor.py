@@ -74,9 +74,9 @@ cap), and the terms are summed j = 0, 1, ... left to right on their
 coefficient arrays, which is numpy's order, so every coefficient up to an
 output's trusted order comes out bit for bit as with numpy's object ``@``.
 It skips shared zeros in the sum as ``+`` does and builds one jet per
-output, none per term, trusted to the minimum over its terms.  On float
-arrays it is plain ``a @ b``, so a caller such as the sigma path runs in
-either ring.
+output, none per term, trusted to the minimum over its terms.  On floats
+it sums the same terms in the same order (``np.cumsum``, not BLAS ``@``), so
+the sigma path gives the value parts of its jets, sign of a zero aside.
 """
 
 from __future__ import annotations
@@ -429,17 +429,18 @@ def _sum(x: TaylorScalar, other, sign: int, swap: bool = False):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, trusted: int | None = None):
-    """``a @ b`` for 2-D or 1-D operands: numpy's product on float arrays,
-    and numpy's object ``@`` on arrays of jets of one context, bit for bit
-    up to each output's trusted order, with the jet arithmetic inlined by
-    the order rule of the module header.  ``trusted`` caps the order every
-    product is summed to, and so each output's trust; None sets no cap.
-    Each operand is tested once with ``ctx.is_zero``, since a product with
-    a shared-zero operand is the shared zero (``mul``)."""
+    """``a @ b`` for 2-D or 1-D operands: numpy's object ``@`` on arrays of
+    jets of one context, bit for bit up to each output's trusted order, by
+    the order rule of the module header, whose sums it keeps on floats (and
+    (P, n, n) float stacks).  ``trusted`` caps the order every product is
+    summed to, and so each output's trust; None sets no cap.  Each operand
+    is tested once with ``ctx.is_zero``: a product with a shared zero is zero."""
+    a2 = a if a.ndim >= 2 else a[None]
+    b2 = b if b.ndim >= 2 else b[:, None]
     if a.dtype != object and b.dtype != object:
-        return a @ b
-    a2 = a if a.ndim == 2 else a[None]
-    b2 = b if b.ndim == 2 else b[:, None]
+        out = np.cumsum(a2[..., None] * b2[..., None, :, :], axis=-2)[..., -1, :]
+        out = out if b.ndim > 1 else out[..., 0]
+        return out if a.ndim > 1 else out[0]
     first = a2.flat[0]
     for s in (*a2.flat, *b2.flat):
         if type(s) is not TaylorScalar:

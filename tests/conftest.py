@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmaflow import curvature, sigma, soliton, taylor
+from sigmaflow import curvature, models, sigma, soliton, taylor
 
 
 class PipelineOrders:
@@ -27,7 +27,7 @@ class PipelineOrders:
                 self._cache[key] = (chart, original(chart, x, order=order))
             return self._cache[key][1]
 
-        for module in (curvature, sigma, soliton):
+        for module in (curvature, models, sigma, soliton):
             monkeypatch.setattr(module, "curvature_taylor", pipeline)
 
     def declared(self, fn):

@@ -2,15 +2,17 @@
 by probe, what the single-point pipeline gives, and the soliton checks that
 run whole probe sets through it report what a per-probe loop reports."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from sigmaflow import cli, curvature, models, sigma
+from sigmaflow import cli, curvature, models, sigma, soliton
 from sigmaflow import expr as ex
 from sigmaflow.curvature import (GeometryError, MetricChart, curvature_taylor,
                                  probe_batches, values)
 from sigmaflow.probes import chart_probes
-from sigmaflow.sigma import ConeConditionError, log_quotient_taylor
+from sigmaflow.sigma import ConeConditionError, log_quotient, sigma_taylor
 from sigmaflow.soliton import (SolitonSpec, lemma_structural_check, obata_check,
                                soliton_residual)
 
@@ -70,13 +72,13 @@ def test_linear_chart_is_a_round_sphere():
 
 def test_float_sigmas_of_a_stack_are_the_sigma_jets_value_parts():
     # verify takes sigma_0..sigma_n of the (P, n, n) stack values(tc.endo) in
-    # floats; probe by probe they are the value parts of the sigma jets
+    # floats; probe by probe they equal the value parts of the sigma jets
     for name, chart in charts():
         tc = curvature_taylor(chart, chart_probes(chart, 5, seed=6), order=2)
         got = sigma.sigmas(values(tc.endo))
         for k, (g, s) in enumerate(zip(got, sigma.sigma_taylor(tc), strict=True)):
-            want = np.broadcast_to(s.value, len(tc.points))
-            assert np.all(np.abs(g - want) <= TOL * np.abs(want)), (name, k, g, want)
+            want = np.broadcast_to(s.value, np.shape(g))
+            assert np.array_equal(g, want), (name, k, g, want)
 
 
 def test_batch_checks_name_the_first_failing_probe():
@@ -105,7 +107,7 @@ def reference_residual(spec, pts):
     for x in pts:
         tc = curvature_taylor(spec.chart, x, order=2)
         try:
-            logq = log_quotient_taylor(tc, spec.k, spec.l)
+            logq = log_quotient(sigma_taylor(tc), spec.k, spec.l)
         except ConeConditionError as err:
             violations.append((x, err))
             continue
@@ -133,7 +135,7 @@ def reference_lemma(spec, pts):
     for x in pts:
         tc = curvature_taylor(spec.chart, x, order=4)
         n = tc.dim
-        psi = log_quotient_taylor(tc, spec.k, spec.l) - ex.eval_taylor(spec.lam, x)
+        psi = log_quotient(sigma_taylor(tc), spec.k, spec.l) - ex.eval_taylor(spec.lam, x)
         ft = ex.eval_taylor(spec.potential, x)
         ginv, ric = values(tc.ginv), values(tc.ricci)
         df = np.array([ft.deriv(i).value for i in range(n)])
@@ -153,7 +155,7 @@ def reference_obata(spec, pts):
     worst = 0.0
     for x, tc in zip(pts, tcs):
         n = tc.dim
-        psi = log_quotient_taylor(tc, spec.k, spec.l) - ex.eval_taylor(spec.lam, x)
+        psi = log_quotient(sigma_taylor(tc), spec.k, spec.l) - ex.eval_taylor(spec.lam, x)
         ginv = values(tc.ginv)
         resid = values(tc.hessian_scalar(psi)) + (mean_r / (n * (n - 1))) * psi.value \
             * values(tc.g)
@@ -222,6 +224,26 @@ def test_split_batches_report_what_one_batch_reports(monkeypatch):
     assert split.to_dict() == whole.to_dict()
     assert [x.tolist() for x, _ in split.cone_violations] == \
         [x.tolist() for x, _ in whole.cone_violations]
+
+
+def test_obata_check_keeps_floats_not_pipelines(monkeypatch):
+    # with one probe per batch, no earlier batch's record is alive when the
+    # next is built, and the split probe set reports what one batch reports
+    spec = SolitonSpec.from_model(models.sphere(4))
+    pts = chart_probes(spec.chart, 4, seed=2)
+    whole = obata_check(spec, probe_set=pts)
+    records, build = [], soliton.curvature_taylor
+
+    def tracked(chart, x, order):
+        assert all(r() is None for r in records), "an earlier pipeline is alive"
+        tc = build(chart, x, order=order)
+        records.append(weakref.ref(tc))
+        return tc
+
+    monkeypatch.setattr(soliton, "curvature_taylor", tracked)
+    monkeypatch.setattr(curvature, "BATCH_BYTES", 1)
+    assert obata_check(spec, probe_set=pts) == whole
+    assert len(records) == len(pts)
 
 
 def test_benchmark_probe_sets_fit_one_batch():

@@ -109,6 +109,12 @@ def test_curvature_of_a_2d_spec(tmp_path):
     assert err == "geometry error: sigma-curvatures need dimension >= 3\n"
 
 
+def test_builtin_name_with_parentheses_exits_2():
+    code, out, err = run_cli("curvature", "--builtin", "sphere(4)")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: unknown builtin 'sphere(4)'")
+
+
 def test_asymmetric_spec_rejected(tmp_path):
     doc = {
         "dim": 2,
@@ -222,6 +228,8 @@ def test_flow_cone_violation_exit_4():
                            "--t-end", "0.1")
     assert code == 4
     assert "last good t" in err
+    assert "cone condition violated at node " in err and ": sigma_2 = " in err
+    assert ", sigma_1 = " in err and "product <= 0" in err
 
 
 def test_flow_state_json(tmp_path):

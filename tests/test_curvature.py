@@ -10,7 +10,7 @@ from sigmaflow import models, sigma, taylor
 from sigmaflow.curvature import (GeometryError, MetricChart, _d, curvature_at,
                                  curvature_taylor, kulkarni_nomizu, values)
 from sigmaflow.probes import chart_probes
-from sigmaflow.sigma import log_quotient_taylor
+from sigmaflow.sigma import log_quotient, sigma_taylor
 from sigmaflow.taylor import TaylorTrustError
 from sigmaflow.tensor import TensorValue
 from test_batched import charts
@@ -324,7 +324,7 @@ def test_order_two_pipeline_refuses_untrusted_reads():
     with pytest.raises(TaylorTrustError):
         tc.scalar.deriv(0).value
     with pytest.raises(TaylorTrustError):
-        tc.laplacian_scalar(log_quotient_taylor(tc, 2, 1)).value
+        tc.laplacian_scalar(log_quotient(sigma_taylor(tc), 2, 1)).value
     with pytest.raises(TaylorTrustError):
         tc.riemann[0, 1, 0, 1].derivative((1, 1, 0, 0))
     with pytest.raises(TaylorTrustError):

@@ -7,11 +7,11 @@ import oracles
 
 from sigmaflow import flow
 from sigmaflow.curvature import GeometryError
-from sigmaflow.flow import (BlowUp, ConeViolation, FlowState, conformal_field_integral,
+from sigmaflow.flow import (BlowUp, FlowState, conformal_field_integral,
                             derivatives, flow_rhs, log_r_kl, quadrature, run,
                             schouten_eigenvalues, sigma_nodes, spectral_derivative,
                             sphere_area, stable_dt, step)
-from sigmaflow.sigma import check_pair
+from sigmaflow.sigma import ConeConditionError, check_pair
 
 
 def perturbed(n, k, l, grid, amp=0.05, t=0.0):
@@ -158,8 +158,11 @@ def test_cone_violation_aborts_with_partial_diagnostics():
     # huge negative curvature perturbation pushes sigma_2 through zero
     theta = np.linspace(0, math.pi, 65)
     state = FlowState(4, 2, 1, 1.5 * np.cos(2 * theta))
-    with pytest.raises(ConeViolation):
+    with pytest.raises(ConeConditionError,
+                       match=r"at node 0 \(theta = 0\.0000, t = 0\.000000\): "
+                             r"sigma_2 = \S+, sigma_1 = \S+, product <= 0") as err:
         flow_rhs(state)
+    assert err.value.sigma_k * err.value.sigma_l <= 0.0
     _, diag = run(state, 0.1)
     assert diag.aborted is not None
 

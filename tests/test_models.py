@@ -123,6 +123,17 @@ def test_builtin_names():
         models.builtin("klein_bottle:7")
 
 
+def test_builtin_names_split_on_colons_only():
+    # a warping factor may call a function; "(" is no separator
+    named = models.builtin("warped:cosh(x1):sphere:3")
+    short = models.builtin("warped:cosh:sphere:3")
+    assert named.name == short.name and named.chart.domain == short.chart.domain
+    assert [[ex.unparse(c) for c in row] for row in named.chart.comps] == \
+        [[ex.unparse(c) for c in row] for row in short.chart.comps]
+    with pytest.raises(GeometryError, match="unknown model 'sphere\\(4\\)'"):
+        models.builtin("sphere(4)")
+
+
 def test_warping_factor_must_be_positive():
     with pytest.raises(GeometryError):
         models.warped("x1 - 1", models.sphere(3))

@@ -9,8 +9,8 @@ from sigmaflow.curvature import (GeometryError, MetricChart, curvature_at, curva
                                  values)
 from sigmaflow.sigma import (ConeConditionError, conformal_ricci,
                              conformal_schouten, divergence_newton,
-                             log_quotient_taylor, newton_tensor,
-                             newton_tensor_taylor, sigma_profile, sigma_taylor)
+                             log_quotient, newton_tensor,
+                             newton_tensor_taylor, sigma_profile, sigma_taylor, sigmas)
 from sigmaflow.tensor import TensorValue, elementary_all, sym_eigenvalues
 
 
@@ -88,7 +88,7 @@ def test_sigma_taylor_matches_eigenvalue_route():
     for k in range(5):
         assert sig_t[k].value == pytest.approx(sigmas[k], rel=1e-10)
     # the quotient's Taylor expansion is constant on the round sphere
-    logq = log_quotient_taylor(tc, 2, 1)
+    logq = log_quotient(sigma_taylor(tc), 2, 1)
     grads = [abs(logq.deriv(m).value) for m in range(4)]
     assert max(grads) < 1e-10
 
@@ -123,7 +123,8 @@ def test_sigma_quantities_need_dimension_3():
     x = [0.1, 0.2]
     tc = curvature_at(chart, x)
     for fn in (lambda: sigma_profile(tc, 1, 0), lambda: newton_tensor(tc, 1),
-               lambda: sigma_taylor(tc), lambda: divergence_newton(chart, x, 1)):
+               lambda: sigma_taylor(tc), lambda: divergence_newton(chart, x, 1),
+               lambda: conformal_schouten(chart, x, "1 + x1^2/4")):
         with pytest.raises(GeometryError, match="dimension >= 3"):
             fn()
 
@@ -138,20 +139,50 @@ def _close(got, want, tol=1e-13):
     return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
 
 
+def _equal_values(floats, jets):
+    """Whether each float equals its jet's value part, probe by probe
+    (array_equal: a zero of either sign equals 0.0)."""
+    return all(np.array_equal(f, np.broadcast_to(j.value, np.shape(f)))
+               for f, j in zip(floats, jets, strict=True))
+
+
+def _same_quotient(floats, jets, k, l):
+    """log_quotient of the float sigmas and of the sigma jets agree: both
+    raise ConeConditionError, or the float is the jet's value part."""
+    try:
+        logq = log_quotient(floats, k, l)
+    except ConeConditionError:
+        with pytest.raises(ConeConditionError):
+            log_quotient(jets, k, l)
+        return True
+    return _equal_values([logq], [log_quotient(jets, k, l)])
+
+
 def test_float_sigmas_are_the_value_part_of_the_jet_path():
-    for name in ONE_PATH_MODELS:
+    # each sum runs in one order in both rings, so the float sigmas of a
+    # (P, n, n) stack or of one point, sigma_profile, every T_k and the
+    # quotient are == the value parts of the jets
+    for name in ONE_PATH_MODELS + ("euclidean:3",):
         model = models.builtin(name)
-        n = model.chart.dim
-        for x in probes.chart_probes(model.chart, 3, seed=1):
-            tc = curvature_at(model.chart, x)
-            prof = sigma_profile(tc, model.k, model.l)
-            jets = [s.value for s in sigma_taylor(tc)]
+        n, k, l = model.chart.dim, model.k, model.l
+        pts = probes.chart_probes(model.chart, 3, seed=1)
+        for x in (pts, *pts):
+            tc = curvature_taylor(model.chart, x, order=2)
+            floats, jets = sigmas(values(tc.endo)), sigma_taylor(tc)
+            assert _equal_values(floats, jets), (name, x)
+            assert _same_quotient(floats, jets, k, l), (name, x)
+            if x.ndim == 2:
+                continue
+            for j in range(n):
+                tk = newton_tensor(tc, j).components
+                assert np.array_equal(tk, values(newton_tensor_taylor(tc, j))), (name, x, j)
             spec = sym_eigenvalues(TensorValue(n, (1, 1), values(tc.endo)), values(tc.g))
-            assert _close(prof.sigmas, jets), (name, x)
-            assert _close(prof.sigmas, elementary_all(spec)), (name, x)
-            for k in (1, n - 1):  # T_{n-1} runs every step of the Horner loop
-                tk = newton_tensor(tc, k).components
-                assert _close(tk, values(newton_tensor_taylor(tc, k))), (name, x, k)
+            assert _close(floats, elementary_all(spec)), (name, x)
+            if name == "euclidean:3":
+                continue  # every sigma vanishes: the profile raises ConeConditionError
+            prof = sigma_profile(tc, k, l)
+            assert np.array_equal(prof.sigmas, floats) and type(prof.log_quotient) is float
+            assert prof.log_quotient == log_quotient(jets, k, l).value, (name, x)
 
 
 def test_sigma_taylor_jet_multiplies(monkeypatch):
@@ -239,6 +270,25 @@ def test_declared_orders_match_order_4(pipeline_orders):
                 phi = "1 + x1^2/6 + x2*x4/9"
                 agree(lambda: conformal_schouten(model.chart, x, phi), 2)
                 agree(lambda: conformal_ricci(model.chart, x, phi), 2)
+
+
+def test_golden_tables_and_warped_ricci_run_order_2(pipeline_orders):
+    # they read curvature values only: the order-2 record reports what the
+    # order-4 one does
+    for name in ("sphere:4", "hyperbolic:5", "example4:5", "example4:6"):
+        model = models.builtin(name)
+        pts = probes.chart_probes(model.chart, 2, seed=1)
+        rows, orders = pipeline_orders.declared(lambda: models.check_golden(model, pts))
+        assert orders == {2} and all(passed for *_, passed in rows), (name, rows)
+        want = pipeline_orders.at(4, lambda: models.check_golden(model, pts))
+        assert [r[0] for r in rows] == [r[0] for r in want]
+        assert _close([r[1] for r in rows], [r[1] for r in want]), name
+    fiber, x = models.sphere(3), [1.1, 0.1, -0.15, 0.2]
+    ricci, orders = pipeline_orders.declared(
+        lambda: models.warped_ricci_formula("sinh(x1)", fiber, x))
+    assert orders == {2}
+    want = pipeline_orders.at(4, lambda: models.warped_ricci_formula("sinh(x1)", fiber, x))
+    assert _close(ricci.components, want.components)
 
 
 def test_divergence_newton_vanishes_conformally_flat():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sigmaflow import taylor as ty
+from sigmaflow.curvature import values
 from sigmaflow.taylor import TaylorDomainError, TaylorScalar, context
 from test_zeros import materialise_zeros
 
@@ -297,8 +298,26 @@ def test_matmul_is_numpys_object_product_bit_for_bit(shape_a, shape_b, materiali
             assert g.trusted == w.trusted and g.c.shape == w.c.shape
             assert g.c.tobytes() == w.c.tobytes()
             assert ctx.is_zero(g.c) == ctx.is_zero(w.c)
-        fa, fb = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
-        assert np.array_equal(ty.matmul(fa, fb), fa @ fb)
+        # floats, one point's or a (P, n, n) stack's, are summed in the jets'
+        # order: the value parts of the product of constant jets, bit for bit
+        for lead in ((), (3,)) if len(shape_a) == len(shape_b) == 2 else ((),):
+            fa = rng.standard_normal(lead + shape_a)
+            fb = rng.standard_normal(lead + shape_b)
+            got = ty.matmul(fa, fb)
+            want = values(np.asarray(ty.matmul(constant_jets(ctx, fa, lead),
+                                                constant_jets(ctx, fb, lead)), dtype=object))
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.allclose(got, fa @ fb, rtol=1e-13, atol=0.0)
+
+
+def constant_jets(ctx, f, lead):
+    """The constant jets of the float array ``f``, one value per probe along
+    its ``lead`` axes."""
+    shape = f.shape[len(lead):]
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = ctx.constant(f[(...,) + idx] if lead else float(f[idx]))
+    return out
 
 
 def test_matmul_forms_every_product_through_the_context(monkeypatch):
