@@ -6,6 +6,16 @@ Lap h = div X, which diagonalizes in Fourier modes: h_hat = (div X)_hat
 divided by -|m|^2 for each nonzero integer frequency m.  Everything runs
 through the FFT; grids must be power-of-two per axis so the transform stays
 in its fast radix-2 regime.
+
+The samples are real, so every transform is a real-input one
+(``rfftn``/``irfftn``) on the half spectrum: the last axis keeps the
+wavenumbers 0..N/2 only.  At the Nyquist wavenumber N/2 of an axis,
+sin(N/2 x) vanishes on the grid, so the sampled mode has no derivative the
+grid can show, and the first-derivative multiplier i m is zero there (S. G.
+Johnson, "Notes on FFT-based differentiation", MIT 2011).  The Laplacian
+is then div o grad exactly, and Y = X - grad h is divergence-free on the
+grid for every sampled field; a Nyquist field such as cos(N/2 x1) is
+divergence-free on the grid and is its own Y.
 """
 
 from __future__ import annotations
@@ -42,11 +52,13 @@ class TorusField:
 
     @classmethod
     def from_exprs(cls, exprs, shape):
-        """Sample callables f(x) (x an array of coordinates in [0, 2pi))."""
+        """Sample callables f(x) (x an array of coordinates in [0, 2pi)) on
+        sparse coordinate grids; each sample broadcasts to ``shape``, as a
+        read-only view where f returns fewer axes."""
         _check_extents(shape)
         axes = [np.arange(nax) * (2 * math.pi / nax) for nax in shape]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return cls.from_arrays([f(*grids) for f in exprs])
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        return cls.from_arrays([np.broadcast_to(f(*grids), shape) for f in exprs])
 
 
 def _check_extents(shape):
@@ -56,31 +68,42 @@ def _check_extents(shape):
 
 
 def _partials(shape):
-    """The spectral partials i m_a of each axis a, on one sparse grid of
-    integer wavenumbers m."""
-    ms = np.meshgrid(*(np.fft.fftfreq(nax, d=1.0 / nax) for nax in shape),
-                     indexing="ij", sparse=True)
-    return [1j * m for m in ms]
+    """The spectral partials i m_a of each axis a on the half spectrum of
+    ``shape``, on one sparse grid of integer wavenumbers m, zero at each
+    axis's Nyquist wavenumber."""
+    freqs = [np.fft.fftfreq(nax, d=1.0 / nax) for nax in shape[:-1]]
+    freqs.append(np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1]))
+    for m, nax in zip(freqs, shape):
+        m[np.abs(m) == nax // 2] = 0.0
+    return [1j * m for m in np.meshgrid(*freqs, indexing="ij", sparse=True)]
+
+
+def _rfft(x):
+    return np.fft.rfftn(x, axes=range(x.ndim))
+
+
+def _irfft(x_hat, shape):
+    return np.fft.irfftn(x_hat, s=shape, axes=range(len(shape)))
 
 
 def divergence(field: TorusField) -> np.ndarray:
     # summed in real space, one component at a time: a sum in Fourier space
     # rounds differently (div_residual moves in its third digit)
-    return sum(np.fft.ifftn(d * np.fft.fftn(comp)).real
+    return sum(_irfft(d * _rfft(comp), field.shape)
                for d, comp in zip(_partials(field.shape), field.components))
 
 
 def hodge_decompose(field: TorusField):
     """Return (Y, h) with X = Y + grad h, div Y = 0, mean h = 0."""
     partials = _partials(field.shape)
-    div_hat = sum(d * np.fft.fftn(comp) for d, comp in zip(partials, field.components))
-    lap = sum((d * d).real for d in partials)  # -|m|^2, exactly
+    div_hat = sum(d * _rfft(comp) for d, comp in zip(partials, field.components))
+    lap = sum((d * d).real for d in partials)  # div o grad: -|m|^2 off Nyquist
     with np.errstate(divide="ignore", invalid="ignore"):
         h_hat = np.where(lap < 0, div_hat / np.where(lap < 0, lap, 1.0), 0.0)
 
-    h = np.fft.ifftn(h_hat).real
-    grads = [np.fft.ifftn(d * h_hat).real for d in partials]
-    y = TorusField.from_arrays([c - g for c, g in zip(field.components, grads)])
+    h = _irfft(h_hat, field.shape)
+    y = TorusField.from_arrays([c - _irfft(d * h_hat, field.shape)
+                                for d, c in zip(partials, field.components)])
     return y, h
 
 
@@ -88,8 +111,8 @@ def decomposition_report(field: TorusField, y: TorusField, h: np.ndarray):
     """Residual diagnostics of the decomposition (Y, h) of ``field``, as
     ``hodge_decompose`` returns it: sup |div Y|, sup reconstruction error,
     |mean h|."""
-    h_hat = np.fft.fftn(h)
-    sup_recon = max(np.max(np.abs(np.fft.ifftn(d * h_hat).real + yc - c)) for d, yc, c
+    h_hat = _rfft(h)
+    sup_recon = max(np.max(np.abs(_irfft(d * h_hat, field.shape) + yc - c)) for d, yc, c
                     in zip(_partials(field.shape), y.components, field.components))
     return {
         "div_residual": float(np.max(np.abs(divergence(y)))),

@@ -177,28 +177,34 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     """Residuals of the three structural identities of a gradient quotient
     soliton, by pipeline re-differentiation (the second-order item consumes
     fourth-order Taylor data of the metric)."""
-    res_a = res_b = res_c = 0.0
-    for tc in _pipelines(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
-                         "structural identities require"):
-        n = tc.dim
-        psi = _psi(spec, tc)
-        ft = tc.jet(spec.potential)
-        ginv = values(tc.ginv)
-        ric = values(tc.ricci)
+    pipelines = _pipelines(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
+                           "structural identities require")
+    batches = list(map(lambda tc: _lemma_floats(spec, tc), pipelines))  # as in soliton_residual
+    return StructuralResiduals(*(max(0.0, *col) for col in zip(*batches)))
 
-        lap_f = tc.laplacian_scalar(ft).value
-        res_a = max(res_a, float(np.max(np.abs(lap_f - n * psi.value))))
 
-        dpsi, df = values(_d(psi)), values(_d(ft))
-        item_b = (n - 1) * dpsi + (ric @ (ginv @ df[..., None]))[..., 0]
-        norm_b = np.sqrt(np.einsum("...i,...ij,...j->...", item_b, ginv, item_b))
-        res_b = max(res_b, float(np.max(norm_b)))
+def _lemma_floats(spec: SolitonSpec, tc):
+    """The largest residual of each structural identity at the pipeline's
+    probes."""
+    n = tc.dim
+    psi = _psi(spec, tc)
+    ft = tc.jet(spec.potential)
+    ginv = values(tc.ginv)
+    ric = values(tc.ricci)
 
-        lap_psi = tc.laplacian_scalar(psi).value
-        pairing = np.einsum("...i,...ij,...j->...", values(_d(tc.scalar)), ginv, df)
-        res_c = max(res_c, float(np.max(np.abs(
-            (n - 1) * lap_psi + 0.5 * pairing + psi.value * tc.scalar.value))))
-    return StructuralResiduals(res_a, res_b, res_c)
+    lap_f = tc.laplacian_scalar(ft).value
+    res_a = float(np.max(np.abs(lap_f - n * psi.value)))
+
+    dpsi, df = values(_d(psi)), values(_d(ft))
+    item_b = (n - 1) * dpsi + (ric @ (ginv @ df[..., None]))[..., 0]
+    norm_b = np.sqrt(np.einsum("...i,...ij,...j->...", item_b, ginv, item_b))
+    res_b = float(np.max(norm_b))
+
+    lap_psi = tc.laplacian_scalar(psi).value
+    pairing = np.einsum("...i,...ij,...j->...", values(_d(tc.scalar)), ginv, df)
+    res_c = float(np.max(np.abs(
+        (n - 1) * lap_psi + 0.5 * pairing + psi.value * tc.scalar.value)))
+    return res_a, res_b, res_c
 
 
 def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: index gymnastics
 and contractions of dense tensors, sigma_k by index, Halton probes by
 scalar loops, a symbolic partial derivative of expressions and a variable
-substitution, the quotient flow's grid formulas without cached tables, and
-the curvature pipeline as index loops over jets.  Each is checked by its
+substitution, the quotient flow's grid formulas without cached tables, the
+Hodge split on the full complex spectrum, and the curvature pipeline as
+index loops over jets.  Each is checked by its
 own test and serves as an independent oracle for the program's jet
 pipeline, probes or flow."""
 
@@ -257,6 +258,28 @@ def flow_run(state: FlowState, t_end: float, dt: float | None = None,
         if nstep % cadence == 0 or state.t >= t_end - 1e-12:
             rows.append(sample(state))
     return rows
+
+
+# -- the Hodge split on the full complex spectrum ----------------------------
+
+
+def hodge_full_spectrum(comps):
+    """(Y, h) with X = Y + grad h on the torus grid of ``comps``, by complex
+    FFTs over every wavenumber of every axis, one axis's wavenumbers at a
+    time; i m is zero at each axis's Nyquist wavenumber -N/2, as in the
+    program's half-spectrum split."""
+    shape = comps[0].shape
+    ms = []
+    for a, nax in enumerate(shape):
+        m = np.fft.fftfreq(nax, d=1.0 / nax)
+        m[nax // 2] = 0.0  # the one -N/2 entry
+        ms.append(m.reshape([nax if b == a else 1 for b in range(len(shape))]))
+    div_hat = sum(1j * m * np.fft.fftn(c) for m, c in zip(ms, comps))
+    m2 = np.broadcast_to(sum(m * m for m in ms), shape)
+    h_hat = np.zeros(shape, dtype=complex)
+    h_hat[m2 > 0] = -div_hat[m2 > 0] / m2[m2 > 0]
+    y = [c - np.fft.ifftn(1j * m * h_hat).real for m, c in zip(ms, comps)]
+    return y, np.fft.ifftn(h_hat).real
 
 
 # -- the curvature pipeline as index loops ---------------------------------

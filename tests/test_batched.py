@@ -246,6 +246,26 @@ def test_obata_check_keeps_floats_not_pipelines(monkeypatch):
     assert len(records) == len(pts)
 
 
+def test_lemma_check_keeps_floats_not_pipelines(monkeypatch):
+    # as for obata_check: one probe per batch, no earlier record alive when
+    # the next is built, and the residuals of one batch
+    spec = SolitonSpec.from_model(models.sphere(4))
+    pts = chart_probes(spec.chart, 4, seed=2)
+    whole = lemma_structural_check(spec, probe_set=pts)
+    records, build = [], soliton.curvature_taylor
+
+    def tracked(chart, x, order):
+        assert all(r() is None for r in records), "an earlier pipeline is alive"
+        tc = build(chart, x, order=order)
+        records.append(weakref.ref(tc))
+        return tc
+
+    monkeypatch.setattr(soliton, "curvature_taylor", tracked)
+    monkeypatch.setattr(curvature, "BATCH_BYTES", 1)
+    assert lemma_structural_check(spec, probe_set=pts) == whole
+    assert len(records) == len(pts)
+
+
 def test_benchmark_probe_sets_fit_one_batch():
     for dim, order, count in ((3, 2, 16), (4, 2, 16), (5, 2, 16), (4, 4, 12)):
         assert len(probe_batches(np.zeros((count, dim)), order)) == 1

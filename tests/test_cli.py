@@ -268,6 +268,27 @@ def test_hodge_decomposes_once(monkeypatch):
     assert json.loads(out)["reconstruction"] < 1e-9
 
 
+def test_hodge_nyquist_field_is_its_own_divergence_free_part():
+    # sin(4 x1) vanishes on 8 points per axis: cos(4 x1) has no sampled
+    # divergence, so Y = X and h = 0
+    code, out, _ = run_cli("hodge", "--n", "2", "--grid", "8", "--json",
+                           "--field", "cos(4*x1); 0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["Y_sup"] == 1.0 and doc["potential_sup"] == 0.0
+    assert doc["reconstruction"] == 0.0 and doc["div_residual"] == 0.0
+
+
+def test_hodge_reconstructs_a_field_with_nyquist_content():
+    # x1 on 4 points per axis has a Nyquist mode along x1
+    code, out, _ = run_cli("hodge", "--n", "3", "--grid", "4", "--json",
+                           "--field", "x1; 0; 0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reconstruction"] <= 1e-12 * 2 * math.pi
+    assert doc["div_residual"] <= 1e-12 * 2 * math.pi
+
+
 def test_hodge_odd_grid_exit_2():
     code, _, err = run_cli("hodge", "--n", "2", "--grid", "63",
                            "--field", "x1; x2")

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sigmaflow import expr as ex
 from sigmaflow.hodge import (HodgeError, TorusField, decomposition_report,
                              divergence, hodge_decompose)
+from tests.oracles import hodge_full_spectrum
+
+RANDOM_SHAPES = [(8, 8), (16, 32), (8, 8, 8), (16, 8, 32)]
 
 
 def l2_inner(a_comps, b_comps):
@@ -124,3 +128,65 @@ def test_grid_validation():
     bad[0, 0] = np.nan
     with pytest.raises(HodgeError):
         TorusField.from_arrays([bad, np.zeros((8, 8))])
+
+
+def random_field(shape):
+    # white noise: every wavenumber, the Nyquist ones of each axis included
+    rng = np.random.default_rng(sum(shape))
+    return TorusField.from_arrays(rng.standard_normal((len(shape), *shape)))
+
+
+@pytest.mark.parametrize("shape", RANDOM_SHAPES)
+def test_every_sampled_field_splits_exactly(shape):
+    f = random_field(shape)
+    scale = max(float(np.max(np.abs(c))) for c in f.components)
+    rep = decomposition_report(f, *hodge_decompose(f))
+    assert rep["div_residual"] <= 1e-12 * scale
+    assert rep["reconstruction"] <= 1e-12 * scale
+    assert rep["potential_mean"] <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", RANDOM_SHAPES)
+def test_half_spectrum_split_matches_full_spectrum_oracle(shape):
+    f = random_field(shape)
+    scale = max(float(np.max(np.abs(c))) for c in f.components)
+    y, h = hodge_decompose(f)
+    y_ref, h_ref = hodge_full_spectrum(f.components)
+    assert np.max(np.abs(h - h_ref)) <= 1e-13 * scale
+    for got, want in zip(y.components, y_ref):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_full_spectrum_oracle_recovers_a_known_split():
+    xx, yy = grid2(16)
+    y_ref, h_ref = hodge_full_spectrum([np.cos(xx) * np.cos(yy) - np.sin(yy),
+                                        -np.sin(xx) * np.sin(yy) + np.sin(xx)])
+    assert np.max(np.abs(h_ref - np.sin(xx) * np.cos(yy))) < 1e-13
+    assert np.max(np.abs(y_ref[0] + np.sin(yy))) < 1e-13
+    assert np.max(np.abs(y_ref[1] - np.sin(xx))) < 1e-13
+
+
+def test_nyquist_field_is_divergence_free_on_the_grid():
+    # sin(4 x) vanishes at the 8 grid points, so cos(4 x) has no sampled
+    # derivative: it is its own divergence-free part
+    f = TorusField.from_exprs([lambda x, y: np.cos(4 * x), lambda x, y: 0.0], (8, 8))
+    y, h = hodge_decompose(f)
+    assert np.array_equal(divergence(f), np.zeros((8, 8)))
+    assert not np.any(h)
+    for got, want in zip(y.components, f.components):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape, sources", [
+    ((16, 32), ["exp(cos(x1))*sin(x2) + x1^2/(1 + x2^2)", "log(2 + sin(x1*x2))"]),
+    ((8, 16, 32), ["sqrt(1 + x1)*cos(x2 - x3)", "tanh(x1 - x2) + x3", "2"]),
+])
+def test_sparse_grid_samples_equal_dense_grid_samples(shape, sources):
+    trees = [ex.parse(src) for src in sources]
+    f = TorusField.from_exprs([lambda *xs, t=t: ex.eval_float(t, xs) for t in trees],
+                              shape)
+    dense = np.meshgrid(*(np.arange(n) * (2 * math.pi / n) for n in shape),
+                        indexing="ij")
+    for got, t in zip(f.components, trees):
+        assert got.shape == shape
+        assert np.array_equal(got, ex.eval_float(t, dense))
