@@ -25,14 +25,15 @@ points of shape (P, n) and runs one pipeline for the whole batch: every
 jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
 arrays of shape (P, ...).  The domain and positive-definiteness checks run
 per probe and name the first probe that fails; the metric's test is the
-chart's, a positive smallest eigenvalue.  Jets combined with a
-pipeline are evaluated by ``TaylorCurvature.jet`` at its ``points`` and
-order.  ``curvature_at``, the conformal laws and ``divergence_newton`` take
-one point.  Memory grows with P, so callers split large probe sets with
-``probe_batches``, which keeps the estimated jet storage of one pipeline
-under ``BATCH_BYTES``.  The inverse metric is Gauss-Jordan elimination
-without pivoting: the metric has passed the eigenvalue test, so it is
-symmetric positive definite, where elimination without pivoting is stable.
+chart's, a positive smallest eigenvalue.  Jets combined with a pipeline
+are evaluated by ``TaylorCurvature.jet`` at its ``points`` and order.
+``curvature_at``, the conformal laws, ``divergence_newton`` and
+``models.warped_ricci_formula`` take one point.  Memory grows with P, so
+callers split large probe sets with ``probe_batches``, which keeps the
+estimated jet storage of one pipeline under ``BATCH_BYTES``.  The inverse
+metric is Gauss-Jordan elimination without pivoting: the metric has passed
+the eigenvalue test, so it is symmetric positive definite, where
+elimination without pivoting is stable.
 
 Every stage is a contraction over object arrays of jets.  Each matrix
 product, and each sum over an index that an ``einsum`` would write, is
@@ -97,7 +98,7 @@ class MetricChart:
     validity box of finite intervals lo < hi, all checked here: the shape at
     once, symmetry and positive definiteness on a coarse grid."""
 
-    def __init__(self, dim, comps, domain, validate=True):
+    def __init__(self, dim, comps, domain):
         check_int(dim, "chart dimension", 2, taylor.MAX_DIM)
         if len(comps) != dim or any(len(row) != dim for row in comps):
             raise GeometryError(f"metric must be a {dim}x{dim} array")
@@ -113,8 +114,7 @@ class MetricChart:
         if len(self.domain) != dim or not all(-math.inf < lo < hi < math.inf
                                               for lo, hi in self.domain):
             raise GeometryError(f"domain must be {dim} finite intervals lo < hi: {self.domain}")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         # a 3-point grid per axis, 5% clear of both ends
@@ -414,11 +414,11 @@ def kulkarni_nomizu(a: TensorValue, b: TensorValue) -> TensorValue:
                        - np.einsum("jk,il->ijkl", x, y))
 
 
-def _one_point(chart: MetricChart, x, what: str) -> np.ndarray:
-    """x as the one point of shape (n,) that ``what`` takes."""
+def _one_point(dim: int, x, what: str) -> np.ndarray:
+    """x as the one point of shape (dim,) that ``what`` takes."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise GeometryError(f"{what} takes one point of shape ({chart.dim},), "
+        raise GeometryError(f"{what} takes one point of shape ({dim},), "
                             f"got shape {x.shape}")
     return x
 
@@ -427,5 +427,5 @@ def curvature_at(chart: MetricChart, x) -> TaylorCurvature:
     """The order-3 pipeline at the one point x: Cotton reads one derivative
     of A.  Its floats are the value parts, ``values(tc.ricci)`` or
     ``tc.scalar.value``."""
-    return curvature_taylor(chart, _one_point(chart, x, "curvature_at"), order=3)
+    return curvature_taylor(chart, _one_point(chart.dim, x, "curvature_at"), order=3)
 

@@ -5,11 +5,11 @@ With g = e^{-2u} g_0 the flow d g/dt = -(log sigma_k/sigma_l - log r_{k,l}) g
 reduces to the scalar evolution du/dt = (log sigma_k/sigma_l - log r_{k,l})/2
 on the latitude grid.  The Schouten endomorphism of g has a radial
 eigenvalue e^{2u}(1/2 + u'' + u'^2/2) and a tangential eigenvalue
-e^{2u}(1/2 + u' cot(theta) - u'^2/2) of multiplicity n-1, which makes every
-sigma_j a two-term closed form.  Spatial derivatives are 4th-order central
-differences with even reflection across the poles (enforcing u' = 0 there);
-integrals use the endpoint-halved trapezoid rule, which is spectrally
-accurate for pole-regular integrands.
+e^{2u}(1/2 + u' cot(theta) - u'^2/2) of multiplicity n-1, so every sigma_j
+is ``sigma.two_eigenvalue_sigma`` of the two.  Spatial derivatives are
+4th-order central differences with even reflection across the poles
+(enforcing u' = 0 there); integrals use the endpoint-halved trapezoid rule,
+which is spectrally accurate for pole-regular integrands.
 
 Grid tables are built once and are read-only: the nodes and tan(theta) per
 grid size m, the stencil's neighbour indices per m, and the volume density
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curvature import GeometryError, check_int
-from .sigma import ConeConditionError, check_pair
+from .sigma import ConeConditionError, check_pair, repeated_sigma, two_eigenvalue_sigma
 
 
 class BlowUp(GeometryError):
@@ -191,15 +191,7 @@ def _nodal_sigmas(state: FlowState, *js):
     """The tangential eigenvalue lam_t and, for each j of ``js``, sigma_j at
     the nodes, from one evaluation of the spectrum."""
     lam_r, lam_t = schouten_eigenvalues(state)
-    return (lam_t, *(_sigma_from_eigs(state.n, j, lam_r, lam_t) for j in js))
-
-
-def _sigma_from_eigs(n: int, j: int, lam_r, lam_t):
-    if j == 0:
-        return np.ones_like(lam_r)
-    a = math.comb(n - 1, j) * lam_t ** j if j <= n - 1 else 0.0
-    b = math.comb(n - 1, j - 1) * lam_t ** (j - 1) * lam_r
-    return a + b
+    return (lam_t, *(two_eigenvalue_sigma(state.n, j, lam_t, lam_r) for j in js))
 
 
 def quadrature(state: FlowState, values: np.ndarray) -> float:
@@ -261,11 +253,9 @@ def flow_rhs(state: FlowState) -> np.ndarray:
 def stable_dt(state: FlowState) -> float:
     """Conservative parabolic step bound dt = DT_SAFETY h^2 / (1 + gain),
     where the gain estimates the sensitivity of the right side to u''."""
-    n, k, l = state.n, state.k, state.l
-    lam_t, sk, sl = _nodal_sigmas(state, k, l)
+    lam_t, sk, sl = _nodal_sigmas(state, state.k, state.l)
     # d log sigma_j / d u'' = e^{2u} * (d sigma_j / d lam_r) / sigma_j
-    dsk, dsl = (math.comb(n - 1, j - 1) * lam_t ** (j - 1) if j >= 1 else 0.0
-                for j in (k, l))
+    dsk, dsl = (repeated_sigma(state.n - 1, j - 1, lam_t) for j in (state.k, state.l))
     gain = np.max(np.exp(2 * state.u) * np.abs(dsk / sk - dsl / sl))
     h = math.pi / state.grid_size
     return DT_SAFETY * h * h / (1.0 + float(gain))

@@ -7,7 +7,7 @@ round sphere, the diagonal log-cosh metric on R^n, and warped products over
 an interval.  ``warped`` is the one constructor of a warped product: it
 checks the warping factor and builds the chart, whose Ricci tensor
 ``warped_ricci_formula`` assembles from the factor and the fiber.
-Lambda and the golden sigma rows of closed-form spectra read ``_sigma_table``.
+Lambda and the golden sigma rows read ``sigma``'s two-eigenvalue rule.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curvature import GeometryError, MetricChart, curvature_taylor, values
-from .sigma import cone_values, log_quotient, sigma_profile
+from .curvature import GeometryError, MetricChart, _one_point, curvature_taylor, values
+from .sigma import (cone_values, log_quotient, repeated_sigma, sigma_profile,
+                    two_eigenvalue_sigma)
 from .soliton import SolitonSpec
 from .taylor import MAX_DIM
 from .tensor import TensorValue
@@ -32,13 +33,6 @@ def _diag_chart(n: int, diagonal: list, domain) -> MetricChart:
     """The chart of the n x n diagonal metric with these entries over ``domain``."""
     return MetricChart(n, [[diagonal[i] if i == j else "0" for j in range(n)]
                            for i in range(n)], domain)
-
-
-def _sigma_table(n: int, a: float, last: int = 1) -> list:
-    """sigma_0..sigma_n of the spectrum a (n - 1 times), last * a (once), last
-    = 1 or -1: sigma_j = (C(n-1, j) + last C(n-1, j-1)) a^j, exactly."""
-    return [(math.comb(n - 1, j) + (last * math.comb(n - 1, j - 1) if j else 0)) * a ** j
-            for j in range(n + 1)]
 
 
 # -- the catalog -----------------------------------------------------------
@@ -101,7 +95,7 @@ def _space_form(n: int, sign: int, k: int, l: int, height, box) -> SolitonSpec:
     half = box()
     chart = _diag_chart(n, [f"4/(1{op}{_sq_norm(n)})^2"] * n, [(-half, half)] * n)
     h = height(n)
-    sig = _sigma_table(n, sign / 2)
+    sig = [repeated_sigma(n, j, sign / 2) for j in range(n + 1)]
     lam = f"{neg}({h}) + {log_quotient(sig, k, l)!r}"
     golden = [("scalar", float(sign * n * (n - 1)), 1e-9, note),
               ("schouten_vs_metric", sign / 2, 1e-9, f"A = {neg}g/2")]
@@ -118,9 +112,10 @@ def product_line_sphere(n: int) -> SolitonSpec:
     quotient could be formed."""
     chart = _diag_chart(n + 1, ["1"] + [f"4/(1+{_sq_norm(n, start=2)})^2"] * n,
                         [(-1.0, 1.0)] + [(-0.9, 0.9)] * n)
-    # sigma_1 computes to (n-1)/2 here, not the n/2 the source example quotes;
-    # with k = l the quotient is 1 either way and the soliton is trivial.
-    golden = [("sigma:1", (n - 1) / 2.0, 1e-9, "product line x sphere")]
+    # A has 1/2 (n times), -1/2 (once): sigma_1 is (n-1)/2, not the n/2 the source
+    # example quotes; with k = l the quotient is 1 either way, the soliton trivial.
+    golden = [(f"sigma:{j}", two_eigenvalue_sigma(n + 1, j, 0.5, -0.5), 1e-9,
+               "product line x sphere") for j in range(1, n + 2)]
     return SolitonSpec(chart, ex.parse("0"), potential=ex.parse("x1"),
                        name=f"product_line_sphere:{n}", golden=golden)
 
@@ -149,13 +144,14 @@ def example4(n: int) -> SolitonSpec:
                             for i in range(1, n + 1)], [(-1.0, 1.0)] * n)
     xfield = [ex.parse("1" if i % 2 == 0 else "0") for i in range(1, n + 1)]
     if n % 2 == 0:
-        sig = _sigma_table(n, -0.5 / (n - 1))  # the Schouten spectrum of Ric = -g
+        sig = [repeated_sigma(n, j, -0.5 / (n - 1)) for j in range(n + 1)]  # Ric = -g
         golden = [("ricci_vs_metric", -1.0, 1e-9, "product of hyperbolic planes")]
     else:
         # odd n: a flat direction, mixed signs in the spectrum; the quotient is
         # still constant (the metric is homogeneous), but the default pair may
-        # violate the cone condition: fall back to the first admissible pair
-        sig = _sigma_table(n, -0.5 / (n - 2), -1)
+        # violate the cone condition: fall back to the first admissible pair.
+        # sigma_j in integers, divided once, is correctly rounded
+        sig = [two_eigenvalue_sigma(n, j, -1, 1) / (2 * (n - 2)) ** j for j in range(n + 1)]
         pairs = [(k, l)] + [(kk, ll) for kk in range(2, n + 1) for ll in range(1, kk)]
         k, l = next((p for p in pairs if cone_values(sig, *p)[2]), (k, l))
         golden = []
@@ -195,8 +191,8 @@ def warped_ricci_formula(xi, fiber: SolitonSpec, point) -> TensorValue:
     """Ricci of dt^2 + xi^2 g_F assembled from the warped-product formula
     Ric = Ric^F - (n-1)(xi''/xi) dt (x) dt - [(n-2) xi'^2 + xi xi''] g^F,
     in the coordinates of ``warped`` (fiber block unscaled by xi^2)."""
-    point = np.asarray(point, dtype=float)
     n = fiber.chart.dim + 1
+    point = _one_point(n, point, "warped_ricci_formula")
     t, fiber_pt = point[0], point[1:]
     xt = ex.eval_taylor(ex.as_expr(xi), [t])
     xi, dxi, ddxi = xt.value, xt.derivative((1,)), xt.derivative((2,))

@@ -8,11 +8,13 @@ power traces tr(A^m)), the Horner loop ``_newton`` and the quotient
 ``sigmas`` also takes as a (P, n, n) stack; each sum runs in one order in
 both rings, so a float sigma, T_k or quotient is its jet's value part.  Jets
 serve only where a derivative of sigma is read; ``sigma_profile``,
-``newton_tensor`` and the soliton residual run floats.  No eigenvalues.
+``newton_tensor`` and the soliton residual run floats.  No eigenvalues but
+the known ones of ``two_eigenvalue_sigma``, which the flow and models read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,18 @@ def check_pair(n: int, k, l):
     n: integers with 0 <= k, l <= n (k = l is the trivial quotient)."""
     check_int(k, "quotient index k", 0, n)
     check_int(l, "quotient index l", 0, n)
+
+
+def repeated_sigma(m: int, j: int, a):
+    """sigma_j of a repeated m times, C(m, j) a^j, and the integer 0 for j
+    outside 0..m; ``a`` is a float, an int or an array."""
+    return math.comb(m, j) * a ** j if 0 <= j <= m else 0
+
+
+def two_eigenvalue_sigma(n: int, j: int, a, b):
+    """sigma_j of the spectrum a (n - 1 times) and b (once).  The factor on b
+    is d sigma_j / d b; on ints the result is exact."""
+    return repeated_sigma(n - 1, j, a) + repeated_sigma(n - 1, j - 1, a) * b
 
 
 # -- the one sigma path, over floats or jets -------------------------------
@@ -148,7 +162,7 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
     Returned for inspection; the vanishing div T_k = 0 is only asserted on
     (locally) conformally flat charts, where the identity is established.
     """
-    x = _one_point(chart, x, "divergence_newton")
+    x = _one_point(chart.dim, x, "divergence_newton")
     tc = curvature_taylor(chart, x, order=3)  # one derivative of T_k
     tk = newton_tensor_taylor(tc, k)
     div = tc.div_endomorphism(tk)
@@ -161,7 +175,7 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
 def _conformal_base(chart0: MetricChart, x, phi):
     """Base pipeline at the one point x and the jets of w = log phi for g =
     phi^2 g_0: (tc0, w, hess_0 w, dw, |dw|^2_0), at order 2 (values only)."""
-    tc0 = curvature_taylor(chart0, _one_point(chart0, x, "a conformal law"), order=2)
+    tc0 = curvature_taylor(chart0, _one_point(chart0.dim, x, "a conformal law"), order=2)
     pt = tc0.jet(phi)
     if pt.value <= 0.0:
         raise GeometryError(f"conformal factor must be positive, got {pt.value}")

@@ -2,6 +2,7 @@
 by probe, what the single-point pipeline gives, and the soliton checks that
 run whole probe sets through it report what a per-probe loop reports."""
 
+import inspect
 import weakref
 
 import numpy as np
@@ -86,14 +87,15 @@ def test_batch_checks_name_the_first_failing_probe():
     pts = np.array([[0.1, 0.2, 0.3], [5.0, 0.0, 0.0], [6.0, 0.0, 0.0]])
     with pytest.raises(GeometryError, match=r"point \[5\. 0\. 0\.\] outside"):
         curvature_taylor(chart, pts, order=2)
-    # positive definite only for x1 < 1
-    indefinite = MetricChart(3, [["1", "0", "0"], ["0", "1 - x1", "0"], ["0", "0", "1"]],
-                             [(-2, 2)] * 3, validate=False)
+    # positive definite only for x1 < 1, which holds on the chart's coarse
+    # check grid x1 = -28.4, -14, 0.4 but not at the probes beyond x1 = 1
+    box = [(-30, 2), (-2, 2), (-2, 2)]
+    indefinite = MetricChart(3, [["1", "0", "0"], ["0", "1 - x1", "0"], ["0", "0", "1"]], box)
     pts = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [1.8, 0.0, 0.0]])
     with pytest.raises(GeometryError, match=r"not positive definite at \[1\.5 0\.  0\. \]"):
         curvature_taylor(indefinite, pts, order=2)
     logged = MetricChart(3, [["1", "0", "0"], ["0", "1 + log(1 - x1)", "0"],
-                             ["0", "0", "1"]], [(-2, 2)] * 3, validate=False)
+                             ["0", "0", "1"]], box)
     with pytest.raises(GeometryError, match=r"\(1,1\) at \[1\.5 0\.  0\. \]") as err:
         curvature_taylor(logged, pts, order=2)
     assert err.value.__cause__.probe == 1
@@ -285,18 +287,36 @@ def test_one_pipeline_per_probe_set(pipeline_orders):
         assert len(pipeline_orders.requested) == 1
 
 
+# the public functions of these modules that take a point ``x`` or ``point``
+# and accept a (P, n) batch of them
+BATCH_TAKING = {"taylor_metric", "curvature_taylor"}
+
+
 def test_single_point_entry_points_refuse_a_batch():
-    # curvature_at, the conformal laws and divergence_newton report at one
-    # point; a (P, n) batch is a GeometryError, never a numpy or tensor error
+    # curvature_at, the conformal laws, divergence_newton and
+    # warped_ricci_formula report at one point; a (P, n) batch is a
+    # GeometryError, never a numpy, tensor or expression error
     chart = models.sphere(4).chart
     pts = chart_probes(chart, 2, seed=1)
-    calls = [lambda: curvature.curvature_at(chart, pts),
-             lambda: sigma.conformal_schouten(chart, pts, "exp(0.1*x1)"),
-             lambda: sigma.conformal_ricci(chart, pts, "exp(0.1*x1)"),
-             lambda: sigma.divergence_newton(chart, pts, 1)]
-    for fn in calls:
+    fiber = models.sphere(3)
+    warped_pts = chart_probes(models.warped("sinh(x1)", fiber).chart, 2, seed=1)
+    calls = {"curvature_at": lambda: curvature.curvature_at(chart, pts),
+             "conformal_schouten": lambda: sigma.conformal_schouten(chart, pts, "exp(0.1*x1)"),
+             "conformal_ricci": lambda: sigma.conformal_ricci(chart, pts, "exp(0.1*x1)"),
+             "divergence_newton": lambda: sigma.divergence_newton(chart, pts, 1),
+             "warped_ricci_formula":
+                 lambda: models.warped_ricci_formula("sinh(x1)", fiber, warped_pts)}
+    for fn in calls.values():
         with pytest.raises(GeometryError, match=r"one point of shape \(4,\), got shape \(2, 4\)"):
             fn()
+    # every module-level public function that takes a point is checked above
+    # or takes a batch, so a new one-point entry point cannot skip the check
+    for module in (curvature, sigma, models):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ \
+                    and not name.startswith("_") \
+                    and {"x", "point"} & set(inspect.signature(fn).parameters):
+                assert name in calls.keys() | BATCH_TAKING, f"{module.__name__}.{name}"
     # the float sigma reports read the record of one point
     batch = curvature.curvature_taylor(chart, pts, order=2)
     for fn in (lambda: sigma.sigma_profile(batch, 2, 1), lambda: sigma.newton_tensor(batch, 1)):

@@ -6,12 +6,12 @@ import pytest
 import oracles
 
 from sigmaflow import flow
-from sigmaflow.curvature import GeometryError
+from sigmaflow.curvature import GeometryError, MetricChart, curvature_taylor, values
 from sigmaflow.flow import (BlowUp, FlowState, conformal_field_integral,
                             derivatives, flow_rhs, log_r_kl, quadrature, run,
                             schouten_eigenvalues, sigma_nodes, spectral_derivative,
                             sphere_area, stable_dt, step)
-from sigmaflow.sigma import ConeConditionError, check_pair
+from sigmaflow.sigma import ConeConditionError, check_pair, sigmas
 
 
 def perturbed(n, k, l, grid, amp=0.05, t=0.0):
@@ -311,3 +311,86 @@ def test_run_refuses_a_step_that_does_not_advance_time(monkeypatch):
     monkeypatch.setattr(flow, "step", lambda *args: pytest.fail("a step was taken"))
     with pytest.raises(flow.StepLimitError, match="does not advance t = 1e"):
         run(state, 1e17 + 1024, dt=0.01)
+
+
+# -- the closed form against the chart pipeline -----------------------------
+
+# u = sum a_m cos(m theta) as (m, a_m) pairs, and cos(m theta) = T_m(cos theta)
+PROFILES = (((1, 0.08), (2, 0.03)), ((1, -0.1),), ((2, 0.05), (3, -0.02)))
+CHEBYSHEV = {1: "{c}", 2: "(2*{c}^2 - 1)", 3: "(4*{c}^3 - 3*{c})"}
+NODES_64 = np.array([0, 8, 16, 24, 32])  # grid-64 nodes, theta = 0 .. pi/2
+
+
+def profile_chart(n, profile):
+    """e^{-2u} g_0 in the stereographic chart, g_0 = 4 (1+s)^-2 delta with
+    s = |x|^2, and u a polynomial in cos theta = (1-s)/(1+s)."""
+    s = "(" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")"
+    c = f"((1 - {s})/(1 + {s}))"
+    u = " + ".join(f"{a!r}*{CHEBYSHEV[m].format(c=c)}" for m, a in profile)
+    diagonal = f"exp(-2*({u}))*4/(1 + {s})^2"
+    return MetricChart(n, [[diagonal if i == j else "0" for j in range(n)] for i in range(n)],
+                       [(-0.9, 0.9)] * n)
+
+
+def profile_derivatives(profile, theta):
+    """u, u' and u'' of the profile, exactly."""
+    return (sum(a * np.cos(m * theta) for m, a in profile),
+            sum(-a * m * np.sin(m * theta) for m, a in profile),
+            sum(-a * m * m * np.cos(m * theta) for m, a in profile))
+
+
+def flow_at_nodes(n, profile, grid):
+    """The flow's sorted g^{-1}A spectrum and sigma_0..sigma_n at NODES_64,
+    rows per node."""
+    state = FlowState.from_function(n, 2, 1, grid, lambda th: profile_derivatives(profile, th)[0])
+    at = NODES_64 * (grid // 64)
+    lam_r, lam_t = (lam[at] for lam in schouten_eigenvalues(state))
+    spectrum = np.sort(np.column_stack([np.repeat(lam_t[:, None], n - 1, axis=1), lam_r]))
+    return spectrum, np.array([sigma_nodes(state, j)[at] for j in range(n + 1)]).T
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_closed_form_matches_the_chart_pipeline(monkeypatch, n, profile):
+    # the nodes theta_i as probes |x| = tan(theta_i / 2), off every axis
+    direction = np.arange(1.0, n + 1) / np.linalg.norm(np.arange(1.0, n + 1))
+    theta = NODES_64 * math.pi / 64
+    tc = curvature_taylor(profile_chart(n, profile), np.tan(theta / 2)[:, None] * direction,
+                          order=2)
+    endo = values(tc.endo)
+    chart_spectrum = np.linalg.eigvalsh(endo)
+    chart_sigmas = np.array(np.broadcast_arrays(*sigmas(endo))).T
+
+    # (a) at exact u' and u'' the closed form is the chart's, to rounding
+    with monkeypatch.context() as m:
+        exact = profile_derivatives(profile, flow._nodes(64)[0])[1:]
+        m.setattr(flow, "derivatives", lambda u: exact)
+        spectrum, sig = flow_at_nodes(n, profile, 64)
+    assert np.max(np.abs(spectrum - chart_spectrum)) <= 1e-13
+    assert np.max(np.abs(sig - chart_sigmas)) <= 1e-13
+
+    # (b) with the stencil, whose leading errors are h^4 u^(5)/30 in u' and
+    # h^4 u^(6)/90 in u''.  u^(5) is odd, so |u^(5)| <= theta sup|u^(6)| and
+    # the error of u' cot(theta) is at most h^4 sup|u^(6)|/30 for theta <=
+    # pi/2.  With M_k = sum |a_m| m^k >= sup|u^(k)|, the eigenvalues move by
+    # at most delta = e^{2 M_0} h^4 (M_6/90 + M_6/30 + M_1 M_5/30), and
+    # sigma_j, a sum of C(n, j) products of j eigenvalues of modulus <= L,
+    # by C(n, j) ((L + delta)^j - L^j).  Measured: at most 0.61 delta and
+    # 0.52 of the sigma bound, falling 16.0x per doubling.
+    big_m = {k: sum(abs(a) * m ** k for m, a in profile) for k in (0, 1, 5, 6)}
+    top = np.max(np.abs(chart_spectrum), axis=1, keepdims=True)
+    comb = np.array([math.comb(n, j) for j in range(n + 1)])
+    errors = []
+    for grid in (64, 128, 256):
+        spectrum, sig = flow_at_nodes(n, profile, grid)
+        h = math.pi / grid
+        delta = math.exp(2 * big_m[0]) * h ** 4 \
+            * (big_m[6] / 90 + big_m[6] / 30 + big_m[1] * big_m[5] / 30)
+        bound = comb * ((top + delta) ** np.arange(n + 1) - top ** np.arange(n + 1))
+        assert np.all(np.abs(spectrum - chart_spectrum) <= delta), grid
+        assert np.all(np.abs(sig - chart_sigmas) <= bound), grid
+        errors.append((np.max(np.abs(spectrum - chart_spectrum)),
+                       np.max(np.abs(sig - chart_sigmas))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse[0] >= 12 * fine[0] and coarse[1] >= 12 * fine[1], errors
+

@@ -65,7 +65,7 @@ def pullback(chart: MetricChart, phi, box) -> MetricChart:
     for i in range(n):
         for j in range(i, n):
             comps[i][j] = comps[j][i] = entry(i, j)
-    return MetricChart(n, comps, box, validate=False)  # g~ > 0 where Dphi is regular
+    return MetricChart(n, comps, box)
 
 
 def _sum(terms):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,40 @@ def test_golden_tables_all_pass():
         assert rows, model.name
         for quantity, worst, tol, ok in rows:
             assert ok, f"{model.name}: {quantity} worst {worst} > {tol}"
+
+
+def golden_sigmas(name):
+    return {int(q[6:]): v for q, v, *_ in models.builtin(name).golden if q.startswith("sigma:")}
+
+
+# the golden sigma_j that the correctly rounded odd example4 tables moved from
+# the old float table (C(n-1, j) - C(n-1, j-1)) a^j, a = -1/(2(n-2))
+MOVED = {"example4:5": {3, 4, 5}, "example4:7": {2, 3, 4, 5, 6, 7}}
+
+
+def test_golden_sigma_tables_are_the_closed_forms():
+    # sigma_j = C(n, j) a^j, exactly as the old table's (C(n-1, j) + C(n-1, j-1)) a^j
+    for name, n, a in ([(f"sphere:{n}", n, 0.5) for n in range(3, 9)]
+                       + [(f"hyperbolic:{n}", n, -0.5) for n in range(3, 9)]
+                       + [(f"example4:{n}", n, -0.5 / (n - 1)) for n in (4, 6, 8)]):
+        assert golden_sigmas(name) == {j: math.comb(n, j) * a ** j for j in range(1, n + 1)}
+    # odd example4, -1 (n - 1 times) and 1 (once) over 2(n - 2): correctly rounded
+    for n in (5, 7):
+        name, a = f"example4:{n}", -0.5 / (n - 2)
+        got = golden_sigmas(name)
+        for j in range(1, n + 1):
+            exact = Fraction(math.comb(n - 1, j) * (-1) ** j
+                             + math.comb(n - 1, j - 1) * (-1) ** (j - 1), (2 * (n - 2)) ** j)
+            assert got[j] == float(exact), (name, j)
+            old = (math.comb(n - 1, j) - math.comb(n - 1, j - 1)) * a ** j
+            assert (got[j] != old) == (j in MOVED[name]), (name, j)
+    # R x S^n: 1/2 (n times) and -1/2 (once), exact in binary
+    for n in range(3, 8):
+        got = golden_sigmas(f"product_line_sphere:{n}")
+        assert got == {j: float(Fraction(math.comb(n, j), 2 ** j)
+                                - Fraction(math.comb(n, j - 1), 2 ** j))
+                       for j in range(1, n + 2)}
+        assert got[1] == (n - 1) / 2
 
 
 @pytest.mark.parametrize("xi_name,xi_src", [("one", "1"), ("sinh", "sinh(x1)"),

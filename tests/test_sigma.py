@@ -10,7 +10,8 @@ from sigmaflow.curvature import (GeometryError, MetricChart, curvature_at, curva
 from sigmaflow.sigma import (ConeConditionError, conformal_ricci,
                              conformal_schouten, divergence_newton,
                              log_quotient, newton_tensor,
-                             newton_tensor_taylor, sigma_profile, sigma_taylor, sigmas)
+                             newton_tensor_taylor, repeated_sigma, sigma_profile,
+                             sigma_taylor, sigmas, two_eigenvalue_sigma)
 from sigmaflow.tensor import TensorValue, elementary_all, sym_eigenvalues
 
 
@@ -40,6 +41,38 @@ def test_sphere_sigma_table():
     for k in range(5):
         assert prof.sigmas[k] == pytest.approx(math.comb(4, k) / 2 ** k, rel=1e-10)
     assert prof.log_quotient == pytest.approx(math.log(1.5 / 2.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_two_eigenvalue_sigma_is_sigma_of_the_spectrum(n):
+    # a (n - 1 times) and b (once): the closed form against the product
+    # expansion and against Newton's identities on diag(a, ..., a, b), for
+    # floats, a (P,) array and ints, which match exactly
+    rng = np.random.default_rng(n)
+    a, b = rng.uniform(-1.5, 1.5, size=(2, 5))
+    spectra = np.concatenate([np.repeat(a[:, None], n - 1, axis=1), b[:, None]], axis=1)
+    want = np.array([elementary_all(lam) for lam in spectra])        # (P, n + 1)
+    newton = sigmas(np.array([np.diag(lam) for lam in spectra]))     # n + 1 of (P,)
+    for j in range(n + 1):
+        scale = np.sum(np.abs(spectra), axis=1) ** j
+        got = two_eigenvalue_sigma(n, j, a, b)
+        assert np.all(np.abs(got - want[:, j]) <= 1e-14 * scale), (n, j)
+        assert np.all(np.abs(got - newton[j]) <= 1e-13 * scale), (n, j)
+        for p in range(len(a)):  # numpy's and Python's a^j may differ by an ulp
+            one = two_eigenvalue_sigma(n, j, float(a[p]), float(b[p]))
+            assert isinstance(one, float) and abs(one - want[p, j]) <= 1e-14 * scale[p]
+        for ia, ib in ((-1, 1), (2, -3), (3, 0)):
+            spectrum = [ia] * (n - 1) + [ib]
+            exact = two_eigenvalue_sigma(n, j, ia, ib)
+            assert isinstance(exact, int) and exact == elementary_all(spectrum)[j]
+            assert exact == pytest.approx(sigmas(np.diag(np.array(spectrum, dtype=float)))[j],
+                                          rel=1e-12, abs=1e-12)
+
+
+def test_repeated_sigma_is_zero_outside_its_range():
+    assert repeated_sigma(4, -1, 2.0) == 0 and repeated_sigma(4, 5, 2.0) == 0
+    assert repeated_sigma(4, 0, np.array([0.0, 3.0])).tolist() == [1.0, 1.0]
+    assert repeated_sigma(4, 2, 3) == 54
 
 
 def test_cone_condition_raises():
