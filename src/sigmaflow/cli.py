@@ -188,6 +188,7 @@ def cmd_verify(args) -> int:
     doc["tolerance"] = args.tolerance
     doc["pass"] = bool(report.sup < args.tolerance)
     if args.json:
+        doc["cone_violation_points"] = [x.tolist() for x, _ in report.cone_violations]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"residual sup = {_fmt(report.sup)} (mean {_fmt(report.mean)})")

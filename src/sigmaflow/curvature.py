@@ -7,7 +7,7 @@ costs one order (see ``taylor``), and each entry point asks for the least
 order it reads:
 
     p = 2  values of curvature, Schouten, Hessians and L_X g
-           (soliton residuals, conformal laws);
+           (soliton residuals, conformal laws); Riemann -> g^-1 A on floats;
     p = 3  one derivative more: Cotton (``curvature_at``) and the
            divergence of Newton tensors;
     p = 4  two derivatives of curvature: Laplacians of sigma quantities in
@@ -39,8 +39,12 @@ Every stage is a contraction over object arrays of jets.  Each matrix
 product, and each sum over an index that an ``einsum`` would write, is
 ``taylor.matmul``: one ``TaylorContext.mul`` call per term, in numpy's
 operand order, summed left to right on the coefficient arrays, one jet per
-output.  Traces and element-wise ``*`` stay numpy's.  Every stage thus
-forms the products the same sums written as index loops would.  Each
+output.  Element-wise ``*`` stays numpy's, and traces run left to right
+(``_lsum``).  Every stage thus forms the products the same sums written as
+index loops would.  The block
+Riemann -> g^-1 A is written once for both rings (``_curvature_block``):
+at p = 2 it takes Gamma's degree-1 coefficients as d Gamma and returns the
+jet ring's values (sign of a zero aside) as jets trusted to order 0.  Each
 product is summed only to the order its stage keeps (``taylor`` header,
 trusted-prefix rule).  A contraction summed with a derivative takes that
 derivative's order as ``matmul``'s ``trusted``, one below its operands':
@@ -140,8 +144,9 @@ class MetricChart:
             raise GeometryError(f"{what} at {x[:, np.argmin(ok)].tolist()}")
 
     def contains(self, x) -> bool:
+        x = _one_point(self.dim, x, "contains")
         return all(lo - 1e-12 <= xi <= hi + 1e-12
-                   for xi, (lo, hi) in zip(x, self.domain))
+                   for xi, (lo, hi) in zip(x.tolist(), self.domain))
 
     def metric_values(self, x) -> np.ndarray:
         """g at the point x, shape (n, n); for stacked coordinates x of shape
@@ -187,11 +192,16 @@ def _trust(t) -> int:
     return min(s.trusted for s in np.asarray(t, dtype=object).flat)
 
 
+def _lsum(a):
+    """The sum over the last axis, left to right in either ring (np.sum sums floats pairwise)."""
+    return np.cumsum(a, axis=-1)[..., -1][()]
+
+
 def _sym(upper: np.ndarray, n: int) -> np.ndarray:
-    """The jet array symmetric in its last two axes, of length n, whose
+    """The jet or float array symmetric in its last two axes, of length n, whose
     ``np.triu_indices(n)`` entries are the last axis of ``upper``."""
     i, j = np.triu_indices(n)
-    out = _obj(upper.shape[:-1] + (n, n))
+    out = np.empty(upper.shape[:-1] + (n, n), dtype=upper.dtype)
     out[..., i, j] = out[..., j, i] = upper
     return out
 
@@ -361,36 +371,79 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
         gam[:, a, a:] = gam[:, a:, a] = \
             0.5 * taylor.matmul(ginv, (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
 
-    # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
-    riem13 = np.full((n,) * 4, g[0, 0].ctx.constant(0.0), dtype=object)
-    cap = _trust(gam) - 1  # the trust of d_m Gamma
-    for m, nu in zip(*np.triu_indices(n, 1)):
-        gm, gn = gam[:, m], gam[:, nu]  # [r, t] = Gamma^r_{m t}
-        r = (_d(gn, m) - _d(gm, nu)
-             + taylor.matmul(gm, gn, cap) - taylor.matmul(gn, gm, cap))
-        riem13[:, :, m, nu], riem13[:, :, nu, m] = r, -r
-
-    ric = _sym(np.trace(riem13[:, i, :, j], axis1=1, axis2=2), n)
-
-    # lowered R_ijkl, written over riem13 one (k, l) block at a time so that
-    # a batch holds one rank-4 array, not two
-    riem = riem13
-    for k, l in zip(*np.triu_indices(n, 1)):
-        block = taylor.matmul(g, riem13[:, :, k, l])
-        riem[:, :, k, l], riem[:, :, l, k] = block, -block
-
-    scal = np.sum(ginv * ric)
-    schouten = endo = None
-    if n >= 3:
-        coef = scal * (1.0 / (2.0 * (n - 1)))
-        schouten = _sym((ric[i, j] - coef * g[i, j]) * (1.0 / (n - 2)), n)
-        endo = taylor.matmul(ginv, schouten)
+    cap = _trust(gam) - 1  # the trust of d_m Gamma, and of the block below
+    ctx = g[0, 0].ctx
+    if cap > 0:
+        riem, ric, scal, schouten, endo = _curvature_block(
+            g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), ctx.constant(0.0), cap)
+    else:  # values only: Gamma's degree-1 coefficients are d Gamma
+        lead = x.shape[:-1]
+        unit = [ctx.index_of[tuple(int(v == w) for w in range(n))] for v in range(n)]
+        gv = _columns(gam, n + 1, lead)  # [..., r, m, t, value and degree 1]
+        out = _curvature_block(_columns(g, 1, lead)[..., 0], _columns(ginv, 1, lead)[..., 0],
+                               gv[..., 0], lambda m, nu: gv[..., nu, :, unit[m]], 0.0, cap)
+        riem, ric, scal, schouten, endo = (
+            None if v is None else _value_jets(ctx, v, lead) for v in out)
+        riem[:, :, range(n), range(n)] = ctx.constant(0.0)  # R_ijkk, trusted to p
 
     tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
     if n >= 3 and order >= 3:
         da = tc.cov_deriv_02(schouten)
         tc.cotton = da - da.transpose(1, 0, 2)
     return tc
+
+
+def _curvature_block(g, ginv, gam, dgam, zero, cap):
+    """(riemann, ricci, scalar, schouten, endo) from jets, or from value parts
+    with the probe axis in front; ``dgam(m, nu)`` is d_m Gamma^r_{nu t} as
+    [r, t], and ``zero`` fills R^r_{s m m}."""
+    n = g.shape[-1]
+    i, j = np.triu_indices(n)
+    # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
+    riem13 = np.full(gam.shape[:-3] + (n,) * 4, zero, dtype=gam.dtype)
+    for m, nu in zip(*np.triu_indices(n, 1)):
+        gm, gn = gam[..., m, :], gam[..., nu, :]  # [r, t] = Gamma^r_{m t}
+        r = (dgam(m, nu) - dgam(nu, m)
+             + taylor.matmul(gm, gn, cap) - taylor.matmul(gn, gm, cap))
+        riem13[..., m, nu], riem13[..., nu, m] = r, -r
+
+    # Ric_ij = R^r_{i r j}, on i <= j
+    ric = _sym(_lsum(np.diagonal(riem13, axis1=-4, axis2=-2)[..., i, j, :]), n)
+
+    # lowered R_ijkl, written over riem13 one (k, l) block at a time so that
+    # a batch holds one rank-4 array, not two
+    riem = riem13
+    for k, l in zip(*np.triu_indices(n, 1)):
+        block = taylor.matmul(g, riem13[..., k, l])
+        riem[..., k, l], riem[..., l, k] = block, -block
+
+    scal = _lsum((ginv * ric).reshape(ric.shape[:-2] + (1, n * n)))  # [..., 1]
+    schouten = endo = None
+    if n >= 3:
+        coef = scal * (1.0 / (2.0 * (n - 1)))
+        schouten = _sym((ric[..., i, j] - coef * g[..., i, j]) * (1.0 / (n - 2)), n)
+        endo = taylor.matmul(ginv, schouten)
+    return riem, ric, scal[..., 0][()], schouten, endo
+
+
+def _columns(arr, k: int, lead: tuple) -> np.ndarray:
+    """The first k coefficients of ``arr``'s jets, broadcast to lead + arr.shape + (k,)."""
+    out = np.empty((arr.size,) + lead + (k,))
+    for q, s in enumerate(arr.flat):
+        out[q] = s.c[..., :k]
+    return np.moveaxis(out, 0, -2).reshape(lead + arr.shape + (k,))
+
+
+def _value_jets(ctx: taylor.TaylorContext, v: np.ndarray, lead: tuple):
+    """Jets trusted to order 0 with the values ``v`` (lead + shape); zero where v is 0."""
+    shape = v.shape[len(lead):]
+    flat = np.moveaxis(v.reshape(lead + (math.prod(shape),)), -1, 0)  # [entry, *lead]
+    live = flat.any(axis=tuple(range(1, flat.ndim)))
+    c = np.zeros((int(live.sum()),) + lead + (ctx.ncoef,))
+    c[..., 0] = flat[live]
+    out = np.full(len(flat), TaylorScalar(ctx, ctx.zero(lead), 0), dtype=object)
+    out[live] = [TaylorScalar(ctx, ci, 0) for ci in c]
+    return out.reshape(shape)[()]
 
 
 # -- one-point entry points -----------------------------------------------
@@ -417,7 +470,7 @@ def kulkarni_nomizu(a: TensorValue, b: TensorValue) -> TensorValue:
 def _one_point(dim: int, x, what: str) -> np.ndarray:
     """x as the one point of shape (dim,) that ``what`` takes."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    if x.shape != (dim,):
         raise GeometryError(f"{what} takes one point of shape ({dim},), "
                             f"got shape {x.shape}")
     return x

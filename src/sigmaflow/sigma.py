@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import taylor
-from .curvature import (GeometryError, MetricChart, TaylorCurvature, _d, _one_point,
-                        _sym, check_int, curvature_taylor, values)
+from .curvature import (GeometryError, MetricChart, TaylorCurvature, _d, _lsum,
+                        _one_point, _sym, check_int, curvature_taylor, values)
 from .tensor import TensorValue, sigmas_from_power_sums
 
 
@@ -69,16 +69,12 @@ def sigmas(a) -> list:
     if a is None:
         raise GeometryError("sigma-curvatures need dimension >= 3")
     n = a.shape[-1]
-    traces, power = [_trace(a)], a
+    powers = [a]
     for _ in range(n - 1):
-        power = taylor.matmul(power, a)
-        traces.append(_trace(power))
+        powers.append(taylor.matmul(powers[-1], a))
+    # each trace left to right in either ring (np.trace sums floats pairwise)
+    traces = [_lsum(np.diagonal(p, axis1=-2, axis2=-1)) for p in powers]
     return sigmas_from_power_sums(traces, n)
-
-
-def _trace(a):
-    """The trace summed left to right in either ring (np.trace sums floats pairwise)."""
-    return np.cumsum(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)[..., -1][()]
 
 
 def _newton(a, k: int):

@@ -73,3 +73,28 @@ def full_order_products(fn):
 @pytest.fixture
 def full_order():
     return full_order_products
+
+
+def products_formed(fn, *tallies):
+    """[calls, *counts] of ``TaylorContext.mul`` while fn() runs: the one
+    counter behind the pinned product counts.  Each tally is a test of one
+    call, ``tally(ctx, a, b, out)``, counted where it holds."""
+    counts = [0] * (1 + len(tallies))
+    mul = taylor.TaylorContext.mul
+
+    def counted(self, a, b, trusted=taylor.MAX_ORDER):
+        out = mul(self, a, b, trusted)
+        counts[0] += 1
+        for q, tally in enumerate(tallies, start=1):
+            counts[q] += bool(tally(self, a, b, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(taylor.TaylorContext, "mul", counted)
+        fn()
+    return counts
+
+
+@pytest.fixture
+def count_products():
+    return products_formed

@@ -53,16 +53,41 @@ def assert_jets_agree(batch, single, p, what):
 def test_batched_pipeline_equals_single_point_pipeline():
     for name, chart in charts():
         pts = chart_probes(chart, 3, seed=4)
-        for order in (3, 4) if chart.dim <= 4 else (3,):
+        for order in (2, 3, 4) if chart.dim <= 4 else (2, 3):
             batch = curvature_taylor(chart, pts, order=order)
             singles = [curvature_taylor(chart, x, order=order) for x in pts]
             for field in FIELDS:
+                if getattr(batch, field) is None:  # cotton below order 3
+                    assert all(getattr(s, field) is None for s in singles), (name, field)
+                    continue
                 arr_b = np.asarray(getattr(batch, field), dtype=object)
                 arr_s = [np.asarray(getattr(s, field), dtype=object) for s in singles]
                 for p, arr in enumerate(arr_s):
                     for idx in np.ndindex(arr.shape):
                         assert_jets_agree(arr_b[idx], arr[idx], p, (name, order, field, idx))
                 assert np.array_equal(values(arr_b), np.stack([values(a) for a in arr_s]))
+
+
+BLOCK = ("riemann", "ricci", "scalar", "schouten", "endo")
+
+
+def test_value_block_at_order_2_is_the_jet_block_value_part():
+    """At order 2 the Riemann -> g^-1 A block is trusted to values only and
+    runs on floats; it gives the value parts of the order-3 jet pipeline,
+    equal with ==, so a zero may differ in sign (the rule that makes a float
+    sigma its jet's value part), and every jet is trusted one order below
+    its order-3 twin: p - 2, and p for the constant zeros R_ijkk."""
+    for name in BUILTINS:
+        chart = models.builtin(name).chart
+        pts = chart_probes(chart, 16, seed=7)
+        for x in (pts[0], pts, pts[:0]):
+            low, high = (curvature_taylor(chart, x, order=p) for p in (2, 3))
+            for field in BLOCK:
+                a, b = (np.asarray(getattr(tc, field), dtype=object) for tc in (low, high))
+                what = (name, x.shape, field)
+                assert np.array_equal(values(a), values(b)), what
+                assert all(s.trusted == t.trusted - 1
+                           for s, t in zip(a.flat, b.flat, strict=True)), what
 
 
 def test_linear_chart_is_a_round_sphere():

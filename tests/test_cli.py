@@ -14,6 +14,7 @@ import pytest
 from sigmaflow import cli, curvature, models
 from sigmaflow import expr as ex
 from sigmaflow.cli import main
+from sigmaflow.probes import chart_probes
 from sigmaflow.taylor import TaylorTrustError
 
 
@@ -156,6 +157,13 @@ def test_verify_counts_cone_violations(tmp_path):
     code, out, _ = run_cli("verify", "--file", str(path), "--probes", "10")
     assert code == 1
     assert "cone violations at 2 probes" in out
+    # --json names the violating probes, in probe order: sigma_1 = R/4 <= 0
+    code, out, _ = run_cli("verify", "--file", str(path), "--probes", "10", "--json")
+    report = json.loads(out)
+    probes = chart_probes(cli.load_spec_file(str(path)).chart, 10, seed=0)
+    want = [x.tolist() for x in probes if 4 - 2 * math.tan(x[0]) ** 2 <= 0]
+    assert code == 1 and report["cone_violations"] == len(want) == 2
+    assert report["cone_violation_points"] == want
 
 
 def test_verify_every_builtin_model():

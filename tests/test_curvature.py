@@ -313,6 +313,14 @@ def test_point_outside_domain():
     assert not chart.contains([2.0, 0.0])
 
 
+def test_contains_takes_one_point_of_the_chart_dimension():
+    chart = models.sphere(3).chart
+    assert chart.contains([0.1, 0.2, 0.3])
+    for x in ([0.1, 0.2], [0.1, 0.2, 0.3, 5.0], np.zeros((2, 3)), 0.1):
+        with pytest.raises(GeometryError, match=r"one point of shape \(3,\), got shape"):
+            chart.contains(x)
+
+
 def test_order_two_pipeline_refuses_untrusted_reads():
     # a program fault, not bad input: no exit code of the CLI maps it
     assert not issubclass(TaylorTrustError, (GeometryError, ex.EvalError))

@@ -58,38 +58,32 @@ def test_skipped_zeros_equal_materialised_zeros(name, monkeypatch):
             assert np.array_equal(got.c[..., keep], want.c[..., keep]), what
 
 
-def products(monkeypatch, fn):
-    """[calls, calls with an all-zero operand, calls that take the zero path]
-    of TaylorContext.mul while fn() runs."""
-    counts = [0, 0, 0]
-    mul = taylor.TaylorContext.mul
-
-    def counted(self, a, b, trusted=taylor.MAX_ORDER):
-        counts[0] += 1
-        counts[1] += not (a.any() and b.any())
-        counts[2] += self.is_zero(a) or self.is_zero(b)
-        return mul(self, a, b, trusted)
-
-    monkeypatch.setattr(taylor.TaylorContext, "mul", counted)
-    fn()
-    monkeypatch.undo()
-    return counts
+def by_value(ctx, a, b, out):
+    """A product with an operand that is all zeros."""
+    return not (a.any() and b.any())
 
 
-def test_every_zero_product_takes_the_zero_path(monkeypatch):
+def skipped(ctx, a, b, out):
+    """A product that takes the zero path: an operand is a shared zero."""
+    return ctx.is_zero(a) or ctx.is_zero(b)
+
+
+def test_every_zero_product_takes_the_zero_path(count_products):
     sphere8 = models.sphere(8).chart
     point = 0.1 * np.arange(1, 9) / 8
-    assert products(monkeypatch, lambda: curvature_taylor(sphere8, point, order=3)) \
-        == [54428, 47124, 47124]
+    assert count_products(lambda: curvature_taylor(sphere8, point, order=3),
+                          by_value, skipped) == [54428, 47124, 47124]
+    # order 2 forms the Riemann-to-g^-1 A block on value parts, with no jet products
     sphere4 = models.sphere(4).chart
     batch = chart_probes(sphere4, 16)
-    assert products(monkeypatch, lambda: curvature_taylor(sphere4, batch, order=2)) \
-        == [1486, 1002, 1002]
+    assert count_products(lambda: curvature_taylor(sphere4, batch, order=2),
+                          by_value, skipped) == [244, 156, 156]
     for name in BUILTINS:
         chart = models.builtin(name).chart
-        calls, by_value, skipped = products(
-            monkeypatch, lambda: curvature_taylor(chart, chart_probes(chart, 1)[0], order=3))
-        assert by_value == skipped > calls / 2, name
+        calls, zeros, skips = count_products(
+            lambda: curvature_taylor(chart, chart_probes(chart, 1)[0], order=3),
+            by_value, skipped)
+        assert zeros == skips > calls / 2, name
 
 
 def test_jets_built_per_pipeline(monkeypatch):
@@ -109,17 +103,12 @@ def test_jets_built_per_pipeline(monkeypatch):
     assert built[0] == 18495
 
 
-def test_materialised_zeros_compute_every_product(monkeypatch):
-    calls = [0, 0]
-    mul = taylor.TaylorContext.mul
-
-    def counted(self, a, b, trusted=taylor.MAX_ORDER):
-        out = mul(self, a, b, trusted)
-        calls[0] += 1
-        calls[1] += id(out) in self._zero_ids   # the shared zeros, past the hook
-        return out
-
+def test_materialised_zeros_compute_every_product(monkeypatch, count_products):
     materialise_zeros(monkeypatch)
-    monkeypatch.setattr(taylor.TaylorContext, "mul", counted)
-    curvature_taylor(models.sphere(8).chart, 0.1 * np.arange(1, 9) / 8, order=3)
-    assert calls == [54428, 0]
+
+    def shared(ctx, a, b, out):
+        return id(out) in ctx._zero_ids  # the shared zeros, past the hook
+
+    assert count_products(lambda: curvature_taylor(models.sphere(8).chart,
+                                                   0.1 * np.arange(1, 9) / 8, order=3),
+                          shared) == [54428, 0]
