@@ -116,14 +116,11 @@ def _resolve(args):
     return load_spec_file(args.file)
 
 
-def _parse_point(text, dim):
+def _parse_point(text):
     try:
-        x = [float(p) for p in text.split(",")]
+        return [float(p) for p in text.split(",")]
     except ValueError as err:
         raise InputError(f"bad point {text!r}: {err}") from err
-    if len(x) != dim:
-        raise InputError(f"point has {len(x)} coordinates, chart needs {dim}")
-    return x
 
 
 # -- subcommands -----------------------------------------------------------
@@ -132,10 +129,11 @@ def _parse_point(text, dim):
 def cmd_curvature(args) -> int:
     source = _resolve(args)
     chart = source.chart
-    x = (_parse_point(args.point, chart.dim) if args.point
-         else [0.5 * (lo + hi) for lo, hi in chart.domain])
-    if not chart.contains(x):
-        raise InputError(f"point {x} outside the chart domain")
+    x = _parse_point(args.point) if args.point else [0.5 * (lo + hi) for lo, hi in chart.domain]
+    try:  # the chart checks the coordinate count and the domain
+        chart.check_points(x)
+    except GeometryError as err:
+        raise InputError(str(err)) from err
     tc = curvature_at(chart, x)
     scalar, ricci, g = tc.scalar.value, values(tc.ricci), values(tc.g)
     report = {

@@ -23,10 +23,10 @@ is not a field; W = Rm - A ⊠ g is one ``kulkarni_nomizu`` call away.
 ``curvature_taylor`` takes one point of shape (n,) or a batch of P probe
 points of shape (P, n) and runs one pipeline for the whole batch: every
 jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
-arrays of shape (P, ...).  The domain and positive-definiteness checks run
-per probe and name the first probe that fails; the metric's test is the
-chart's, a positive smallest eigenvalue.  Jets combined with a pipeline
-are evaluated by ``TaylorCurvature.jet`` at its ``points`` and order.
+arrays of shape (P, ...).  The chart checks the points (shape and domain
+box, ``MetricChart.check_points``) and the metric (a positive smallest
+eigenvalue), naming the first probe that fails.  Jets combined with a
+pipeline are evaluated by ``TaylorCurvature.jet`` at its ``points`` and order.
 ``curvature_at``, the conformal laws, ``divergence_newton`` and
 ``models.warped_ricci_formula`` take one point.  Memory grows with P, so
 callers split large probe sets with ``probe_batches``, which keeps the
@@ -143,10 +143,17 @@ class MetricChart:
         if not np.all(ok):
             raise GeometryError(f"{what} at {x[:, np.argmin(ok)].tolist()}")
 
-    def contains(self, x) -> bool:
-        x = _one_point(self.dim, x, "contains")
-        return all(lo - 1e-12 <= xi <= hi + 1e-12
-                   for xi, (lo, hi) in zip(x.tolist(), self.domain))
+    def check_points(self, x) -> np.ndarray:
+        """x as floats, one point (n,) or a batch (P, n) inside the domain box up to
+        1e-12; a GeometryError names another shape or the first point outside."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise GeometryError(f"points of shape {x.shape} for a chart of dimension {self.dim}")
+        lo, hi = np.array(self.domain).T
+        pts = x.reshape(-1, self.dim)
+        self._require(np.all((lo - 1e-12 <= pts) & (pts <= hi + 1e-12), axis=1), pts.T,
+                      "point outside chart domain")
+        return x
 
     def metric_values(self, x) -> np.ndarray:
         """g at the point x, shape (n, n); for stacked coordinates x of shape
@@ -349,18 +356,11 @@ class TaylorCurvature:
 def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
     """The curvature pipeline in the Taylor ring of ``order``, at the point
     x of shape (n,) or at every probe of a (P, n) batch at once."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != chart.dim:
-        raise GeometryError(f"points of shape {x.shape} for a chart of dimension {chart.dim}")
-    for p in x.reshape(-1, chart.dim):
-        if not chart.contains(p):
-            raise GeometryError(f"point {p} outside chart domain")
+    x = chart.check_points(x)
     n = chart.dim
     g = taylor_metric(chart, x, order)
-    ok = np.linalg.eigvalsh(values(g))[..., 0] > 0  # the chart's test, per probe
-    if not np.all(ok):
-        raise GeometryError(
-            f"metric not positive definite at {x.reshape(-1, n)[ok.argmin()]}")
+    chart._require(np.linalg.eigvalsh(values(g))[..., 0] > 0, x.reshape(-1, n).T,
+                   "metric not positive definite")  # the chart's test, per probe
     ginv = taylor_inverse(g)
     i, j = np.triu_indices(n)
 

@@ -23,6 +23,7 @@ def halton_points(domain, count: int, seed: int = 0) -> np.ndarray:
     every index <= 0 gives the same point.  A ``count`` whose points take
     more than ``BATCH_BYTES`` is refused before anything is built.
     """
+    check_int(count, "probe count", 0)
     check_int(seed, "probe seed", 0)
     lo, hi = np.asarray(domain, dtype=float).reshape(len(domain), 2).T
     if len(lo) > len(_PRIMES):

@@ -118,12 +118,8 @@ def log_quotient(sig, k: int, l: int):
 
 def _endo_values(tc: TaylorCurvature, what: str):
     """g^{-1}A's value part at the one point of ``tc``; None below n = 3."""
-    if tc.endo is None:
-        return None
-    a = values(tc.endo)
-    if a.ndim != 2:
-        raise GeometryError(f"{what} takes the record of one point, got {len(a)} probes")
-    return a
+    _one_point(tc.dim, tc.points, what)
+    return None if tc.endo is None else values(tc.endo)
 
 
 def sigma_profile(tc: TaylorCurvature, k: int, l: int) -> SigmaProfile:

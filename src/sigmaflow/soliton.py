@@ -9,13 +9,14 @@ Taylor data, never by finite-differencing outputs.  ``SolitonSpec`` is the
 one record of a chart with its soliton data, a builtin model's included;
 it says when f wins over X.
 
-The three checks share one probe loop (``_pipelines``): one batched
-pipeline (``curvature_taylor`` at every probe at once) per (P, n) probe set,
-split only where ``curvature.probe_batches`` finds that its jets would
-exceed the memory budget ``curvature.BATCH_BYTES``.  f, X and lambda are
-read as jets of that pipeline (``TaylorCurvature.jet``).  The residual reads
-values only, so it takes sigma and psi in floats from ``values(tc.endo)``,
-the value parts of the jets that the structural checks differentiate.
+The three checks share one probe loop (``_batch_floats``): the chart checks
+the (P, n) probe set, which runs as one batched pipeline (``curvature_taylor``
+at every probe at once), split only where ``curvature.probe_batches`` finds
+that its jets would exceed ``curvature.BATCH_BYTES``, and each pipeline is
+mapped at once to the floats its check reads.  f, X and lambda are read as
+jets of the pipeline (``TaylorCurvature.jet``).  The residual reads values
+only, so it takes sigma and psi in floats from ``values(tc.endo)``, the
+value parts of the jets that the structural checks differentiate.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class SolitonSpec:
     @staticmethod
     def from_model(model: "SolitonSpec") -> "SolitonSpec":
         """``model`` itself, once it is known to carry soliton data."""
+        who = f"model {model.name}" if model.name else "the spec"
         if model.potential is None and model.vector_field is None:
-            raise GeometryError(f"model {model.name} carries no soliton data")
+            raise GeometryError(f"{who} carries no soliton data")
         if model.lam is None:
-            raise GeometryError(f"model {model.name} carries no lambda")
+            raise GeometryError(f"{who} carries no lambda")
         return model
 
 
@@ -91,18 +93,22 @@ def _gnorm2(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
 
 
-def _pipelines(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
-               requires: str | None = None):
-    """The pipeline at ``order`` of each batch of the probe set; a check that
-    needs a gradient soliton says so in ``requires``."""
+def _batch_floats(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
+                  read, requires: str | None = None) -> list:
+    """``read(spec, tc)``, the floats a check reads, for the pipeline ``tc`` at
+    ``order`` of each batch of the probe set, in order, no pipeline alive while
+    the next is built; a check that needs a gradient soliton says so in ``requires``."""
     SolitonSpec.from_model(spec)  # a chart without lambda or X is no soliton
     if requires and spec.potential is None:
         raise GeometryError(f"{requires} a gradient soliton")
-    pts = probes.chart_probes(spec.chart, count, seed=seed) if probe_set is None else probe_set
+    pts = spec.chart.check_points(probes.chart_probes(spec.chart, count, seed=seed)
+                                  if probe_set is None else probe_set)
+    if pts.ndim != 2:
+        raise GeometryError(f"a probe set has shape (P, {spec.chart.dim}), got shape {pts.shape}")
     if len(pts) == 0:
         raise GeometryError("no probe points")
-    for x in probe_batches(pts, order):
-        yield curvature_taylor(spec.chart, x, order=order)
+    return [read(spec, curvature_taylor(spec.chart, x, order=order))
+            for x in probe_batches(pts, order)]
 
 
 def _psi(spec: SolitonSpec, tc):
@@ -137,9 +143,7 @@ def _point_data(spec: SolitonSpec, tc):
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
                      trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
-    # map holds no pipeline while the next batch's is built, as a loop would
-    pipelines = _pipelines(spec, probe_set, count, 0, 2)
-    batches = list(map(lambda tc: _point_data(spec, tc), pipelines))
+    batches = _batch_floats(spec, probe_set, count, 0, 2, _point_data)
     violations = [v for batch in batches for v in batch[0]]
     rnorm, lie_norm, psi, lam = (np.concatenate([b[i] for b in batches]) for i in range(1, 5))
     if rnorm.size == 0:
@@ -177,9 +181,8 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     """Residuals of the three structural identities of a gradient quotient
     soliton, by pipeline re-differentiation (the second-order item consumes
     fourth-order Taylor data of the metric)."""
-    pipelines = _pipelines(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
-                           "structural identities require")
-    batches = list(map(lambda tc: _lemma_floats(spec, tc), pipelines))  # as in soliton_residual
+    batches = _batch_floats(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
+                            _lemma_floats, "structural identities require")
     return StructuralResiduals(*(max(0.0, *col) for col in zip(*batches)))
 
 
@@ -215,9 +218,8 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     Raises GeometryError when R deviates from its mean over the probe set by
     more than R_TOL (1 + |mean|): the identity presupposes constant scalar
     curvature."""
-    pipelines = _pipelines(spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
-                           "the second-order identity requires")
-    data = list(map(lambda tc: _obata_floats(spec, tc), pipelines))  # as in soliton_residual
+    data = _batch_floats(spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
+                         _obata_floats, "the second-order identity requires")
     scalars = np.concatenate([d[0] for d in data])
     mean_r = float(np.mean(scalars))
     dev = float(np.max(np.abs(scalars - mean_r)))

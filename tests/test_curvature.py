@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,15 +311,19 @@ def test_chart_checks_dimension_shape_and_domain():
 
 def test_point_outside_domain():
     chart = chart_from_strings([["1", "0"], ["0", "1"]])
-    assert not chart.contains([2.0, 0.0])
+    with pytest.raises(GeometryError, match=r"^point outside chart domain at \[2\.0, 0\.0\]$"):
+        chart.check_points([2.0, 0.0])
 
 
-def test_contains_takes_one_point_of_the_chart_dimension():
+def test_check_points_takes_points_of_the_chart_dimension():
+    # one point (n,) or a batch (P, n); any other shape names itself
     chart = models.sphere(3).chart
-    assert chart.contains([0.1, 0.2, 0.3])
-    for x in ([0.1, 0.2], [0.1, 0.2, 0.3, 5.0], np.zeros((2, 3)), 0.1):
-        with pytest.raises(GeometryError, match=r"one point of shape \(3,\), got shape"):
-            chart.contains(x)
+    for x in ([0.1, 0.2, 0.3], np.zeros((2, 3))):
+        assert np.array_equal(chart.check_points(x), x)
+    for x in ([0.1, 0.2], [0.1, 0.2, 0.3, 5.0], np.zeros((2, 2, 3)), 0.1):
+        what = re.escape(f"points of shape {np.shape(x)} for a chart of dimension 3")
+        with pytest.raises(GeometryError, match=f"^{what}$"):
+            chart.check_points(x)
 
 
 def test_order_two_pipeline_refuses_untrusted_reads():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -83,11 +84,14 @@ def test_product_line_sphere_sigma1():
 
 def test_golden_tables_all_pass():
     for model in (models.sphere(4), models.hyperbolic(4), models.example4(4),
-                  models.product_line_sphere(3)):
+                  models.product_line_sphere(3), models.euclidean(3)):
         rows = models.check_golden(model, probe(model, count=5))
         assert rows, model.name
         for quantity, worst, tol, ok in rows:
             assert ok, f"{model.name}: {quantity} worst {worst} > {tol}"
+    unknown = dataclasses.replace(models.sphere(4), golden=[("volume", 1.0, 1e-9, "")])
+    with pytest.raises(ValueError, match="unknown golden quantity 'volume'"):
+        models.check_golden(unknown, probe(unknown, count=1))
 
 
 def golden_sigmas(name):
@@ -156,6 +160,8 @@ def test_builtin_names():
     assert models.builtin("product_line_sphere:3").chart.dim == 4
     with pytest.raises((KeyError, ValueError, GeometryError)):
         models.builtin("klein_bottle:7")
+    with pytest.raises(GeometryError, match="the log-cosh model needs n >= 4"):
+        models.builtin("example4:3")
 
 
 def test_builtin_names_split_on_colons_only():

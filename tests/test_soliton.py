@@ -204,3 +204,6 @@ def test_checks_refuse_a_model_without_soliton_data():
             check(models.euclidean(3), count=3)
     sphere = models.sphere(3)
     assert SolitonSpec.from_model(sphere) is sphere
+    unnamed = SolitonSpec(sphere.chart, potential=sphere.potential)
+    with pytest.raises(GeometryError, match="^the spec carries no lambda$"):
+        SolitonSpec.from_model(unnamed)
