@@ -4,12 +4,13 @@ Subcommands: curvature (tensor + sigma report at a point), verify (soliton
 residual check), flow (rotationally symmetric quotient flow, CSV time
 series), hodge (torus Helmholtz splitting).  Exit codes: 0 success /
 verification pass, 1 verification fail, 2 input error, 3 geometry error,
-4 flow abort, 5 internal error (a program fault, in one line).  Exit 2
-prints one error line (after argparse's usage line for a bad argument) and
-covers, among others, a non-positive or non-finite `flow`/`verify` number,
-a negative `verify` seed, a flow's n, (k, l) or grid, a hodge grid, a
-spec's (k, l), domain or expressions, a builtin name with parts after its
-dimension, and an input too large for memory.
+4 flow abort, 5 internal error (a program fault, in one line).  `main` alone
+gives an error its code: InputError, EvalError, HodgeError, StepLimitError
+and MemoryError (an input too large for memory) exit 2, after one error line
+(argparse's usage line comes first for a bad argument); GeometryError and
+its subclasses exit 3; any other exception 5.  Commands raise their owners'
+errors unchanged, but for a GeometryError of the point, probe or flow-state
+check, which is about the command's own input and becomes an InputError.
 numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS, which must be set before Python starts.
 """
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from . import models, soliton
+from . import flow, hodge, models, soliton
 from .curvature import GeometryError, MetricChart, curvature_at, values
 from .probes import chart_probes
 from .sigma import ConeConditionError, sigma_profile
@@ -108,10 +109,10 @@ def spec_from_document(doc, origin="<spec>"):
 
 def _resolve(args):
     """The SolitonSpec of the builtin model or spec file named on the command line."""
-    if getattr(args, "builtin", None):
+    if args.builtin:
         try:
             return models.builtin(args.builtin)
-        except (KeyError, ValueError, GeometryError) as err:
+        except ValueError as err:
             raise InputError(f"unknown builtin {args.builtin!r}: {err}") from err
     return load_spec_file(args.file)
 
@@ -123,6 +124,14 @@ def _parse_point(text):
         raise InputError(f"bad point {text!r}: {err}") from err
 
 
+def _input_check(owner, *args, **kwargs):
+    """``owner(*args, **kwargs)``, where a GeometryError is about the command's input."""
+    try:
+        return owner(*args, **kwargs)
+    except GeometryError as err:
+        raise InputError(str(err)) from err
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -130,10 +139,7 @@ def cmd_curvature(args) -> int:
     source = _resolve(args)
     chart = source.chart
     x = _parse_point(args.point) if args.point else [0.5 * (lo + hi) for lo, hi in chart.domain]
-    try:  # the chart checks the coordinate count and the domain
-        chart.check_points(x)
-    except GeometryError as err:
-        raise InputError(str(err)) from err
+    _input_check(chart.check_points, x)  # the coordinate count and the domain
     tc = curvature_at(chart, x)
     scalar, ricci, g = tc.scalar.value, values(tc.ricci), values(tc.g)
     report = {
@@ -177,10 +183,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = soliton.SolitonSpec.from_model(_resolve(args))
-    try:  # halton_points checks the seed
-        points = chart_probes(spec.chart, args.probes, seed=args.seed)
-    except GeometryError as err:
-        raise InputError(str(err)) from err
+    points = _input_check(chart_probes, spec.chart, args.probes, seed=args.seed)  # count and seed
     report = soliton.soliton_residual(spec, points, trivial_tol=args.trivial_tol)
     doc = report.to_dict()
     doc["tolerance"] = args.tolerance
@@ -201,20 +204,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from . import flow
-
     u0 = None
     if args.u0:
         tree = _expression(args.u0, "--u0", 1)  # x1 is the latitude
         u0 = lambda th: ex.eval_float(tree, [th])
-    try:
-        state = flow.FlowState.from_function(args.n, args.k, args.l, args.grid, u0)
-    except GeometryError as err:  # FlowState checks n, (k, l) and the grid
-        raise InputError(str(err)) from err
-    try:
-        final, diag = flow.run(state, args.t_end, dt=args.dt, cadence=args.cadence)
-    except flow.StepLimitError as err:
-        raise InputError(str(err)) from err
+    state = _input_check(flow.FlowState.from_function, args.n, args.k, args.l, args.grid, u0)
+    final, diag = flow.run(state, args.t_end, dt=args.dt, cadence=args.cadence)
     if diag.energy_omitted:
         print(f"warning: E_{args.l} diagnostic omitted (l = n/2 path integral "
               "not implemented; column holds int sigma_l dv)", file=sys.stderr)
@@ -240,19 +235,13 @@ def cmd_flow(args) -> int:
 
 
 def cmd_hodge(args) -> int:
-    from . import hodge
-
     exprs = [part.strip() for part in args.field.split(";")]
     if len(exprs) != args.n:
         raise InputError(f"--field needs {args.n} component expressions")
     trees = [_expression(src, f"--field[{a}]", args.n) for a, src in enumerate(exprs)]
 
-    try:
-        field = hodge.TorusField.from_exprs(
-            [lambda *grids, t=t: ex.eval_float(t, grids) for t in trees],
-            (args.grid,) * args.n)
-    except hodge.HodgeError as err:
-        raise InputError(str(err)) from err
+    field = hodge.TorusField.from_exprs(
+        [lambda *grids, t=t: ex.eval_float(t, grids) for t in trees], (args.grid,) * args.n)
     y, h = hodge.hodge_decompose(field)
     doc = {
         "grid": args.grid,
@@ -344,7 +333,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ex.EvalError, MemoryError) as err:  # MemoryError: input too large
+    except (InputError, ex.EvalError, hodge.HodgeError, flow.StepLimitError,
+            MemoryError) as err:  # MemoryError: input too large
         print(f"input error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as err:

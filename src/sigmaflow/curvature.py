@@ -222,7 +222,7 @@ def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.nd
             try:
                 s = ex.eval_taylor(chart.comps[i][j], x, order=order)
             except ex.EvalError as err:
-                at = x if x.ndim == 1 else x[err.probe or 0]
+                at = (x if x.ndim == 1 else x[err.probe or 0]).tolist()
                 raise GeometryError(f"metric component ({i},{j}) at {at}: {err}") from err
             g[i, j] = g[j, i] = s
     return g

@@ -1,8 +1,10 @@
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import sigmaflow
 from sigmaflow import cli, curvature, models
 from sigmaflow import expr as ex
 from sigmaflow.cli import main
@@ -521,3 +524,87 @@ def test_spec_document_verifies_as_its_builtin(tmp_path, name):
     builtin = run_cli("verify", "--builtin", name, "--json")
     assert builtin[0] == 0
     assert run_cli("verify", "--file", str(path), "--json") == builtin
+
+
+@pytest.mark.parametrize("argv, line", [
+    (flow_argv(u0="x2"), "input error: --u0 references more than 1 variable"),
+    (("hodge", "--n", "2", "--grid", "16", "--field", "x3; 0"),
+     "input error: --field[0] references more than 2 variables"),
+    (("curvature", "--builtin", "sphere:3", "--point", "1,a,0"),
+     "input error: bad point '1,a,0': could not convert string to float: 'a'"),
+    (("verify", "--builtin", "sphere:3", "--seed", "-1", "--probes", "4"),
+     "input error: probe seed must be an integer >= 0, got -1"),
+    (("verify", "--builtin", "sphere:3", "--probes", "2000000"),
+     "input error: 2000000 probes of 3 coordinates exceed the 33554432 byte probe budget"),
+    (flow_argv(n="2"), "input error: sphere dimension n must be an integer >= 3, got 2"),
+    (flow_argv(t_end="1", dt="1e-300"),
+     "input error: t_end = 1 needs more than 1000000 steps of dt = 1e-300"),
+], ids=["u0-variables", "field-variables", "bad-point", "seed-negative", "probe-budget",
+        "flow-n-2", "flow-step-limit"])
+def test_an_input_refusal_is_one_line(argv, line):
+    assert run_cli(*argv) == (2, "", line + "\n")
+
+
+def test_spec_file_refusals_are_one_line(tmp_path):
+    top, missing = tmp_path / "top.json", tmp_path / "missing.json"
+    top.write_text("[1]")
+    missing.write_text('{"dim": 3}')
+    absent = tmp_path / "absent.json"
+    for path, line in [
+        (absent, f"cannot read {absent}: [Errno 2] No such file or directory: '{absent}'"),
+        (top, f"{top}: top level must be an object"),
+        (missing, f"{missing}: missing required field(s) metric, k, l"),
+    ]:
+        assert run_cli("curvature", "--file", str(path)) == (2, "", f"input error: {line}\n")
+
+
+def test_hodge_text_report():
+    code, out, err = run_cli("hodge", "--n", "2", "--grid", "8", "--field", "cos(4*x1); 0")
+    assert (code, err) == (0, "")
+    assert out == ("Y_sup = 1\ndim = 2\ndiv_residual = 0\ngrid = 8\npotential_mean = 0\n"
+                   "potential_sup = 0\nreconstruction = 0\n")
+
+
+def test_a_failing_metric_component_names_its_point_as_a_list(tmp_path):
+    # g_11 = 1 + log(1 - x1) is positive on the chart's coarse check grid
+    # but has no logarithm at x1 = 1.5
+    path = spec_path(tmp_path, "logged", domain=[[-30, 2], [-2, 2], [-2, 2]],
+                     metric=[["1", "0", "0"], ["0", "1 + log(1 - x1)", "0"], ["0", "0", "1"]])
+    assert run_cli("curvature", "--file", path, "--point", "1.5,0,0") == (
+        3, "", "geometry error: metric component (1,1) at [1.5, 0.0, 0.0]: "
+               "log of non-positive value -0.5\n")
+
+
+# Every exception class of the package with its exit code, given by main
+# alone.  A class that main does not map exits 5; no raw ParseError reaches
+# it, since _expression and models.builtin wrap every one.
+EXIT_OF = {
+    "InputError": 2, "EvalError": 2, "HodgeError": 2, "StepLimitError": 2,
+    "GeometryError": 3, "ConeConditionError": 3, "BlowUp": 3,
+    "ExprError": 5, "ParseError": 5, "TaylorDomainError": 5, "TaylorTrustError": 5,
+    "TensorError": 5,
+}
+
+
+def package_errors():
+    """The Exception subclasses defined in the sigmaflow modules, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(sigmaflow.__path__):
+        module = importlib.import_module(f"sigmaflow.{info.name}")
+        found.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == module.__name__)
+    return found
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch):
+    errors = package_errors()
+    assert set(errors) == set(EXIT_OF)
+    for name, cls in errors.items():
+        def planted(args, cls=cls):
+            # made without the constructor, whose arguments differ by class
+            raise cls.__new__(cls, "planted")
+        monkeypatch.setattr(cli, "cmd_curvature", planted)
+        line = {2: "input error: planted", 3: "geometry error: planted",
+                5: f"internal error: {name}: planted"}[EXIT_OF[name]]
+        assert run_cli("curvature", "--builtin", "sphere:3") == (EXIT_OF[name], "", line + "\n")
