@@ -190,6 +190,8 @@ def cmd_verify(args) -> int:
     doc["pass"] = bool(report.sup < args.tolerance)
     if args.json:
         doc["cone_violation_points"] = [x.tolist() for x, _ in report.cone_violations]
+        x, half_lie, psi = report.worst_probe  # where the residual is largest, and its parts
+        doc["worst_probe"] = {"point": x.tolist(), "half_lie_norm": half_lie, "psi_abs": psi}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"residual sup = {_fmt(report.sup)} (mean {_fmt(report.mean)})")

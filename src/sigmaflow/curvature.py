@@ -7,7 +7,7 @@ costs one order (see ``taylor``), and each entry point asks for the least
 order it reads:
 
     p = 2  values of curvature, Schouten, Hessians and L_X g
-           (soliton residuals, conformal laws); Riemann -> g^-1 A on floats;
+           (soliton residuals, conformal laws);
     p = 3  one derivative more: Cotton (``curvature_at``) and the
            divergence of Newton tensors;
     p = 4  two derivatives of curvature: Laplacians of sigma quantities in
@@ -35,25 +35,26 @@ metric is Gauss-Jordan elimination without pivoting: the metric has passed
 the eigenvalue test, so it is symmetric positive definite, where
 elimination without pivoting is stable.
 
-Every stage is a contraction over object arrays of jets.  Each matrix
-product, and each sum over an index that an ``einsum`` would write, is
-``taylor.matmul``: one ``TaylorContext.mul`` call per term, in numpy's
-operand order, summed left to right on the coefficient arrays, one jet per
-output.  Element-wise ``*`` stays numpy's, and traces run left to right
-(``_lsum``).  Every stage thus forms the products the same sums written as
-index loops would.  The block
-Riemann -> g^-1 A is written once for both rings (``_curvature_block``):
-at p = 2 it takes Gamma's degree-1 coefficients as d Gamma and returns the
-jet ring's values (sign of a zero aside) as jets trusted to order 0.  Each
-product is summed only to the order its stage keeps (``taylor`` header,
-trusted-prefix rule).  A contraction summed with a derivative takes that
-derivative's order as ``matmul``'s ``trusted``, one below its operands':
-Riemann's Gamma Gamma terms p - 2, beside d Gamma; the Gamma A terms of
-nabla A, and so of Cotton, p - 3; the Gamma ds term of a Hessian of s
-trusted(s) - 2; and the Gamma T terms of div T trusted(T) - 1.  The other
-stages' products already keep their operands' lower order: g^-1 dg in
-Christoffel p - 1; the lowering g R, g^-1 Ric and g^-1 A p - 2; and the
-Gamma X terms of L_X g and div X the order of dX.
+Every stage is a contraction over object arrays of jets, but below p = 4
+the block below.  Each matrix product, and each index sum an ``einsum``
+would write, is ``taylor.matmul``: one ``TaylorContext.mul`` call per term,
+in numpy's operand order, summed left to right on the coefficient arrays,
+one jet per output.  Element-wise ``*`` stays numpy's, and traces run
+left to right (``_lsum``).  Every stage thus forms the products the same
+sums written as index loops would.  The block Riemann -> g^-1 A is written
+once for two rings (``_curvature_block``): jets at p = 4; below it, one
+float array per tensor of its coefficients of degree <= p - 2
+(``_prefix_block``), one ``TaylorContext.product`` call per contraction,
+whose jets keep the order-4 block's coefficients to that degree (sign of a
+zero aside).  Each product is summed only to the order its stage keeps
+(``taylor`` header, trusted-prefix rule).  A contraction summed with a
+derivative takes that derivative's order as ``matmul``'s ``trusted``, one
+below its operands': Riemann's Gamma Gamma terms p - 2, beside d Gamma; the
+Gamma A terms of nabla A, and so of Cotton, p - 3; the Gamma ds term of a
+Hessian of s trusted(s) - 2; and the Gamma T terms of div T trusted(T) - 1.
+The other stages' products already keep their operands' lower order: g^-1
+dg in Christoffel p - 1; the lowering g R, g^-1 Ric and g^-1 A p - 2; and
+the Gamma X terms of L_X g and div X the order of dX.
 Symmetric stages (Christoffel, Ricci, Schouten, Hessians, L_X g) are
 computed on i <= j and mirrored, Riemann on m < nu and negated for
 nu < m.  Stages are built one slice at a time where whole-table
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -162,7 +164,7 @@ class MetricChart:
         x = np.asarray(x, dtype=float)
         n = self.dim
         entries = {}  # component -> its (i, j) on and above the diagonal
-        for i, j in zip(*np.triu_indices(n)):
+        for i, j in zip(*_triu(n)):
             entries.setdefault(self.comps[i][j], []).append((i, j))
         g = np.empty(x.shape[1:] + (n, n))
         for e, at in entries.items():
@@ -204,10 +206,13 @@ def _lsum(a):
     return np.cumsum(a, axis=-1)[..., -1][()]
 
 
+_triu = lru_cache(maxsize=None)(np.triu_indices)  # callers only index with the shared arrays
+
+
 def _sym(upper: np.ndarray, n: int) -> np.ndarray:
     """The jet or float array symmetric in its last two axes, of length n, whose
     ``np.triu_indices(n)`` entries are the last axis of ``upper``."""
-    i, j = np.triu_indices(n)
+    i, j = _triu(n)
     out = np.empty(upper.shape[:-1] + (n, n), dtype=upper.dtype)
     out[..., i, j] = out[..., j, i] = upper
     return out
@@ -264,8 +269,8 @@ BATCH_BYTES = 32 * 2 ** 20
 def probe_batches(points, order: int) -> list:
     """Consecutive slices of the (P, n) ``points`` whose pipelines at
     ``order`` each keep an estimated <= BATCH_BYTES of jet coefficients:
-    the rank-4 Riemann array and about four rank-3 arrays of C doubles per
-    probe dominate."""
+    the rank-4 Riemann array of jets (below order 4 wrapped from the prefix
+    ring) and about four rank-3 arrays of C doubles per probe dominate."""
     points = np.asarray(points, dtype=float)
     n = points.shape[-1]
     per_probe = 8 * math.comb(n + order, order) * (n ** 4 + 4 * n ** 3)
@@ -319,7 +324,7 @@ class TaylorCurvature:
 
     def hessian_scalar(self, s: TaylorScalar) -> np.ndarray:
         """d_i d_j s - Gamma^k_ij d_k s, on i <= j."""
-        i, j = np.triu_indices(self.dim)
+        i, j = _triu(self.dim)
         ds = _d(s)
         gds = taylor.matmul(self.christoffel[:, i, j].T, ds, s.trusted - 2)
         return _sym(_d(ds[i], j) - gds, self.dim)
@@ -330,7 +335,7 @@ class TaylorCurvature:
     def lie_metric(self, xvec: np.ndarray) -> np.ndarray:
         """(L_X g)_ij = d_i X_j + d_j X_i - 2 Gamma^k_ij X_k for contravariant
         Taylor components X^k, on i <= j."""
-        i, j = np.triu_indices(self.dim)
+        i, j = _triu(self.dim)
         xlow = taylor.matmul(self.g, xvec)
         return _sym(_d(xlow[j], i) + _d(xlow[i], j)
                     - taylor.matmul((2.0 * self.christoffel[:, i, j]).T, xlow), self.dim)
@@ -362,7 +367,7 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     chart._require(np.linalg.eigvalsh(values(g))[..., 0] > 0, x.reshape(-1, n).T,
                    "metric not positive definite")  # the chart's test, per probe
     ginv = taylor_inverse(g)
-    i, j = np.triu_indices(n)
+    i, j = _triu(n)
 
     dg = _sym(_d(g[i, j]), n)  # dg[l, i, j] = d_l g_ij
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), one i at a time
@@ -372,19 +377,12 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
             0.5 * taylor.matmul(ginv, (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
 
     cap = _trust(gam) - 1  # the trust of d_m Gamma, and of the block below
-    ctx = g[0, 0].ctx
-    if cap > 0:
+    if cap > 1:  # order 4 stays on jets
         riem, ric, scal, schouten, endo = _curvature_block(
-            g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), ctx.constant(0.0), cap)
-    else:  # values only: Gamma's degree-1 coefficients are d Gamma
-        lead = x.shape[:-1]
-        unit = [ctx.index_of[tuple(int(v == w) for w in range(n))] for v in range(n)]
-        gv = _columns(gam, n + 1, lead)  # [..., r, m, t, value and degree 1]
-        out = _curvature_block(_columns(g, 1, lead)[..., 0], _columns(ginv, 1, lead)[..., 0],
-                               gv[..., 0], lambda m, nu: gv[..., nu, :, unit[m]], 0.0, cap)
-        riem, ric, scal, schouten, endo = (
-            None if v is None else _value_jets(ctx, v, lead) for v in out)
-        riem[:, :, range(n), range(n)] = ctx.constant(0.0)  # R_ijkk, trusted to p
+            g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), g[0, 0].ctx.constant(0.0),
+            lambda a, b: a * b, lambda a, b: taylor.matmul(a, b, cap))
+    else:
+        riem, ric, scal, schouten, endo = _prefix_block(g, ginv, gam, x.shape[:-1], cap)
 
     tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
     if n >= 3 and order >= 3:
@@ -393,18 +391,17 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     return tc
 
 
-def _curvature_block(g, ginv, gam, dgam, zero, cap):
-    """(riemann, ricci, scalar, schouten, endo) from jets, or from value parts
-    with the probe axis in front; ``dgam(m, nu)`` is d_m Gamma^r_{nu t} as
-    [r, t], and ``zero`` fills R^r_{s m m}."""
+def _curvature_block(g, ginv, gam, dgam, zero, mul, matmul):
+    """(riemann, ricci, scalar, schouten, endo) in either ring, jets or the prefix
+    ring (``_prefix_block``), whose products are ``mul`` and ``matmul``; ``dgam(m,
+    nu)`` is d_m Gamma^r_{nu t} as [r, t], and ``zero`` fills R^r_{s m m}."""
     n = g.shape[-1]
-    i, j = np.triu_indices(n)
+    i, j = _triu(n)
     # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
     riem13 = np.full(gam.shape[:-3] + (n,) * 4, zero, dtype=gam.dtype)
-    for m, nu in zip(*np.triu_indices(n, 1)):
+    for m, nu in zip(*_triu(n, 1)):
         gm, gn = gam[..., m, :], gam[..., nu, :]  # [r, t] = Gamma^r_{m t}
-        r = (dgam(m, nu) - dgam(nu, m)
-             + taylor.matmul(gm, gn, cap) - taylor.matmul(gn, gm, cap))
+        r = dgam(m, nu) - dgam(nu, m) + matmul(gm, gn) - matmul(gn, gm)
         riem13[..., m, nu], riem13[..., nu, m] = r, -r
 
     # Ric_ij = R^r_{i r j}, on i <= j
@@ -413,37 +410,66 @@ def _curvature_block(g, ginv, gam, dgam, zero, cap):
     # lowered R_ijkl, written over riem13 one (k, l) block at a time so that
     # a batch holds one rank-4 array, not two
     riem = riem13
-    for k, l in zip(*np.triu_indices(n, 1)):
-        block = taylor.matmul(g, riem13[..., k, l])
+    for k, l in zip(*_triu(n, 1)):
+        block = matmul(g, riem13[..., k, l])
         riem[..., k, l], riem[..., l, k] = block, -block
 
-    scal = _lsum((ginv * ric).reshape(ric.shape[:-2] + (1, n * n)))  # [..., 1]
+    scal = _lsum(mul(ginv, ric).reshape(ric.shape[:-2] + (1, n * n)))  # [..., 1]
     schouten = endo = None
     if n >= 3:
         coef = scal * (1.0 / (2.0 * (n - 1)))
-        schouten = _sym((ric[..., i, j] - coef * g[..., i, j]) * (1.0 / (n - 2)), n)
-        endo = taylor.matmul(ginv, schouten)
+        schouten = _sym((ric[..., i, j] - mul(coef, g[..., i, j])) * (1.0 / (n - 2)), n)
+        endo = matmul(ginv, schouten)
     return riem, ric, scal[..., 0][()], schouten, endo
 
 
+def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
+    """The block on the prefix ring at ``cap`` <= 1, float arrays (K, *lead, tensor
+    axes) of the K coefficients of degree <= cap: a product is one
+    ``TaylorContext.product`` over every other axis, a contraction sums left to
+    right as ``taylor.matmul`` sums jets, and d Gamma is formed as ``deriv`` forms
+    it.  Its results are jets trusted to cap, R_ijkk the constant zero to p."""
+    ctx = g[0, 0].ctx
+    n, k = ctx.dim, ctx._ends[cap + 1]
+    gv = _columns(gam, ctx._ends[cap + 2], lead)  # [coefficient, ..., r, m, t]
+    dg = [(gv[src[:k]].T * fac[:k]).T for src, _, fac in ctx._deriv]  # d_m: fac[q] c[src[q]]
+
+    def mul(a, b):  # the coefficient axis last for the product, then first again
+        if k == 1:  # values: the table's one pair (0, 0), summed from 0.0 as mul sums it
+            return 0.0 + a * b
+        c = ctx.product(a.transpose(*range(1, a.ndim), 0), b.transpose(*range(1, b.ndim), 0), cap)
+        return c.transpose(c.ndim - 1, *range(c.ndim - 1))
+
+    def matmul(a, b):
+        return np.cumsum(mul(a[..., None], b[..., None, :, :]), axis=-2)[..., -1, :]
+
+    def jets(v):  # v is (k,) + lead + shape; the shared zero where v is 0 at every probe
+        shape = v.shape[1 + len(lead):]
+        flat = v.reshape(v.shape[:1 + len(lead)] + (math.prod(shape),)).T  # [entry, *lead, k]
+        live = flat.any(axis=tuple(range(1, flat.ndim)))
+        c = np.zeros((int(live.sum()),) + lead + (ctx.ncoef,))
+        c[..., :k] = flat[live]
+        out = np.full(len(flat), TaylorScalar(ctx, ctx.zero(lead), cap), dtype=object)
+        out[live] = [TaylorScalar(ctx, ci, cap) for ci in c]
+        return out.reshape(shape)[()]
+
+    riem, ric, scal, schouten, endo = _curvature_block(
+        _columns(g, k, lead), _columns(ginv, k, lead), gv[:k],
+        lambda m, nu: dg[m][..., nu, :], 0.0, mul, matmul)
+    i, j = _triu(n)  # symmetric fields share one jet per pair, as _sym shares
+    riem, ric, scal = jets(riem), _sym(jets(ric[..., i, j]), n), jets(scal)
+    riem[:, :, range(n), range(n)] = ctx.constant(0.0)
+    if schouten is not None:
+        schouten, endo = _sym(jets(schouten[..., i, j]), n), jets(endo)
+    return riem, ric, scal, schouten, endo
+
+
 def _columns(arr, k: int, lead: tuple) -> np.ndarray:
-    """The first k coefficients of ``arr``'s jets, broadcast to lead + arr.shape + (k,)."""
+    """The first k coefficients of ``arr``'s jets, broadcast to (k,) + lead + arr.shape."""
     out = np.empty((arr.size,) + lead + (k,))
     for q, s in enumerate(arr.flat):
         out[q] = s.c[..., :k]
-    return np.moveaxis(out, 0, -2).reshape(lead + arr.shape + (k,))
-
-
-def _value_jets(ctx: taylor.TaylorContext, v: np.ndarray, lead: tuple):
-    """Jets trusted to order 0 with the values ``v`` (lead + shape); zero where v is 0."""
-    shape = v.shape[len(lead):]
-    flat = np.moveaxis(v.reshape(lead + (math.prod(shape),)), -1, 0)  # [entry, *lead]
-    live = flat.any(axis=tuple(range(1, flat.ndim)))
-    c = np.zeros((int(live.sum()),) + lead + (ctx.ncoef,))
-    c[..., 0] = flat[live]
-    out = np.full(len(flat), TaylorScalar(ctx, ctx.zero(lead), 0), dtype=object)
-    out[live] = [TaylorScalar(ctx, ci, 0) for ci in c]
-    return out.reshape(shape)[()]
+    return out.T.reshape((k,) + lead + arr.shape)  # lead has at most one axis
 
 
 # -- one-point entry points -----------------------------------------------

@@ -223,9 +223,9 @@ def _log_quotient_nodes(state: FlowState):
     """Nodal log(sigma_k/sigma_l), its sigma_l-weighted mean log r_{k,l} and
     int sigma_l dv."""
     _, sk, sl = _nodal_sigmas(state, state.k, state.l)
-    bad = sk * sl <= 0.0
-    if bad.any():
-        node = int(np.argmax(bad))
+    ok = sk * sl > 0.0  # the rule of sigma.cone_values, which a NaN sigma fails
+    if not ok.all():
+        node = int(np.argmin(ok))
         where = f"at node {node} (theta = {state.theta[node]:.4f}, t = {state.t:.6f})"
         raise ConeConditionError(state.k, state.l, float(sk[node]), float(sl[node]), where)
     logq = np.log(np.abs(sk)) - np.log(np.abs(sl))

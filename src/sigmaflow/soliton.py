@@ -77,6 +77,7 @@ class ResidualReport:
     trivial: bool
     probes_used: int
     cone_violations: list           # (probe, ConeConditionError) pairs
+    worst_probe: tuple              # (probe, |1/2 L_X g|_g, |psi|) at the first sup probe
 
     def to_dict(self) -> dict:
         return {
@@ -119,8 +120,8 @@ def _psi(spec: SolitonSpec, tc):
 def _point_data(spec: SolitonSpec, tc):
     """The cone violations of the order-2 pipeline's probes as (probe, error)
     pairs and, at its admissible probes, the g-norms of the residual and of
-    L_X g, |psi| and lambda: the residual reads values of hess f, L_X g and
-    psi only."""
+    L_X g, |psi|, lambda and the probes themselves: the residual reads values
+    of hess f, L_X g and psi only."""
     sig = [np.broadcast_to(s, len(tc.points))
            for s in sigmas(tc.endo if tc.endo is None else values(tc.endo))]
     vk, vl, ok = cone_values(sig, spec.k, spec.l)
@@ -138,16 +139,18 @@ def _point_data(spec: SolitonSpec, tc):
     residual = 0.5 * lie - psi[:, None, None] * values(tc.g)[keep]
     ginv = values(tc.ginv)[keep]
     return (violations, np.sqrt(_gnorm2(ginv, residual)), np.sqrt(_gnorm2(ginv, lie)),
-            np.abs(psi), lam)
+            np.abs(psi), lam, tc.points[keep])
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
                      trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
     batches = _batch_floats(spec, probe_set, count, 0, 2, _point_data)
     violations = [v for batch in batches for v in batch[0]]
-    rnorm, lie_norm, psi, lam = (np.concatenate([b[i] for b in batches]) for i in range(1, 5))
+    rnorm, lie_norm, psi, lam, kept = (np.concatenate([b[i] for b in batches])
+                                       for i in range(1, 6))
     if rnorm.size == 0:
         raise violations[0][1]
+    w = int(np.argmax(rnorm))  # the first in probe order, however the batches split
     lam_min, lam_max = float(lam.min()), float(lam.max())
     lie_sup, psi_sup = float(lie_norm.max()), float(psi.max())
     return ResidualReport(
@@ -156,6 +159,7 @@ def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
         classification=_classify(lam_min, lam_max),
         trivial=bool(lie_sup < trivial_tol and psi_sup < trivial_tol),
         probes_used=int(rnorm.size), cone_violations=violations,
+        worst_probe=(kept[w], 0.5 * float(lie_norm[w]), float(psi[w])),
     )
 
 

@@ -189,7 +189,7 @@ class TaylorContext:
         ends = np.searchsorted(pair_deg[by_deg], np.arange(1, MAX_ORDER + 1), side="right")
         self._prefix = {t: (self._mul_a[:e], self._mul_b[:e], self._mul_out[:e])
                         for t, e in enumerate(ends, start=1)}
-        self._scatter = {}          # (probes, trusted) -> flat output index
+        self._scatter = {}          # (probes, trusted, width) -> flat output index
         self._zeros = {}            # lead shape -> the shared zero
         self._zero_ids = set()      # their ids, for a fast is_zero
         self._zero = self.zero()    # the one-point zero, returned by mul without a lookup
@@ -234,19 +234,27 @@ class TaylorContext:
             if trusted == 0:
                 c[..., 0] = v
             return c
-        ia, ib, out = self._prefix[trusted]
         if a.ndim == b.ndim == 1:  # one point: 3.4 us, 5.0 through the batch path (n=4, p=3)
+            ia, ib, out = self._prefix[trusted]
             return np.bincount(out, weights=a[ia] * b[ib], minlength=self.ncoef)
+        return self.product(a, b, trusted)
+
+    def product(self, a: np.ndarray, b: np.ndarray, trusted: int) -> np.ndarray:
+        """``mul``'s sum for arrays (..., K) that broadcast over every leading
+        axis: the pairs of degree <= ``trusted`` (>= 1), in table order from 0.0,
+        one ``bincount`` for all of them.  K is C, or the count of coefficients of
+        degree <= ``trusted`` (the prefix ring of ``curvature``); the result has it."""
+        ia, ib, out = self._prefix[trusted]
         w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
-        lead = w.shape[:-1]
-        probes = math.prod(lead)
-        key = (probes, trusted)
+        probes, width = math.prod(w.shape[:-1]), a.shape[-1]
+        key = (probes, trusted, width)
         idx = self._scatter.get(key)
         if idx is None:
-            idx = self._scatter[key] = \
-                (np.arange(probes)[:, None] * self.ncoef + out).ravel()
+            idx = (np.arange(probes)[:, None] * width + out).ravel()
+            if width == self.ncoef:  # a prefix ring's index, one per tensor product, is not kept
+                self._scatter[key] = idx
         return np.bincount(idx, weights=w.ravel(),
-                           minlength=probes * self.ncoef).reshape(lead + (self.ncoef,))
+                           minlength=probes * width).reshape(w.shape[:-1] + (width,))
 
     def deriv(self, c: np.ndarray, var: int, trusted: int) -> np.ndarray:
         """d/dx_var of ``c``; the shared zero if it vanishes up to degree ``trusted``."""

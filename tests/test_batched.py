@@ -75,7 +75,7 @@ BLOCK = ("riemann", "ricci", "scalar", "schouten", "endo")
 
 def test_value_block_at_order_2_is_the_jet_block_value_part():
     """At order 2 the Riemann -> g^-1 A block is trusted to values only and
-    runs on floats; it gives the value parts of the order-3 jet pipeline,
+    runs on value parts; it gives the value parts of the order-3 pipeline,
     equal with ==, so a zero may differ in sign (the rule that makes a float
     sigma its jet's value part), and every jet is trusted one order below
     its order-3 twin: p - 2, and p for the constant zeros R_ijkk."""
@@ -90,6 +90,25 @@ def test_value_block_at_order_2_is_the_jet_block_value_part():
                 assert np.array_equal(values(a), values(b)), what
                 assert all(s.trusted == t.trusted - 1
                            for s, t in zip(a.flat, b.flat, strict=True)), what
+
+
+def test_prefix_block_at_order_3_is_the_jet_block_to_degree_1():
+    """At order 3 the Riemann -> g^-1 A block runs on coefficient arrays of
+    degree <= 1, at order 4 on jets; its degree-<= 1 coefficients are == the
+    order-4 jets' (a zero may differ in sign), and every jet is trusted one
+    order below its order-4 twin: p - 2, and p for the constant zeros R_ijkk."""
+    for name in BUILTINS:
+        chart = models.builtin(name).chart
+        k = 1 + chart.dim  # the coefficients of degree <= 1
+        pts = chart_probes(chart, 16, seed=7)
+        for x in (pts[0], pts, pts[:0]):
+            low, high = (curvature_taylor(chart, x, order=p) for p in (3, 4))
+            for field in BLOCK:
+                a, b = (np.asarray(getattr(tc, field), dtype=object) for tc in (low, high))
+                for idx, s in np.ndenumerate(a):
+                    t, what = b[idx], (name, x.shape, field, idx)
+                    assert s.trusted == t.trusted - 1, what
+                    assert np.array_equal(s.c[..., :k], t.c[..., :k]), what
 
 
 def test_linear_chart_is_a_round_sphere():
@@ -228,6 +247,48 @@ def test_soliton_residual_matches_a_per_probe_loop():
             assert np.array_equal(xa, xb), name
             assert close(ea.sigma_k, eb.sigma_k) and close(ea.sigma_l, eb.sigma_l), name
     assert got["cone_violations"] == 2  # as `verify --probes 10` reports
+
+
+def test_worst_probe_matches_a_per_probe_loop(monkeypatch):
+    # the residual's worst probe, the first in probe order, and its parts
+    # |1/2 L_X g|_g and |psi|, as a loop over single-point pipelines gives
+    # them; split batches name the same probe with the same parts
+    cases, worst = list(residual_cases()), []
+    name, spec, pts = cases[-1]
+    cases.append(("cone chart reversed", spec, pts[::-1]))  # its worst probe comes last
+    for name, spec, pts in cases:
+        rows = []  # (probe index, residual, |1/2 L_X g|_g, |psi|) at admissible probes
+        for q, x in enumerate(pts):
+            tc = curvature_taylor(spec.chart, x, order=2)
+            try:
+                logq = log_quotient(sigma_taylor(tc), spec.k, spec.l)
+            except ConeConditionError:
+                continue
+            psi = logq.value - ex.eval_taylor(spec.lam, x, order=2).value
+            if spec.potential is not None:
+                hess = values(tc.hessian_scalar(ex.eval_taylor(spec.potential, x, order=2)))
+            else:
+                xv = np.array([ex.eval_taylor(c, x, order=2) for c in spec.vector_field],
+                              dtype=object)
+                hess = 0.5 * values(tc.lie_metric(xv))
+            ginv, g = values(tc.ginv), values(tc.g)
+            norm = [np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t, t))
+                    for t in (hess - psi * g, hess)]
+            rows.append((q, *norm, abs(psi)))
+        rep = soliton_residual(spec, probe_set=pts)
+        worst.append(rep.worst_probe)
+        point, half_lie, psi = rep.worst_probe
+        (q,) = [q for q in range(len(pts)) if np.array_equal(pts[q], point)]
+        want = dict((r[0], r[1:]) for r in rows)[q]
+        assert close(rep.sup, want[0]) and close(max(r[1] for r in rows), want[0]), name
+        assert close(half_lie, want[1]) and close(psi, want[2]), name
+        if rep.sup > 1e-6:  # a residual above rounding noise has one worst probe
+            assert q == max(rows, key=lambda r: r[1])[0], name
+    assert q == len(pts) - 1 and rep.sup > 1e-6 and rep.cone_violations
+    monkeypatch.setattr(curvature, "BATCH_BYTES", 1)  # one probe per batch
+    for (name, spec, pts), (point, *parts) in zip(cases, worst):
+        split = soliton_residual(spec, probe_set=pts).worst_probe
+        assert np.array_equal(split[0], point) and list(split[1:]) == parts, name
 
 
 def test_structural_checks_match_a_per_probe_loop():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sigmaflow
-from sigmaflow import cli, curvature, models
+from sigmaflow import cli, curvature, models, soliton
 from sigmaflow import expr as ex
 from sigmaflow.cli import main
 from sigmaflow.probes import chart_probes
@@ -169,6 +169,16 @@ def test_verify_counts_cone_violations(tmp_path):
     assert report["cone_violation_points"] == want
 
 
+def test_verify_json_names_the_worst_probe():
+    # the probe where the residual is largest, with its |1/2 L_X g|_g and |psi|
+    spec = models.builtin("hyperbolic:4")
+    code, out, _ = run_cli("verify", "--builtin", "hyperbolic:4", "--probes", "10", "--json")
+    x, half_lie, psi = soliton.soliton_residual(spec, chart_probes(spec.chart, 10)).worst_probe
+    assert code == 0
+    assert json.loads(out)["worst_probe"] == {"point": x.tolist(), "half_lie_norm": half_lie,
+                                              "psi_abs": psi}
+
+
 def test_verify_every_builtin_model():
     for name in ("sphere:3", "sphere:4", "hyperbolic:4", "example4:4",
                  "example4:5", "product_line_sphere:3"):
@@ -241,6 +251,29 @@ def test_flow_cone_violation_exit_4():
     assert "last good t" in err
     assert "cone condition violated at node " in err and ": sigma_2 = " in err
     assert ", sigma_1 = " in err and "product <= 0" in err
+
+
+def test_flow_nan_sigma_is_a_cone_violation(monkeypatch):
+    # the cone rule is sigma_k * sigma_l > 0, which a NaN fails: the flow
+    # names the node and exits 4, not 3 for a non-finite integrand
+    from sigmaflow import flow
+    from sigmaflow.sigma import ConeConditionError
+    nodal = flow._nodal_sigmas
+
+    def nan_at_node_5(state, *js):
+        lam_t, sk, *rest = nodal(state, *js)
+        sk = sk.copy()
+        sk[5] = math.nan
+        return (lam_t, sk, *rest)
+
+    monkeypatch.setattr(flow, "_nodal_sigmas", nan_at_node_5)
+    with pytest.raises(ConeConditionError, match=r"at node 5 \(theta = 0\.4909, t = 0\.000000\): "
+                                                 r"sigma_2 = nan, sigma_1 = 2,"):
+        flow.flow_rhs(flow.FlowState(4, 2, 1, [0.0] * 33))
+    code, _, err = run_cli("flow", "--n", "4", "--k", "2", "--l", "1",
+                           "--grid", "32", "--t-end", "0.001")
+    assert code == 4
+    assert "flow aborted: cone condition violated at node 5 " in err and "sigma_2 = nan" in err
 
 
 def test_flow_state_json(tmp_path):

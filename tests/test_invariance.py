@@ -115,7 +115,7 @@ def invariants(tc, spec) -> np.ndarray:
     sq_c = np.einsum("...ia,...jb,...kc,...ijk,...abc->...", ginv, ginv, ginv, cot, cot,
                      optimize=True)
     sig = np.stack([np.broadcast_to(s.value, len(g)) for s in sigma_taylor(tc)], axis=-1)
-    violations, rnorm, _, _, _ = _point_data(spec, tc)
+    violations, rnorm, *_ = _point_data(spec, tc)
     assert not violations, violations
     xvec = tc.grad_scalar(tc.jet(spec.potential))
     lie = np.sqrt(_gnorm2(ginv, values(tc.lie_metric(xvec))))
