@@ -141,7 +141,8 @@ def cmd_curvature(args) -> int:
     x = _parse_point(args.point) if args.point else [0.5 * (lo + hi) for lo, hi in chart.domain]
     _input_check(chart.check_points, x)  # the coordinate count and the domain
     tc = curvature_at(chart, x)
-    scalar, ricci, g = tc.scalar.value, values(tc.ricci), values(tc.g)
+    # + 0.0 prints every zero unsigned, whichever sign the ring left on it
+    scalar, ricci, g = tc.scalar.value + 0.0, values(tc.ricci) + 0.0, values(tc.g)
     report = {
         "dim": chart.dim,
         "point": x,
@@ -151,17 +152,16 @@ def cmd_curvature(args) -> int:
         "ricci_minus_metric_sup": float(np.max(np.abs(ricci - g))),
         "ricci_plus_metric_sup": float(np.max(np.abs(ricci + g))),
     }
-    prof = None
     if chart.dim >= 3:  # Schouten, Cotton and sigma_k need n >= 3
-        report["schouten"] = values(tc.schouten).tolist()
+        report["schouten"] = (values(tc.schouten) + 0.0).tolist()
         report["cotton_sup"] = float(np.max(np.abs(values(tc.cotton))))
         try:
             prof = sigma_profile(tc, source.k, source.l)
         except ConeConditionError as err:
             report["cone_violation"] = str(err)
         else:
-            report["sigma"] = [float(s) for s in prof.sigmas]
-            report["log_quotient"] = float(prof.log_quotient)
+            report["sigma"] = (prof.sigmas + 0.0).tolist()
+            report["log_quotient"] = prof.log_quotient + 0.0
             report["cone_ok"] = True  # sigma_profile raised otherwise
 
     if args.json:
@@ -172,10 +172,10 @@ def cmd_curvature(args) -> int:
         print(f"|Rm|_sup = {_fmt(report['riemann_sup'])}")
         if "cotton_sup" in report:
             print(f"|Cotton|_sup = {_fmt(report['cotton_sup'])}")
-        if prof is not None:
-            sig = ", ".join(_fmt(s) for s in prof.sigmas[1:])
+        if "sigma" in report:
+            sig = ", ".join(_fmt(s) for s in report["sigma"][1:])
             print(f"sigma_1..{chart.dim} = {sig}")
-            print(f"log sigma_{source.k}/sigma_{source.l} = {_fmt(prof.log_quotient)}")
+            print(f"log sigma_{source.k}/sigma_{source.l} = {_fmt(report['log_quotient'])}")
         elif "cone_violation" in report:
             print(f"cone condition fails: {report['cone_violation']}")
     return EXIT_OK

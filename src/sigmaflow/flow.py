@@ -6,7 +6,9 @@ reduces to the scalar evolution du/dt = (log sigma_k/sigma_l - log r_{k,l})/2
 on the latitude grid.  The Schouten endomorphism of g has a radial
 eigenvalue e^{2u}(1/2 + u'' + u'^2/2) and a tangential eigenvalue
 e^{2u}(1/2 + u' cot(theta) - u'^2/2) of multiplicity n-1, so every sigma_j
-is ``sigma.two_eigenvalue_sigma`` of the two.  Spatial derivatives are
+is ``sigma.two_eigenvalue_sigma`` of the two, and the nodal quotient and its
+cone rule are ``sigma.log_quotient`` of the (M+1,) stacks, whose error names
+the first violating node.  Spatial derivatives are
 4th-order central differences with even reflection across the poles
 (enforcing u' = 0 there); integrals use the endpoint-halved trapezoid rule,
 which is spectrally accurate for pole-regular integrands.
@@ -27,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .curvature import GeometryError, check_int
-from .sigma import ConeConditionError, check_pair, repeated_sigma, two_eigenvalue_sigma
+from .sigma import (ConeConditionError, check_pair, log_quotient, repeated_sigma,
+                    two_eigenvalue_sigma)
 
 
 class BlowUp(GeometryError):
@@ -223,12 +226,12 @@ def _log_quotient_nodes(state: FlowState):
     """Nodal log(sigma_k/sigma_l), its sigma_l-weighted mean log r_{k,l} and
     int sigma_l dv."""
     _, sk, sl = _nodal_sigmas(state, state.k, state.l)
-    ok = sk * sl > 0.0  # the rule of sigma.cone_values, which a NaN sigma fails
-    if not ok.all():
-        node = int(np.argmin(ok))
+    try:
+        logq = log_quotient({state.k: sk, state.l: sl}, state.k, state.l)
+    except ConeConditionError as err:
+        node = err.probe
         where = f"at node {node} (theta = {state.theta[node]:.4f}, t = {state.t:.6f})"
-        raise ConeConditionError(state.k, state.l, float(sk[node]), float(sl[node]), where)
-    logq = np.log(np.abs(sk)) - np.log(np.abs(sl))
+        raise ConeConditionError(state.k, state.l, err.sigma_k, err.sigma_l, where, node) from None
     e_nu = np.exp(-state.n * state.u)
     energy = _integrate(state, e_nu, sl)
     if abs(energy) < 1e-300:

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import GeometryError, MetricChart, _one_point, curvature_taylor, values
-from .sigma import (cone_values, log_quotient, repeated_sigma, sigma_profile,
-                    two_eigenvalue_sigma)
+from .sigma import cone_values, log_quotient, repeated_sigma, sigmas, two_eigenvalue_sigma
 from .soliton import SolitonSpec
 from .taylor import MAX_DIM
 from .tensor import TensorValue
@@ -257,7 +256,7 @@ def check_golden(model: SolitonSpec, points) -> list[tuple[str, float, float, bo
             elif quantity == "schouten_vs_metric":
                 err = float(np.max(np.abs(values(tc.schouten) - expected * values(tc.g))))
             elif quantity.startswith("sigma:"):
-                sig = sigma_profile(tc, model.k, model.l).sigmas[int(quantity[6:])]
+                sig = sigmas(values(tc.endo))[int(quantity[6:])]
                 err = abs(sig - expected) / max(1.0, abs(expected))
             else:
                 raise ValueError(f"unknown golden quantity {quantity!r}")

@@ -10,6 +10,12 @@ both rings, so a float sigma, T_k or quotient is its jet's value part.  Jets
 serve only where a derivative of sigma is read; ``sigma_profile``,
 ``newton_tensor`` and the soliton residual run floats.  No eigenvalues but
 the known ones of ``two_eigenvalue_sigma``, which the flow and models read.
+
+``log_quotient`` is the one statement of log(sigma_k/sigma_l) and of its cone
+rule sigma_k * sigma_l > 0: the soliton residual, the models and the flow's
+nodal (M+1,) stacks all call it, and its ConeConditionError names the first
+violating probe of a batch.  The conformal laws take hess_0 w and dw from
+jets once and combine their value parts as floats.
 """
 
 from __future__ import annotations
@@ -21,17 +27,20 @@ import numpy as np
 
 from . import taylor
 from .curvature import (GeometryError, MetricChart, TaylorCurvature, _d, _lsum,
-                        _one_point, _sym, check_int, curvature_taylor, values)
+                        _one_point, check_int, curvature_taylor, values)
 from .tensor import TensorValue, sigmas_from_power_sums
 
 
 class ConeConditionError(GeometryError):
-    """sigma_k * sigma_l <= 0: the quotient curvature is undefined."""
+    """sigma_k * sigma_l is not > 0 (a NaN sigma fails too): the quotient
+    curvature is undefined.  ``probe`` is the index of the first violating
+    probe of a batch, None for one point."""
 
-    def __init__(self, k, l, sigma_k, sigma_l, where: str = ""):
+    def __init__(self, k, l, sigma_k, sigma_l, where: str = "", probe: int | None = None):
         super().__init__(f"cone condition violated{where and ' ' + where}: sigma_{k} = "
-                         f"{sigma_k:.6g}, sigma_{l} = {sigma_l:.6g}, product <= 0")
-        self.sigma_k, self.sigma_l = sigma_k, sigma_l
+                         f"{sigma_k:.6g}, sigma_{l} = {sigma_l:.6g}, "
+                         f"sigma_{k} * sigma_{l} not > 0")
+        self.sigma_k, self.sigma_l, self.probe = sigma_k, sigma_l, probe
 
 
 @dataclass(frozen=True)
@@ -93,24 +102,25 @@ def _newton(a, k: int):
 
 
 def cone_values(sig, k: int, l: int):
-    """The value parts of sigma_k and sigma_l (float arrays, (P,) for a
-    batch) and where sigma_k * sigma_l > 0."""
-    vk, vl = (s.value if isinstance(s, taylor.TaylorScalar) else np.asarray(s, dtype=float)
-              for s in (sig[k], sig[l]))
-    return vk, vl, vk * vl > 0.0
+    """The value parts of sigma_k and sigma_l (floats, or float arrays, (P,)
+    for a batch) and where sigma_k * sigma_l > 0."""
+    sk, sl = sig[k], sig[l]
+    vk = sk.value if type(sk) is taylor.TaylorScalar else sk
+    vl = sl.value if type(sl) is taylor.TaylorScalar else sl
+    return vk, vl, np.greater(vk * vl, 0.0)
 
 
 def log_quotient(sig, k: int, l: int):
     """log|sigma_k| - log|sigma_l| of jets, of a stack's (P,) floats or of one
     point's floats (a float), by ``np.log`` as in ``taylor.log_abs``.  Raises
-    ConeConditionError unless sigma_k * sigma_l > 0, with the sigmas of the
-    first violating probe of a batch."""
+    ConeConditionError unless sigma_k * sigma_l > 0, with the sigmas and the
+    index of the first violating probe of a batch."""
     vk, vl, ok = cone_values(sig, k, l)
-    if not np.all(ok):
-        i = int(np.argmin(np.ravel(ok)))
-        raise ConeConditionError(k, l, *(float(np.broadcast_to(v, np.shape(ok)).flat[i])
-                                         for v in (vk, vl)))
-    if isinstance(sig[k], taylor.TaylorScalar):
+    if not ok.all():
+        i = int(np.argmin(ok)) if ok.ndim else None
+        raise ConeConditionError(k, l, *(float(np.broadcast_to(v, ok.shape).flat[i or 0])
+                                         for v in (vk, vl)), probe=i)
+    if type(sig[k]) is taylor.TaylorScalar:
         return taylor.log_abs(sig[k]) - taylor.log_abs(sig[l])
     logq = np.log(np.abs(vk)) - np.log(np.abs(vl))
     return float(logq) if logq.ndim == 0 else logq
@@ -165,24 +175,25 @@ def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
 
 
 def _conformal_base(chart0: MetricChart, x, phi):
-    """Base pipeline at the one point x and the jets of w = log phi for g =
-    phi^2 g_0: (tc0, w, hess_0 w, dw, |dw|^2_0), at order 2 (values only)."""
+    """Base pipeline at the one point x, at order 2 (values only), and the
+    value parts of hess_0 w, dw and |dw|^2_0 (a float) for g = phi^2 g_0 with
+    w = log phi: (tc0, hess, dw, grad2).  Float ``taylor.matmul`` sums in the
+    jet order, so |dw|^2_0 is the value of its jet."""
     tc0 = curvature_taylor(chart0, _one_point(chart0.dim, x, "a conformal law"), order=2)
     pt = tc0.jet(phi)
     if pt.value <= 0.0:
         raise GeometryError(f"conformal factor must be positive, got {pt.value}")
     w = taylor.log(pt)
-    dw = _d(w)
-    grad2 = taylor.matmul(dw, taylor.matmul(tc0.ginv, dw))
-    return tc0, w, tc0.hessian_scalar(w), dw, grad2
+    dw = values(_d(w))
+    grad2 = taylor.matmul(dw, taylor.matmul(values(tc0.ginv), dw))
+    return tc0, values(tc0.hessian_scalar(w)), dw, grad2
 
 
-def _conformal_schouten_taylor(tc0: TaylorCurvature, hess, dw, grad2):
-    """Schouten of e^{2w} g_0 from base-chart data (Taylor level):
+def _conformal_schouten_taylor(schouten0, g0, hess, dw, grad2):
+    """Schouten of e^{2w} g_0 from base-chart data, in the ring of its
+    operands (the law passes value parts):
     A = A_0 - hess_0 w + dw (x) dw - 1/2 |dw|^2_0 g_0."""
-    i, j = np.triu_indices(tc0.dim)
-    return _sym(tc0.schouten[i, j] - hess[i, j] + dw[i] * dw[j]
-                - (0.5 * grad2) * tc0.g[i, j], tc0.dim)
+    return schouten0 - hess + np.multiply.outer(dw, dw) - (0.5 * grad2) * g0
 
 
 def conformal_schouten(chart0: MetricChart, x, phi) -> TensorValue:
@@ -190,19 +201,19 @@ def conformal_schouten(chart0: MetricChart, x, phi) -> TensorValue:
     for a positive factor phi given as an expression over the base chart."""
     if chart0.dim < 3:
         raise GeometryError("the Schouten tensor needs dimension >= 3")
-    tc0, _, hess, dw, grad2 = _conformal_base(chart0, x, phi)
-    out = _conformal_schouten_taylor(tc0, hess, dw, grad2)
-    return TensorValue(tc0.dim, (0, 2), values(out))
+    tc0, hess, dw, grad2 = _conformal_base(chart0, x, phi)
+    out = _conformal_schouten_taylor(values(tc0.schouten), values(tc0.g), hess, dw, grad2)
+    return TensorValue(tc0.dim, (0, 2), out)
 
 
 def conformal_ricci(chart0: MetricChart, x, phi) -> TensorValue:
     """Ricci of g = phi^2 g_0 via the conformal law
     Ric = Ric_0 - (n-2)(hess_0 w - dw dw) - (lap_0 w + (n-2)|dw|^2_0) g_0,
-    with w = log phi."""
-    tc0, w, hess, dw, grad2 = _conformal_base(chart0, x, phi)
+    with w = log phi and lap_0 w = g_0^{ij} (hess_0 w)_ij summed in row-major
+    order."""
+    tc0, hess, dw, grad2 = _conformal_base(chart0, x, phi)
     n = tc0.dim
-    i, j = np.triu_indices(n)
-    lap = tc0.laplacian_scalar(w)
-    out = _sym(tc0.ricci[i, j] - (n - 2) * (hess[i, j] - dw[i] * dw[j])
-               - (lap + (n - 2) * grad2) * tc0.g[i, j], n)
-    return TensorValue(n, (0, 2), values(out))
+    lap = _lsum((values(tc0.ginv) * hess).ravel())
+    out = (values(tc0.ricci) - (n - 2) * (hess - np.multiply.outer(dw, dw))
+           - (lap + (n - 2) * grad2) * values(tc0.g))
+    return TensorValue(n, (0, 2), out)

@@ -5,12 +5,14 @@ import json
 import math
 import os
 import pkgutil
+import re
 import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sigmaflow
@@ -18,6 +20,7 @@ from sigmaflow import cli, curvature, models, soliton
 from sigmaflow import expr as ex
 from sigmaflow.cli import main
 from sigmaflow.probes import chart_probes
+from sigmaflow.sigma import SigmaProfile
 from sigmaflow.taylor import TaylorTrustError
 
 
@@ -88,6 +91,29 @@ def test_spec_file_roundtrip(tmp_path):
                            "--point", "0.2,0.1,-0.3", "--json")
     assert code == 0
     assert json.loads(out)["scalar_curvature"] == pytest.approx(6.0, rel=1e-9)
+
+
+def test_curvature_prints_zeros_unsigned(monkeypatch):
+    # a ring may leave -0.0 on an exact zero; the report prints every zero
+    # as 0.0, so its bytes do not move with the sign a ring leaves
+    real_values, real_profile = cli.values, cli.sigma_profile
+
+    def negated_zeros(a):
+        return np.where(a == 0.0, -0.0, a)
+
+    monkeypatch.setattr(cli, "values", lambda arr: negated_zeros(real_values(arr)))
+    monkeypatch.setattr(cli, "sigma_profile", lambda tc, k, l: SigmaProfile(
+        negated_zeros(real_profile(tc, k, l).sigmas), -0.0))
+    assert np.signbit(cli.sigma_profile(curvature.curvature_at(
+        models.builtin("product_line_sphere:3").chart, [0.0] * 4), 1, 1).sigmas[2])
+    code, out, _ = run_cli("curvature", "--builtin", "product_line_sphere:3", "--json")
+    doc = json.loads(out)
+    assert code == 0 and not re.search(r"-0\.0\b", out)
+    assert doc["ricci"][0][0] == doc["schouten"][0][1] == doc["sigma"][2] == 0.0
+    assert doc["log_quotient"] == 0.0
+    code, out, _ = run_cli("curvature", "--builtin", "product_line_sphere:3")
+    assert code == 0 and "-0," not in out and "sigma_1..4 = 1, 0, " in out
+    assert out.endswith("log sigma_1/sigma_1 = 0\n")
 
 
 def test_curvature_of_a_2d_spec(tmp_path):
@@ -250,7 +276,7 @@ def test_flow_cone_violation_exit_4():
     assert code == 4
     assert "last good t" in err
     assert "cone condition violated at node " in err and ": sigma_2 = " in err
-    assert ", sigma_1 = " in err and "product <= 0" in err
+    assert ", sigma_1 = " in err and "sigma_2 * sigma_1 not > 0" in err
 
 
 def test_flow_nan_sigma_is_a_cone_violation(monkeypatch):

@@ -160,11 +160,58 @@ def test_cone_violation_aborts_with_partial_diagnostics():
     state = FlowState(4, 2, 1, 1.5 * np.cos(2 * theta))
     with pytest.raises(ConeConditionError,
                        match=r"at node 0 \(theta = 0\.0000, t = 0\.000000\): "
-                             r"sigma_2 = \S+, sigma_1 = \S+, product <= 0") as err:
+                             r"sigma_2 = \S+, sigma_1 = \S+, sigma_2 \* sigma_1 not > 0") as err:
         flow_rhs(state)
     assert err.value.sigma_k * err.value.sigma_l <= 0.0
     _, diag = run(state, 0.1)
     assert diag.aborted is not None
+
+
+def test_cone_violation_names_the_first_violating_node():
+    # the flow reads sigma.log_quotient and locates its error by the probe,
+    # the first node where sigma_k * sigma_l is not > 0
+    theta = np.linspace(0, math.pi, 65)
+    state = FlowState(4, 2, 1, -1.5 * np.cos(2 * theta))
+    with pytest.raises(ConeConditionError, match=r"at node 14 \(theta = 0\.6872, ") as err:
+        flow_rhs(state)
+    _, sk, sl = flow._nodal_sigmas(state, 2, 1)
+    assert err.value.probe == 14 == np.flatnonzero(~(sk * sl > 0.0))[0]
+    assert (err.value.sigma_k, err.value.sigma_l) == (sk[14], sl[14])
+
+
+def zonal_harmonic(n, degree, theta):
+    """The Gegenbauer polynomial C_degree^{(n-1)/2}(cos theta), a zonal
+    eigenfunction of the Laplacian of S^n, scaled to 1 at theta = 0."""
+    a, x = (n - 1) / 2, np.cos(theta)
+    prev, cur = np.ones_like(x), 2 * a * x
+    for m in range(2, degree + 1):
+        prev, cur = cur, (2 * x * (m + a - 1) * cur - (m + 2 * a - 2) * prev) / m
+    return cur / cur[0]
+
+
+@pytest.mark.parametrize("n, k, l", [(3, 2, 1), (4, 2, 1), (5, 3, 1), (6, 3, 2)])
+def test_linear_rates_of_zonal_harmonics(n, k, l):
+    """Linearized at the round sphere, the flow is du/dt = ((k - l)/n)(lap u
+    + n u) less its weighted mean, so the zonal harmonic of degree d decays
+    at the rate (k - l)(d(d + n - 1) - n)/n; degree 1, the conformal
+    directions of S^n, is neutral.  Started at 1e-6 times the harmonic, on
+    grid 64 to t = 0.05, the rate of u's component along it is within 5e-5
+    relative to max(1, rate) (measured worst 1.6e-5, at degree 3, the
+    stencil's error) and degree 1 within 2e-6 (measured 3.4e-7)."""
+    grid, t_end = 64, 0.05
+    theta = np.linspace(0.0, math.pi, grid + 1)
+    weight = np.sin(theta) ** (n - 1)
+    weight[[0, -1]] *= 0.5  # the trapezoid rule, spectrally accurate here
+    for degree in (1, 2, 3):
+        y = zonal_harmonic(n, degree, theta)
+        start = FlowState(n, k, l, 1e-6 * y)
+        end, diag = run(start, t_end)
+        assert diag.aborted is None and end.t == pytest.approx(t_end)
+        amp0, amp1 = (np.dot(weight * s.u, y) / np.dot(weight * y, y) for s in (start, end))
+        rate = -math.log(amp1 / amp0) / end.t
+        want = (k - l) * (degree * (degree + n - 1) - n) / n
+        bound = 2e-6 if degree == 1 else 5e-5 * max(1.0, want)
+        assert abs(rate - want) <= bound, (degree, rate, want)
 
 
 def test_trivial_quotient_k_equals_l():

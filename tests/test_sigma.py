@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from test_batched import BUILTINS
 
 from sigmaflow import expr as ex
-from sigmaflow import models, probes
-from sigmaflow.curvature import (GeometryError, MetricChart, curvature_at, curvature_taylor,
-                                 values)
+from sigmaflow import models, probes, taylor
+from sigmaflow.curvature import (GeometryError, MetricChart, _d, _sym, curvature_at,
+                                 curvature_taylor, values)
 from sigmaflow.sigma import (ConeConditionError, conformal_ricci,
                              conformal_schouten, divergence_newton,
                              log_quotient, newton_tensor,
@@ -80,6 +81,24 @@ def test_cone_condition_raises():
     tc = curvature_at(chart, [0.0, 0.0, 0.0])
     with pytest.raises(ConeConditionError):
         sigma_profile(tc, 2, 1)
+
+
+def test_log_quotient_names_the_first_violating_probe():
+    # a (P,) float stack and jets with (P, C) coefficients name the first
+    # probe where sigma_k * sigma_l is not > 0; one point names none
+    pts = np.array([[0.5, 0.1], [0.3, -0.2], [-0.1, 0.4], [-0.2, 0.3], [0.4, 0.0]])
+    srcs = {2: "x1", 1: "1 + x2^2"}
+    cases = [({2: pts[:, 0], 1: 1.0 + pts[:, 1] ** 2}, 2),
+             ({j: ex.eval_taylor(ex.parse(e), pts, order=2) for j, e in srcs.items()}, 2),
+             ({2: np.array([1.0, np.nan, -1.0]), 1: np.ones(3)}, 1),  # NaN fails the rule
+             ({2: -0.1, 1: 1.16}, None),
+             ({j: ex.eval_taylor(ex.parse(e), pts[2], order=2) for j, e in srcs.items()}, None)]
+    for sig, probe in cases:
+        with pytest.raises(ConeConditionError, match=r"sigma_2 \* sigma_1 not > 0") as err:
+            log_quotient(sig, 2, 1)
+        assert err.value.probe == probe, sig
+        if probe != 1:
+            assert (err.value.sigma_k, err.value.sigma_l) == (-0.1, pytest.approx(1.16)), sig
 
 
 def test_newton_tensor_direct_matrix_oracle():
@@ -241,7 +260,7 @@ def test_covariant_operator_jet_multiplies(count_products):
                    for c in models.builtin("example4:4").vector_field], dtype=object)
     t2 = newton_tensor_taylor(tc, 2)
     # each law runs its own order-2 pipeline, whose Riemann-to-g^-1 A block
-    # forms no jet products
+    # forms no jet products, and combines value parts after hess_0 w
     phi = "exp(0.1*x1 + 0.2*sin(x2))"
     cases = [("cov_deriv_02", lambda: tc.cov_deriv_02(tc.schouten), 512),
              ("grad_scalar", lambda: tc.grad_scalar(f), 16),
@@ -250,8 +269,8 @@ def test_covariant_operator_jet_multiplies(count_products):
              ("lie_metric", lambda: tc.lie_metric(xv), 56),
              ("div_vector", lambda: tc.div_vector(xv), 4),
              ("div_endomorphism", lambda: tc.div_endomorphism(t2), 80),
-             ("conformal_schouten", lambda: conformal_schouten(model.chart, x, phi), 329),
-             ("conformal_ricci", lambda: conformal_ricci(model.chart, x, phi), 385)]
+             ("conformal_schouten", lambda: conformal_schouten(model.chart, x, phi), 289),
+             ("conformal_ricci", lambda: conformal_ricci(model.chart, x, phi), 289)]
     for name, operator, expected in cases:
         assert count_products(operator) == [expected], name
 
@@ -346,6 +365,39 @@ def test_conformal_ricci_law_vs_direct():
     via_law = conformal_ricci(base, x, src).components
     direct = values(curvature_at(direct_chart, x).ricci)
     assert np.max(np.abs(via_law - direct)) < 1e-10
+
+
+def _jet_conformal_laws(chart, x, phi):
+    """Schouten (None below n = 3) and Ricci of phi^2 g_0 by the conformal
+    laws composed on jets of the order-2 pipeline, entry by entry on i <= j,
+    as the laws were computed before they read value parts."""
+    tc0 = curvature_taylor(chart, x, order=2)
+    w = taylor.log(tc0.jet(phi))
+    dw = _d(w)
+    grad2 = taylor.matmul(dw, taylor.matmul(tc0.ginv, dw))
+    hess, lap = tc0.hessian_scalar(w), tc0.laplacian_scalar(w)
+    n = tc0.dim
+    i, j = np.triu_indices(n)
+    schouten = None if n < 3 else _sym(tc0.schouten[i, j] - hess[i, j] + dw[i] * dw[j]
+                                       - (0.5 * grad2) * tc0.g[i, j], n)
+    ricci = _sym(tc0.ricci[i, j] - (n - 2) * (hess[i, j] - dw[i] * dw[j])
+                 - (lap + (n - 2) * grad2) * tc0.g[i, j], n)
+    return schouten, ricci
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_conformal_laws_are_the_value_parts_of_the_jet_laws(name):
+    # the laws combine the value parts of hess_0 w, dw and |dw|^2_0 in the
+    # order the jet laws sum them, so every component is == the jet value
+    chart = models.builtin(name).chart
+    for x in probes.chart_probes(chart, 6, seed=5):
+        for phi in ("exp(0.1*x1 + 0.2*sin(x2))", "1 + x1^2/6 + x2*x3/9", "2.5"):
+            schouten, ricci = _jet_conformal_laws(chart, x, phi)
+            assert np.array_equal(conformal_ricci(chart, x, phi).components,
+                                  values(ricci)), (name, x, phi)
+            if schouten is not None:
+                assert np.array_equal(conformal_schouten(chart, x, phi).components,
+                                      values(schouten)), (name, x, phi)
 
 
 def test_conformal_factor_must_be_positive():
