@@ -248,7 +248,7 @@ def cmd_hodge(args) -> int:
     doc = {
         "grid": args.grid,
         "dim": args.n,
-        "Y_sup": float(max(np.max(np.abs(c)) for c in y.components)),
+        "Y_sup": float(np.max([np.max(np.abs(c)) for c in y.components])),
         "potential_sup": float(np.max(np.abs(h))),
         **hodge.decomposition_report(field, y, h),
     }

@@ -94,17 +94,19 @@ def divergence(field: TorusField) -> np.ndarray:
 
 
 def hodge_decompose(field: TorusField):
-    """Return (Y, h) with X = Y + grad h, div Y = 0, mean h = 0."""
+    """Return (Y, h) with X = Y + grad h, div Y = 0, mean h = 0; HodgeError
+    where a transform overflows, as finite samples near the float range can."""
     partials = _partials(field.shape)
-    div_hat = sum(d * _rfft(comp) for d, comp in zip(partials, field.components))
     lap = sum((d * d).real for d in partials)  # div o grad: -|m|^2 off Nyquist
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_hat = np.where(lap < 0, div_hat / np.where(lap < 0, lap, 1.0), 0.0)
-
-    h = _irfft(h_hat, field.shape)
-    y = TorusField.from_arrays([c - _irfft(d * h_hat, field.shape)
-                                for d, c in zip(partials, field.components)])
-    return y, h
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            div_hat = sum(d * _rfft(comp) for d, comp in zip(partials, field.components))
+            h_hat = np.where(lap < 0, div_hat / np.where(lap < 0, lap, 1.0), 0.0)
+            h = _irfft(h_hat, field.shape)
+            y = [c - _irfft(d * h_hat, field.shape) for d, c in zip(partials, field.components)]
+    except FloatingPointError as err:
+        raise HodgeError("the field overflows the spectral split") from err
+    return TorusField.from_arrays(y), h
 
 
 def decomposition_report(field: TorusField, y: TorusField, h: np.ndarray):
@@ -112,8 +114,9 @@ def decomposition_report(field: TorusField, y: TorusField, h: np.ndarray):
     ``hodge_decompose`` returns it: sup |div Y|, sup reconstruction error,
     |mean h|."""
     h_hat = _rfft(h)
-    sup_recon = max(np.max(np.abs(_irfft(d * h_hat, field.shape) + yc - c)) for d, yc, c
-                    in zip(_partials(field.shape), y.components, field.components))
+    # per component, so no (n, *shape) stack is held; np.max keeps a NaN
+    sup_recon = np.max([np.max(np.abs(_irfft(d * h_hat, field.shape) + yc - c)) for d, yc, c
+                        in zip(_partials(field.shape), y.components, field.components)])
     return {
         "div_residual": float(np.max(np.abs(divergence(y)))),
         "reconstruction": float(sup_recon),

@@ -241,25 +241,27 @@ def builtin(name: str) -> SolitonSpec:
 
 def check_golden(model: SolitonSpec, points) -> list[tuple[str, float, float, bool]]:
     """Evaluate every golden entry at every point.  Returns
-    (quantity, worst error, tolerance, passed) rows."""
+    (quantity, worst error, tolerance, passed) rows; a NaN error fails."""
     rows = []
     for quantity, expected, tol, _note in model.golden:
-        worst = 0.0
-        for x in points:
-            tc = curvature_taylor(model.chart, x, order=2)
-            if quantity == "scalar":
-                err = abs(tc.scalar.value - expected) / max(1.0, abs(expected))
-            elif quantity == "riemann_sup":
-                err = float(np.max(np.abs(values(tc.riemann))))
-            elif quantity == "ricci_vs_metric":
-                err = float(np.max(np.abs(values(tc.ricci) - expected * values(tc.g))))
-            elif quantity == "schouten_vs_metric":
-                err = float(np.max(np.abs(values(tc.schouten) - expected * values(tc.g))))
-            elif quantity.startswith("sigma:"):
-                sig = sigmas(values(tc.endo))[int(quantity[6:])]
-                err = abs(sig - expected) / max(1.0, abs(expected))
-            else:
-                raise ValueError(f"unknown golden quantity {quantity!r}")
-            worst = max(worst, err)
+        errs = [_golden_error(quantity, expected, curvature_taylor(model.chart, x, order=2))
+                for x in points]
+        worst = float(np.max(errs, initial=0.0))
         rows.append((quantity, worst, tol, worst < tol))
     return rows
+
+
+def _golden_error(quantity: str, expected: float, tc) -> float:
+    """The error of one golden entry at the one point of the pipeline ``tc``."""
+    if quantity == "scalar":
+        return abs(tc.scalar.value - expected) / max(1.0, abs(expected))
+    if quantity == "riemann_sup":
+        return np.max(np.abs(values(tc.riemann)))
+    if quantity == "ricci_vs_metric":
+        return np.max(np.abs(values(tc.ricci) - expected * values(tc.g)))
+    if quantity == "schouten_vs_metric":
+        return np.max(np.abs(values(tc.schouten) - expected * values(tc.g)))
+    if quantity.startswith("sigma:"):
+        sig = sigmas(values(tc.endo))[int(quantity[6:])]
+        return abs(sig - expected) / max(1.0, abs(expected))
+    raise ValueError(f"unknown golden quantity {quantity!r}")

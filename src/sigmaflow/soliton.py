@@ -13,10 +13,12 @@ The three checks share one probe loop (``_batch_floats``): the chart checks
 the (P, n) probe set, which runs as one batched pipeline (``curvature_taylor``
 at every probe at once), split only where ``curvature.probe_batches`` finds
 that its jets would exceed ``curvature.BATCH_BYTES``, and each pipeline is
-mapped at once to the floats its check reads.  f, X and lambda are read as
-jets of the pipeline (``TaylorCurvature.jet``).  The residual reads values
-only, so it takes sigma and psi in floats from ``values(tc.endo)``, the
-value parts of the jets that the structural checks differentiate.
+mapped at once to the per-probe columns its check reads, joined in probe
+order.  A check's worst value is one ``np.max`` over a column, so a NaN
+residual reads NaN, not a pass.  f, X and lambda are read as jets of the
+pipeline (``TaylorCurvature.jet``).  The residual reads values only, so it
+takes sigma and psi in floats from ``values(tc.endo)``, the value parts of
+the jets that the structural checks differentiate.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def _gnorm2(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _batch_floats(spec: SolitonSpec, probe_set, count: int, seed: int, order: int,
                   read, requires: str | None = None) -> list:
-    """``read(spec, tc)``, the floats a check reads, for the pipeline ``tc`` at
-    ``order`` of each batch of the probe set, in order, no pipeline alive while
+    """The per-probe columns of ``read(spec, tc)``, each joined in probe order, for the
+    pipeline ``tc`` at ``order`` of each batch of the probe set, no pipeline alive while
     the next is built; a check that needs a gradient soliton says so in ``requires``."""
     SolitonSpec.from_model(spec)  # a chart without lambda or X is no soliton
     if requires and spec.potential is None:
@@ -108,8 +110,9 @@ def _batch_floats(spec: SolitonSpec, probe_set, count: int, seed: int, order: in
         raise GeometryError(f"a probe set has shape (P, {spec.chart.dim}), got shape {pts.shape}")
     if len(pts) == 0:
         raise GeometryError("no probe points")
-    return [read(spec, curvature_taylor(spec.chart, x, order=order))
-            for x in probe_batches(pts, order)]
+    batches = [read(spec, curvature_taylor(spec.chart, x, order=order))
+               for x in probe_batches(pts, order)]
+    return [np.concatenate(col) for col in zip(*batches)]
 
 
 def _psi(spec: SolitonSpec, tc):
@@ -118,38 +121,35 @@ def _psi(spec: SolitonSpec, tc):
 
 
 def _point_data(spec: SolitonSpec, tc):
-    """The cone violations of the order-2 pipeline's probes as (probe, error)
-    pairs and, at its admissible probes, the g-norms of the residual and of
-    L_X g, |psi|, lambda and the probes themselves: the residual reads values
-    of hess f, L_X g and psi only."""
+    """At each probe of the order-2 pipeline: the probe, sigma_k, sigma_l and
+    whether sigma_k sigma_l > 0, and the g-norms of the residual and of L_X g,
+    |psi| and lambda, which mean nothing where the cone condition fails.  The
+    residual reads values of hess f, L_X g and psi only."""
     sig = [np.broadcast_to(s, len(tc.points))
            for s in sigmas(tc.endo if tc.endo is None else values(tc.endo))]
     vk, vl, ok = cone_values(sig, spec.k, spec.l)
-    violations = [(tc.points[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
-                  for i in np.flatnonzero(~ok)]
-    keep = np.flatnonzero(ok)
     # lambda as a jet's value: a float evaluation rounds a/b apart from a * recip(b)
-    lam = np.broadcast_to(tc.jet(spec.lam).value, len(tc.points))[keep]
-    psi = log_quotient([s[keep] for s in sig], spec.k, spec.l) - lam
+    lam = tc.jet(spec.lam).value
+    psi = log_quotient([np.where(ok, s, 1.0) for s in sig], spec.k, spec.l) - lam
     if spec.potential is not None:
-        lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.potential)))[keep]
+        lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.potential)))
     else:
         xv = np.array([tc.jet(c) for c in spec.vector_field], dtype=object)
-        lie = values(tc.lie_metric(xv))[keep]
-    residual = 0.5 * lie - psi[:, None, None] * values(tc.g)[keep]
-    ginv = values(tc.ginv)[keep]
-    return (violations, np.sqrt(_gnorm2(ginv, residual)), np.sqrt(_gnorm2(ginv, lie)),
-            np.abs(psi), lam, tc.points[keep])
+        lie = values(tc.lie_metric(xv))
+    residual = 0.5 * lie - psi[:, None, None] * values(tc.g)
+    ginv = values(tc.ginv)
+    return (tc.points, vk, vl, ok, np.sqrt(_gnorm2(ginv, residual)),
+            np.sqrt(_gnorm2(ginv, lie)), np.abs(psi), lam)
 
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
                      trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
-    batches = _batch_floats(spec, probe_set, count, 0, 2, _point_data)
-    violations = [v for batch in batches for v in batch[0]]
-    rnorm, lie_norm, psi, lam, kept = (np.concatenate([b[i] for b in batches])
-                                       for i in range(1, 6))
-    if rnorm.size == 0:
+    pts, vk, vl, ok, *cols = _batch_floats(spec, probe_set, count, 0, 2, _point_data)
+    violations = [(pts[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
+                  for i in np.flatnonzero(~ok)]
+    if not ok.any():
         raise violations[0][1]
+    rnorm, lie_norm, psi, lam, kept = (c[ok] for c in (*cols, pts))
     w = int(np.argmax(rnorm))  # the first in probe order, however the batches split
     lam_min, lam_max = float(lam.min()), float(lam.max())
     lie_sup, psi_sup = float(lie_norm.max()), float(psi.max())
@@ -185,14 +185,13 @@ def lemma_structural_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     """Residuals of the three structural identities of a gradient quotient
     soliton, by pipeline re-differentiation (the second-order item consumes
     fourth-order Taylor data of the metric)."""
-    batches = _batch_floats(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
-                            _lemma_floats, "structural identities require")
-    return StructuralResiduals(*(max(0.0, *col) for col in zip(*batches)))
+    cols = _batch_floats(spec, probe_set, count, seed, 4,  # lap psi reads A to order 2
+                         _lemma_floats, "structural identities require")
+    return StructuralResiduals(*(float(np.max(col)) for col in cols))
 
 
 def _lemma_floats(spec: SolitonSpec, tc):
-    """The largest residual of each structural identity at the pipeline's
-    probes."""
+    """The residual of each structural identity at each probe of the pipeline."""
     n = tc.dim
     psi = _psi(spec, tc)
     ft = tc.jet(spec.potential)
@@ -200,17 +199,15 @@ def _lemma_floats(spec: SolitonSpec, tc):
     ric = values(tc.ricci)
 
     lap_f = tc.laplacian_scalar(ft).value
-    res_a = float(np.max(np.abs(lap_f - n * psi.value)))
+    res_a = np.abs(lap_f - n * psi.value)
 
     dpsi, df = values(_d(psi)), values(_d(ft))
     item_b = (n - 1) * dpsi + (ric @ (ginv @ df[..., None]))[..., 0]
-    norm_b = np.sqrt(np.einsum("...i,...ij,...j->...", item_b, ginv, item_b))
-    res_b = float(np.max(norm_b))
+    res_b = np.sqrt(np.einsum("...i,...ij,...j->...", item_b, ginv, item_b))
 
     lap_psi = tc.laplacian_scalar(psi).value
     pairing = np.einsum("...i,...ij,...j->...", values(_d(tc.scalar)), ginv, df)
-    res_c = float(np.max(np.abs(
-        (n - 1) * lap_psi + 0.5 * pairing + psi.value * tc.scalar.value)))
+    res_c = np.abs((n - 1) * lap_psi + 0.5 * pairing + psi.value * tc.scalar.value)
     return res_a, res_b, res_c
 
 
@@ -222,9 +219,9 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
     Raises GeometryError when R deviates from its mean over the probe set by
     more than R_TOL (1 + |mean|): the identity presupposes constant scalar
     curvature."""
-    data = _batch_floats(spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
-                         _obata_floats, "the second-order identity requires")
-    scalars = np.concatenate([d[0] for d in data])
+    scalars, psi, hess, g, ginv = _batch_floats(
+        spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
+        _obata_floats, "the second-order identity requires")
     mean_r = float(np.mean(scalars))
     dev = float(np.max(np.abs(scalars - mean_r)))
     if dev > R_TOL * (1.0 + abs(mean_r)):
@@ -232,11 +229,8 @@ def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
             f"scalar curvature not constant on probes: deviation {dev:.3g} "
             f"about mean {mean_r:.6g}")
     n = spec.chart.dim
-    worst = 0.0
-    for _, psi, hess, g, ginv in data:
-        resid = hess + (mean_r / (n * (n - 1))) * psi[:, None, None] * g
-        worst = max(worst, float(np.max(np.sqrt(_gnorm2(ginv, resid)))))
-    return worst
+    resid = hess + (mean_r / (n * (n - 1))) * psi[:, None, None] * g
+    return float(np.max(np.sqrt(_gnorm2(ginv, resid))))
 
 
 def _obata_floats(spec: SolitonSpec, tc):

@@ -2,8 +2,9 @@
 and contractions of dense tensors, sigma_k by index, Halton probes by
 scalar loops, a symbolic partial derivative of expressions and a variable
 substitution, the quotient flow's grid formulas without cached tables, the
-Hodge split on the full complex spectrum, and the curvature pipeline as
-index loops over jets.  Each is checked by its
+Hodge split on the full complex spectrum, the curvature pipeline as
+index loops over jets, and exact gradient almost solitons on warped
+products.  Each is checked by its
 own test and serves as an independent oracle for the program's jet
 pipeline, probes or flow."""
 
@@ -13,10 +14,11 @@ import math
 
 import numpy as np
 
-from sigmaflow import taylor
+from sigmaflow import models, taylor
 from sigmaflow.curvature import MetricChart, TaylorCurvature, taylor_metric
-from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var
+from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var, parse
 from sigmaflow.flow import FlowState, sphere_area
+from sigmaflow.soliton import SolitonSpec
 from sigmaflow.tensor import TensorError, TensorValue, elementary_all
 
 
@@ -519,3 +521,37 @@ def loop_conformal_ricci(tc0: LoopCurvature, w, hess, dw, grad2) -> np.ndarray:
                 - (lap + (n - 2) * grad2) * tc0.g[i, j]
             )
     return out
+
+
+# -- exact gradient almost solitons on warped products ---------------------
+
+FIBER_CURVATURE = {"sphere": 1, "hyperbolic": -1, "euclidean": 0}
+
+
+def warped_sigma(m: int, j: int, c: int, xi: str, dxi: str, ddxi: str) -> str:
+    """sigma_j of the Schouten endomorphism of dt^2 + xi(t)^2 g_c, over a
+    fiber of dimension m and curvature c, as source in x1 = t: the
+    eigenvalue a_t = (c - xi'^2)/(2 xi^2) m times and a_r = -xi''/xi - a_t
+    once, by ``sigma.two_eigenvalue_sigma``'s rule with n - 1 = m."""
+    a_t = f"(({c} - ({dxi})^2)/(2*({xi})^2))"
+    a_r = f"(-({ddxi})/({xi}) - {a_t})"
+    terms = [f"{math.comb(m, j)}*{a_t}^{j}"] if j <= m else []
+    if j >= 1:
+        terms.append(f"{math.comb(m, j - 1)}*{a_t}^{j - 1}*{a_r}")
+    return " + ".join(terms)
+
+
+def warped_soliton(xi: str, dxi: str, ddxi: str, f: str, fiber: str, k: int,
+                   l: int) -> SolitonSpec:
+    """The gradient quotient almost soliton on ``models.warped(xi, fiber)``,
+    with f' = xi and the fiber a ``sphere``, ``hyperbolic`` or ``euclidean``
+    builtin: Hess f = xi' g, so with lambda = log(sigma_k/sigma_l) - xi' the
+    residual is exactly 0 and psi = xi' is not constant; the metric is not
+    Einstein unless a_t = a_r, as for cosh t over a hyperbolic fiber.
+    ``xi``, its derivatives and ``f`` are source in x1 = t."""
+    base = models.builtin(fiber)
+    m, c = base.chart.dim, FIBER_CURVATURE[base.name.split(":")[0]]
+    sk, sl = (warped_sigma(m, j, c, xi, dxi, ddxi) for j in (k, l))
+    spec = models.warped(xi, base)
+    return SolitonSpec(spec.chart, parse(f"log(({sk})/({sl})) - ({dxi})"), k, l,
+                       potential=parse(f), name=f"{spec.name} soliton ({k}, {l})")

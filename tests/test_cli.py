@@ -366,6 +366,18 @@ def test_hodge_odd_grid_exit_2():
     assert "power of two" in err
 
 
+def test_hodge_refuses_a_field_that_overflows_the_spectral_split():
+    # every sample is finite, but the transforms overflow: one input error, no
+    # numpy warning; a field at 1e300 still splits
+    code, out, err = run_cli("hodge", "--n", "2", "--grid", "8",
+                             "--field=1e308*sin(x2); 1e308*cos(x1)")
+    assert (code, out) == (2, "")
+    assert err == "input error: the field overflows the spectral split\n"
+    code, out, _ = run_cli("hodge", "--n", "2", "--grid", "8", "--json",
+                           "--field=1e300*sin(x2); 1e300*cos(x1)")
+    assert code == 0 and json.loads(out)["reconstruction"] == 0.0
+
+
 def test_hodge_component_count_mismatch():
     code, _, _ = run_cli("hodge", "--n", "3", "--grid", "16",
                          "--field", "x1; x2")

@@ -53,6 +53,15 @@ def test_parse_error_carries_offset():
     with pytest.raises(ex.ParseError) as err:
         ex.parse("2 * 1e999")
     assert err.value.offset == 4
+    for source, message, offset in [("", "empty expression", 0),
+                                    ("   ", "empty expression", 0),
+                                    ("x1 @ 2", "unexpected character '@'", 3),
+                                    ("(x1 + 1", "expected ')'", 7),
+                                    ("exp(x1, x2)", "exp takes exactly one argument", 6)]:
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse(source)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset, source
 
 
 def test_unparse_round_trips_structurally():

@@ -136,6 +136,8 @@ def test_rk4_step_preserves_time_and_shape():
     out = step(s, 1e-4)
     assert out.t == pytest.approx(1e-4)
     assert out.u.shape == s.u.shape
+    with pytest.raises(GeometryError, match="dt must be positive"):
+        step(s, 0.0)
 
 
 def test_stable_dt_positive_and_small():

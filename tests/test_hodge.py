@@ -64,6 +64,9 @@ def test_report_residuals_2d_and_3d():
     assert rep["div_residual"] < 1e-9
     assert rep["reconstruction"] < 1e-9
     assert rep["potential_mean"] < 1e-12
+    # a NaN in the second component reaches the worst value over components
+    bad = TorusField(f2.shape, (f2.components[0], f2.components[1] * np.nan))
+    assert math.isnan(decomposition_report(bad, *hodge_decompose(f2))["reconstruction"])
 
     f3 = TorusField.from_exprs([
         lambda x, y, z: np.sin(y) * np.cos(z),

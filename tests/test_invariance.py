@@ -115,8 +115,8 @@ def invariants(tc, spec) -> np.ndarray:
     sq_c = np.einsum("...ia,...jb,...kc,...ijk,...abc->...", ginv, ginv, ginv, cot, cot,
                      optimize=True)
     sig = np.stack([np.broadcast_to(s.value, len(g)) for s in sigma_taylor(tc)], axis=-1)
-    violations, rnorm, *_ = _point_data(spec, tc)
-    assert not violations, violations
+    _, sk, sl, ok, rnorm, *_ = _point_data(spec, tc)
+    assert ok.all(), (sk[~ok], sl[~ok])
     xvec = tc.grad_scalar(tc.jet(spec.potential))
     lie = np.sqrt(_gnorm2(ginv, values(tc.lie_metric(xvec))))
     cols = [tc.scalar.value, norm4(rm), _gnorm2(ginv, ric), norm4(weyl), sq_c, rnorm, lie]

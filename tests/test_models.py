@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -89,9 +90,24 @@ def test_golden_tables_all_pass():
         assert rows, model.name
         for quantity, worst, tol, ok in rows:
             assert ok, f"{model.name}: {quantity} worst {worst} > {tol}"
+            assert type(worst) is float and type(ok) is bool, quantity
+        json.dumps(rows)
     unknown = dataclasses.replace(models.sphere(4), golden=[("volume", 1.0, 1e-9, "")])
     with pytest.raises(ValueError, match="unknown golden quantity 'volume'"):
         models.check_golden(unknown, probe(unknown, count=1))
+
+
+def test_a_nan_golden_error_fails(monkeypatch):
+    model = models.sphere(4)
+    pts = probe(model, count=3)
+    monkeypatch.setattr(models, "values", lambda arr: values(arr) * np.nan)
+    rows = models.check_golden(model, pts)
+    assert [q for q, *_ in rows] == [q for q, *_ in model.golden]
+    for quantity, worst, _, ok in rows:
+        if quantity == "scalar":  # R is read without values()
+            assert ok, worst
+        else:
+            assert math.isnan(worst) and ok is False, quantity
 
 
 def golden_sigmas(name):

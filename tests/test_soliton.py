@@ -3,7 +3,7 @@ import pytest
 
 from oracles import differentiate
 from sigmaflow import expr as ex
-from sigmaflow import models
+from sigmaflow import models, soliton
 from sigmaflow.curvature import GeometryError, curvature_taylor, values
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import ConeConditionError
@@ -123,6 +123,15 @@ def test_lemma_requires_gradient():
 
 def test_obata_identity_sphere():
     assert obata_check(spec_of(models.sphere(4)), count=12) < 1e-9
+
+
+def test_structural_checks_report_a_nan_residual(monkeypatch):
+    spec = spec_of(models.sphere(4))
+    monkeypatch.setattr(soliton, "values", lambda arr: values(arr) * np.nan)
+    res = lemma_structural_check(spec, count=4)
+    assert res.trace_identity < 1e-10  # Delta f and psi are read without values()
+    assert np.isnan(res.first_order) and np.isnan(res.second_order)
+    assert np.isnan(obata_check(spec, count=4))
 
 
 def test_obata_rejects_nonconstant_scalar():
