@@ -9,10 +9,10 @@ gives an error its code: InputError, EvalError, HodgeError, StepLimitError
 and MemoryError (an input too large for memory) exit 2, after one error line
 (argparse's usage line comes first for a bad argument); GeometryError and
 its subclasses exit 3; any other exception 5.  Commands raise their owners'
-errors unchanged, but for a GeometryError of the point, probe or flow-state
-check, which is about the command's own input and becomes an InputError.
-numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS and
-OMP_NUM_THREADS, which must be set before Python starts.
+errors unchanged, but for a GeometryError of the builtin name, point, probe
+or flow-state check, which is about the command's own input and becomes an
+InputError.  numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS, which must be set before Python starts.
 """
 
 from __future__ import annotations
@@ -110,10 +110,7 @@ def spec_from_document(doc, origin="<spec>"):
 def _resolve(args):
     """The SolitonSpec of the builtin model or spec file named on the command line."""
     if args.builtin:
-        try:
-            return models.builtin(args.builtin)
-        except ValueError as err:
-            raise InputError(f"unknown builtin {args.builtin!r}: {err}") from err
+        return _input_check(models.builtin, args.builtin)
     return load_spec_file(args.file)
 
 

@@ -142,8 +142,9 @@ class MetricChart:
 
     @staticmethod
     def _require(ok, x, what):
-        if not np.all(ok):
-            raise GeometryError(f"{what} at {x[:, np.argmin(ok)].tolist()}")
+        i = taylor.first_failure(ok)
+        if i is not None:
+            raise GeometryError(f"{what} at {x[:, i].tolist()}")
 
     def check_points(self, x) -> np.ndarray:
         """x as floats, one point (n,) or a batch (P, n) inside the domain box up to

@@ -19,7 +19,10 @@ One tree walk evaluates an expression over two rings: float arrays
 (``eval_float``, a whole grid per call) and Taylor jets of order 2, 3 or 4
 (``eval_taylor``, one point or a batch of probe points per call).  Both
 apply the same domain rules to the value part, and a domain violation or a
-non-finite result raises ``EvalError`` in either.
+non-finite result raises ``EvalError`` in either.  The rules raise through
+``taylor._domain``, as the jet functions do: a domain error reads
+``<subexpression>: <rule> <value>``, and in a batch ends `` (probe i)``,
+with i, the first failing probe, as ``EvalError.probe``.
 
 Only the float ring is defined in three cases, where the jet ring raises
 ``EvalError`` saying which it met: ``abs`` at 0 and a variable exponent at
@@ -27,8 +30,7 @@ a non-positive base, which have no derivative (``x1^x2`` at (-1, 2) is 1
 as a float), and a derivative coefficient outside the double range near a
 point where the derivatives blow up (``1/x1`` at 1e-100 is 1e100 as a
 float, but its third derivative, -6e400, is not a double, nor is that of
-``sqrt(x1)`` at 1e-200).  The first two name the first failing probe of a
-batch (``EvalError.probe``).
+``sqrt(x1)`` at 1e-200).
 """
 
 from __future__ import annotations
@@ -348,15 +350,6 @@ def _jets(ctx: taylor.TaylorContext) -> _Ring:
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _require(ok, what: str, values):
-    """Raise EvalError naming the first of ``values`` where ``ok`` is false."""
-    if ok is True or np.all(ok):
-        return
-    first = int(np.argmin(np.ravel(ok)))
-    bad = np.broadcast_to(values, np.shape(ok)).ravel()[first]
-    raise EvalError(f"{what} {bad:.6g}", probe=first if np.ndim(ok) else None)
-
-
 def _evaluate(e: Expr, env, ring: _Ring):
     """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``.
 
@@ -375,19 +368,19 @@ def _evaluate(e: Expr, env, ring: _Ring):
             return -_evaluate(e.arg, env, ring)
         if isinstance(e, Bin):
             a, b = _evaluate(e.left, env, ring), _evaluate(e.right, env, ring)
-            av, bv = ring.value(a), ring.value(b)
             if e.op == "/":
-                _require(bv != 0, "division by", bv)
+                bv = ring.value(b)
+                taylor._domain(bv != 0, "division by {v}", bv)
             elif e.op == "^":
-                whole = bv % 1 == 0
-                _require((av > 0) | (whole & ((bv >= 0) | (av != 0))),
-                         "power undefined at base", av)
+                av, bv = ring.value(a), ring.value(b)
+                taylor._domain((av > 0) | ((bv % 1 == 0) & ((bv >= 0) | (av != 0))),
+                               "power undefined at base {v}", av)
             return _ARITH.get(e.op, ring.power)(a, b)
         if isinstance(e, Call):
             v = _evaluate(e.arg, env, ring)
             if e.name in ("log", "sqrt"):
-                _require(ring.value(v) > 0, f"{e.name} of non-positive value",
-                         ring.value(v))
+                value = ring.value(v)
+                taylor._domain(value > 0, f"{e.name} of non-positive value {{v}}", value)
             return ring.fn[e.name](v)
     except taylor.TaylorDomainError as exc:
         raise EvalError(f"{unparse(e)}: {exc}", exc.probe) from exc

@@ -8,6 +8,8 @@ an interval.  ``warped`` is the one constructor of a warped product: it
 checks the warping factor and builds the chart, whose Ricci tensor
 ``warped_ricci_formula`` assembles from the factor and the fiber.
 Lambda and the golden sigma rows read ``sigma``'s two-eigenvalue rule.
+``builtin`` refuses only the names its grammar rules out; every other
+refusal is a constructor's own, a fiber's included, and arrives unchanged.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curvature import GeometryError, MetricChart, _one_point, curvature_taylor, values
+from .curvature import GeometryError, MetricChart, _one_point, check_int, curvature_taylor, values
 from .sigma import cone_values, log_quotient, repeated_sigma, sigmas, two_eigenvalue_sigma
 from .soliton import SolitonSpec
-from .taylor import MAX_DIM
+from .taylor import MAX_DIM, first_failure
 from .tensor import TensorValue
 
 
@@ -88,16 +90,17 @@ def _space_form(n: int, sign: int, k: int, l: int, height, box) -> SolitonSpec:
     chart g = 4 (1 + sign |x|^2)^-2 delta on the box [-box(), box()]^n, with
     f = height(n), lambda = sign f + log(sigma_k/sigma_l) and the golden
     values R = sign n(n-1), A = sign g/2, sigma_j = C(n, j) (sign/2)^j."""
-    if n < 3:
-        raise GeometryError("sigma-bearing models need n >= 3")
+    check_int(n, "chart dimension", 2, MAX_DIM)  # the chart's rule, before box() reads n
     name, op, neg, note = _SPACE_FORMS[sign]
     half = box()
     chart = _diag_chart(n, [f"4/(1{op}{_sq_norm(n)})^2"] * n, [(-half, half)] * n)
+    golden = [("scalar", float(sign * n * (n - 1)), 1e-9, note)]
+    if n == 2:  # no Schouten tensor, so no sigma: the chart and R, as a warped fiber
+        return SolitonSpec(chart, name=f"{name}:2", golden=golden)
     h = height(n)
     sig = [repeated_sigma(n, j, sign / 2) for j in range(n + 1)]
     lam = f"{neg}({h}) + {log_quotient(sig, k, l)!r}"
-    golden = [("scalar", float(sign * n * (n - 1)), 1e-9, note),
-              ("schouten_vs_metric", sign / 2, 1e-9, f"A = {neg}g/2")]
+    golden += [("schouten_vs_metric", sign / 2, 1e-9, f"A = {neg}g/2")]
     golden += [(f"sigma:{j}", sig[j], 1e-9, "sigma table") for j in range(1, n + 1)]
     return SolitonSpec(chart, ex.parse(lam), k, l, potential=ex.parse(h),
                        name=f"{name}:{n}", golden=golden)
@@ -170,10 +173,10 @@ def warped(xi, fiber: SolitonSpec, interval=(0.5, 1.5)) -> SolitonSpec:
     xi = ex.as_expr(xi)
     lo, hi = interval
     t = np.linspace(lo, hi, 7)
-    bad = ex.eval_float(xi, [t]) <= 0.0
-    if bad.any():
+    i = first_failure(ex.eval_float(xi, [t]) > 0.0)
+    if i is not None:
         raise GeometryError(f"warping factor must be positive on the interval; "
-                            f"fails at t = {t[bad][0]}")
+                            f"fails at t = {t[i]}")
     m = fiber.chart.dim
     xi2 = ex.Bin("^", xi, ex.Num(2.0))
     comps = [[ex.Num(0.0)] * (m + 1) for _ in range(m + 1)]
@@ -212,8 +215,8 @@ _FAMILIES = {"euclidean": euclidean, "sphere": sphere, "hyperbolic": hyperbolic,
 
 
 def builtin(name: str) -> SolitonSpec:
-    """Resolve a CLI-style model name such as ``sphere:4`` or
-    ``warped:sinh:sphere:3``."""
+    """Resolve a CLI-style model name, ``family:dimension`` such as ``sphere:4``
+    or ``warped:xi:model`` such as ``warped:sinh:sphere:3``."""
     parts = name.split(":")
     kind = parts[0]
     nest = next(i for i, head in enumerate(parts[::2] + [""]) if head != "warped")
@@ -221,19 +224,20 @@ def builtin(name: str) -> SolitonSpec:
         raise GeometryError(f"{nest} nested warped products need a chart of more than "
                             f"{MAX_DIM} dimensions")
     if kind == "warped":
-        fiber = builtin(":".join(parts[2:]))  # reports its own malformed part, once
-    try:
-        if kind in _FAMILIES:
-            if len(parts) > 2:
-                raise ValueError(f"unexpected {':'.join(parts[2:])!r} after the dimension")
-            return _FAMILIES[kind](int(parts[1]))
-        if kind == "warped":
-            xi = _XI_NAMES.get(parts[1], parts[1])
-            interval = (0.5, 1.5) if "sinh" in xi else (-1.0, 1.0)
-            return warped(xi, fiber, interval)
-    except (IndexError, ValueError) as err:
-        raise GeometryError(f"malformed model name {name!r}: {err}") from err
-    raise GeometryError(f"unknown model {name!r}")
+        if len(parts) < 4:
+            raise GeometryError(f"malformed model name {name!r}: expected warped:<xi>:<model>")
+        xi = _XI_NAMES.get(parts[1], parts[1])
+        try:
+            tree = ex.parse(xi)
+        except ex.ParseError as err:
+            raise GeometryError(f"malformed model name {name!r}: warping factor: {err}") from None
+        interval = (0.5, 1.5) if "sinh" in xi else (-1.0, 1.0)
+        return warped(tree, builtin(":".join(parts[2:])), interval)
+    if kind not in _FAMILIES:
+        raise GeometryError(f"unknown model {name!r}")
+    if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
+        raise GeometryError(f"malformed model name {name!r}: expected {kind}:<integer>")
+    return _FAMILIES[kind](int(parts[1]))
 
 
 # -- golden-value runner ---------------------------------------------------

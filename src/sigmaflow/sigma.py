@@ -116,10 +116,10 @@ def log_quotient(sig, k: int, l: int):
     ConeConditionError unless sigma_k * sigma_l > 0, with the sigmas and the
     index of the first violating probe of a batch."""
     vk, vl, ok = cone_values(sig, k, l)
-    if not ok.all():
-        i = int(np.argmin(ok)) if ok.ndim else None
-        raise ConeConditionError(k, l, *(float(np.broadcast_to(v, ok.shape).flat[i or 0])
-                                         for v in (vk, vl)), probe=i)
+    i = taylor.first_failure(ok)
+    if i is not None:
+        raise ConeConditionError(k, l, *(float(np.broadcast_to(v, ok.shape).flat[i])
+                                         for v in (vk, vl)), probe=i if ok.ndim else None)
     if type(sig[k]) is taylor.TaylorScalar:
         return taylor.log_abs(sig[k]) - taylor.log_abs(sig[l])
     logq = np.log(np.abs(vk)) - np.log(np.abs(vl))

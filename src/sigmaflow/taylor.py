@@ -17,8 +17,9 @@ The coefficient axis is last: ``c`` has shape (C,) for one expansion point
 and (P, C) for a batch of P probe points, which every operation carries
 through at once (the vector forward mode).  Constants keep shape (C,) and
 broadcast against batches.  ``value`` and ``derivative`` return a float
-for one point and a (P,) array for a batch, and the domain checks of the
-elementary functions test every probe, naming the first that fails.
+for one point and a (P,) array for a batch.  ``first_failure`` is the one
+rule for where a batch first fails; by it ``_domain`` raises ``<rule> <value>``
+for the functions here and ``expr``'s rules, with `` (probe i)`` in a batch.
 
 Differentiating a scalar (``TaylorScalar.deriv``) shifts coefficients down
 one order; the top-order coefficients of the result are unknown (taken as
@@ -95,7 +96,7 @@ class TaylorDomainError(ValueError):
     is the index of the first failing probe of a batch, else None."""
 
     def __init__(self, message: str, probe: int | None = None):
-        super().__init__(message)
+        super().__init__(message if probe is None else f"{message} (probe {probe})")
         self.probe = probe
 
 
@@ -105,17 +106,20 @@ class TaylorTrustError(RuntimeError):
     chose too low an order), never of its input."""
 
 
-def _domain(ok: np.ndarray, message: str, v: np.ndarray) -> None:
-    """Raise TaylorDomainError unless ``ok`` holds at every probe; ``ok`` and
-    ``v`` are value columns (``_val``), and ``{v}`` in ``message`` is the
-    value at the first probe that fails."""
-    if np.all(ok):
-        return
-    i = int(np.argmin(ok.ravel()))
-    text = message.format(v=f"{np.broadcast_to(v, ok.shape).ravel()[i]:.6g}")
-    if ok.ndim < 2:
-        raise TaylorDomainError(text)
-    raise TaylorDomainError(f"{text} (probe {i})", probe=i)
+def first_failure(ok) -> int | None:
+    """The index of the first false entry of ``ok`` in flat (probe) order, or None."""
+    ok = np.asarray(ok)
+    return None if ok.all() else int(np.argmin(ok.ravel()))
+
+
+def _domain(ok, message: str, v) -> None:
+    """Raise TaylorDomainError unless ``ok`` holds at every probe: ``ok`` and ``v``
+    are value parts, () at one point, else a batch (or a float grid), and
+    ``{v}`` in ``message`` is the value at the first probe that fails."""
+    i = first_failure(ok)
+    if i is not None:
+        bad = np.broadcast_to(v, np.shape(ok)).flat[i]
+        raise TaylorDomainError(message.format(v=f"{bad:.6g}"), i if np.ndim(ok) else None)
 
 
 def _val(s: "TaylorScalar") -> np.ndarray:
@@ -513,7 +517,7 @@ def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
 
 def recip(s: TaylorScalar) -> TaylorScalar:
     v = _val(s)
-    _domain(v != 0.0, "division by a jet with value part {v}", v)
+    _domain(v[..., 0] != 0.0, "division by a jet with value part {v}", v[..., 0])
     d = [(-1.0) ** m * math.factorial(m) / v ** (m + 1) for m in range(s.ctx.order + 1)]
     return _compose(s, d)
 
@@ -524,7 +528,7 @@ def exp(s: TaylorScalar) -> TaylorScalar:
 
 
 def log(s: TaylorScalar) -> TaylorScalar:
-    v = _val(s)
+    v = _val(s)[..., 0]
     _domain(v > 0.0, "log of non-positive value {v}", v)
     return log_abs(s)
 
@@ -532,7 +536,7 @@ def log(s: TaylorScalar) -> TaylorScalar:
 def log_abs(s: TaylorScalar) -> TaylorScalar:
     """log|s|; valid for either sign of the value part (used for sigma quotients)."""
     v = _val(s)
-    _domain(v != 0.0, "log of zero", v)
+    _domain(v[..., 0] != 0.0, "log of zero", v[..., 0])
     d = [np.log(np.abs(v))]
     d += [(-1.0) ** (m - 1) * math.factorial(m - 1) / v ** m for m in range(1, s.ctx.order + 1)]
     return _compose(s, d)
@@ -572,7 +576,7 @@ def tanh(s: TaylorScalar) -> TaylorScalar:
 
 def abs_(s: TaylorScalar) -> TaylorScalar:
     v = _val(s)
-    _domain(v != 0.0, "abs has no derivative at {v}", v)
+    _domain(v[..., 0] != 0.0, "abs has no derivative at {v}", v[..., 0])
     return TaylorScalar(s.ctx, np.where(v > 0.0, 1.0, -1.0) * s.c, s.trusted)
 
 
@@ -583,7 +587,7 @@ def power(s: TaylorScalar, p) -> TaylorScalar:
     is exp(p log s), which has no derivative at a non-positive base."""
     if isinstance(p, TaylorScalar):
         if np.any(p.c[..., 1:] != 0.0) or np.any(p.c[..., 0] != p.c.flat[0]):
-            v = _val(s)
+            v = _val(s)[..., 0]
             _domain(v > 0.0, "a variable exponent has no derivative at base {v}", v)
             return exp(p * log(s))
         p = p.c.flat[0]
@@ -605,7 +609,7 @@ def power(s: TaylorScalar, p) -> TaylorScalar:
                 acc = acc * acc
         return out
     v = _val(s)
-    _domain(v > 0.0, "fractional power of non-positive value {v}", v)
+    _domain(v[..., 0] > 0.0, "fractional power of non-positive value {v}", v[..., 0])
     d = []
     coeff = 1.0
     for m in range(s.ctx.order + 1):

@@ -142,7 +142,7 @@ def test_curvature_of_a_2d_spec(tmp_path):
 def test_builtin_name_with_parentheses_exits_2():
     code, out, err = run_cli("curvature", "--builtin", "sphere(4)")
     assert (code, out) == (2, "")
-    assert err.startswith("input error: unknown builtin 'sphere(4)'")
+    assert err == "input error: unknown model 'sphere(4)'\n"
 
 
 def test_asymmetric_spec_rejected(tmp_path):
@@ -398,21 +398,58 @@ def test_warped_nesting_beyond_max_dim_exits_2():
 
 
 def test_a_fibers_error_is_reported_once():
-    name = "warped:sinh:warped:sinh:warped:sinh:sphere:2"
+    name = "warped:sinh:warped:sinh:warped:sinh:example4:3"
     code, out, err = run_cli("curvature", "--builtin", name)
     assert (code, out) == (2, "")
-    assert err == (f"input error: unknown builtin {name!r}: malformed model name "
-                   "'sphere:2': sigma-bearing models need n >= 3\n")
+    assert err == "input error: the log-cosh model needs n >= 4\n"
     code, out, err = run_cli("curvature", "--builtin", "warped:sinh:nosuch:3")
-    assert (code, out, err) == (2, "", "input error: unknown builtin "
-                                "'warped:sinh:nosuch:3': unknown model 'nosuch:3'\n")
+    assert (code, out, err) == (2, "", "input error: unknown model 'nosuch:3'\n")
+
+
+# the name grammar's own refusals read "malformed" or "unknown model"; a
+# constructor's refusal arrives as the constructor states it
+REFUSED_NAMES = {
+    "sphere": "malformed model name 'sphere': expected sphere:<integer>",
+    "sphere:x": "malformed model name 'sphere:x': expected sphere:<integer>",
+    "sphere:3:4": "malformed model name 'sphere:3:4': expected sphere:<integer>",
+    "warped:sinh": "malformed model name 'warped:sinh': expected warped:<xi>:<model>",
+    "warped:x1^:sphere:3": "malformed model name 'warped:x1^:sphere:3': "
+                           "warping factor: unexpected end of input (at offset 3)",
+    "torus:3": "unknown model 'torus:3'",
+    "sphere(4)": "unknown model 'sphere(4)'",
+    "euclidean:1": "chart dimension must be an integer in 2..8, got 1",
+    "euclidean:9": "chart dimension must be an integer in 2..8, got 9",
+    "example4:3": "the log-cosh model needs n >= 4",
+    "warped:-1:euclidean:2": "warping factor must be positive on the interval; "
+                             "fails at t = -1.0",
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_NAMES)
+def test_a_builtin_refusal_is_one_line_from_its_owner(name):
+    for command in ("curvature", "verify"):
+        assert run_cli(command, "--builtin", name) == (
+            2, "", f"input error: {REFUSED_NAMES[name]}\n")
 
 
 def test_parts_after_the_dimension_exit_2():
-    for name, rest in (("sphere:3:4", "'4'"), ("warped:sinh:hyperbolic:3:x:y", "'x:y'")):
+    for name, part in (("sphere:3:4", "sphere:3:4"),
+                       ("warped:sinh:hyperbolic:3:x:y", "hyperbolic:3:x:y")):
         code, out, err = run_cli("curvature", "--builtin", name)
         assert (code, out, err.count("\n")) == (2, "", 1), name
-        assert err.endswith(f"unexpected {rest} after the dimension\n"), err
+        kind = part.split(":")[0]
+        assert err.endswith(f"malformed model name {part!r}: expected {kind}:<integer>\n"), err
+
+
+def test_a_two_dimensional_space_form_is_a_fiber():
+    # dt^2 + sinh(t)^2 g_S2 is hyperbolic 3-space
+    code, out, err = run_cli("curvature", "--builtin", "warped:sinh:sphere:2",
+                             "--point", "1,0.1,0.1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["scalar_curvature"] == pytest.approx(-6.0, rel=1e-12)
+    # with no sigma, lambda or f, the 2-dimensional model has nothing to verify
+    assert run_cli("verify", "--builtin", "sphere:2") == (
+        3, "", "geometry error: model sphere:2 carries no soliton data\n")
 
 
 def test_a_program_fault_has_its_own_exit_code(monkeypatch):
@@ -643,7 +680,7 @@ def test_a_failing_metric_component_names_its_point_as_a_list(tmp_path):
                      metric=[["1", "0", "0"], ["0", "1 + log(1 - x1)", "0"], ["0", "0", "1"]])
     assert run_cli("curvature", "--file", path, "--point", "1.5,0,0") == (
         3, "", "geometry error: metric component (1,1) at [1.5, 0.0, 0.0]: "
-               "log of non-positive value -0.5\n")
+               "log(1 - x1): log of non-positive value -0.5\n")
 
 
 # Every exception class of the package with its exit code, given by main

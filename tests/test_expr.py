@@ -174,6 +174,27 @@ def test_only_the_float_ring_is_defined_without_a_derivative():
         assert jets.value[p] == pytest.approx(ex.eval_float(e, x), rel=1e-15)
 
 
+def test_a_domain_error_reads_the_same_in_either_ring():
+    # <subexpression>: <rule> <value>, with the first failing probe of a batch
+    # named in the message and in .probe; abs at 0 fails the jet ring alone
+    batch = np.array([[0.5, 1.0], [-1.0, 2.0], [0.0, 0.0]])
+    cases = [("log(x1)", "log(x1): log of non-positive value -1", 1, True),
+             ("x1/x2", "x1 / x2: division by 0", 2, True),
+             ("abs(x1)", "abs(x1): abs has no derivative at 0", 2, False)]
+    for src, message, probe, shared in cases:
+        e = ex.parse(src)
+        rings = [lambda x: ex.eval_taylor(e, x)]
+        if shared:
+            rings.append(lambda x: ex.eval_float(e, x.T))
+        for evaluate in rings:
+            with pytest.raises(ex.EvalError) as err:
+                evaluate(batch)
+            assert (str(err.value), err.value.probe) == (f"{message} (probe {probe})", probe)
+            with pytest.raises(ex.EvalError) as err:
+                evaluate(batch[probe])
+            assert (str(err.value), err.value.probe) == (message, None)
+
+
 def test_constant_expression_is_broadcast_over_a_batch():
     t = ex.eval_taylor(ex.parse("2 + pi"), np.zeros((4, 3)), order=2)
     assert t.c.shape == (4, t.ctx.ncoef)

@@ -85,7 +85,8 @@ def test_product_line_sphere_sigma1():
 
 def test_golden_tables_all_pass():
     for model in (models.sphere(4), models.hyperbolic(4), models.example4(4),
-                  models.product_line_sphere(3), models.euclidean(3)):
+                  models.product_line_sphere(3), models.euclidean(3), models.sphere(2),
+                  models.hyperbolic(2)):
         rows = models.check_golden(model, probe(model, count=5))
         assert rows, model.name
         for quantity, worst, tol, ok in rows:
@@ -174,6 +175,8 @@ def test_builtin_names():
     assert models.builtin("euclidean:3").chart.dim == 3
     assert models.builtin("example4:4").chart.dim == 4
     assert models.builtin("product_line_sphere:3").chart.dim == 4
+    assert models.builtin("sphere:2").chart.dim == 2
+    assert models.builtin("hyperbolic:2").chart.dim == 2
     with pytest.raises((KeyError, ValueError, GeometryError)):
         models.builtin("klein_bottle:7")
     with pytest.raises(GeometryError, match="the log-cosh model needs n >= 4"):
