@@ -23,10 +23,17 @@ is not a field; W = Rm - A ⊠ g is one ``kulkarni_nomizu`` call away.
 ``curvature_taylor`` takes one point of shape (n,) or a batch of P probe
 points of shape (P, n) and runs one pipeline for the whole batch: every
 jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
-arrays of shape (P, ...).  The chart checks the points (shape and domain
-box, ``MetricChart.check_points``) and the metric (a positive smallest
-eigenvalue), naming the first probe that fails.  Jets combined with a
-pipeline are evaluated by ``TaylorCurvature.jet`` at its ``points`` and order.
+arrays of shape (P, ...).  ``MetricChart`` owns evaluating and checking
+its metric at a point set, in both rings, each rule stated once and every
+point set laid out with the coordinate axis last: it checks the points
+(shape and domain box, ``check_points``), evaluates each component
+(``component``; ``taylor_metric`` takes one jet walk per entry on and
+above the diagonal) and checks the metric (``check_definite``, a positive
+smallest eigenvalue), on its check grid and at the pipeline's points.  A
+failed check raises GeometryError naming the first point that fails, and
+a component that cannot be evaluated one naming the component and that
+point.  Jets combined with a pipeline are evaluated by
+``TaylorCurvature.jet`` at its ``points`` and order.
 ``curvature_at``, the conformal laws, ``divergence_newton`` and
 ``models.warped_ricci_formula`` take one point.  Memory grows with P, so
 callers split large probe sets with ``probe_batches``, which keeps the
@@ -74,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 
 import numpy as np
@@ -102,10 +109,19 @@ def check_int(value, what: str, lo: int, hi: float = math.inf):
 class MetricChart:
     """A dimension, an n x n symmetric array of component expressions and a
     validity box of finite intervals lo < hi, all checked here: the shape at
-    once, symmetry and positive definiteness on a coarse grid."""
+    once, symmetry and positive definiteness on a coarse grid.
+
+    The chart states each rule on its metric once, for floats and jets
+    alike, and every method takes points with the coordinate axis last, one
+    point (n,) or a batch (..., n): ``check_dimension`` (an integer in
+    2..MAX_DIM, which the model builders run before they build anything of
+    size n), ``check_points`` (the shape and the domain box), ``component``
+    (a component that cannot be evaluated raises GeometryError naming the
+    component and the point) and ``check_definite`` (a positive smallest
+    eigenvalue), run on the check grid and at a pipeline's points."""
 
     def __init__(self, dim, comps, domain):
-        check_int(dim, "chart dimension", 2, taylor.MAX_DIM)
+        self.check_dimension(dim)
         if len(comps) != dim or any(len(row) != dim for row in comps):
             raise GeometryError(f"metric must be a {dim}x{dim} array")
         self.dim = dim
@@ -122,29 +138,27 @@ class MetricChart:
             raise GeometryError(f"domain must be {dim} finite intervals lo < hi: {self.domain}")
         self._validate()
 
-    def _validate(self):
-        # a 3-point grid per axis, 5% clear of both ends
-        axes = []
-        for lo, hi in self.domain:
-            pad = 0.05 * (hi - lo)
-            axes.append(np.linspace(lo + pad, hi - pad, 3))
-        x = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(self.dim, -1)
-        g = self.metric_values(x)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.comps[i][j] != self.comps[j][i]:
-                    # accept numerically symmetric input
-                    a, b = g[:, i, j], ex.eval_float(self.comps[j][i], x)
-                    self._require(np.abs(a - b) <= 1e-12 * (1 + np.abs(a)), x,
-                                  f"metric[{i}][{j}] and metric[{j}][{i}] disagree")
-        self._require(np.linalg.eigvalsh(g)[:, 0] > 0, x,
-                      "metric not positive definite")
+    # the dimension rule: GeometryError unless n is an integer in 2..MAX_DIM
+    check_dimension = partial(check_int, what="chart dimension", lo=2, hi=taylor.MAX_DIM)
 
-    @staticmethod
-    def _require(ok, x, what):
+    def _validate(self):
+        # a 3-point grid per axis, 5% clear of both ends, as (3^n, n) points
+        axes = [np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 3)
+                for lo, hi in self.domain]
+        x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        g = self.metric_values(x)
+        for i, j in zip(*_triu(self.dim, 1)):
+            if self.comps[i][j] != self.comps[j][i]:
+                # accept numerically symmetric input
+                a, b = g[:, i, j], self.component(j, i, x)
+                self._require(np.abs(a - b) <= 1e-12 * (1 + np.abs(a)), x,
+                              f"metric[{i}][{j}] and metric[{j}][{i}] disagree")
+        self.check_definite(g, x)
+
+    def _require(self, ok, x, what):
         i = taylor.first_failure(ok)
         if i is not None:
-            raise GeometryError(f"{what} at {x[:, i].tolist()}")
+            raise GeometryError(f"{what} at {np.reshape(x, (-1, self.dim))[i].tolist()}")
 
     def check_points(self, x) -> np.ndarray:
         """x as floats, one point (n,) or a batch (P, n) inside the domain box up to
@@ -153,23 +167,40 @@ class MetricChart:
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise GeometryError(f"points of shape {x.shape} for a chart of dimension {self.dim}")
         lo, hi = np.array(self.domain).T
-        pts = x.reshape(-1, self.dim)
-        self._require(np.all((lo - 1e-12 <= pts) & (pts <= hi + 1e-12), axis=1), pts.T,
+        self._require(np.all((lo - 1e-12 <= x) & (x <= hi + 1e-12), axis=-1), x,
                       "point outside chart domain")
         return x
 
+    def component(self, i: int, j: int, x: np.ndarray, order: int | None = None):
+        """Component (i, j) at the float array of points x: floats of shape
+        x.shape[:-1], or with ``order`` one jet of that order.  An EvalError
+        becomes a GeometryError that names the component and the point where
+        it failed: the one point, or the failing probe of a batch (an error
+        without a probe, such as an overflow, names no point of a batch)."""
+        try:
+            if order is None:
+                return ex.eval_float(self.comps[i][j], np.moveaxis(x, -1, 0))
+            return ex.eval_taylor(self.comps[i][j], x, order=order)
+        except ex.EvalError as err:
+            pts = np.reshape(x, (-1, self.dim)).tolist()
+            at = "" if err.probe is None and len(pts) > 1 else f" at {pts[err.probe or 0]}"
+            raise GeometryError(f"metric component ({i},{j}){at}: {err}") from err
+
+    def check_definite(self, g, x):
+        """Raise GeometryError at the first of the points x whose metric values
+        g, of shape x.shape[:-1] + (n, n), are not positive definite."""
+        self._require(np.linalg.eigvalsh(g)[..., 0] > 0, x, "metric not positive definite")
+
     def metric_values(self, x) -> np.ndarray:
-        """g at the point x, shape (n, n); for stacked coordinates x of shape
-        (n, ...), one matrix per point, shape (..., n, n).  Each distinct
+        """g at the points x, shape x.shape[:-1] + (n, n).  Each distinct
         component is evaluated once."""
         x = np.asarray(x, dtype=float)
-        n = self.dim
         entries = {}  # component -> its (i, j) on and above the diagonal
-        for i, j in zip(*_triu(n)):
+        for i, j in zip(*_triu(self.dim)):
             entries.setdefault(self.comps[i][j], []).append((i, j))
-        g = np.empty(x.shape[1:] + (n, n))
-        for e, at in entries.items():
-            v = ex.eval_float(e, x)
+        g = np.empty(x.shape[:-1] + (self.dim,) * 2)
+        for at in entries.values():
+            v = self.component(*at[0], x)
             for i, j in at:
                 g[..., i, j] = g[..., j, i] = v
         return g
@@ -220,17 +251,12 @@ def _sym(upper: np.ndarray, n: int) -> np.ndarray:
 
 
 def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """The metric at the points x as an (n, n) array of jets of ``order``,
+    one jet walk per entry on and above the diagonal."""
     n = chart.dim
     g = _obj((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                s = ex.eval_taylor(chart.comps[i][j], x, order=order)
-            except ex.EvalError as err:
-                at = (x if x.ndim == 1 else x[err.probe or 0]).tolist()
-                raise GeometryError(f"metric component ({i},{j}) at {at}: {err}") from err
-            g[i, j] = g[j, i] = s
+    for i, j in zip(*_triu(n)):
+        g[i, j] = g[j, i] = chart.component(i, j, x, order)
     return g
 
 
@@ -365,8 +391,7 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     x = chart.check_points(x)
     n = chart.dim
     g = taylor_metric(chart, x, order)
-    chart._require(np.linalg.eigvalsh(values(g))[..., 0] > 0, x.reshape(-1, n).T,
-                   "metric not positive definite")  # the chart's test, per probe
+    chart.check_definite(values(g), x)
     ginv = taylor_inverse(g)
     i, j = _triu(n)
 

@@ -22,7 +22,8 @@ apply the same domain rules to the value part, and a domain violation or a
 non-finite result raises ``EvalError`` in either.  The rules raise through
 ``taylor._domain``, as the jet functions do: a domain error reads
 ``<subexpression>: <rule> <value>``, and in a batch ends `` (probe i)``,
-with i, the first failing probe, as ``EvalError.probe``.
+with i, the first failing probe, as ``EvalError.probe``.  The owner of a
+batch's points names the failing one's coordinates (``locate``).
 
 Only the float ring is defined in three cases, where the jet ring raises
 ``EvalError`` saying which it met: ``abs`` at 0 and a variable exponent at
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -67,6 +69,19 @@ class EvalError(ExprError):
     def __init__(self, message: str, probe: int | None = None):
         super().__init__(message)
         self.probe = probe
+
+
+@contextmanager
+def locate(what: str, where: Callable[[int], str]):
+    """Raise an EvalError of the body at a probe again as ``<what> at
+    <where(probe)>: <error>``, where the owner of the points maps the index
+    to its coordinates; one without a probe passes unchanged."""
+    try:
+        yield
+    except EvalError as err:
+        if err.probe is None:
+            raise
+        raise EvalError(f"{what} at {where(err.probe)}: {err}", err.probe) from err
 
 
 # -- AST -------------------------------------------------------------------
@@ -373,7 +388,7 @@ def _evaluate(e: Expr, env, ring: _Ring):
                 taylor._domain(bv != 0, "division by {v}", bv)
             elif e.op == "^":
                 av, bv = ring.value(a), ring.value(b)
-                taylor._domain((av > 0) | ((bv % 1 == 0) & ((bv >= 0) | (av != 0))),
+                taylor._domain((av > 0) | (taylor.integral(bv) & ((bv >= 0) | (av != 0))),
                                "power undefined at base {v}", av)
             return _ARITH.get(e.op, ring.power)(a, b)
         if isinstance(e, Call):

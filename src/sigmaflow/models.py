@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .curvature import GeometryError, MetricChart, _one_point, check_int, curvature_taylor, values
+from .curvature import GeometryError, MetricChart, _one_point, curvature_taylor, values
 from .sigma import cone_values, log_quotient, repeated_sigma, sigmas, two_eigenvalue_sigma
 from .soliton import SolitonSpec
 from .taylor import MAX_DIM, first_failure
@@ -40,6 +40,7 @@ def _diag_chart(n: int, diagonal: list, domain) -> MetricChart:
 
 
 def euclidean(n: int) -> SolitonSpec:
+    MetricChart.check_dimension(n)
     chart = _diag_chart(n, ["1"] * n, [(-2.0, 2.0)] * n)
     return SolitonSpec(chart, name=f"euclidean:{n}",
                        golden=[("scalar", 0.0, 1e-12, "flat space"),
@@ -90,7 +91,7 @@ def _space_form(n: int, sign: int, k: int, l: int, height, box) -> SolitonSpec:
     chart g = 4 (1 + sign |x|^2)^-2 delta on the box [-box(), box()]^n, with
     f = height(n), lambda = sign f + log(sigma_k/sigma_l) and the golden
     values R = sign n(n-1), A = sign g/2, sigma_j = C(n, j) (sign/2)^j."""
-    check_int(n, "chart dimension", 2, MAX_DIM)  # the chart's rule, before box() reads n
+    MetricChart.check_dimension(n)
     name, op, neg, note = _SPACE_FORMS[sign]
     half = box()
     chart = _diag_chart(n, [f"4/(1{op}{_sq_norm(n)})^2"] * n, [(-half, half)] * n)
@@ -112,6 +113,7 @@ def product_line_sphere(n: int) -> SolitonSpec:
     The paper's displayed metric dt^2 + g_{R^n} is read as a typo for
     dt^2 + g_{S^n}; with flat g_{R^n} every sigma_j would vanish and no
     quotient could be formed."""
+    MetricChart.check_dimension(n + 1)
     chart = _diag_chart(n + 1, ["1"] + [f"4/(1+{_sq_norm(n, start=2)})^2"] * n,
                         [(-1.0, 1.0)] + [(-0.9, 0.9)] * n)
     # A has 1/2 (n times), -1/2 (once): sigma_1 is (n-1)/2, not the n/2 the source
@@ -141,6 +143,7 @@ def example4(n: int) -> SolitonSpec:
     fallback below picks (3, 2), lam = log(sigma_3/sigma_2) = -log 6."""
     if n < 4:
         raise GeometryError("the log-cosh model needs n >= 4")
+    MetricChart.check_dimension(n)
     k, l = 3, 1
     chart = _diag_chart(n, [f"cosh(x{i % n + 1})^2" if i % 2 == 0 else "1"
                             for i in range(1, n + 1)], [(-1.0, 1.0)] * n)
@@ -173,7 +176,8 @@ def warped(xi, fiber: SolitonSpec, interval=(0.5, 1.5)) -> SolitonSpec:
     xi = ex.as_expr(xi)
     lo, hi = interval
     t = np.linspace(lo, hi, 7)
-    i = first_failure(ex.eval_float(xi, [t]) > 0.0)
+    with ex.locate("warping factor", lambda i: f"t = {t[i]}"):
+        i = first_failure(ex.eval_float(xi, [t]) > 0.0)
     if i is not None:
         raise GeometryError(f"warping factor must be positive on the interval; "
                             f"fails at t = {t[i]}")

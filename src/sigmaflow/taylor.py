@@ -122,6 +122,12 @@ def _domain(ok, message: str, v) -> None:
         raise TaylorDomainError(message.format(v=f"{bad:.6g}"), i if np.ndim(ok) else None)
 
 
+def integral(p):
+    """Whether the exponent p, a float or an array of them, is an integer: the
+    one test by which ``^`` takes any base in either ring (``power``, ``expr``)."""
+    return p % 1 == 0
+
+
 def _val(s: "TaylorScalar") -> np.ndarray:
     """The value part as a column, shape (1,) for one point and (P, 1) for
     a batch: both then run the same numpy loops and agree bitwise."""
@@ -581,10 +587,11 @@ def abs_(s: TaylorScalar) -> TaylorScalar:
 
 
 def power(s: TaylorScalar, p) -> TaylorScalar:
-    """s**p.  Integer p is evaluated by repeated multiplication (valid for
-    any value part); fractional p requires a positive value part.  A jet
-    exponent that varies (in its derivative part, or from probe to probe)
-    is exp(p log s), which has no derivative at a non-positive base."""
+    """s**p.  An integral p (``integral``), however large, is evaluated by
+    repeated squaring (valid for any value part); fractional p requires a
+    positive value part.  A jet exponent that varies (in its derivative
+    part, or from probe to probe) is exp(p log s), which has no derivative
+    at a non-positive base."""
     if isinstance(p, TaylorScalar):
         if np.any(p.c[..., 1:] != 0.0) or np.any(p.c[..., 0] != p.c.flat[0]):
             v = _val(s)[..., 0]
@@ -592,8 +599,8 @@ def power(s: TaylorScalar, p) -> TaylorScalar:
             return exp(p * log(s))
         p = p.c.flat[0]
     pf = float(p)
-    if pf == round(pf) and abs(pf) <= 64:
-        m = int(round(pf))
+    if integral(pf):
+        m = int(pf)
         if m < 0:
             base = recip(s)
             m = -m

@@ -683,6 +683,36 @@ def test_a_failing_metric_component_names_its_point_as_a_list(tmp_path):
                "log(1 - x1): log of non-positive value -0.5\n")
 
 
+def test_a_metric_undefined_on_its_check_grid_exits_2_naming_component_and_point(tmp_path):
+    # the chart is built when the spec is read, so the defect is the input's
+    path = spec_path(tmp_path, "A", domain=[[-1, 1]] * 3,
+                     metric=[["1 + log(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    assert run_cli("curvature", "--file", path) == (
+        2, "", f"input error: {path}: metric component (0,0) at [-0.9, -0.9, -0.9]: "
+               "log(x1): log of non-positive value -0.9 (probe 0)\n")
+
+
+# a grid failure outside the chart names the coordinates of the first failing
+# sample as its owner lays them out: the flow's theta, the torus sample's x
+# (not the index into the failing subexpression's sparse shape) and the
+# warping factor's t
+GRID_FAILURES = [
+    (("flow", "--n", "4", "--k", "2", "--l", "1", "--grid", "32", "--t-end", "0.01",
+      "--u0", "log(2 - x1)"),
+     "u0 at theta = 2.0617: log(2 - x1): log of non-positive value -0.0616702 (probe 21)"),
+    (("hodge", "--n", "2", "--grid", "8", "--field=log(1 - x1); 1"),
+     "field component 0 at x = [1.5707963267948966, 0.0]: log(1 - x1): "
+     "log of non-positive value -0.570796 (probe 16)"),
+    (("curvature", "--builtin", "warped:log(x1):sphere:3"),
+     "warping factor at t = -1.0: log(x1): log of non-positive value -1 (probe 0)"),
+]
+
+
+@pytest.mark.parametrize("argv, line", GRID_FAILURES)
+def test_a_grid_failure_names_its_owners_coordinates(argv, line):
+    assert run_cli(*argv) == (2, "", f"input error: {line}\n")
+
+
 # Every exception class of the package with its exit code, given by main
 # alone.  A class that main does not map exits 5; no raw ParseError reaches
 # it, since _expression and models.builtin wrap every one.

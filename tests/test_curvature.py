@@ -9,7 +9,7 @@ from oracles import (loop_conformal_base, loop_conformal_ricci, loop_conformal_s
 from sigmaflow import expr as ex
 from sigmaflow import models, sigma, taylor
 from sigmaflow.curvature import (GeometryError, MetricChart, _d, curvature_at,
-                                 curvature_taylor, kulkarni_nomizu, values)
+                                 curvature_taylor, kulkarni_nomizu, taylor_metric, values)
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import log_quotient, sigma_taylor
 from sigmaflow.taylor import TaylorTrustError
@@ -290,6 +290,37 @@ def test_non_positive_definite_metric_rejected():
     # indefinite only at the probe-grid corner (0.9, 0.9); the error names it
     with pytest.raises(GeometryError, match=r"\[0\.9, 0\.9\]"):
         chart_from_strings([["1", "0"], ["0", "1.5 - x1 - x2"]])
+
+
+def test_a_component_undefined_on_the_check_grid_names_itself_and_its_point():
+    # a GeometryError that names the component and the point; the grid is
+    # 3 points per axis, -0.9, 0 and 0.9 on [-1, 1]
+    with pytest.raises(GeometryError, match=re.escape(
+            "metric component (0,0) at [-0.9, -0.9]: log(x1): "
+            "log of non-positive value -0.9 (probe 0)")) as err:
+        chart_from_strings([["1 + log(x1)", "0"], ["0", "1"]])
+    assert isinstance(err.value.__cause__, ex.EvalError)
+    # a lower component is evaluated for the symmetry check, and named too
+    with pytest.raises(GeometryError, match=re.escape(
+            "metric component (1,0) at [0.9, -0.9]: sqrt(0.5 - x1): "
+            "sqrt of non-positive value -0.4 (probe 6)")):
+        chart_from_strings([["2", "0"], ["0 * sqrt(0.5 - x1)", "2"]])
+    # an overflow has no probe: no point of the grid is named, not a wrong one
+    with pytest.raises(GeometryError, match=re.escape(
+            "metric component (0,0): exp(1000 * x1): overflow encountered in exp")):
+        chart_from_strings([["1 + exp(1000 * x1)", "0"], ["0", "1"]])
+
+
+def test_taylor_metric_names_the_first_failing_probe():
+    # log(1 - x1) is defined on the check grid x1 = -28.4, -14, 0.4, not at x1 >= 1
+    chart = chart_from_strings([["1", "0"], ["0", "1 + log(1 - x1)"]],
+                               domain=[(-30.0, 2.0), (-2.0, 2.0)])
+    pts = np.array([[0.1, 0.2], [1.5, 1.0], [1.8, 1.0]])
+    with pytest.raises(GeometryError, match=re.escape(
+            "metric component (1,1) at [1.5, 1.0]: log(1 - x1): "
+            "log of non-positive value -0.5 (probe 1)")) as err:
+        taylor_metric(chart, pts, order=2)
+    assert err.value.__cause__.probe == 1
 
 
 def test_asymmetric_metric_rejected():

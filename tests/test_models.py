@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,23 @@ def test_builtin_names_split_on_colons_only():
         [[ex.unparse(c) for c in row] for row in short.chart.comps]
     with pytest.raises(GeometryError, match="unknown model 'sphere\\(4\\)'"):
         models.builtin("sphere(4)")
+
+
+@pytest.mark.parametrize("name, n", [("euclidean:3000", 3000), ("example4:3000", 3000),
+                                     ("product_line_sphere:3000", 3001), ("sphere:3000", 3000),
+                                     ("hyperbolic:3000", 3000), ("warped:one:euclidean:3000", 3000)])
+def test_an_oversized_builtin_is_refused_before_anything_is_built(name, n):
+    # the chart's dimension rule runs first; an n x n list of components at
+    # n = 3000 would take tens of MB before the chart refused it
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryError,
+                           match=f"^chart dimension must be an integer in 2..8, got {n}$"):
+            models.builtin(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_warping_factor_must_be_positive():

@@ -62,3 +62,23 @@ def test_a_jet_coefficient_out_of_range_is_named(src, x):
     assert math.isfinite(ex.eval_float(e, x))
     with pytest.raises(ex.EvalError, match="a jet coefficient left the double range"):
         ex.eval_taylor(e, x)
+
+
+# an integral exponent, however large, is an integer in both rings and takes
+# any base; the hypothesis trees above draw exponents from [-4, 4] only
+@pytest.mark.parametrize("src, x", [("x1^65", -1.01), ("x1^100", -1.1), ("x1^-65", -1.01),
+                                     ("x1^1e300", 0.5)])
+def test_an_integral_exponent_takes_any_base_in_both_rings(src, x):
+    e = ex.parse(src)
+    want = ex.eval_float(e, [x])
+    for order in (2, 3, 4):
+        assert math.isclose(ex.eval_taylor(e, [x], order=order).value, want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("src, x", [("x1^1e300", -1.01), ("x1^-1e300", 0.5)])
+def test_an_integral_exponent_out_of_range_fails_in_both_rings(src, x):
+    e = ex.parse(src)
+    with pytest.raises(ex.EvalError, match="overflow"):
+        ex.eval_float(e, [x])
+    with pytest.raises(ex.EvalError, match="a jet coefficient left the double range"):
+        ex.eval_taylor(e, [x])
