@@ -88,7 +88,7 @@ import numpy as np
 
 from . import expr as ex
 from . import taylor
-from .taylor import TaylorScalar
+from .taylor import MAX_DIM, TaylorScalar
 from .tensor import TensorValue
 
 
@@ -114,8 +114,8 @@ class MetricChart:
     The chart states each rule on its metric once, for floats and jets
     alike, and every method takes points with the coordinate axis last, one
     point (n,) or a batch (..., n): ``check_dimension`` (an integer in
-    2..MAX_DIM, which the model builders run before they build anything of
-    size n), ``check_points`` (the shape and the domain box), ``component``
+    2..MAX_DIM, which the model builders run before they build anything
+    n x n), ``check_points`` (the shape and the domain box), ``component``
     (a component that cannot be evaluated raises GeometryError naming the
     component and the point) and ``check_definite`` (a positive smallest
     eigenvalue), run on the check grid and at a pipeline's points."""
@@ -138,13 +138,16 @@ class MetricChart:
             raise GeometryError(f"domain must be {dim} finite intervals lo < hi: {self.domain}")
         self._validate()
 
-    # the dimension rule: GeometryError unless n is an integer in 2..MAX_DIM
-    check_dimension = partial(check_int, what="chart dimension", lo=2, hi=taylor.MAX_DIM)
+    # the dimension rule: GeometryError unless n is an integer in 2..MAX_DIM; a
+    # static method, so that the chart and its class read the same callable
+    check_dimension = staticmethod(partial(check_int, what="chart dimension", lo=2, hi=MAX_DIM))
 
     def _validate(self):
         # a 3-point grid per axis, 5% clear of both ends, as (3^n, n) points
-        axes = [np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 3)
-                for lo, hi in self.domain]
+        axes = []
+        for lo, hi in self.domain:
+            pad = 0.05 * (hi - lo)
+            axes.append(np.linspace(lo + pad, hi - pad, 3))
         x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         g = self.metric_values(x)
         for i, j in zip(*_triu(self.dim, 1)):

@@ -31,7 +31,9 @@ def _sq_norm(n: int, start: int = 1) -> str:
 
 
 def _diag_chart(n: int, diagonal: list, domain) -> MetricChart:
-    """The chart of the n x n diagonal metric with these entries over ``domain``."""
+    """The chart of the n x n diagonal metric with these entries over ``domain``,
+    refused by the chart's dimension rule before the n x n list is built."""
+    MetricChart.check_dimension(n)
     return MetricChart(n, [[diagonal[i] if i == j else "0" for j in range(n)]
                            for i in range(n)], domain)
 
@@ -40,7 +42,6 @@ def _diag_chart(n: int, diagonal: list, domain) -> MetricChart:
 
 
 def euclidean(n: int) -> SolitonSpec:
-    MetricChart.check_dimension(n)
     chart = _diag_chart(n, ["1"] * n, [(-2.0, 2.0)] * n)
     return SolitonSpec(chart, name=f"euclidean:{n}",
                        golden=[("scalar", 0.0, 1e-12, "flat space"),
@@ -113,7 +114,6 @@ def product_line_sphere(n: int) -> SolitonSpec:
     The paper's displayed metric dt^2 + g_{R^n} is read as a typo for
     dt^2 + g_{S^n}; with flat g_{R^n} every sigma_j would vanish and no
     quotient could be formed."""
-    MetricChart.check_dimension(n + 1)
     chart = _diag_chart(n + 1, ["1"] + [f"4/(1+{_sq_norm(n, start=2)})^2"] * n,
                         [(-1.0, 1.0)] + [(-0.9, 0.9)] * n)
     # A has 1/2 (n times), -1/2 (once): sigma_1 is (n-1)/2, not the n/2 the source
@@ -143,7 +143,6 @@ def example4(n: int) -> SolitonSpec:
     fallback below picks (3, 2), lam = log(sigma_3/sigma_2) = -log 6."""
     if n < 4:
         raise GeometryError("the log-cosh model needs n >= 4")
-    MetricChart.check_dimension(n)
     k, l = 3, 1
     chart = _diag_chart(n, [f"cosh(x{i % n + 1})^2" if i % 2 == 0 else "1"
                             for i in range(1, n + 1)], [(-1.0, 1.0)] * n)

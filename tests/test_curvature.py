@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -338,6 +339,18 @@ def test_chart_checks_dimension_shape_and_domain():
         MetricChart(2.0, rows, [(-1.0, 1.0)] * 2)
     with pytest.raises(GeometryError, match="2x2"):
         MetricChart(2, rows[:1], [(-1.0, 1.0)] * 2)
+
+
+def test_the_dimension_rule_reads_alike_on_the_chart_and_its_class():
+    # a static method: a bare functools.partial in a class body becomes a
+    # method descriptor in newer Pythons, and the instance read would pass self
+    assert isinstance(inspect.getattr_static(MetricChart, "check_dimension"), staticmethod)
+    chart = chart_from_strings([["1", "0"], ["0", "1"]])
+    for rule in (chart.check_dimension, MetricChart.check_dimension):
+        rule(2)
+        with pytest.raises(GeometryError,
+                           match=r"^chart dimension must be an integer in 2\.\.8, got 9$"):
+            rule(9)
 
 
 def test_point_outside_domain():
