@@ -176,18 +176,15 @@ class MetricChart:
 
     def component(self, i: int, j: int, x: np.ndarray, order: int | None = None):
         """Component (i, j) at the float array of points x: floats of shape
-        x.shape[:-1], or with ``order`` one jet of that order.  An EvalError
-        becomes a GeometryError that names the component and the point where
-        it failed: the one point, or the failing probe of a batch (an error
-        without a probe, such as an overflow, names no point of a batch)."""
+        x.shape[:-1], or with ``order`` one jet of that order.  An EvalError,
+        which names the point where it failed, becomes a GeometryError that
+        names the component too."""
         try:
             if order is None:
                 return ex.eval_float(self.comps[i][j], np.moveaxis(x, -1, 0))
             return ex.eval_taylor(self.comps[i][j], x, order=order)
         except ex.EvalError as err:
-            pts = np.reshape(x, (-1, self.dim)).tolist()
-            at = "" if err.probe is None and len(pts) > 1 else f" at {pts[err.probe or 0]}"
-            raise GeometryError(f"metric component ({i},{j}){at}: {err}") from err
+            raise GeometryError(f"metric component ({i},{j}): {err}") from err
 
     def check_definite(self, g, x):
         """Raise GeometryError at the first of the points x whose metric values

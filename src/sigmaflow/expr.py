@@ -18,12 +18,16 @@ doubles.
 One tree walk evaluates an expression over two rings: float arrays
 (``eval_float``, a whole grid per call) and Taylor jets of order 2, 3 or 4
 (``eval_taylor``, one point or a batch of probe points per call).  Both
-apply the same domain rules to the value part, and a domain violation or a
-non-finite result raises ``EvalError`` in either.  The rules raise through
-``taylor._domain``, as the jet functions do: a domain error reads
-``<subexpression>: <rule> <value>``, and in a batch ends `` (probe i)``,
-with i, the first failing probe, as ``EvalError.probe``.  The owner of a
-batch's points names the failing one's coordinates (``locate``).
+apply the same domain rules to the value part, and a domain violation, an
+overflow or a non-finite result raises ``EvalError`` in either.  The
+evaluator alone says where, from the one evaluation: an error reads
+``<subexpression>: <rule> <value> at <point>``, the one point or the first
+failing probe of a batch, counted in the points the coordinates broadcast
+to (sparse grids included), with the probe's index as ``EvalError.probe``.
+A failure of a constant subexpression in a batch names no point.  The
+rules raise through ``taylor._domain``, as the jet functions do, and an
+overflow names the first probe where the failing node leaves the double
+range, found only after the node has raised.
 
 Only the float ring is defined in three cases, where the jet ring raises
 ``EvalError`` saying which it met: ``abs`` at 0 and a variable exponent at
@@ -39,7 +43,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -69,19 +72,6 @@ class EvalError(ExprError):
     def __init__(self, message: str, probe: int | None = None):
         super().__init__(message)
         self.probe = probe
-
-
-@contextmanager
-def locate(what: str, where: Callable[[int], str]):
-    """Raise an EvalError of the body at a probe again as ``<what> at
-    <where(probe)>: <error>``, where the owner of the points maps the index
-    to its coordinates; one without a probe passes unchanged."""
-    try:
-        yield
-    except EvalError as err:
-        if err.probe is None:
-            raise
-        raise EvalError(f"{what} at {where(err.probe)}: {err}", err.probe) from err
 
 
 # -- AST -------------------------------------------------------------------
@@ -344,20 +334,21 @@ class _Ring:
     """What the tree walk needs of a number system."""
     const: Callable      # float -> element
     value: Callable      # element -> value part, which the domain rules test
-    coeffs: Callable     # element -> every number that must be finite
+    finite: Callable     # element -> whether all its numbers are finite, per probe
     fn: dict             # function name -> unary map
     power: Callable      # (base, exponent) -> element
     out_of_range: str | None = None  # what an ArithmeticError means; None: numpy says
 
 
-_FLOATS = _Ring(const=np.float64, value=lambda v: v, coeffs=lambda v: v,
+_FLOATS = _Ring(const=np.float64, value=lambda v: v, finite=np.isfinite,
                 fn=_FLOAT_FN, power=np.power)
 
 
 def _jets(ctx: taylor.TaylorContext) -> _Ring:
     # taylor functions are looked up at call time, so rebinding them (as a
     # tracer does) reaches the walk
-    return _Ring(const=ctx.constant, value=lambda s: s.value, coeffs=lambda s: s.c,
+    return _Ring(const=ctx.constant, value=lambda s: s.value,
+                 finite=lambda s: np.isfinite(s.c).all(axis=-1),
                  fn=_TAYLOR_FN, power=lambda a, b: taylor.power(a, b),
                  out_of_range="a jet coefficient left the double range")
 
@@ -369,7 +360,8 @@ def _evaluate(e: Expr, env, ring: _Ring):
     """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``.
 
     Domain rules test value parts, so every ring rejects the same inputs.
-    Run it under ``_run``, which turns overflow into an error."""
+    Run it under ``_run``, which turns overflow into an error.  The node that
+    fails raises the EvalError, ``_located`` in ``env``'s points."""
     try:
         if isinstance(e, Num):
             return ring.const(e.value)
@@ -398,18 +390,37 @@ def _evaluate(e: Expr, env, ring: _Ring):
                 taylor._domain(value > 0, f"{e.name} of non-positive value {{v}}", value)
             return ring.fn[e.name](v)
     except taylor.TaylorDomainError as exc:
-        raise EvalError(f"{unparse(e)}: {exc}", exc.probe) from exc
+        raise _located(f"{unparse(e)}: {exc.rule}", exc.ok, env, ring) from exc
     except ArithmeticError as exc:
-        raise EvalError(f"{unparse(e)}: {ring.out_of_range or exc}") from exc
+        # where the node left the double range: the node again, without
+        # raising, only now that it has raised
+        with np.errstate(all="ignore"):
+            ok = ring.finite(_evaluate(e, env, ring))
+        raise _located(f"{unparse(e)}: {ring.out_of_range or exc}", ok, env, ring) from exc
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _located(rule: str, ok, env, ring: _Ring) -> EvalError:
+    """EvalError ``<rule> at <point>``: the one point of ``env``, or the
+    first probe where ``ok`` fails of the points that env's coordinates
+    broadcast to.  A batch where no probe fails first (a constant's failure)
+    names no point."""
+    coords = [ring.value(x) for x in env]
+    shape = np.broadcast_shapes(*map(np.shape, coords))
+    probe = taylor.first_failure(np.broadcast_to(ok, shape)) if np.ndim(ok) else None
+    if shape and probe is None:
+        return EvalError(rule)
+    at = [float(np.broadcast_to(x, shape).flat[probe or 0]) for x in coords]
+    return EvalError(f"{rule} at {at}", probe)
 
 
 def _run(e: Expr, env, ring: _Ring):
     # numpy raises on overflow here, as math does inside the jet functions
     with np.errstate(all="raise", under="ignore"):
         out = _evaluate(e, env, ring)
-    if not np.isfinite(ring.coeffs(out)).all():
-        raise EvalError("result is not finite")
+    ok = ring.finite(out)
+    if not ok.all():
+        raise _located("result is not finite", ok, env, ring)
     return out
 
 

@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .curvature import GeometryError, check_int
-from .expr import locate
 from .sigma import (ConeConditionError, check_pair, log_quotient, repeated_sigma,
                     two_eigenvalue_sigma)
 
@@ -78,13 +77,11 @@ class FlowState:
     @classmethod
     def from_function(cls, n: int, k: int, l: int, grid: int, u0=None):
         """u = u0(theta), with ``u0`` called once on the whole node array; a
-        scalar result (a constant u0) is broadcast to every node.  An
-        EvalError at a probe, a node, names its theta."""
+        scalar result (a constant u0) is broadcast to every node."""
         _check_grid(grid)  # before the nodes are laid out
         theta = _nodes(grid)[0]
-        with locate("u0", lambda i: f"theta = {theta[i]:.4f}"):
-            u = np.zeros(grid + 1) if u0 is None else \
-                np.array(np.broadcast_to(u0(theta), theta.shape), dtype=float)
+        u = np.zeros(grid + 1) if u0 is None else \
+            np.array(np.broadcast_to(u0(theta), theta.shape), dtype=float)
         return cls(n=n, k=k, l=l, u=u)
 
     def _evolved(self, u: np.ndarray, t: float) -> FlowState:

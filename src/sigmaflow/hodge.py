@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, locate
-
 
 class HodgeError(ValueError):
     pass
@@ -55,29 +53,12 @@ class TorusField:
     @classmethod
     def from_exprs(cls, exprs, shape):
         """Sample callables f(x) (x an array of coordinates in [0, 2pi)) on
-        sparse coordinate grids; each sample broadcasts to ``shape``, as a
-        read-only view where f returns fewer axes (``_sample``)."""
+        sparse coordinate grids, each called once; each sample broadcasts to
+        ``shape``, as a read-only view where f returns fewer axes."""
         _check_extents(shape)
         axes = [np.arange(nax) * (2 * math.pi / nax) for nax in shape]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        return cls.from_arrays([np.broadcast_to(_sample(f, grids, a), shape)
-                                for a, f in enumerate(exprs)])
-
-
-def _sample(f, grids, a: int):
-    """f on the sparse grids.  An EvalError's probe counts into the failing
-    subexpression's own sparse shape, so f then runs again on dense views of
-    the grids, where the probe counts grid samples, and the error names that
-    sample's x."""
-    try:
-        return f(*grids)
-    except EvalError as err:
-        if err.probe is None:
-            raise
-        dense = np.broadcast_arrays(*grids)
-        with locate(f"field component {a}", lambda i: f"x = {[float(c.flat[i]) for c in dense]}"):
-            f(*dense)
-        raise
+        return cls.from_arrays([np.broadcast_to(f(*grids), shape) for f in exprs])
 
 
 def _check_extents(shape):

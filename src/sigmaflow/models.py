@@ -175,8 +175,7 @@ def warped(xi, fiber: SolitonSpec, interval=(0.5, 1.5)) -> SolitonSpec:
     xi = ex.as_expr(xi)
     lo, hi = interval
     t = np.linspace(lo, hi, 7)
-    with ex.locate("warping factor", lambda i: f"t = {t[i]}"):
-        i = first_failure(ex.eval_float(xi, [t]) > 0.0)
+    i = first_failure(ex.eval_float(xi, [t]) > 0.0)
     if i is not None:
         raise GeometryError(f"warping factor must be positive on the interval; "
                             f"fails at t = {t[i]}")
@@ -199,7 +198,7 @@ def warped_ricci_formula(xi, fiber: SolitonSpec, point) -> TensorValue:
     n = fiber.chart.dim + 1
     point = _one_point(n, point, "warped_ricci_formula")
     t, fiber_pt = point[0], point[1:]
-    xt = ex.eval_taylor(ex.as_expr(xi), [t])
+    xt = ex.eval_taylor(ex.as_expr(xi), [t], order=2)
     xi, dxi, ddxi = xt.value, xt.derivative((1,)), xt.derivative((2,))
     if xi <= 0.0:
         raise GeometryError(f"warping factor non-positive at t = {t}")

@@ -19,7 +19,8 @@ through at once (the vector forward mode).  Constants keep shape (C,) and
 broadcast against batches.  ``value`` and ``derivative`` return a float
 for one point and a (P,) array for a batch.  ``first_failure`` is the one
 rule for where a batch first fails; by it ``_domain`` raises ``<rule> <value>``
-for the functions here and ``expr``'s rules, with `` (probe i)`` in a batch.
+for the functions here and ``expr``'s rules, with `` (probe i)`` in a batch
+and, for ``expr``, where the rule held, from which it names the point.
 
 Differentiating a scalar (``TaylorScalar.deriv``) shifts coefficients down
 one order; the top-order coefficients of the result are unknown (taken as
@@ -92,12 +93,15 @@ MAX_DIM = 8
 
 
 class TaylorDomainError(ValueError):
-    """Function evaluated outside its domain (log of <= 0, etc.).  ``probe``
-    is the index of the first failing probe of a batch, else None."""
+    """Function evaluated outside its domain (log of <= 0, etc.).  ``rule``
+    says which; ``ok`` holds where the rule held, a bool at one point, else
+    one per probe; ``probe`` is the index of the first failing probe of a
+    batch, else None."""
 
-    def __init__(self, message: str, probe: int | None = None):
-        super().__init__(message if probe is None else f"{message} (probe {probe})")
-        self.probe = probe
+    def __init__(self, rule: str, ok=False):
+        self.rule, self.ok = rule, ok
+        self.probe = first_failure(ok) if np.ndim(ok) else None
+        super().__init__(rule if self.probe is None else f"{rule} (probe {self.probe})")
 
 
 class TaylorTrustError(RuntimeError):
@@ -119,7 +123,7 @@ def _domain(ok, message: str, v) -> None:
     i = first_failure(ok)
     if i is not None:
         bad = np.broadcast_to(v, np.shape(ok)).flat[i]
-        raise TaylorDomainError(message.format(v=f"{bad:.6g}"), i if np.ndim(ok) else None)
+        raise TaylorDomainError(message.format(v=f"{bad:.6g}"), ok)
 
 
 def integral(p):

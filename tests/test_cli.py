@@ -679,8 +679,8 @@ def test_a_failing_metric_component_names_its_point_as_a_list(tmp_path):
     path = spec_path(tmp_path, "logged", domain=[[-30, 2], [-2, 2], [-2, 2]],
                      metric=[["1", "0", "0"], ["0", "1 + log(1 - x1)", "0"], ["0", "0", "1"]])
     assert run_cli("curvature", "--file", path, "--point", "1.5,0,0") == (
-        3, "", "geometry error: metric component (1,1) at [1.5, 0.0, 0.0]: "
-               "log(1 - x1): log of non-positive value -0.5\n")
+        3, "", "geometry error: metric component (1,1): "
+               "log(1 - x1): log of non-positive value -0.5 at [1.5, 0.0, 0.0]\n")
 
 
 def test_a_metric_undefined_on_its_check_grid_exits_2_naming_component_and_point(tmp_path):
@@ -688,23 +688,41 @@ def test_a_metric_undefined_on_its_check_grid_exits_2_naming_component_and_point
     path = spec_path(tmp_path, "A", domain=[[-1, 1]] * 3,
                      metric=[["1 + log(x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     assert run_cli("curvature", "--file", path) == (
-        2, "", f"input error: {path}: metric component (0,0) at [-0.9, -0.9, -0.9]: "
-               "log(x1): log of non-positive value -0.9 (probe 0)\n")
+        2, "", f"input error: {path}: metric component (0,0): "
+               "log(x1): log of non-positive value -0.9 at [-0.9, -0.9, -0.9]\n")
+    # an overflow names the first grid point where the component overflows
+    path = spec_path(tmp_path, "B", domain=[[-1, 1]] * 3,
+                     metric=[["1 + exp(1000*x1)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    assert run_cli("curvature", "--file", path) == (
+        2, "", f"input error: {path}: metric component (0,0): "
+               "exp(1000 * x1): overflow encountered in exp at [0.9, -0.9, -0.9]\n")
+
+
+def test_verify_names_the_point_where_lambda_fails(tmp_path):
+    # lambda is read at the verify probes, one batch; the first failing probe is named
+    path = spec_path(tmp_path, "S", **{"lambda": "log(x1)"})
+    assert run_cli("verify", "--file", path) == (
+        2, "", "input error: log(x1): log of non-positive value -0.495 "
+               "at [-0.495, 0.3466666666666667, -0.4896]\n")
 
 
 # a grid failure outside the chart names the coordinates of the first failing
-# sample as its owner lays them out: the flow's theta, the torus sample's x
+# sample, as the evaluator counts them: the flow's theta, the torus sample's x
 # (not the index into the failing subexpression's sparse shape) and the
 # warping factor's t
 GRID_FAILURES = [
     (("flow", "--n", "4", "--k", "2", "--l", "1", "--grid", "32", "--t-end", "0.01",
       "--u0", "log(2 - x1)"),
-     "u0 at theta = 2.0617: log(2 - x1): log of non-positive value -0.0616702 (probe 21)"),
+     "log(2 - x1): log of non-positive value -0.0616702 at [2.061670178918302]"),
     (("hodge", "--n", "2", "--grid", "8", "--field=log(1 - x1); 1"),
-     "field component 0 at x = [1.5707963267948966, 0.0]: log(1 - x1): "
-     "log of non-positive value -0.570796 (probe 16)"),
+     "log(1 - x1): log of non-positive value -0.570796 at [1.5707963267948966, 0.0]"),
     (("curvature", "--builtin", "warped:log(x1):sphere:3"),
-     "warping factor at t = -1.0: log(x1): log of non-positive value -1 (probe 0)"),
+     "log(x1): log of non-positive value -1 at [-1.0]"),
+    (("flow", "--n", "4", "--k", "2", "--l", "1", "--grid", "32", "--t-end", "0.01",
+      "--u0", "exp(1000*x1)"),
+     "exp(1000 * x1): overflow encountered in exp at [0.7853981633974483]"),
+    (("hodge", "--n", "2", "--grid", "8", "--field=exp(1000*x1); 1"),
+     "exp(1000 * x1): overflow encountered in exp at [0.7853981633974483, 0.0]"),
 ]
 
 

@@ -297,18 +297,20 @@ def test_a_component_undefined_on_the_check_grid_names_itself_and_its_point():
     # a GeometryError that names the component and the point; the grid is
     # 3 points per axis, -0.9, 0 and 0.9 on [-1, 1]
     with pytest.raises(GeometryError, match=re.escape(
-            "metric component (0,0) at [-0.9, -0.9]: log(x1): "
-            "log of non-positive value -0.9 (probe 0)")) as err:
+            "metric component (0,0): log(x1): "
+            "log of non-positive value -0.9 at [-0.9, -0.9]")) as err:
         chart_from_strings([["1 + log(x1)", "0"], ["0", "1"]])
     assert isinstance(err.value.__cause__, ex.EvalError)
     # a lower component is evaluated for the symmetry check, and named too
     with pytest.raises(GeometryError, match=re.escape(
-            "metric component (1,0) at [0.9, -0.9]: sqrt(0.5 - x1): "
-            "sqrt of non-positive value -0.4 (probe 6)")):
+            "metric component (1,0): sqrt(0.5 - x1): "
+            "sqrt of non-positive value -0.4 at [0.9, -0.9]")):
         chart_from_strings([["2", "0"], ["0 * sqrt(0.5 - x1)", "2"]])
-    # an overflow has no probe: no point of the grid is named, not a wrong one
+    # an overflow names the first grid point where the component leaves the
+    # double range: x1 = 0.9 of -0.9, 0, 0.9
     with pytest.raises(GeometryError, match=re.escape(
-            "metric component (0,0): exp(1000 * x1): overflow encountered in exp")):
+            "metric component (0,0): exp(1000 * x1): overflow encountered in exp "
+            "at [0.9, -0.9]")):
         chart_from_strings([["1 + exp(1000 * x1)", "0"], ["0", "1"]])
 
 
@@ -318,10 +320,18 @@ def test_taylor_metric_names_the_first_failing_probe():
                                domain=[(-30.0, 2.0), (-2.0, 2.0)])
     pts = np.array([[0.1, 0.2], [1.5, 1.0], [1.8, 1.0]])
     with pytest.raises(GeometryError, match=re.escape(
-            "metric component (1,1) at [1.5, 1.0]: log(1 - x1): "
-            "log of non-positive value -0.5 (probe 1)")) as err:
+            "metric component (1,1): log(1 - x1): "
+            "log of non-positive value -0.5 at [1.5, 1.0]")) as err:
         taylor_metric(chart, pts, order=2)
     assert err.value.__cause__.probe == 1
+
+
+def test_kulkarni_nomizu_takes_two_02_tensors_of_one_dimension():
+    a = TensorValue(3, (0, 2), np.eye(3))
+    with pytest.raises(ValueError, match=re.escape("kulkarni_nomizu expects (0,2) tensors")):
+        kulkarni_nomizu(a, TensorValue(3, (1, 1), np.eye(3)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kulkarni_nomizu(a, TensorValue(4, (0, 2), np.eye(4)))
 
 
 def test_asymmetric_metric_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_only_the_float_ring_is_defined_without_a_derivative():
         batch = [[1.5, 2.0], x, [-2.0, 3.0]]
         assert list(ex.eval_float(e, np.array(batch).T)) == \
             [ex.eval_float(e, p) for p in batch]
-        with pytest.raises(ex.EvalError, match=f"{message} \\(probe 1\\)") as err:
+        with pytest.raises(ex.EvalError, match=re.escape(f"{message} at {x}")) as err:
             ex.eval_taylor(e, batch)
         assert err.value.probe == 1
     # away from those points both rings agree, probe by probe
@@ -175,8 +176,9 @@ def test_only_the_float_ring_is_defined_without_a_derivative():
 
 
 def test_a_domain_error_reads_the_same_in_either_ring():
-    # <subexpression>: <rule> <value>, with the first failing probe of a batch
-    # named in the message and in .probe; abs at 0 fails the jet ring alone
+    # <subexpression>: <rule> <value> at <point>, the first failing probe of a
+    # batch or the one point, with the probe's index in .probe; abs at 0 fails
+    # the jet ring alone
     batch = np.array([[0.5, 1.0], [-1.0, 2.0], [0.0, 0.0]])
     cases = [("log(x1)", "log(x1): log of non-positive value -1", 1, True),
              ("x1/x2", "x1 / x2: division by 0", 2, True),
@@ -189,10 +191,59 @@ def test_a_domain_error_reads_the_same_in_either_ring():
         for evaluate in rings:
             with pytest.raises(ex.EvalError) as err:
                 evaluate(batch)
-            assert (str(err.value), err.value.probe) == (f"{message} (probe {probe})", probe)
+            at = f"{message} at {batch[probe].tolist()}"
+            assert (str(err.value), err.value.probe) == (at, probe)
             with pytest.raises(ex.EvalError) as err:
                 evaluate(batch[probe])
-            assert (str(err.value), err.value.probe) == (message, None)
+            assert (str(err.value), err.value.probe) == (at, None)
+
+
+def test_one_point_names_itself_and_a_batch_its_failing_probe():
+    # the evaluator names the one point in either ring, also where the failing
+    # subexpression is a constant; in a batch only a probe that fails first is
+    # named, so a constant's failure names none
+    e = ex.parse("x2 + log(0)")
+    point, batch = [0.5, 2.0], np.array([[0.5, 2.0], [1.5, 3.0]])
+    message = "log(0): log of non-positive value 0"
+    for evaluate in (ex.eval_taylor, lambda e, x: ex.eval_float(e, np.transpose(x))):
+        with pytest.raises(ex.EvalError) as err:
+            evaluate(e, point)
+        assert (str(err.value), err.value.probe) == (f"{message} at [0.5, 2.0]", None)
+        with pytest.raises(ex.EvalError) as err:
+            evaluate(e, batch)
+        assert (str(err.value), err.value.probe) == (message, None)
+
+
+def test_a_probe_counts_in_the_points_that_sparse_grids_broadcast_to():
+    # log(1 - x1) fails first at row 2 of its own (8, 1) shape, x1 = pi/2;
+    # of the 8 x 8 points the two grids make, that is probe 16
+    axes = [np.arange(8) * (2 * math.pi / 8)] * 2
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    with pytest.raises(ex.EvalError) as err:
+        ex.eval_float(ex.parse("log(1 - x1)"), grids)
+    assert (str(err.value), err.value.probe) == (
+        "log(1 - x1): log of non-positive value -0.570796 at [1.5707963267948966, 0.0]", 16)
+
+
+def test_an_overflow_names_the_first_probe_that_leaves_the_double_range():
+    # exp(1000 x1) underflows at x1 = -1, which is no failure, is finite with
+    # its derivatives at 0.5, and overflows at 1: probe 2, in either ring
+    e = ex.parse("exp(1000*x1)")
+    x = np.array([-1.0, 0.5, 1.0])
+    cases = [(lambda: ex.eval_taylor(e, x[:, None], order=2),
+              "exp(1000 * x1): a jet coefficient left the double range at [1.0]", 2),
+             (lambda: ex.eval_float(e, [x]), "exp(1000 * x1): overflow encountered in exp at [1.0]", 2),
+             (lambda: ex.eval_float(e, [1.0]), "exp(1000 * x1): overflow encountered in exp at [1.0]", None),
+             # a non-finite coordinate passes every node and fails the result
+             (lambda: ex.eval_float(ex.parse("x1"), [np.inf]), "result is not finite at [inf]", None),
+             (lambda: ex.eval_float(ex.parse("x1 + 1"), [[0.0, np.inf]]),
+              "result is not finite at [inf]", 1),
+             (lambda: ex.eval_taylor(ex.parse("x1"), [[0.0], [np.nan]], order=2),
+              "result is not finite at [nan]", 1)]
+    for evaluate, message, probe in cases:
+        with pytest.raises(ex.EvalError) as err:
+            evaluate()
+        assert (str(err.value), err.value.probe) == (message, probe)
 
 
 def test_constant_expression_is_broadcast_over_a_batch():

@@ -233,6 +233,25 @@ def test_flow_state_checks_its_inputs():
             FlowState.from_function(4, 2, 1, grid)
 
 
+def test_flow_refuses_values_that_leave_its_assumptions(monkeypatch):
+    state = perturbed(4, 2, 1, 64)
+    diag = flow.FlowDiagnostics()
+    diag.record(0.1, 1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="diagnostic samples must advance in time"):
+        diag.record(0.1, 1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(GeometryError, match="non-finite integrand"):
+        quadrature(state, np.full(65, np.nan))
+    # no state that FlowState admits gets here: sigma_k = 1 and sigma_l = 1e-310
+    # at every node, whose integral is below 1e-300, and an infinite log quotient
+    monkeypatch.setattr(flow, "_nodal_sigmas",
+                        lambda st, k, l: (np.ones(65), np.ones(65), np.full(65, 1e-310)))
+    with pytest.raises(GeometryError, match="int sigma_l dv vanishes; weighted mean undefined"):
+        log_r_kl(state)
+    monkeypatch.setattr(flow, "_log_quotient_nodes", lambda st: (np.full(65, np.inf), 0.0, 1.0))
+    with pytest.raises(GeometryError, match="non-finite flow right-hand side"):
+        flow_rhs(state)
+
+
 def test_e_half_flag():
     state = perturbed(4, 2, 2, 64)
     _, diag = run(state, 1e-3)

@@ -120,6 +120,22 @@ def test_divergence_spectral():
     assert np.max(np.abs(divergence(f) - exact)) < 1e-11
 
 
+def test_a_failing_component_is_evaluated_once():
+    # the evaluator names the failing sample of the 8 x 8 grid itself, so
+    # the component is not sampled again to find it
+    tree, calls = ex.parse("log(1 - x1)"), []
+
+    def component(*grids):
+        calls.append(grids)
+        return ex.eval_float(tree, grids)
+
+    with pytest.raises(ex.EvalError) as err:
+        TorusField.from_exprs([component, lambda *grids: 1.0], (8, 8))
+    assert len(calls) == 1
+    assert (str(err.value), err.value.probe) == (
+        "log(1 - x1): log of non-positive value -0.570796 at [1.5707963267948966, 0.0]", 16)
+
+
 def test_grid_validation():
     with pytest.raises(HodgeError):
         TorusField.from_arrays([np.zeros((63, 63)), np.zeros((63, 63))])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sigmaflow import expr as ex
-from sigmaflow import models
+from sigmaflow import models, taylor
 from sigmaflow.curvature import GeometryError, curvature_at, values
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import sigma_profile
@@ -215,6 +215,33 @@ def test_an_oversized_builtin_is_refused_before_anything_is_built(name, n):
 def test_warping_factor_must_be_positive():
     with pytest.raises(GeometryError):
         models.warped("x1 - 1", models.sphere(3))
+    with pytest.raises(GeometryError, match="warping factor non-positive at t = 0.5"):
+        models.warped_ricci_formula("x1 - 1", models.sphere(3), [0.5, 0.1, 0.1, 0.1])
+
+
+def test_warped_ricci_formula_reads_xi_at_order_2(monkeypatch):
+    # xi, xi' and xi'' of an order-2 jet are a prefix of the order-4 jet, so on
+    # the points of test_warped_ricci_formula_vs_direct the formula is == its
+    # order-4 reading
+    rng = np.random.default_rng(71)
+    points = [[rng.uniform(0.6, 1.4), *rng.uniform(-0.2, 0.2, size=3)] for _ in range(3)]
+    xis = [ex.parse(src) for src in ("1", "sinh(x1)", "cosh(x1)")]
+    cases = [(xi, getattr(models, fiber)(3), x)
+             for xi in xis for fiber in ("sphere", "hyperbolic") for x in points]
+    eval_taylor, asked = ex.eval_taylor, set()
+
+    def formulas(xi_order=None):
+        def spy(e, point, order=taylor.MAX_ORDER):
+            if any(e is xi for xi in xis):
+                asked.add(order)
+                order = xi_order or order
+            return eval_taylor(e, point, order=order)
+        monkeypatch.setattr(ex, "eval_taylor", spy)
+        return [models.warped_ricci_formula(xi, fiber, x).components for xi, fiber, x in cases]
+
+    got = formulas()
+    assert asked == {2}
+    assert all(np.array_equal(a, b) for a, b in zip(got, formulas(xi_order=4)))
 
 
 def test_hyperbolic_parity_constraint():

@@ -16,6 +16,11 @@ def test_points_stay_inside_with_margin():
             assert lo + pad - 1e-12 <= c <= hi - pad + 1e-12
 
 
+def test_more_axes_than_primes_are_refused():
+    with pytest.raises(ValueError, match="at most 8 axes supported"):
+        halton_points([(0.0, 1.0)] * 9, 4)
+
+
 def test_deterministic_given_seed():
     domain = ((-1.0, 1.0), (-1.0, 1.0))
     a = halton_points(domain, 20, seed=5)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_sym_eigenvalues_metric_self_adjoint():
         mine = sym_eigenvalues(endo, g)
         oracle = np.sort(np.roots(np.poly(np.linalg.inv(g) @ a)).real)
         assert np.allclose(mine, oracle, atol=1e-8 * max(1, np.max(np.abs(oracle))))
+
+
+def test_sym_eigenvalues_takes_a_finite_11_tensor():
+    with pytest.raises(TensorError, match=re.escape("sym_eigenvalues expects a (1,1) tensor")):
+        sym_eigenvalues(TensorValue(3, (0, 2), np.eye(3)), np.eye(3))
+    endo = np.eye(3)
+    endo[0, 1] = np.nan
+    with pytest.raises(TensorError, match="non-finite entries in endomorphism"):
+        sym_eigenvalues(TensorValue(3, (1, 1), endo), np.eye(3))
 
 
 def test_elementary_symmetric_brute_force():
