@@ -1,18 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: ``curvature``, ``verify``, ``flow`` and ``hodge``.
 
-Subcommands: curvature (tensor + sigma report at a point), verify (soliton
-residual check), flow (rotationally symmetric quotient flow, CSV time
-series), hodge (torus Helmholtz splitting).  Exit codes: 0 success /
-verification pass, 1 verification fail, 2 input error, 3 geometry error,
-4 flow abort, 5 internal error (a program fault, in one line).  `main` alone
-gives an error its code: InputError, EvalError, HodgeError, StepLimitError
-and MemoryError (an input too large for memory) exit 2, after one error line
-(argparse's usage line comes first for a bad argument); GeometryError and
-its subclasses exit 3; any other exception 5.  Commands raise their owners'
-errors unchanged, but for a GeometryError of the builtin name, point, probe
-or flow-state check, which is about the command's own input and becomes an
-InputError.  numpy's BLAS worker threads are capped by OPENBLAS_NUM_THREADS
-and OMP_NUM_THREADS, which must be set before Python starts.
+README documents the commands, the metric-spec format and the exit codes.
+``main`` alone maps an error class to its exit code.  A command raises its
+owners' errors unchanged, but ``_input_check`` makes a GeometryError about
+the command's own input (a builtin name, point, probe set or flow state)
+an InputError.
 """
 
 from __future__ import annotations

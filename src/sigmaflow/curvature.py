@@ -1,80 +1,23 @@
-"""Pointwise curvature engine on coordinate-chart metrics.
+"""Pointwise curvature of coordinate-chart metrics in the Taylor ring.
 
-Every quantity is computed in a truncated Taylor ring of order p (2, 3 or
-4), so curvature tensors come out as Taylor scalars whose low-order
-coefficients are the exact derivatives needed downstream.  Each derivative
-costs one order (see ``taylor``), and each entry point asks for the least
-order it reads:
+``curvature_taylor(chart, x, order)`` runs the pipeline metric -> inverse ->
+Christoffel -> Riemann, Ricci, scalar, Schouten, g^-1 A -> Cotton at one
+point x of shape (n,), or at every probe of a (P, n) batch at once, and
+returns its record, a ``TaylorCurvature`` of jets; ``values`` reads their
+value parts, of shape (P, ...) for a batch.  README's order table gives the
+order each entry point runs at, and explains how the stages truncate their
+products and run on coefficient arrays below order 4.  ``curvature_at``,
+the conformal laws, ``divergence_newton`` and
+``models.warped_ricci_formula`` take one point and raise GeometryError for
+a batch.  Memory grows with P: ``probe_batches`` splits a probe set so that
+one pipeline keeps an estimated <= ``BATCH_BYTES`` of jet coefficients.
 
-    p = 2  values of curvature, Schouten, Hessians and L_X g
-           (soliton residuals, conformal laws);
-    p = 3  one derivative more: Cotton (``curvature_at``) and the
-           divergence of Newton tensors;
-    p = 4  two derivatives of curvature: Laplacians of sigma quantities in
-           the structural identities; also ``curvature_taylor``'s default.
-
-Reading a coefficient the order does not cover raises ``TaylorTrustError``.
-``curvature_at`` returns the order-3 ``TaylorCurvature`` itself, the one
-record of a pipeline's results: a caller reads floats as value parts where
-it needs them (``values(tc.ricci)``, ``tc.scalar.value``), the covariant
-operators' too (``values(tc.hessian_scalar(tc.jet(f)))``).  The Weyl tensor
-is not a field; W = Rm - A ⊠ g is one ``kulkarni_nomizu`` call away.
-
-``curvature_taylor`` takes one point of shape (n,) or a batch of P probe
-points of shape (P, n) and runs one pipeline for the whole batch: every
-jet then holds (P, C) coefficients (see ``taylor``), and ``values`` returns
-arrays of shape (P, ...).  ``MetricChart`` owns evaluating and checking
-its metric at a point set, in both rings, each rule stated once and every
-point set laid out with the coordinate axis last: it checks the points
-(shape and domain box, ``check_points``), evaluates each component
-(``component``; ``taylor_metric`` takes one jet walk per entry on and
-above the diagonal) and checks the metric (``check_definite``, a positive
-smallest eigenvalue), on its check grid and at the pipeline's points.  A
-failed check raises GeometryError naming the first point that fails, and
-a component that cannot be evaluated one naming the component and that
-point.  Jets combined with a pipeline are evaluated by
-``TaylorCurvature.jet`` at its ``points`` and order.
-``curvature_at``, the conformal laws, ``divergence_newton`` and
-``models.warped_ricci_formula`` take one point.  Memory grows with P, so
-callers split large probe sets with ``probe_batches``, which keeps the
-estimated jet storage of one pipeline under ``BATCH_BYTES``.  The inverse
-metric is Gauss-Jordan elimination without pivoting: the metric has passed
-the eigenvalue test, so it is symmetric positive definite, where
-elimination without pivoting is stable.
-
-Every stage is a contraction over object arrays of jets, but below p = 4
-the block below.  Each matrix product, and each index sum an ``einsum``
-would write, is ``taylor.matmul``: one ``TaylorContext.mul`` call per term,
-in numpy's operand order, summed left to right on the coefficient arrays,
-one jet per output.  Element-wise ``*`` stays numpy's, and traces run
-left to right (``_lsum``).  Every stage thus forms the products the same
-sums written as index loops would.  The block Riemann -> g^-1 A is written
-once for two rings (``_curvature_block``): jets at p = 4; below it, one
-float array per tensor of its coefficients of degree <= p - 2
-(``_prefix_block``), one ``TaylorContext.product`` call per contraction,
-whose jets keep the order-4 block's coefficients to that degree (sign of a
-zero aside).  Each product is summed only to the order its stage keeps
-(``taylor`` header, trusted-prefix rule).  A contraction summed with a
-derivative takes that derivative's order as ``matmul``'s ``trusted``, one
-below its operands': Riemann's Gamma Gamma terms p - 2, beside d Gamma; the
-Gamma A terms of nabla A, and so of Cotton, p - 3; the Gamma ds term of a
-Hessian of s trusted(s) - 2; and the Gamma T terms of div T trusted(T) - 1.
-The other stages' products already keep their operands' lower order: g^-1
-dg in Christoffel p - 1; the lowering g R, g^-1 Ric and g^-1 A p - 2; and
-the Gamma X terms of L_X g and div X the order of dX.
-Symmetric stages (Christoffel, Ricci, Schouten, Hessians, L_X g) are
-computed on i <= j and mirrored, Riemann on m < nu and negated for
-nu < m.  Stages are built one slice at a time where whole-table
-temporaries would raise peak memory: Christoffel per first lower index,
-Riemann per (m, nu) pair, its lowering per (k, l) block over the same
-array, and nabla A per first index.
-
-Sign conventions: Riemann (1,3) tensor
+Sign conventions: the (1,3) Riemann tensor is
 R^r_{s m n} = d_m Gamma^r_{n s} - d_n Gamma^r_{m s} + Gamma^r_{m t}Gamma^t_{n s}
-- Gamma^r_{n t}Gamma^t_{m s}; Ricci as the (m = r) trace.  With this choice
-the round sphere carries Ric = (n-1) g and Rm_{ijkl} = g_{ik}g_{jl} -
-g_{il}g_{jk} in lowered form.  The Cotton tensor is the Schouten-based
-C_{ijk} = nabla_i A_{jk} - nabla_j A_{ik}.
+- Gamma^r_{n t}Gamma^t_{m s}, Ricci is Ric_{s n} = R^r_{s r n}, and the
+lowered R_{i s m n} = g_{i r} R^r_{s m n}, so the round sphere has
+Ric = (n-1) g and R_ijkl = g_ik g_jl - g_il g_jk.  The Cotton tensor is
+C_ijk = nabla_i A_jk - nabla_j A_ik, with A the Schouten tensor.
 """
 
 from __future__ import annotations
@@ -107,18 +50,14 @@ def check_int(value, what: str, lo: int, hi: float = math.inf):
 
 
 class MetricChart:
-    """A dimension, an n x n symmetric array of component expressions and a
-    validity box of finite intervals lo < hi, all checked here: the shape at
-    once, symmetry and positive definiteness on a coarse grid.
-
-    The chart states each rule on its metric once, for floats and jets
-    alike, and every method takes points with the coordinate axis last, one
-    point (n,) or a batch (..., n): ``check_dimension`` (an integer in
-    2..MAX_DIM, which the model builders run before they build anything
-    n x n), ``check_points`` (the shape and the domain box), ``component``
-    (a component that cannot be evaluated raises GeometryError naming the
-    component and the point) and ``check_definite`` (a positive smallest
-    eigenvalue), run on the check grid and at a pipeline's points."""
+    """A dimension, an n x n array of component expressions (strings are
+    parsed, or ParseError) and a domain box of intervals lo < hi of finite
+    width, checked here: the shapes and the box, then symmetry and positive
+    definiteness on a grid of 3 points per axis, 5% clear of the faces; a
+    failed check raises GeometryError.  The chart owns each rule on its metric, for
+    floats and jets alike: ``check_dimension``, ``check_points``,
+    ``component`` and ``check_definite``.  Every method takes points with
+    the coordinate axis last, one point (n,) or a batch (..., n)."""
 
     def __init__(self, dim, comps, domain):
         self.check_dimension(dim)
@@ -133,13 +72,14 @@ class MetricChart:
             self.domain = [(float(lo), float(hi)) for lo, hi in domain]
         except (TypeError, ValueError) as err:
             raise GeometryError(f"domain must list (lo, hi) number pairs: {err}") from None
-        if len(self.domain) != dim or not all(-math.inf < lo < hi < math.inf
+        if len(self.domain) != dim or not all(lo < hi and hi - lo < math.inf
                                               for lo, hi in self.domain):
-            raise GeometryError(f"domain must be {dim} finite intervals lo < hi: {self.domain}")
+            raise GeometryError(f"domain must be {dim} intervals lo < hi with a finite "
+                                f"width hi - lo: {self.domain}")
         self._validate()
 
-    # the dimension rule: GeometryError unless n is an integer in 2..MAX_DIM; a
-    # static method, so that the chart and its class read the same callable
+    # GeometryError unless n is an integer in 2..MAX_DIM; a static method, so
+    # that the chart and its class read the same callable
     check_dimension = staticmethod(partial(check_int, what="chart dimension", lo=2, hi=MAX_DIM))
 
     def _validate(self):
@@ -261,10 +201,9 @@ def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.nd
 
 
 def taylor_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite Taylor-valued matrix by
-    Gauss-Jordan elimination without pivoting, one pivot column at a time:
-    scale the pivot row, then subtract its multiples from every row whose
-    pivot-column entry is not all zeros."""
+    """Inverse of a symmetric positive definite matrix of jets by
+    Gauss-Jordan elimination without pivoting, which is stable there; the
+    pipeline inverts only a metric that ``check_definite`` passed."""
     n = m.shape[0]
     ctx = m[0, 0].ctx
     a = m.copy()
@@ -295,9 +234,8 @@ BATCH_BYTES = 32 * 2 ** 20
 
 def probe_batches(points, order: int) -> list:
     """Consecutive slices of the (P, n) ``points`` whose pipelines at
-    ``order`` each keep an estimated <= BATCH_BYTES of jet coefficients:
-    the rank-4 Riemann array of jets (below order 4 wrapped from the prefix
-    ring) and about four rank-3 arrays of C doubles per probe dominate."""
+    ``order`` each keep an estimated <= BATCH_BYTES of jet coefficients,
+    n^4 + 4 n^3 jets per probe: the Riemann array and about four rank-3 ones."""
     points = np.asarray(points, dtype=float)
     n = points.shape[-1]
     per_probe = 8 * math.comb(n + order, order) * (n ** 4 + 4 * n ** 3)
@@ -307,13 +245,12 @@ def probe_batches(points, order: int) -> list:
 
 @dataclass
 class TaylorCurvature:
-    """Curvature pipeline outputs as Taylor scalars of one order p.
-
-    Trusted derivative orders: g to p, christoffel to p - 1, riemann /
-    ricci / scalar / schouten / endo to p - 2, cotton to p - 3; cotton is
-    None below order 3.  ``jet`` evaluates the jets combined with these (f,
-    X, lambda, phi) at the pipeline's ``points``, (n,) or (P, n), and order.
-    """
+    """The pipeline's outputs as jets of one order p at ``points``, (n,) or
+    (P, n).  Each derivative costs one order: g and ginv are trusted to p,
+    christoffel to p - 1, riemann, ricci, scalar, schouten and endo to at
+    least p - 2, and cotton to p - 3.  schouten, endo and cotton are None
+    below n = 3, and cotton below order 3.  ``jet`` evaluates what is
+    combined with them (f, X, lambda, phi) at the same points and order."""
     dim: int
     g: np.ndarray
     ginv: np.ndarray
@@ -387,7 +324,9 @@ class TaylorCurvature:
 
 def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> TaylorCurvature:
     """The curvature pipeline in the Taylor ring of ``order``, at the point
-    x of shape (n,) or at every probe of a (P, n) batch at once."""
+    x of shape (n,) or at every probe of a (P, n) batch at once.
+    GeometryError for points the chart refuses, a metric component that
+    fails there, or a metric not positive definite there."""
     x = chart.check_points(x)
     n = chart.dim
     g = taylor_metric(chart, x, order)
@@ -502,12 +441,9 @@ def _columns(arr, k: int, lead: tuple) -> np.ndarray:
 
 
 def kulkarni_nomizu(a: TensorValue, b: TensorValue) -> TensorValue:
-    """(a ⊠ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il.
-
-    With this normalization the Weyl tensor W = Rm - A ⊠ g is totally
-    trace-free on the round sphere (checked in the test suite), so no extra
-    factor is needed.
-    """
+    """(a ⊠ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il of two
+    (0,2) tensors, ValueError otherwise.  With this normalization the Weyl
+    tensor W = Rm - A ⊠ g is totally trace-free, with no extra factor."""
     if a.valence != (0, 2) or b.valence != (0, 2):
         raise ValueError("kulkarni_nomizu expects (0,2) tensors")
     if a.dim != b.dim:
@@ -529,8 +465,7 @@ def _one_point(dim: int, x, what: str) -> np.ndarray:
 
 
 def curvature_at(chart: MetricChart, x) -> TaylorCurvature:
-    """The order-3 pipeline at the one point x: Cotton reads one derivative
-    of A.  Its floats are the value parts, ``values(tc.ricci)`` or
-    ``tc.scalar.value``."""
+    """The order-3 pipeline's record at the one point x, Cotton included;
+    read floats as value parts, ``values(tc.ricci)`` or ``tc.scalar.value``."""
     return curvature_taylor(chart, _one_point(chart.dim, x, "curvature_at"), order=3)
 

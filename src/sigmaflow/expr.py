@@ -1,8 +1,9 @@
 """Closed-form expression language for metric components and soliton data.
 
-Grammar (standard precedence, ``^`` right-associative and tighter than
-unary minus).  One table, ``_PREC``, states how tightly each operator
-binds; the parser climbs it and the printer parenthesizes by it:
+Grammar (standard precedence; ``^`` is right-associative and binds tighter
+than unary minus, so ``-x1^2`` is -(x1^2), and ``x1^-2`` parses).
+``_PREC`` is the one precedence table: the parser climbs it and the
+printer parenthesizes by it.
 
     expr   :=  term  (('+' | '-') term)*
     term   :=  unary (('*' | '/') unary)*
@@ -10,32 +11,28 @@ binds; the parser climbs it and the printer parenthesizes by it:
     power  :=  atom ('^' unary)?
     atom   :=  NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-Variables are ``x1`` .. ``x8``; the named constants are ``pi`` and ``e``;
-the functions are exp, log, sin, cos, sinh, cosh, tanh, sqrt, abs.
-Whitespace is insignificant.  Decimal literals are parsed as binary
-doubles.
+Variables are ``x1`` .. ``x8``, the constants ``pi`` and ``e``, and the
+functions exp, log, sin, cos, sinh, cosh, tanh, sqrt and abs; whitespace
+is insignificant, and decimal literals are read as binary doubles.
 
-One tree walk evaluates an expression over two rings: float arrays
-(``eval_float``, a whole grid per call) and Taylor jets of order 2, 3 or 4
-(``eval_taylor``, one point or a batch of probe points per call).  Both
-apply the same domain rules to the value part, and a domain violation, an
-overflow or a non-finite result raises ``EvalError`` in either.  The
-evaluator alone says where, from the one evaluation: an error reads
-``<subexpression>: <rule> <value> at <point>``, the one point or the first
-failing probe of a batch, counted in the points the coordinates broadcast
-to (sparse grids included), with the probe's index as ``EvalError.probe``.
-A failure of a constant subexpression in a batch names no point.  The
-rules raise through ``taylor._domain``, as the jet functions do, and an
-overflow names the first probe where the failing node leaves the double
-range, found only after the node has raised.
-
-Only the float ring is defined in three cases, where the jet ring raises
-``EvalError`` saying which it met: ``abs`` at 0 and a variable exponent at
-a non-positive base, which have no derivative (``x1^x2`` at (-1, 2) is 1
-as a float), and a derivative coefficient outside the double range near a
-point where the derivatives blow up (``1/x1`` at 1e-100 is 1e100 as a
-float, but its third derivative, -6e400, is not a double, nor is that of
-``sqrt(x1)`` at 1e-200).
+One tree walk evaluates over float arrays (``eval_float``) and over jets
+(``eval_taylor``).  A domain rule, an overflow or a non-finite result
+raises ``EvalError`` ``<subexpression>: <rule> <value> at <point>``, the one
+point or the first failing probe of a batch (``EvalError.probe``); a
+constant subexpression that fails in a batch names no point.  The two rings
+apply the same rules to their values, and differ only where:
+- the jet ring alone refuses, since no jet exists: ``abs`` at 0 and a
+  variable exponent at a non-positive base (``x1^x2`` at (-1, 2)) have no
+  derivative, and a derivative coefficient can leave the double range
+  (``1/x1`` at 1e-100, ``sqrt(x1)`` at 1e-200);
+- the jet ring alone refuses because a composition forms powers of the
+  nilpotent part, which overflow though every coefficient is a double
+  (``1/exp(300*x1)`` at 1, orders 3 and 4);
+- the values round apart: the jet ring forms a/b as a * (1/b) and integer
+  powers by squaring, so values agree to rounding (which an ill-conditioned
+  function amplifies), and a refusal may differ with them:
+  ``10/log((x2/x2)^2)`` at (0.3, 1e-5) divides by 0 as floats, by
+  log(1 + ulp) as jets.
 """
 
 from __future__ import annotations
@@ -66,8 +63,8 @@ class ParseError(ExprError):
 
 
 class EvalError(ExprError):
-    """Evaluation outside the domain; ``probe`` is the index of the first
-    failing point of a batch, else None."""
+    """An expression that cannot be evaluated: a domain rule, an overflow or
+    a non-finite result; ``probe`` is the first failing probe of a batch."""
 
     def __init__(self, message: str, probe: int | None = None):
         super().__init__(message)
@@ -240,8 +237,8 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse ``source`` into an AST.  Raises ParseError with a byte offset,
-    also when ``source`` is not a string or nests deeper than MAX_DEPTH."""
+    """Parse ``source`` into an AST.  Raises ParseError with a character
+    offset, also when ``source`` is not a string or nests deeper than MAX_DEPTH."""
     if not isinstance(source, str):
         raise ParseError(f"expression must be a string, not {type(source).__name__}", 0)
     if not source.strip():
@@ -300,7 +297,8 @@ def _unparse(e: Expr) -> tuple[str, int]:
 
 
 def unparse(e: Expr) -> str:
-    """Inverse of parse: re-parsing the output yields an identical tree."""
+    """Inverse of parse: re-parsing the output of a tree that ``parse``
+    returned yields that tree."""
     return _unparse(e)[0]
 
 
@@ -357,11 +355,10 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 
 
 def _evaluate(e: Expr, env, ring: _Ring):
-    """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``.
-
-    Domain rules test value parts, so every ring rejects the same inputs.
-    Run it under ``_run``, which turns overflow into an error.  The node that
-    fails raises the EvalError, ``_located`` in ``env``'s points."""
+    """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``, under
+    ``_run``, which turns overflow into an error.  The domain rules test
+    value parts, so where the rings' values agree they refuse alike.  The
+    node that fails raises the EvalError, ``_located`` in ``env``'s points."""
     try:
         if isinstance(e, Num):
             return ring.const(e.value)
@@ -425,12 +422,9 @@ def _run(e: Expr, env, ring: _Ring):
 
 
 def eval_float(e: Expr, point):
-    """Floating evaluation at ``point``, a sequence of coordinates x1, x2, ...
-
-    Each coordinate is a float or an array.  The result has the broadcast
-    shape of the coordinates, so a stack of grids evaluates in one call; it
-    is a ``float`` when every coordinate is a scalar.
-    """
+    """Float evaluation at ``point``, a sequence of coordinates x1, x2, ...,
+    each a float or an array: the result has their broadcast shape, a
+    ``float`` when every coordinate is a scalar."""
     coords = [np.asarray(c, dtype=float) for c in point]
     out = _run(e, coords, _FLOATS)
     shape = np.broadcast_shapes(*(c.shape for c in coords))
@@ -438,16 +432,11 @@ def eval_float(e: Expr, point):
 
 
 def eval_taylor(e: Expr, point, order: int = taylor.MAX_ORDER) -> TaylorScalar:
-    """Evaluate over Taylor scalars of ``order`` (2, 3 or 4) centered at
-    ``point``, of shape (n,), or at each row of a (P, n) batch of probe
-    points in one tree walk, with every coordinate a variable.
-
-    The result's coefficient at multi-index alpha, |alpha| <= order, encodes
-    d^alpha e(point) / alpha!, and it is trusted to ``order``.  For a batch
-    its coefficients have shape (P, C), also when ``e`` is constant.  Jets
-    that are combined with a curvature pipeline must share its order
-    (``TaylorCurvature.order``).
-    """
+    """The jet of ``e`` of ``order`` (2, 3 or 4) at ``point`` of shape (n,),
+    every coordinate a variable, or at each row of a (P, n) batch in one
+    tree walk: coefficients d^alpha e / alpha!, trusted to ``order``, of
+    shape (P, C) for a batch even when ``e`` is constant.  Jets combined
+    with a pipeline must share its order (``TaylorCurvature.jet``)."""
     point = np.asarray(point, dtype=float)
     dim = point.shape[-1]
     ctx = taylor.context(dim, order)

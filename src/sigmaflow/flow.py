@@ -2,22 +2,16 @@
 restricted to rotationally symmetric conformal factors u = u(theta).
 
 With g = e^{-2u} g_0 the flow d g/dt = -(log sigma_k/sigma_l - log r_{k,l}) g
-reduces to the scalar evolution du/dt = (log sigma_k/sigma_l - log r_{k,l})/2
-on the latitude grid.  The Schouten endomorphism of g has a radial
+is the scalar evolution du/dt = (log sigma_k/sigma_l - log r_{k,l})/2 on the
+latitude grid, where log r_{k,l} is the sigma_l-weighted mean of
+log sigma_k/sigma_l.  The Schouten endomorphism of g has a radial
 eigenvalue e^{2u}(1/2 + u'' + u'^2/2) and a tangential eigenvalue
 e^{2u}(1/2 + u' cot(theta) - u'^2/2) of multiplicity n-1, so every sigma_j
 is ``sigma.two_eigenvalue_sigma`` of the two, and the nodal quotient and its
-cone rule are ``sigma.log_quotient`` of the (M+1,) stacks, whose error names
-the first violating node.  Spatial derivatives are
-4th-order central differences with even reflection across the poles
-(enforcing u' = 0 there); integrals use the endpoint-halved trapezoid rule,
-which is spectrally accurate for pole-regular integrands.
-
-Grid tables are built once and are read-only: the nodes and tan(theta) per
-grid size m, the stencil's neighbour indices per m, and the volume density
-sin^{n-1}(theta) per (n, m).  ``FlowState`` checks n, (k, l) and the grid
-once; the RK4 stages and the result of ``step`` reuse the checked state
-with a new u of the same length.
+cone rule are ``sigma.log_quotient``'s.  Spatial derivatives are 4th-order
+central differences with even reflection across the poles (u' = 0 there);
+integrals use the endpoint-halved trapezoid rule, which is spectrally
+accurate for pole-regular integrands.
 """
 
 from __future__ import annotations
@@ -38,7 +32,8 @@ class BlowUp(GeometryError):
 
 
 class StepLimitError(ValueError):
-    """A run of more than MAX_STEPS steps, refused before its first."""
+    """A run that needs more than MAX_STEPS steps, or whose step does not
+    advance t, refused before its first step."""
 
 
 U_MAX = 10.0  # sup|u|: a FlowState above it is refused, a step above it is a BlowUp
@@ -48,8 +43,9 @@ DT_SAFETY = 0.5  # share of the parabolic step bound that stable_dt takes
 
 @dataclass
 class FlowState:
-    """The exponent u(theta) on S^n; n, (k, l), the grid and sup|u| <= U_MAX
-    are checked here."""
+    """The exponent u(theta) at the M+1 latitude nodes of S^n; n >= 3, (k, l),
+    an even grid M >= 32 and sup|u| <= U_MAX are checked here, once: the RK4
+    stages and ``step`` reuse the checked state with a new u."""
     n: int                  # sphere dimension
     k: int
     l: int
@@ -285,12 +281,9 @@ def step(state: FlowState, dt: float) -> FlowState:
 
 def run(state: FlowState, t_end: float, dt: float | None = None,
         cadence: int = 10) -> tuple[FlowState, FlowDiagnostics]:
-    """Integrate to ``t_end``, sampling diagnostics every ``cadence`` steps.
-
-    Aborts cleanly on cone violation or blow-up, returning the partial
-    diagnostics; the E_{n/2} path-integral functional is not implemented,
-    so for l = n/2 the conservation diagnostic column holds int sigma_l dv
-    but is flagged as omitted."""
+    """Integrate to ``t_end``, sampling diagnostics every ``cadence`` steps; a
+    cone violation or blow-up ends the run with the partial diagnostics.  For
+    l = n/2 the E_l column holds int sigma_l dv, flagged as omitted."""
     diag = FlowDiagnostics(energy_omitted=(2 * state.l == state.n))
     if dt is None:
         dt = stable_dt(state)
@@ -320,12 +313,9 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
 
 def conformal_field_integral(state: FlowState, k: int) -> float:
     """int <X, grad sigma_k(g)> dv_g for the axial conformal field
-    X = grad_{g_0}(cos theta) = -sin(theta) d/dtheta.
-
-    The pairing <X, grad f>_g = X(f) is metric-free, so only the volume
-    element sees u.  The latitude derivative of sigma_k is taken spectrally
-    on the even extension, keeping this diagnostic independent of the
-    finite-difference stencils of the flow."""
+    X = grad_{g_0}(cos theta) = -sin(theta) d/dtheta, where <X, grad f>_g =
+    X(f), with d sigma_k/d theta taken spectrally, independent of the flow's
+    finite-difference stencils."""
     sig = sigma_nodes(state, k)
     dsig = spectral_derivative(sig)
     return quadrature(state, -np.sin(state.theta) * dsig)

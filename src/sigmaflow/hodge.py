@@ -1,21 +1,10 @@
-"""Helmholtz-Hodge splitting of smooth vector fields on flat square tori.
+"""Helmholtz-Hodge splitting of vector fields on the flat tori [0, 2pi)^n,
+n = 2 or 3.
 
-A field X on [0, 2pi)^n splits uniquely as X = grad h + Y with div Y = 0
-and h of zero mean.  On the torus the potential solves the Poisson problem
-Lap h = div X, which diagonalizes in Fourier modes: h_hat = (div X)_hat
-divided by -|m|^2 for each nonzero integer frequency m.  Everything runs
-through the FFT; grids must be power-of-two per axis so the transform stays
-in its fast radix-2 regime.
-
-The samples are real, so every transform is a real-input one
-(``rfftn``/``irfftn``) on the half spectrum: the last axis keeps the
-wavenumbers 0..N/2 only.  At the Nyquist wavenumber N/2 of an axis,
-sin(N/2 x) vanishes on the grid, so the sampled mode has no derivative the
-grid can show, and the first-derivative multiplier i m is zero there (S. G.
-Johnson, "Notes on FFT-based differentiation", MIT 2011).  The Laplacian
-is then div o grad exactly, and Y = X - grad h is divergence-free on the
-grid for every sampled field; a Nyquist field such as cos(N/2 x1) is
-divergence-free on the grid and is its own Y.
+A sampled field X splits as X = grad h + Y with div Y = 0 on the grid and h
+of zero mean: h solves Lap h = div X mode by mode, by real-input FFTs on the
+half spectrum; README says how a derivative reads the Nyquist wavenumber.
+Grid extents are powers of two >= 4, which keep the FFT radix-2.
 """
 
 from __future__ import annotations
@@ -52,9 +41,8 @@ class TorusField:
 
     @classmethod
     def from_exprs(cls, exprs, shape):
-        """Sample callables f(x) (x an array of coordinates in [0, 2pi)) on
-        sparse coordinate grids, each called once; each sample broadcasts to
-        ``shape``, as a read-only view where f returns fewer axes."""
+        """Sample each callable f(x1, ..., xn) once, on sparse coordinate grids
+        of [0, 2pi)^n; its samples are broadcast to ``shape`` as a read-only view."""
         _check_extents(shape)
         axes = [np.arange(nax) * (2 * math.pi / nax) for nax in shape]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)

@@ -1,15 +1,10 @@
-"""Built-in model manifolds with soliton data and golden curvature values,
-each a ``soliton.SolitonSpec``.
-
-The catalog covers the flat space, the round sphere in the stereographic
-chart, hyperbolic space in the Poincare ball, the product of a line with a
-round sphere, the diagonal log-cosh metric on R^n, and warped products over
-an interval.  ``warped`` is the one constructor of a warped product: it
-checks the warping factor and builds the chart, whose Ricci tensor
-``warped_ricci_formula`` assembles from the factor and the fiber.
-Lambda and the golden sigma rows read ``sigma``'s two-eigenvalue rule.
-``builtin`` refuses only the names its grammar rules out; every other
-refusal is a constructor's own, a fiber's included, and arrives unchanged.
+"""Built-in model manifolds, each a ``soliton.SolitonSpec`` with its soliton
+data, if any, and golden curvature values: flat space, the round sphere in
+the stereographic chart, hyperbolic space in the Poincare ball, a line times
+a round sphere, the log-cosh metric on R^n, and warped products over an
+interval (``warped``).  Lambda and the golden sigma_j are closed forms
+(``sigma.two_eigenvalue_sigma``, ``repeated_sigma``).  ``builtin`` reads
+model names, and refuses only those its grammar rules out.
 """
 
 from __future__ import annotations
@@ -126,21 +121,16 @@ def product_line_sphere(n: int) -> SolitonSpec:
 
 def example4(n: int) -> SolitonSpec:
     """Diagonal metric g_ii = e^{2 u_i} on R^n with u_i = log cosh(x_{tau(i)})
-    for even i (tau the n-cycle), zero for odd i.
+    for even i (tau the n-cycle), zero for odd i; GeometryError below n = 4.
 
-    For even n this is a product of hyperbolic planes, hence Einstein with
-    Ric = -g; for odd n one coordinate direction stays flat and the metric
-    is not Einstein (the golden Einstein row is only attached for even
-    n).  X with components (0,1,0,1,...) is a Killing field either way.
-
-    Odd n in closed form: (n-1)/2 hyperbolic planes of curvature -1 times
-    the flat x1 line (g_11 = 1, and x1 appears in no component), e.g.
-    H^2 x H^2 x R for n = 5.  Then Ric = -g + dx1 (x) dx1, with Ricci
-    eigenvalues -1 (n-1 times) and 0 along x1, and the Schouten
-    endomorphism has eigenvalues -1/(2(n-2)) (n-1 times) and +1/(2(n-2))
-    once.  For n = 5 that gives sigma_0..5 = 1, -1/2, 1/18, 1/108, -1/432,
-    1/7776; the default pair (3, 1) violates the cone condition and the
-    fallback below picks (3, 2), lam = log(sigma_3/sigma_2) = -log 6."""
+    X = (0,1,0,1,...) is a Killing field.  Even n: a product of hyperbolic
+    planes, Einstein with Ric = -g (the golden Einstein row).  Odd n:
+    (n-1)/2 hyperbolic planes of curvature -1 times the flat x1 line, which
+    no component reads (H^2 x H^2 x R for n = 5), so Ric = -g + dx1 (x) dx1
+    and g^{-1}A has eigenvalues -1/(2(n-2)) (n-1 times) and +1/(2(n-2))
+    once.  For n = 5, sigma_0..5 = 1, -1/2, 1/18, 1/108, -1/432, 1/7776: the
+    pair (3, 1) violates the cone condition, and the first admissible pair,
+    (3, 2), gives lambda = log(sigma_3/sigma_2) = -log 6."""
     if n < 4:
         raise GeometryError("the log-cosh model needs n >= 4")
     k, l = 3, 1
@@ -218,7 +208,10 @@ _FAMILIES = {"euclidean": euclidean, "sphere": sphere, "hyperbolic": hyperbolic,
 
 def builtin(name: str) -> SolitonSpec:
     """Resolve a CLI-style model name, ``family:dimension`` such as ``sphere:4``
-    or ``warped:xi:model`` such as ``warped:sinh:sphere:3``."""
+    or ``warped:xi:model`` such as ``warped:sinh:sphere:3``.  GeometryError for an
+    unknown family, a malformed name or warped products nested deeper than
+    MAX_DIM allows; a constructor's own refusal, a fiber's included, arrives
+    unchanged."""
     parts = name.split(":")
     kind = parts[0]
     nest = next(i for i, head in enumerate(parts[::2] + [""]) if head != "warped")

@@ -1,8 +1,5 @@
-"""Deterministic low-discrepancy probe points inside chart domains.
-
-Halton sequences with a fixed seed offset keep every report reproducible
-bit-for-bit; the boxes are shrunk by a small margin so probes stay away
-from domain boundaries.
+"""Deterministic low-discrepancy probe points inside chart domains: Halton
+sequences, reproducible bit for bit, kept ``MARGIN`` clear of each face.
 """
 
 from __future__ import annotations
@@ -16,13 +13,11 @@ MARGIN = 0.1  # share of each axis kept clear at both ends
 
 
 def halton_points(domain, count: int, seed: int = 0) -> np.ndarray:
-    """``count`` points in the box ``domain`` (list of (lo, hi) pairs).
-
-    ``seed`` >= 0 offsets the sequence start, so different seeds give
-    disjoint deterministic point sets; a negative seed is rejected, since
-    every index <= 0 gives the same point.  A ``count`` whose points take
-    more than ``BATCH_BYTES`` is refused before anything is built.
-    """
+    """``count`` points in the box ``domain``, a list of at most 8 (lo, hi)
+    pairs.  ``seed`` >= 0 starts the sequence at index 20 + 1013 seed, so two
+    seeds give disjoint point sets for ``count`` <= 1013.  GeometryError for
+    a negative count or seed, or a ``count`` whose points take more than
+    ``BATCH_BYTES``, before anything is built."""
     check_int(count, "probe count", 0)
     check_int(seed, "probe seed", 0)
     lo, hi = np.asarray(domain, dtype=float).reshape(len(domain), 2).T

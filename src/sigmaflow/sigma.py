@@ -1,21 +1,11 @@
 """sigma_k-curvatures, quotient curvature, Newton tensors and the conformal
 transformation laws.
 
-One sigma path serves both rings: ``sigmas`` (Newton's identities on the
-power traces tr(A^m)), the Horner loop ``_newton`` and the quotient
-``log_quotient`` run unchanged on the object array of Taylor jets
-``TaylorCurvature.endo`` and on its value part ``values(tc.endo)``, which
-``sigmas`` also takes as a (P, n, n) stack; each sum runs in one order in
-both rings, so a float sigma, T_k or quotient is its jet's value part.  Jets
-serve only where a derivative of sigma is read; ``sigma_profile``,
-``newton_tensor`` and the soliton residual run floats.  No eigenvalues but
-the known ones of ``two_eigenvalue_sigma``, which the flow and models read.
-
-``log_quotient`` is the one statement of log(sigma_k/sigma_l) and of its cone
-rule sigma_k * sigma_l > 0: the soliton residual, the models and the flow's
-nodal (M+1,) stacks all call it, and its ConeConditionError names the first
-violating probe of a batch.  The conformal laws take hess_0 w and dw from
-jets once and combine their value parts as floats.
+sigma_j is the j-th elementary symmetric function of the eigenvalues of
+g^{-1}A, computed without eigenvalues by Newton's identities (``sigmas``),
+on floats, (P, n, n) float stacks or jets alike; README explains why a
+float result is the value part of its jet.  ``log_quotient`` is the one
+statement of log(sigma_k/sigma_l) and of its cone rule sigma_k sigma_l > 0.
 """
 
 from __future__ import annotations
@@ -74,7 +64,8 @@ def two_eigenvalue_sigma(n: int, j: int, a, b):
 def sigmas(a) -> list:
     """sigma_0..sigma_n of ``a`` by Newton's identities on the power traces
     tr(a^m), m = 1..n, which take n - 1 matrix products.  ``a`` is an n x n
-    matrix of floats or jets, a (P, n, n) float stack, or None below n = 3."""
+    matrix of floats or jets or a (P, n, n) float stack; None (g^{-1}A below
+    n = 3) raises GeometryError."""
     if a is None:
         raise GeometryError("sigma-curvatures need dimension >= 3")
     n = a.shape[-1]
@@ -133,10 +124,8 @@ def _endo_values(tc: TaylorCurvature, what: str):
 
 
 def sigma_profile(tc: TaylorCurvature, k: int, l: int) -> SigmaProfile:
-    """All sigma_j of g^{-1}A at the record's point plus log(sigma_k/sigma_l).
-
-    Raises ConeConditionError when sigma_k * sigma_l <= 0.
-    """
+    """All sigma_j of g^{-1}A at the record's one point, and
+    log(sigma_k/sigma_l); ConeConditionError unless sigma_k sigma_l > 0."""
     check_pair(tc.dim, k, l)
     sig = np.array(sigmas(_endo_values(tc, "sigma_profile")), dtype=float)
     return SigmaProfile(sigmas=sig, log_quotient=log_quotient(sig, k, l))
@@ -159,11 +148,8 @@ def newton_tensor_taylor(tc: TaylorCurvature, k: int) -> np.ndarray:
 
 
 def divergence_newton(chart: MetricChart, x, k: int) -> TensorValue:
-    """(div T_k)_j = nabla_i (T_k)^i_j by pipeline re-differentiation.
-
-    Returned for inspection; the vanishing div T_k = 0 is only asserted on
-    (locally) conformally flat charts, where the identity is established.
-    """
+    """(div T_k)_j = nabla_i (T_k)^i_j at the one point x, from the order-3
+    pipeline's jets; it vanishes on locally conformally flat charts."""
     x = _one_point(chart.dim, x, "divergence_newton")
     tc = curvature_taylor(chart, x, order=3)  # one derivative of T_k
     tk = newton_tensor_taylor(tc, k)

@@ -1,24 +1,11 @@
 """Verification of quotient (almost) Yamabe soliton structures.
 
-The defining residual is 1/2 L_X g - (log sigma_k/sigma_l - lambda) g,
-evaluated pointwise over a deterministic probe set; gradient solitons use
-the Hessian form.  The structural identities (trace, first-order, and
-second-order with the scalar-curvature coupling) and the constant-scalar
-second-order identity are checked by re-running the curvature pipeline on
-Taylor data, never by finite-differencing outputs.  ``SolitonSpec`` is the
-one record of a chart with its soliton data, a builtin model's included;
-it says when f wins over X.
-
-The three checks share one probe loop (``_batch_floats``): the chart checks
-the (P, n) probe set, which runs as one batched pipeline (``curvature_taylor``
-at every probe at once), split only where ``curvature.probe_batches`` finds
-that its jets would exceed ``curvature.BATCH_BYTES``, and each pipeline is
-mapped at once to the per-probe columns its check reads, joined in probe
-order.  A check's worst value is one ``np.max`` over a column, so a NaN
-residual reads NaN, not a pass.  f, X and lambda are read as jets of the
-pipeline (``TaylorCurvature.jet``).  The residual reads values only, so it
-takes sigma and psi in floats from ``values(tc.endo)``, the value parts of
-the jets that the structural checks differentiate.
+The defining residual is 1/2 L_X g - psi g, psi = log(sigma_k/sigma_l) -
+lambda, with L_X g = 2 hess f for a gradient soliton; the structural
+identities are those of ``StructuralResiduals`` and ``obata_check``.  Every
+check reads the curvature pipeline's jets at a probe set, never finite
+differences of its outputs; README explains how a probe set is batched and
+how a check takes its worst value.
 """
 
 from __future__ import annotations
@@ -144,6 +131,8 @@ def _point_data(spec: SolitonSpec, tc):
 
 def soliton_residual(spec: SolitonSpec, probe_set=None, count: int = 40,
                      trivial_tol: float = TRIVIAL_TOL) -> ResidualReport:
+    """The residual of ``spec`` at ``probe_set``, else at ``count`` probes of its
+    chart, over the probes where sigma_k sigma_l > 0 (ConeConditionError if none)."""
     pts, vk, vl, ok, *cols = _batch_floats(spec, probe_set, count, 0, 2, _point_data)
     violations = [(pts[i], ConeConditionError(spec.k, spec.l, float(vk[i]), float(vl[i])))
                   for i in np.flatnonzero(~ok)]
@@ -214,11 +203,9 @@ def _lemma_floats(spec: SolitonSpec, tc):
 def obata_check(spec: SolitonSpec, probe_set=None, count: int = 20,
                 seed: int = 0) -> float:
     """Residual of the constant-scalar-curvature second-order identity
-    hess psi = -(R / (n(n-1))) psi g, with psi = log sigma_k/sigma_l - lambda.
-
-    Raises GeometryError when R deviates from its mean over the probe set by
-    more than R_TOL (1 + |mean|): the identity presupposes constant scalar
-    curvature."""
+    hess psi = -(R / (n(n-1))) psi g, with psi = log sigma_k/sigma_l - lambda;
+    GeometryError when R deviates from its mean over the probe set by more
+    than R_TOL (1 + |mean|), since the identity presupposes R constant."""
     scalars, psi, hess, g, ginv = _batch_floats(
         spec, probe_set, count, seed, 4,  # hess psi reads A to order 2
         _obata_floats, "the second-order identity requires")

@@ -1,84 +1,26 @@
-"""Truncated multivariate Taylor arithmetic of order 2, 3 or 4.
+"""Truncated multivariate Taylor arithmetic of order p = 2, 3 or 4 in up to
+8 variables, one ``TaylorContext`` per (dim, order) (``context``).
 
-A ``TaylorScalar`` stores the coefficients c_alpha of a Taylor polynomial
-of total degree <= p in up to 8 variables, where p is the order of its
-``TaylorContext`` (``context(dim, order)``).  The convention is
+A ``TaylorScalar`` holds the coefficients c_alpha = d^alpha f(x0) / alpha!
+of total degree |alpha| <= p, sorted by degree, so the vector of order p is
+a prefix of the one of order 4; ``derivative(alpha)`` is alpha! c_alpha.
+The coefficient axis is last: ``c`` has shape (C,) at one point and (P, C)
+for a batch of P probes, which every operation carries at once, and a
+constant of shape (C,) broadcasts against a batch.  ``value`` and
+``derivative`` return a float at one point and a (P,) array for a batch.
 
-    c_alpha = (1 / alpha!) * d^alpha f(x0),
-
-so the mixed partial derivative is recovered as ``alpha! * c_alpha``.
-All arithmetic is exact in the truncated polynomial ring: products and
-compositions discard every term of total degree > p, and nothing else.
-Multi-indices are sorted by total degree, so the coefficient vector of
-order p is a prefix of the one of order 4, and every coefficient a lower
-order keeps comes out the same.
-
-The coefficient axis is last: ``c`` has shape (C,) for one expansion point
-and (P, C) for a batch of P probe points, which every operation carries
-through at once (the vector forward mode).  Constants keep shape (C,) and
-broadcast against batches.  ``value`` and ``derivative`` return a float
-for one point and a (P,) array for a batch.  ``first_failure`` is the one
-rule for where a batch first fails; by it ``_domain`` raises ``<rule> <value>``
-for the functions here and ``expr``'s rules, with `` (probe i)`` in a batch
-and, for ``expr``, where the rule held, from which it names the point.
-
-Differentiating a scalar (``TaylorScalar.deriv``) shifts coefficients down
-one order; the top-order coefficients of the result are unknown (taken as
-zero).  Each scalar therefore carries ``trusted``, the highest total degree
-of its coefficients that is exact: ``variable`` and ``constant`` set it to
-p, ``deriv`` lowers it by one, and sums, products and compositions take
-the minimum over their operands.  Reading ``value`` of a scalar with
-``trusted < 0``, or ``derivative(alpha)`` with |alpha| > ``trusted``, raises
-``TaylorTrustError``, as does combining scalars of two contexts.  A caller
-that chose too low an order thus fails loudly instead of reading a zero.
-The curvature pipeline spends one order per derivative: metric -> p,
-Christoffel -> p - 1, Riemann/Ricci/Schouten -> p - 2, Cotton / grad sigma
--> p - 3, Laplacians of sigma quantities -> p - 4.
-
-Trusted-prefix rule: the product table is sorted by |a| + |b|, so the pairs
-of degree <= t are a prefix of it.  A product trusted to t sums only that
-prefix; since every output coefficient of degree d collects exactly the
-pairs with |a| + |b| = d, in table order, each coefficient of degree <= t
-comes out bitwise equal to the full product's, and those above t are zero.
-The t of a product is the order its caller's result keeps: the lower of
-its operands' orders, and for a contraction that is summed with a
-derivative (``matmul``'s ``trusted``) no more than that derivative's
-order, so no product sums pairs its result drops.  A product trusted to 0
-is its value alone: ``mul`` then forms 0.0 + a_0 b_0, one multiply per
-probe, with no gather and no ``bincount`` (the 0.0 + gives a zero the sign
-``bincount``'s sum from 0.0 gives it), and below 0 it is all zeros.
-
-Structural zeros: each context keeps one shared, read-only zero coefficient
-array per shape (``zero``), (C,) for one point and (P, C) for each batch
-size in use, and ``is_zero`` tells it apart from an array that merely
-holds zeros.  Zeros are born there: ``constant(0.0)``, a derivative or a
-nilpotent part whose trusted coefficients all vanish (a jet that does not
-depend on that variable, or a constant), and the batch broadcast of a zero
-in ``expr.eval_taylor``.  They propagate without arithmetic: ``mul`` is still
-called for every product, but with a zero operand it returns the zero of
-the broadcast shape without the gather, multiply and bincount; the
-derivative, negation and scalar multiples of a zero are the zero; and a
-sum or difference with a zero is the other operand's array whenever that
-keeps the result's shape, and the other jet itself when the zero is
-trusted at least as far.  ``trusted`` is set as for any other jet.  Every
-trusted coefficient equals (==) the one computed in full, since zero times
-a finite number is zero, and the zero tests read trusted coefficients only
-(a prefix), so no untrusted one decides which jets are zeros.  Jets are
-immutable, and coefficient arrays are never written in place; the
-read-only flag enforces that for the shared zeros.  Every zero test goes
-through ``TaylorContext.is_zero``.
-
-Contraction: ``matmul(a, b, trusted=None)`` is ``a @ b`` on object arrays
-of jets, the one kernel for every jet contraction.  Its order rule: each
-product a[i, j] * b[j, k] is one ``mul`` call with the left operand first,
-trusted to the lowest of the two orders and ``trusted`` (None sets no
-cap), and the terms are summed j = 0, 1, ... left to right on their
-coefficient arrays, which is numpy's order, so every coefficient up to an
-output's trusted order comes out bit for bit as with numpy's object ``@``.
-It skips shared zeros in the sum as ``+`` does and builds one jet per
-output, none per term, trusted to the minimum over its terms.  On floats
-it sums the same terms in the same order (``np.cumsum``, not BLAS ``@``), so
-the sigma path gives the value parts of its jets, sign of a zero aside.
+Trusted order: each scalar is exact up to total degree ``trusted``.
+``variable`` and ``constant`` set p, ``deriv`` one less, and a sum, product
+or composition the lowest of its operands'; a product (``mul``, ``matmul``)
+may be capped lower still.  Coefficients above it are not exact.
+Reading ``value`` below trust 0, ``derivative(alpha)`` with |alpha| >
+``trusted``, or combining scalars of two contexts raises
+``TaylorTrustError``.  A function outside its domain raises
+``TaylorDomainError`` ``<rule> <value>``, naming the first failing probe of
+a batch (``first_failure``).  Jets and their coefficient arrays are never
+changed after they are built.  README explains the mechanism: the trusted
+prefix of the product table, the shared structural zeros and the
+summation order of ``matmul``.
 """
 
 from __future__ import annotations
@@ -165,8 +107,8 @@ def _context(dim: int, order: int) -> "TaylorContext":
 
 
 class TaylorContext:
-    """Precomputed index tables for one dimension and order; shared by all
-    scalars."""
+    """The index tables of ``dim`` variables at ``order``, shared by every
+    scalar of the context; ValueError outside dim 1..8 and order 2, 3, 4."""
 
     def __init__(self, dim: int, order: int = MAX_ORDER):
         if not 1 <= dim <= MAX_DIM:
@@ -422,11 +364,8 @@ def _mixed(x: TaylorScalar, y: TaylorScalar) -> TaylorTrustError:
 
 
 def _sum(x: TaylorScalar, other, sign: int, swap: bool = False):
-    """x + sign * other, or other - x with ``swap``, trusted as far as both.
-    With a shared zero that broadcasts into the other operand's shape, no
-    sum is formed: an added operand is returned itself when the zero is
-    trusted at least as far, else as a jet on its array, and a subtracted
-    one is negated."""
+    """x + sign * other, or other - x with ``swap``, trusted as far as both;
+    README states what a sum with a shared zero returns."""
     ctx = x.ctx
     if type(other) is TaylorScalar:
         if other.ctx is not ctx:
@@ -451,12 +390,11 @@ def _sum(x: TaylorScalar, other, sign: int, swap: bool = False):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, trusted: int | None = None):
-    """``a @ b`` for 2-D or 1-D operands: numpy's object ``@`` on arrays of
-    jets of one context, bit for bit up to each output's trusted order, by
-    the order rule of the module header, whose sums it keeps on floats (and
-    (P, n, n) float stacks).  ``trusted`` caps the order every product is
-    summed to, and so each output's trust; None sets no cap.  Each operand
-    is tested once with ``ctx.is_zero``: a product with a shared zero is zero."""
+    """``a @ b`` for 2-D or 1-D operands: on jets of one context, numpy's
+    object ``@`` bit for bit up to each output's trusted order, one jet per
+    output; on floats (or (P, n, n) stacks), the same sums in the same order.
+    ``trusted`` caps the order of every product (None: no cap).  TypeError
+    for an entry that is not a jet, TaylorTrustError for two contexts."""
     a2 = a if a.ndim >= 2 else a[None]
     b2 = b if b.ndim >= 2 else b[:, None]
     if a.dtype != object and b.dtype != object:
@@ -525,11 +463,20 @@ def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
     return TaylorScalar(ctx, out, t)
 
 
+def _inverse_powers(v, count: int) -> list:
+    """1/v, 1/v^2, ..., 1/v^count as successive quotients, so none overflows
+    where v^count would."""
+    r = [1.0 / v]
+    for _ in range(count - 1):
+        r.append(r[-1] / v)
+    return r
+
+
 def recip(s: TaylorScalar) -> TaylorScalar:
     v = _val(s)
     _domain(v[..., 0] != 0.0, "division by a jet with value part {v}", v[..., 0])
-    d = [(-1.0) ** m * math.factorial(m) / v ** (m + 1) for m in range(s.ctx.order + 1)]
-    return _compose(s, d)
+    r = _inverse_powers(v, s.ctx.order + 1)
+    return _compose(s, [(-1.0) ** m * math.factorial(m) * r[m] for m in range(s.ctx.order + 1)])
 
 
 def exp(s: TaylorScalar) -> TaylorScalar:
@@ -547,9 +494,9 @@ def log_abs(s: TaylorScalar) -> TaylorScalar:
     """log|s|; valid for either sign of the value part (used for sigma quotients)."""
     v = _val(s)
     _domain(v[..., 0] != 0.0, "log of zero", v[..., 0])
-    d = [np.log(np.abs(v))]
-    d += [(-1.0) ** (m - 1) * math.factorial(m - 1) / v ** m for m in range(1, s.ctx.order + 1)]
-    return _compose(s, d)
+    r = _inverse_powers(v, s.ctx.order)
+    return _compose(s, [np.log(np.abs(v))] + [(-1.0) ** m * math.factorial(m) * r[m]
+                                             for m in range(s.ctx.order)])
 
 
 def sqrt(s: TaylorScalar) -> TaylorScalar:
@@ -591,11 +538,11 @@ def abs_(s: TaylorScalar) -> TaylorScalar:
 
 
 def power(s: TaylorScalar, p) -> TaylorScalar:
-    """s**p.  An integral p (``integral``), however large, is evaluated by
-    repeated squaring (valid for any value part); fractional p requires a
-    positive value part.  A jet exponent that varies (in its derivative
-    part, or from probe to probe) is exp(p log s), which has no derivative
-    at a non-positive base."""
+    """s**p.  An integral p (``integral``), however large, is repeated
+    squaring, of ``recip(s)`` for p < 0, so any value part (nonzero for
+    p < 0) is valid; a fractional p needs a positive value part.  A jet
+    exponent that varies (in its derivative part, or from probe to probe)
+    is exp(p log s), which has no derivative at a non-positive base."""
     if isinstance(p, TaylorScalar):
         if np.any(p.c[..., 1:] != 0.0) or np.any(p.c[..., 0] != p.c.flat[0]):
             v = _val(s)[..., 0]

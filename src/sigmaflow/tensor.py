@@ -70,14 +70,9 @@ def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a metric-self-adjoint (1,1) tensor.
-
-    The endomorphism is moved to a metric-orthonormal frame via the
-    Cholesky factor of ``metric`` and symmetrized there; g^{-1}A is not
-    symmetric in coordinates but is self-adjoint with respect to g.  The
-    program computes sigma_k without eigenvalues (``sigma.sigmas``); this
-    route and ``elementary_all`` are kept as the independent oracle.
-    """
+    """Ascending eigenvalues of a (1,1) tensor self-adjoint for ``metric``, in
+    a metric-orthonormal frame from the Cholesky factor.  With
+    ``elementary_all`` it is the tests' oracle for ``sigma.sigmas``."""
     if m.valence != (1, 1):
         raise TensorError("sym_eigenvalues expects a (1,1) tensor")
     comps = m.components

@@ -503,9 +503,10 @@ def assert_input_error(argv, what):
 
 
 def test_malformed_domain_exits_2(tmp_path):
-    # a chart domain is dim finite intervals lo < hi, whatever reads the spec
+    # a chart domain is dim intervals lo < hi of finite width, whatever reads the spec
     for i, domain in enumerate(["abc", [[1, -1]] * 3, [[0, 0]] * 3,
-                                [[float("nan"), 1]] * 3, [[-1, 1]] * 2]):
+                                [[float("nan"), 1]] * 3, [[-1, 1]] * 2,
+                                [[-1e308, 1e308]] * 3]):
         path = spec_path(tmp_path, f"domain{i}", domain=domain)
         for command in ("curvature", "verify"):
             assert_input_error((command, "--file", path), "domain")

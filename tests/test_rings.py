@@ -4,9 +4,10 @@ tree alike.
 Random trees over x1..x3 use every operator, function and constant of the
 language, at random points of [-2, 2]^3 (subnormals included) and jet
 orders 2, 3 and 4, with no filtering of what the generator draws:
-- a float ``EvalError`` implies a jet ``EvalError``;
+- on the drawn examples, a float ``EvalError`` implies a jet ``EvalError``
+  (``expr`` names a tree where rounding breaks this);
 - when both succeed, the jet's value is the float's to 1e-12 relative;
-- a failure of the jet ring alone is one of the three cases ``expr`` states.
+- a failure of the jet ring alone is one of the cases ``expr`` lists.
 """
 
 import math
@@ -62,6 +63,16 @@ def test_a_jet_coefficient_out_of_range_is_named(src, x):
     assert math.isfinite(ex.eval_float(e, x))
     with pytest.raises(ex.EvalError, match="a jet coefficient left the double range"):
         ex.eval_taylor(e, x)
+
+
+# far from 0 every coefficient of 1/v and log v is a double or underflows to
+# 0, so the jet ring accepts what the float ring does and agrees on the value
+@pytest.mark.parametrize("src, x", [("1/x1", 1e70), ("log(x1)", 1e80), ("x1^-2", 1e100)])
+def test_a_large_value_keeps_its_jet(src, x):
+    e = ex.parse(src)
+    want = ex.eval_float(e, [x])
+    for order in (2, 3, 4):
+        assert ex.eval_taylor(e, [x], order=order).value == want, order
 
 
 # an integral exponent, however large, is an integer in both rings and takes
