@@ -249,8 +249,10 @@ class TaylorCurvature:
     (P, n).  Each derivative costs one order: g and ginv are trusted to p,
     christoffel to p - 1, riemann, ricci, scalar, schouten and endo to at
     least p - 2, and cotton to p - 3.  schouten, endo and cotton are None
-    below n = 3, and cotton below order 3.  ``jet`` evaluates what is
-    combined with them (f, X, lambda, phi) at the same points and order."""
+    below n = 3, and cotton below order 3; at order 3 cotton comes from value
+    parts on the prefix ring, at order 4 from ``cov_deriv_02`` on jets.
+    ``jet`` evaluates what is combined with them (f, X, lambda, phi) at the
+    same points and order."""
     dim: int
     g: np.ndarray
     ginv: np.ndarray
@@ -342,15 +344,14 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
             0.5 * taylor.matmul(ginv, (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
 
     cap = _trust(gam) - 1  # the trust of d_m Gamma, and of the block below
-    if cap > 1:  # order 4 stays on jets
-        riem, ric, scal, schouten, endo = _curvature_block(
-            g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), g[0, 0].ctx.constant(0.0),
-            lambda a, b: a * b, lambda a, b: taylor.matmul(a, b, cap))
-    else:
-        riem, ric, scal, schouten, endo = _prefix_block(g, ginv, gam, x.shape[:-1], cap)
-
+    if cap <= 1:
+        return TaylorCurvature(n, g, ginv, gam, *_prefix_block(g, ginv, gam, x.shape[:-1], cap), x)
+    # order 4 stays on jets, Cotton included
+    riem, ric, scal, schouten, endo = _curvature_block(
+        g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), g[0, 0].ctx.constant(0.0),
+        lambda a, b: a * b, lambda a, b: taylor.matmul(a, b, cap))
     tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
-    if n >= 3 and order >= 3:
+    if schouten is not None:
         da = tc.cov_deriv_02(schouten)
         tc.cotton = da - da.transpose(1, 0, 2)
     return tc
@@ -393,40 +394,55 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
     axes) of the K coefficients of degree <= cap: a product is one
     ``TaylorContext.product`` over every other axis, a contraction sums left to
     right as ``taylor.matmul`` sums jets, and d Gamma is formed as ``deriv`` forms
-    it.  Its results are jets trusted to cap, R_ijkk the constant zero to p."""
+    it.  Its results are jets trusted to cap, R_ijkk the constant zero to p, and
+    at cap 1 a sixth, Cotton, from the value parts of Gamma and of d A, trusted
+    to 0; cotton is None at cap 0, and with schouten and endo below n = 3."""
     ctx = g[0, 0].ctx
     n, k = ctx.dim, ctx._ends[cap + 1]
     gv = _columns(gam, ctx._ends[cap + 2], lead)  # [coefficient, ..., r, m, t]
-    dg = [(gv[src[:k]].T * fac[:k]).T for src, _, fac in ctx._deriv]  # d_m: fac[q] c[src[q]]
 
-    def mul(a, b):  # the coefficient axis last for the product, then first again
-        if k == 1:  # values: the table's one pair (0, 0), summed from 0.0 as mul sums it
+    def d(v, m, width):  # d_m of v to its first ``width`` coefficients: fac[q] v[src[q]]
+        src, _, fac = ctx._deriv[m]
+        return (v[src[:width]].T * fac[:width]).T
+
+    def mul(a, b, t=cap):  # the coefficient axis last for the product, then first again
+        if t == 0:  # values: the table's one pair (0, 0), summed from 0.0 as mul sums it
             return 0.0 + a * b
-        c = ctx.product(a.transpose(*range(1, a.ndim), 0), b.transpose(*range(1, b.ndim), 0), cap)
+        c = ctx.product(a.transpose(*range(1, a.ndim), 0), b.transpose(*range(1, b.ndim), 0), t)
         return c.transpose(c.ndim - 1, *range(c.ndim - 1))
 
-    def matmul(a, b):
-        return np.cumsum(mul(a[..., None], b[..., None, :, :]), axis=-2)[..., -1, :]
+    def matmul(a, b, t=cap):
+        return np.cumsum(mul(a[..., None], b[..., None, :, :], t), axis=-2)[..., -1, :]
 
-    def jets(v):  # v is (k,) + lead + shape; the shared zero where v is 0 at every probe
+    def jets(v, t=cap):  # v is (K,) + lead + shape; the shared zero where v is 0 at every probe
         shape = v.shape[1 + len(lead):]
-        flat = v.reshape(v.shape[:1 + len(lead)] + (math.prod(shape),)).T  # [entry, *lead, k]
+        flat = v.reshape(v.shape[:1 + len(lead)] + (math.prod(shape),)).T  # [entry, *lead, K]
         live = flat.any(axis=tuple(range(1, flat.ndim)))
         c = np.zeros((int(live.sum()),) + lead + (ctx.ncoef,))
-        c[..., :k] = flat[live]
-        out = np.full(len(flat), TaylorScalar(ctx, ctx.zero(lead), cap), dtype=object)
-        out[live] = [TaylorScalar(ctx, ci, cap) for ci in c]
+        c[..., :len(v)] = flat[live]
+        out = np.full(len(flat), TaylorScalar(ctx, ctx.zero(lead), t), dtype=object)
+        out[live] = [TaylorScalar(ctx, ci, t) for ci in c]
         return out.reshape(shape)[()]
 
+    dg = [d(gv, m, k) for m in range(n)]
     riem, ric, scal, schouten, endo = _curvature_block(
         _columns(g, k, lead), _columns(ginv, k, lead), gv[:k],
         lambda m, nu: dg[m][..., nu, :], 0.0, mul, matmul)
+    cotton = None
+    if schouten is not None and cap == 1:
+        # nabla_i A_jk = d_i A_jk - M_i[j, k] - M_i[k, j], M_i[j, k] = Gamma^l_ij A_lk
+        # (A is symmetric), one i at a time; C_ijk = nabla_i A_jk - nabla_j A_ik
+        da = np.empty((1,) + lead + (n,) * 3)
+        for a in range(n):
+            m = matmul(gv[:1, ..., a, :].swapaxes(-1, -2), schouten[:1], 0)
+            da[..., a, :, :] = d(schouten, a, 1) - m - m.swapaxes(-1, -2)
+        cotton = jets(da - da.swapaxes(-3, -2), 0)
     i, j = _triu(n)  # symmetric fields share one jet per pair, as _sym shares
     riem, ric, scal = jets(riem), _sym(jets(ric[..., i, j]), n), jets(scal)
     riem[:, :, range(n), range(n)] = ctx.constant(0.0)
     if schouten is not None:
         schouten, endo = _sym(jets(schouten[..., i, j]), n), jets(endo)
-    return riem, ric, scal, schouten, endo
+    return riem, ric, scal, schouten, endo, cotton
 
 
 def _columns(arr, k: int, lead: tuple) -> np.ndarray:

@@ -15,7 +15,7 @@ from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import log_quotient, sigma_taylor
 from sigmaflow.taylor import TaylorTrustError
 from sigmaflow.tensor import TensorValue
-from test_batched import charts
+from test_batched import BUILTINS, charts
 
 
 def chart_from_strings(rows, domain=None):
@@ -241,6 +241,22 @@ def test_cotton_antisymmetry_first_pair():
     assert np.max(np.abs(c + np.swapaxes(c, 0, 1))) < 1e-12
     # trace over the antisymmetric pair vanishes
     assert np.max(np.abs(np.einsum("ij,ijk->k", values(tc.ginv), c))) < 1e-10
+
+
+def test_order_3_cotton_is_the_jet_ring_cotton():
+    # order 3 forms Cotton from value parts; it equals, sign of a zero aside,
+    # the jet-ring Cotton nabla A - (nabla A)^T of the same record
+    for name in (*BUILTINS, "sphere:8", "hyperbolic:6", "example4:6"):
+        chart = models.builtin(name).chart
+        pts = chart_probes(chart, 5, seed=7)
+        for x in (pts[0], pts, pts[:0]):
+            tc = curvature_taylor(chart, x, order=3)
+            da = tc.cov_deriv_02(tc.schouten)
+            what = (name, x.shape)
+            assert tc.cotton.shape == (chart.dim,) * 3, what
+            assert all(s.trusted == 0 for s in tc.cotton.flat), what
+            assert np.array_equal(values(tc.cotton) + 0.0,
+                                  values(da - da.transpose(1, 0, 2)) + 0.0), what
 
 
 def test_second_bianchi_contracted():

@@ -1,12 +1,16 @@
 """README's order table, ``| entry point | order | why |``, is the one
 statement of the order each entry point runs its pipeline at: every name in
-its first column declares the order of its row."""
+its first column declares the order of its row.  README's count of the jet
+products of one order-3 point on ``sphere:8`` is the count the pipeline forms."""
 
 import re
 from pathlib import Path
 
+import numpy as np
+
 import sigmaflow
 from sigmaflow import cli, models, sigma, soliton
+from sigmaflow.curvature import curvature_taylor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 X = [0.1, 0.2, 0.3, 0.4]
@@ -53,3 +57,13 @@ def test_readme_order_table_holds(pipeline_orders):
                 continue
             _, orders = pipeline_orders.declared(lambda: ENTRY_POINTS[name](model))
             assert orders == {order}, (name, orders)
+
+
+def test_readme_order_3_product_count_holds(count_products):
+    text = " ".join(README.read_text().split())
+    found = re.findall(r"One point on `sphere:8` at order 3 forms ([\d,]+) jet products", text)
+    assert len(found) == 1, found
+    chart = models.sphere(8).chart
+    point = 0.1 * np.arange(1, 9) / 8
+    assert count_products(lambda: curvature_taylor(chart, point, order=3)) == \
+        [int(found[0].replace(",", ""))]

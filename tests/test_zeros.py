@@ -72,9 +72,9 @@ def test_every_zero_product_takes_the_zero_path(count_products):
     sphere8 = models.sphere(8).chart
     point = 0.1 * np.arange(1, 9) / 8
     assert count_products(lambda: curvature_taylor(sphere8, point, order=3),
-                          by_value, skipped) == [10808, 7672, 7672]
-    # orders 2 and 3 form the Riemann-to-g^-1 A block on coefficient arrays,
-    # with no jet products
+                          by_value, skipped) == [2616, 2296, 2296]
+    # orders 2 and 3 form the Riemann-to-g^-1 A block, and order 3 its Cotton,
+    # on coefficient arrays, with no jet products
     sphere4 = models.sphere(4).chart
     batch = chart_probes(sphere4, 16)
     assert count_products(lambda: curvature_taylor(sphere4, batch, order=2),
@@ -104,7 +104,7 @@ def test_jets_built_per_pipeline(monkeypatch):
     point = 0.1 * np.arange(1, 9) / 8
     monkeypatch.setattr(taylor.TaylorScalar, "__init__", counted)
     curvature_taylor(sphere8, point, order=3)
-    assert built[0] == 6725
+    assert built[0] == 4038
 
 
 def test_materialised_zeros_compute_every_product(monkeypatch, count_products):
@@ -115,4 +115,4 @@ def test_materialised_zeros_compute_every_product(monkeypatch, count_products):
 
     assert count_products(lambda: curvature_taylor(models.sphere(8).chart,
                                                    0.1 * np.arange(1, 9) / 8, order=3),
-                          shared) == [10808, 0]
+                          shared) == [2616, 0]
