@@ -190,14 +190,11 @@ def _sym(upper: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def taylor_metric(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> np.ndarray:
+def taylor_metric(chart: MetricChart, x, order: int) -> np.ndarray:
     """The metric at the points x as an (n, n) array of jets of ``order``,
     one jet walk per entry on and above the diagonal."""
-    n = chart.dim
-    g = _obj((n, n))
-    for i, j in zip(*_triu(n)):
-        g[i, j] = g[j, i] = chart.component(i, j, x, order)
-    return g
+    upper = [chart.component(i, j, x, order) for i, j in zip(*_triu(chart.dim))]
+    return _sym(np.array(upper, dtype=object), chart.dim)
 
 
 def taylor_inverse(m: np.ndarray) -> np.ndarray:
@@ -251,9 +248,8 @@ class TaylorCurvature:
     least p - 2, and cotton to p - 3.  schouten, endo and cotton are None
     below n = 3, and cotton below order 3; at order 3 cotton comes from value
     parts on the prefix ring, at order 4 from ``cov_deriv_02`` on jets.
-    ``jet`` evaluates what is combined with them (f, X, lambda, phi) at the
-    same points and order."""
-    dim: int
+    ``dim`` and ``order`` are read from g.  ``jet`` evaluates what is
+    combined with them (f, X, lambda, phi) at the same points and order."""
     g: np.ndarray
     ginv: np.ndarray
     christoffel: np.ndarray          # Gamma^k_ij indexed [k, i, j]
@@ -264,6 +260,10 @@ class TaylorCurvature:
     endo: np.ndarray | None          # (1,1) g^{-1} A
     cotton: np.ndarray | None        # (0,3) C_ijk
     points: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.g.shape[0]
 
     @property
     def order(self) -> int:
@@ -345,12 +345,12 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
 
     cap = _trust(gam) - 1  # the trust of d_m Gamma, and of the block below
     if cap <= 1:
-        return TaylorCurvature(n, g, ginv, gam, *_prefix_block(g, ginv, gam, x.shape[:-1], cap), x)
+        return TaylorCurvature(g, ginv, gam, *_prefix_block(g, ginv, gam, x.shape[:-1], cap), x)
     # order 4 stays on jets, Cotton included
     riem, ric, scal, schouten, endo = _curvature_block(
         g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), g[0, 0].ctx.constant(0.0),
         lambda a, b: a * b, lambda a, b: taylor.matmul(a, b, cap))
-    tc = TaylorCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
+    tc = TaylorCurvature(g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
     if schouten is not None:
         da = tc.cov_deriv_02(schouten)
         tc.cotton = da - da.transpose(1, 0, 2)

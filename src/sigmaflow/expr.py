@@ -343,11 +343,9 @@ _FLOATS = _Ring(const=np.float64, value=lambda v: v, finite=np.isfinite,
 
 
 def _jets(ctx: taylor.TaylorContext) -> _Ring:
-    # taylor functions are looked up at call time, so rebinding them (as a
-    # tracer does) reaches the walk
     return _Ring(const=ctx.constant, value=lambda s: s.value,
                  finite=lambda s: np.isfinite(s.c).all(axis=-1),
-                 fn=_TAYLOR_FN, power=lambda a, b: taylor.power(a, b),
+                 fn=_TAYLOR_FN, power=taylor.power,
                  out_of_range="a jet coefficient left the double range")
 
 

@@ -48,7 +48,7 @@ def sphere(n: int, k: int = 2, l: int = 1) -> SolitonSpec:
 
     Soliton data: f = h_v (ambient height pulled back through the inverse
     stereographic map), lambda = h_v + log(sigma_k/sigma_l)."""
-    return _space_form(n, 1, k, l, _sphere_height, lambda: 0.9)
+    return _space_form(n, 1, k, l)
 
 
 def _sphere_height(n: int) -> str:
@@ -65,7 +65,7 @@ def hyperbolic(n: int, k: int = 3, l: int = 1) -> SolitonSpec:
     Soliton data: f = h_v with the ball-to-hyperboloid height, lambda =
     -h_v + log(sigma_k/sigma_l); the cone condition needs k = l (mod 2),
     and ``log_quotient`` raises ConeConditionError otherwise."""
-    return _space_form(n, -1, k, l, _hyperbolic_height, lambda: 0.85 / math.sqrt(n))
+    return _space_form(n, -1, k, l)
 
 
 def _hyperbolic_height(n: int) -> str:
@@ -78,18 +78,21 @@ def _hyperbolic_height(n: int) -> str:
     return f"(-{float(v[0])!r}*(1 + {s}) + 2*({lin})) / (1 - {s})"
 
 
-_SPACE_FORMS = {1: ("sphere", "+", "", "round sphere"),
-                -1: ("hyperbolic", "-", "-", "hyperbolic space")}
+# sign -> (name, chart sign, lambda sign, golden note, height, box)
+_SPACE_FORMS = {1: ("sphere", "+", "", "round sphere", _sphere_height, lambda n: 0.9),
+                -1: ("hyperbolic", "-", "-", "hyperbolic space", _hyperbolic_height,
+                     lambda n: 0.85 / math.sqrt(n))}
 
 
-def _space_form(n: int, sign: int, k: int, l: int, height, box) -> SolitonSpec:
+def _space_form(n: int, sign: int, k: int, l: int) -> SolitonSpec:
     """The space form of curvature ``sign`` (+1 or -1) in its conformally flat
-    chart g = 4 (1 + sign |x|^2)^-2 delta on the box [-box(), box()]^n, with
-    f = height(n), lambda = sign f + log(sigma_k/sigma_l) and the golden
-    values R = sign n(n-1), A = sign g/2, sigma_j = C(n, j) (sign/2)^j."""
+    chart g = 4 (1 + sign |x|^2)^-2 delta on the box [-box(n), box(n)]^n, with
+    f = height(n), where ``_SPACE_FORMS[sign]`` holds height and box, lambda =
+    sign f + log(sigma_k/sigma_l) and the golden values R = sign n(n-1),
+    A = sign g/2, sigma_j = C(n, j) (sign/2)^j."""
     MetricChart.check_dimension(n)
-    name, op, neg, note = _SPACE_FORMS[sign]
-    half = box()
+    name, op, neg, note, height, box = _SPACE_FORMS[sign]
+    half = box(n)
     chart = _diag_chart(n, [f"4/(1{op}{_sq_norm(n)})^2"] * n, [(-half, half)] * n)
     golden = [("scalar", float(sign * n * (n - 1)), 1e-9, note)]
     if n == 2:  # no Schouten tensor, so no sigma: the chart and R, as a warped fiber

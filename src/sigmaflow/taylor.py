@@ -224,13 +224,13 @@ class TaylorContext:
             out[:, dst] = fac * c[:, src]
         return out if out[..., :self._ends[trusted + 1]].any() else self.zero(c.shape[:-1])
 
-    def constant(self, value) -> "TaylorScalar":
-        """A constant jet; ``value`` is a float, or a (P,) array for one
-        constant per probe.  The constant 0.0 is the shared zero."""
-        if not isinstance(value, np.ndarray) and value == 0.0:
+    def constant(self, value: float) -> "TaylorScalar":
+        """The constant jet of the float ``value``, of shape (C,), which
+        broadcasts against a batch; the constant 0.0 is the shared zero."""
+        if value == 0.0:
             return TaylorScalar(self, self.zero())
-        c = np.zeros(_shape(value) + (self.ncoef,))
-        c[..., 0] = value
+        c = np.zeros(self.ncoef)
+        c[0] = value
         return TaylorScalar(self, c)
 
     def variable(self, var: int, value) -> "TaylorScalar":

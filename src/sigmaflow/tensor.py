@@ -1,5 +1,5 @@
-"""Dense pointwise tensors, symmetric spectra, elementary symmetric
-polynomials and Newton's identities.
+"""Dense pointwise tensors, symmetric spectra and Newton's identities, the
+elementary symmetric polynomials from power sums.
 
 Component layout: contravariant slots first, then covariant slots,
 row-major.  Dimensions are desk-scale (<= 8), so everything is dense.
@@ -72,7 +72,7 @@ def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
 def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (1,1) tensor self-adjoint for ``metric``, in
     a metric-orthonormal frame from the Cholesky factor.  With
-    ``elementary_all`` it is the tests' oracle for ``sigma.sigmas``."""
+    ``oracles.elementary_all`` it is the tests' oracle for ``sigma.sigmas``."""
     if m.valence != (1, 1):
         raise TensorError("sym_eigenvalues expects a (1,1) tensor")
     comps = m.components
@@ -84,19 +84,7 @@ def sym_eigenvalues(m: TensorValue, metric: np.ndarray) -> np.ndarray:
     return jacobi_eigenvalues(frame)
 
 
-# -- elementary symmetric polynomials --------------------------------------
-
-
-def elementary_all(eig) -> np.ndarray:
-    """All sigma_0..sigma_n at once; coefficients of prod (1 + lambda_i t)."""
-    eig = np.asarray(eig, dtype=float)
-    n = len(eig)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for lam in eig:
-        for k in range(n, 0, -1):
-            e[k] += lam * e[k - 1]
-    return e
+# -- Newton's identities ---------------------------------------------------
 
 
 def sigmas_from_power_sums(powers, n: int):

@@ -19,7 +19,7 @@ from sigmaflow.curvature import MetricChart, TaylorCurvature, taylor_metric
 from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var, parse
 from sigmaflow.flow import FlowState, sphere_area
 from sigmaflow.soliton import SolitonSpec
-from sigmaflow.tensor import TensorError, TensorValue, elementary_all
+from sigmaflow.tensor import TensorError, TensorValue
 
 
 # -- dense tensors ---------------------------------------------------------
@@ -63,6 +63,18 @@ def lower_index(t: TensorValue, metric: np.ndarray, slot: int = 0) -> TensorValu
     comps = np.tensordot(metric, np.moveaxis(t.components, slot, 0), axes=(1, 0))
     comps = np.moveaxis(comps, 0, p - 1 + q)  # lowered slot becomes last covariant
     return TensorValue(t.dim, (p - 1, q + 1), comps)
+
+
+def elementary_all(eig) -> np.ndarray:
+    """All sigma_0..sigma_n at once; coefficients of prod (1 + lambda_i t)."""
+    eig = np.asarray(eig, dtype=float)
+    n = len(eig)
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for lam in eig:
+        for k in range(n, 0, -1):
+            e[k] += lam * e[k - 1]
+    return e
 
 
 def elementary_symmetric(eig: np.ndarray, k: int) -> float:
@@ -476,7 +488,7 @@ def loop_curvature(chart: MetricChart, x, order: int) -> LoopCurvature:
                 acc = acc + ginv[i, k] * schouten[k, j]
             endo[i, j] = acc
 
-    tc = LoopCurvature(n, g, ginv, gam, riem, ric, scal, schouten, endo, None)
+    tc = LoopCurvature(g, ginv, gam, riem, ric, scal, schouten, endo, None)
     if order >= 3:
         da = tc.cov_deriv_02(schouten)
         cotton = _obj((n, n, n))

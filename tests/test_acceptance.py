@@ -14,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from oracles import elementary_all
 
 from sigmaflow import expr as ex
 from sigmaflow import flow, hodge, models
@@ -23,7 +24,7 @@ from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import (conformal_ricci, conformal_schouten,
                              divergence_newton, newton_tensor, sigma_profile)
 from sigmaflow.soliton import SolitonSpec, lemma_structural_check
-from sigmaflow.tensor import elementary_all, jacobi_eigenvalues
+from sigmaflow.tensor import jacobi_eigenvalues
 
 
 def report(num, ok, detail):

@@ -28,6 +28,7 @@ def test_variables_and_constants():
     e = ex.parse("pi * x1 + e * x2")
     assert ex.eval_float(e, [2.0, -1.0]) == pytest.approx(2 * math.pi - math.e)
     assert ex.max_var(e) == 2
+    assert ex.parse("x1 ") == ex.parse("x1")  # trailing whitespace ends the tokens
 
 
 @pytest.mark.parametrize("name,fn", [
@@ -90,6 +91,10 @@ def test_unparse_round_trips_structurally():
         for idx in np.ndindex(4, 5):
             assert grid[idx] == pytest.approx(
                 ex.eval_float(e, pts[(slice(None), *idx)]), rel=1e-15)
+    # the printer and the evaluator refuse what is not an Expr, a source string too
+    for refused in (lambda: ex.unparse(object()), lambda: ex.eval_float("x1", [1.0])):
+        with pytest.raises(TypeError, match="not an Expr"):
+            refused()
 
 
 def test_symbolic_derivative_matches_taylor():

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import elementary_all
 
 from sigmaflow import expr as ex
 from sigmaflow import models, taylor
 from sigmaflow.curvature import GeometryError, curvature_at, values
 from sigmaflow.probes import chart_probes
 from sigmaflow.sigma import sigma_profile
-from sigmaflow.tensor import elementary_all
 
 
 def probe(model, count=10, seed=0):

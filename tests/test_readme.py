@@ -1,8 +1,10 @@
 """README's order table, ``| entry point | order | why |``, is the one
 statement of the order each entry point runs its pipeline at: every name in
 its first column declares the order of its row.  README's count of the jet
-products of one order-3 point on ``sphere:8`` is the count the pipeline forms."""
+products of one order-3 point on ``sphere:8`` is the count the pipeline forms.
+README's python examples run, and print what their comments state."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -67,3 +69,25 @@ def test_readme_order_3_product_count_holds(count_products):
     point = 0.1 * np.arange(1, 9) / 8
     assert count_products(lambda: curvature_taylor(chart, point, order=3)) == \
         [int(found[0].replace(",", ""))]
+
+
+def test_readme_python_examples_print_what_their_comments_state():
+    """README's python blocks run in order in one namespace.  Each
+    ``print(x)  # <number>`` states x exactly, and each ``print(x)  # about
+    <number>`` states x within a factor of 2 either way."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    namespace, stated = {}, []
+    for block in blocks:
+        lines = block.splitlines()
+        for node in ast.parse(block).body:
+            comment = re.search(r"#\s*(about )?(\d[\d.e+-]*)", lines[node.lineno - 1])
+            if (comment and isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "print"):
+                value = eval(compile(ast.Expression(node.value.args[0]), "README", "eval"),
+                             namespace)
+                stated.append((value, comment.group(1), float(comment.group(2))))
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert len(blocks) == 3 and len(stated) == 3, (len(blocks), stated)
+    for value, about, want in stated:
+        assert (0.5 <= value / want <= 2.0) if about else value == want, (value, want)

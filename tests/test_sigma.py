@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import elementary_all
 from test_batched import BUILTINS
 
 from sigmaflow import expr as ex
@@ -13,7 +14,7 @@ from sigmaflow.sigma import (ConeConditionError, conformal_ricci,
                              log_quotient, newton_tensor,
                              newton_tensor_taylor, repeated_sigma, sigma_profile,
                              sigma_taylor, sigmas, two_eigenvalue_sigma)
-from sigmaflow.tensor import TensorValue, elementary_all, sym_eigenvalues
+from sigmaflow.tensor import TensorValue, sym_eigenvalues
 
 
 def conformal_chart(factor_src, n, box=0.8):

@@ -150,6 +150,8 @@ def test_derivative_coefficient_convention():
     f = ty.power(x, 4)
     assert f.derivative((4,)) == pytest.approx(24.0)
     assert f.c[f.ctx.index_of[(4,)]] == pytest.approx(1.0)
+    with pytest.raises(KeyError, match=r"\(1, 0, 0\) does not fit 2 variables"):
+        context(2).variable(0, 0.3).derivative((1, 0, 0))
 
 
 def test_dimension_bounds():
@@ -189,6 +191,7 @@ def test_trust_budget():
     ctx = context(2, 2)
     x, y = ctx.variable(0, 0.3), ctx.variable(1, -0.2)
     assert x.trusted == ctx.constant(1.0).trusted == TaylorScalar(ctx, x.c).trusted == 2
+    assert repr(x).startswith("TaylorScalar(dim=2, order=2, trusted=2, c=array([0.3,")
     f = ty.sin(x * y) + x
     assert f.trusted == 2
     d = f.deriv(0)
@@ -202,6 +205,8 @@ def test_trust_budget():
     assert dd.trusted == -1
     with pytest.raises(ty.TaylorTrustError):
         dd.value
+    with pytest.raises(ty.TaylorTrustError):  # a composition reads the value part too
+        ty.exp(x.deriv(0).deriv(0).deriv(0))
     with pytest.raises(ty.TaylorTrustError):
         x + context(2, 4).variable(0, 0.3)
     with pytest.raises(ty.TaylorTrustError):
@@ -249,6 +254,15 @@ def test_sum_with_a_zero_returns_the_other_jet_when_trust_allows():
         assert s is not x and s.c is x.c and s.trusted == 2
     assert (zero - x).c is not x.c
     np.testing.assert_array_equal((zero - x).c, -x.c)
+
+
+def test_a_shared_zero_stays_shared_through_scaling_and_products():
+    ctx = context(2, 3)
+    zero = ctx.constant(0.0)
+    assert zero / 2.0 is zero and zero * 2.0 is zero
+    # a zero of one probe broadcasts against a batch of three
+    batch = ctx.variable(0, np.array([0.1, 0.2, 0.3]))
+    assert (TaylorScalar(ctx, ctx.zero((1,))) * batch).c is ctx.zero((3,))
 
 
 def test_division_by_the_number_zero_raises():
@@ -316,7 +330,9 @@ def constant_jets(ctx, f, lead):
     shape = f.shape[len(lead):]
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
-        out[idx] = ctx.constant(f[(...,) + idx] if lead else float(f[idx]))
+        c = np.zeros(lead + (ctx.ncoef,))
+        c[..., 0] = f[(...,) + idx]
+        out[idx] = TaylorScalar(ctx, c)
     return out
 
 

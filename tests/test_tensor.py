@@ -4,11 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import (contract, elementary_symmetric, lower_index, raise_index,
-                     symmetrize2)
-from sigmaflow.tensor import (TensorError, TensorValue, elementary_all,
-                              jacobi_eigenvalues, sigmas_from_power_sums,
-                              sym_eigenvalues)
+from oracles import (contract, elementary_all, elementary_symmetric, lower_index,
+                     raise_index, symmetrize2)
+from sigmaflow.tensor import (TensorError, TensorValue, jacobi_eigenvalues,
+                              sigmas_from_power_sums, sym_eigenvalues)
 
 
 def random_spd(rng, n, spread=1.0):
@@ -42,6 +41,9 @@ def test_jacobi_preserves_trace_and_det():
         eig = jacobi_eigenvalues(a)
         assert np.sum(eig) == pytest.approx(np.trace(a), rel=1e-12, abs=1e-12)
         assert np.prod(eig) == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-10)
+    # an off-diagonal entry that is exactly zero is skipped, not rotated
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
+    np.testing.assert_allclose(jacobi_eigenvalues(a), np.linalg.eigvalsh(a), rtol=1e-13)
 
 
 def test_sym_eigenvalues_metric_self_adjoint():
