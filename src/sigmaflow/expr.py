@@ -19,20 +19,13 @@ One tree walk evaluates over float arrays (``eval_float``) and over jets
 (``eval_taylor``).  A domain rule, an overflow or a non-finite result
 raises ``EvalError`` ``<subexpression>: <rule> <value> at <point>``, the one
 point or the first failing probe of a batch (``EvalError.probe``); a
-constant subexpression that fails in a batch names no point.  The two rings
-apply the same rules to their values, and differ only where:
-- the jet ring alone refuses, since no jet exists: ``abs`` at 0 and a
-  variable exponent at a non-positive base (``x1^x2`` at (-1, 2)) have no
-  derivative, and a derivative coefficient can leave the double range
-  (``1/x1`` at 1e-100, ``sqrt(x1)`` at 1e-200);
-- the jet ring alone refuses because a composition forms powers of the
-  nilpotent part, which overflow though every coefficient is a double
-  (``1/exp(300*x1)`` at 1, orders 3 and 4);
-- the values round apart: the jet ring forms a/b as a * (1/b) and integer
-  powers by squaring, so values agree to rounding (which an ill-conditioned
-  function amplifies), and a refusal may differ with them:
-  ``10/log((x2/x2)^2)`` at (0.3, 1e-5) divides by 0 as floats, by
-  log(1 + ulp) as jets.
+constant subexpression that fails in a batch names no point.  A jet's value
+part is the float result (``taylor``), and the rings apply the same rules
+to it, so they refuse alike, except where the jet ring alone refuses
+because no jet exists: ``abs`` at 0 and a variable exponent at a
+non-positive base (``x1^x2`` at (-1, 2)) have no derivative, and a
+coefficient can leave the double range (``1/x1`` at 1e-100, ``sqrt(x1)``
+at 1e-200).
 """
 
 from __future__ import annotations
@@ -355,8 +348,8 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 def _evaluate(e: Expr, env, ring: _Ring):
     """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``, under
     ``_run``, which turns overflow into an error.  The domain rules test
-    value parts, so where the rings' values agree they refuse alike.  The
-    node that fails raises the EvalError, ``_located`` in ``env``'s points."""
+    value parts, which agree in both rings.  The node that fails raises the
+    EvalError, ``_located`` in ``env``'s points."""
     try:
         if isinstance(e, Num):
             return ring.const(e.value)

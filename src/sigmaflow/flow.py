@@ -179,13 +179,6 @@ def schouten_eigenvalues(state: FlowState) -> tuple[np.ndarray, np.ndarray]:
     return lam_r, lam_t
 
 
-def sigma_nodes(state: FlowState, j: int) -> np.ndarray:
-    """sigma_j of the two-eigenvalue spectrum (lam_t with multiplicity n-1,
-    lam_r once)."""
-    check_int(j, "sigma index j", 0, state.n)
-    return _nodal_sigmas(state, j)[1]
-
-
 def _nodal_sigmas(state: FlowState, *js):
     """The tangential eigenvalue lam_t and, for each j of ``js``, sigma_j at
     the nodes, from one evaluation of the spectrum."""
@@ -309,24 +302,3 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
     except (ConeConditionError, BlowUp) as err:
         diag.aborted = str(err)
     return state, diag
-
-
-def conformal_field_integral(state: FlowState, k: int) -> float:
-    """int <X, grad sigma_k(g)> dv_g for the axial conformal field
-    X = grad_{g_0}(cos theta) = -sin(theta) d/dtheta, where <X, grad f>_g =
-    X(f), with d sigma_k/d theta taken spectrally, independent of the flow's
-    finite-difference stencils."""
-    sig = sigma_nodes(state, k)
-    dsig = spectral_derivative(sig)
-    return quadrature(state, -np.sin(state.theta) * dsig)
-
-
-def spectral_derivative(f: np.ndarray) -> np.ndarray:
-    """d f / d theta for samples on [0, pi], via the even extension of
-    period 2pi and the FFT."""
-    m = len(f) - 1
-    ext = np.concatenate([f, f[-2:0:-1]])  # length 2m, even about both poles
-    freq = np.fft.rfftfreq(2 * m, d=1.0 / (2 * m))  # integer wavenumbers
-    fhat = np.fft.rfft(ext)
-    dext = np.fft.irfft(1j * freq * fhat, n=2 * m)
-    return dext[: m + 1]

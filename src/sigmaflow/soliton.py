@@ -115,8 +115,7 @@ def _point_data(spec: SolitonSpec, tc):
     sig = [np.broadcast_to(s, len(tc.points))
            for s in sigmas(tc.endo if tc.endo is None else values(tc.endo))]
     vk, vl, ok = cone_values(sig, spec.k, spec.l)
-    # lambda as a jet's value: a float evaluation rounds a/b apart from a * recip(b)
-    lam = tc.jet(spec.lam).value
+    lam = ex.eval_float(ex.as_expr(spec.lam), tc.points.T)
     psi = log_quotient([np.where(ok, s, 1.0) for s in sig], spec.k, spec.l) - lam
     if spec.potential is not None:
         lie = 2.0 * values(tc.hessian_scalar(tc.jet(spec.potential)))

@@ -9,6 +9,11 @@ for a batch of P probes, which every operation carries at once, and a
 constant of shape (C,) broadcasts against a batch.  ``value`` and
 ``derivative`` return a float at one point and a (P,) array for a batch.
 
+Value rule: the value part of every jet an operation returns is the float
+result of that operation on its operands' value parts, computed by numpy
+as on a float array of their shape (a0 / b0, ``np.power(v, p)``,
+``np.sqrt(v)``, ``np.exp(v)``, ...), sign of a zero aside.
+
 Trusted order: each scalar is exact up to total degree ``trusted``.
 ``variable`` and ``constant`` set p, ``deriv`` one less, and a sum, product
 or composition the lowest of its operands'; a product (``mul``, ``matmul``)
@@ -75,11 +80,11 @@ def integral(p):
 
 
 def _val(s: "TaylorScalar") -> np.ndarray:
-    """The value part as a column, shape (1,) for one point and (P, 1) for
-    a batch: both then run the same numpy loops and agree bitwise."""
+    """The value part in the float ring's shape, () at one point and (P,)
+    for a batch, so that numpy runs the float ring's loops on it."""
     if s.trusted < 0:
         s.value  # raises TaylorTrustError
-    return s.c[..., :1]
+    return s.c[..., 0]
 
 
 def _multi_indices(dim: int, order: int) -> np.ndarray:
@@ -335,7 +340,7 @@ class TaylorScalar:
         if type(other) is TaylorScalar:
             if other.ctx is not self.ctx:
                 raise _mixed(self, other)
-            return self * recip(other)
+            return _quotient(self, other)
         if isinstance(other, (int, float)):
             if other == 0:
                 raise TaylorDomainError("division by zero")
@@ -348,9 +353,9 @@ class TaylorScalar:
         if type(other) is TaylorScalar:
             if other.ctx is not self.ctx:
                 raise _mixed(self, other)
-            return other * recip(self)
+            return _quotient(other, self)
         if isinstance(other, (int, float)):
-            return self.ctx.constant(float(other)) * recip(self)
+            return _quotient(self.ctx.constant(float(other)), self)
         return NotImplemented
 
     def __pow__(self, p):
@@ -442,135 +447,150 @@ def matmul(a: np.ndarray, b: np.ndarray, trusted: int | None = None):
 # -- composition with a univariate outer function --------------------------
 
 
-def _compose(s: TaylorScalar, derivs) -> TaylorScalar:
-    """f(s) for outer derivatives [f(v), f'(v), ...] at the value column
-    v = ``_val(s)``, at least ``s.ctx.order + 1`` of them; trusted as far as
-    ``s``."""
+def _compose(s: TaylorScalar, series, scale=None) -> TaylorScalar:
+    """f(s) = series[0] + sum of series[m] x^m over m = 1 .. order, where x is
+    w / ``scale`` for the nilpotent part w of s (w itself for None):
+    series[0] is f(v), the float ring's value, and each entry, like
+    ``scale``, a float or a value part (``_val``).  Trusted as far as ``s``."""
     ctx, t = s.ctx, s.trusted
-    w = s.c.copy()
-    w[..., 0] = 0.0  # nilpotent part
-    if not w[..., :ctx._ends[t + 1]].any():  # s is a constant, as far as it is trusted
-        w = ctx.zero(w.shape[:-1])
-    out = np.zeros(w.shape)
-    out[..., :1] = derivs[0]
-    wp = w
-    fact = 1.0
+    x = s.c.copy()
+    x[..., 0] = 0.0  # nilpotent part
+    if not x[..., :ctx._ends[t + 1]].any():  # s is a constant, as far as it is trusted
+        x = ctx.zero(x.shape[:-1])
+    elif scale is not None:
+        x /= np.expand_dims(scale, -1)
+    out = np.zeros(x.shape)
+    xm = x
     for m in range(1, ctx.order + 1):
-        fact *= m
-        out += (derivs[m] / fact) * wp
+        out += np.expand_dims(series[m], -1) * xm
         if m < ctx.order:
-            wp = ctx.mul(wp, w, t)
+            xm = ctx.mul(xm, x, t)
+    out[..., 0] = series[0]
     return TaylorScalar(ctx, out, t)
 
 
-def _inverse_powers(v, count: int) -> list:
-    """1/v, 1/v^2, ..., 1/v^count as successive quotients, so none overflows
-    where v^count would."""
-    r = [1.0 / v]
-    for _ in range(count - 1):
-        r.append(r[-1] / v)
-    return r
+def _valued(s: TaylorScalar, value) -> TaylorScalar:
+    """``s``, a jet no one holds yet, with ``value``, the float ring's result
+    on the operands' value parts, as its value column; a shared zero is kept."""
+    if not s.ctx.is_zero(s.c):
+        s.c[..., 0] = value
+    return s
+
+
+def _quotient(a: TaylorScalar, b: TaylorScalar) -> TaylorScalar:
+    """a / b as a * recip(b), with the value column a0 / b0."""
+    return _valued(a * recip(b), a.c[..., 0] / b.c[..., 0])
 
 
 def recip(s: TaylorScalar) -> TaylorScalar:
+    """1/s = (1/v) sum (-u)^m."""
     v = _val(s)
-    _domain(v[..., 0] != 0.0, "division by a jet with value part {v}", v[..., 0])
-    r = _inverse_powers(v, s.ctx.order + 1)
-    return _compose(s, [(-1.0) ** m * math.factorial(m) * r[m] for m in range(s.ctx.order + 1)])
+    _domain(v != 0.0, "division by a jet with value part {v}", v)
+    r = 1.0 / v
+    return _compose(s, [r, -r, r, -r, r], v)
 
 
 def exp(s: TaylorScalar) -> TaylorScalar:
     ev = np.exp(_val(s))
-    return _compose(s, [ev] * (s.ctx.order + 1))
+    return _compose(s, [ev, ev, ev / 2, ev / 6, ev / 24])
 
 
 def log(s: TaylorScalar) -> TaylorScalar:
-    v = _val(s)[..., 0]
+    v = _val(s)
     _domain(v > 0.0, "log of non-positive value {v}", v)
     return log_abs(s)
 
 
 def log_abs(s: TaylorScalar) -> TaylorScalar:
-    """log|s|; valid for either sign of the value part (used for sigma quotients)."""
+    """log|s| = log|v| + sum (-1)^(m-1) u^m / m; valid for either sign of the
+    value part (used for sigma quotients)."""
     v = _val(s)
-    _domain(v[..., 0] != 0.0, "log of zero", v[..., 0])
-    r = _inverse_powers(v, s.ctx.order)
-    return _compose(s, [np.log(np.abs(v))] + [(-1.0) ** m * math.factorial(m) * r[m]
-                                             for m in range(s.ctx.order)])
+    _domain(v != 0.0, "log of zero", v)
+    return _compose(s, [np.log(np.abs(v)), 1.0, -1 / 2, 1 / 3, -1 / 4], v)
+
+
+def _fractional(s: TaylorScalar, p: float, root) -> TaylorScalar:
+    """s^p = v^p sum C(p, m) u^m for a positive value part v, ``root(v)``
+    being v^p in the float ring.  At a probe where v < 1, |w| < |u| and v^p
+    may have lost digits that u^m would scale up, so the sum there is
+    sum C(p, m) v^(p - m) w^m."""
+    v = _val(s)
+    _domain(v > 0.0, "fractional power of non-positive value {v}", v)
+    head = root(v)
+    small = v < 1.0
+    series, c = [head], 1.0
+    for m in range(1, s.ctx.order + 1):
+        c *= (p - m + 1) / m
+        series.append(np.where(small, c * np.power(np.where(small, v, 1.0), p - m), c * head))
+    return _compose(s, series, np.where(small, 1.0, v))
 
 
 def sqrt(s: TaylorScalar) -> TaylorScalar:
-    return power(s, 0.5)  # power rejects a non-positive value part
+    return _fractional(s, 0.5, np.sqrt)
 
 
 def sin(s: TaylorScalar) -> TaylorScalar:
     sv, cv = np.sin(_val(s)), np.cos(_val(s))
-    return _compose(s, [sv, cv, -sv, -cv, sv])
+    return _compose(s, [sv, cv, -sv / 2, -cv / 6, sv / 24])
 
 
 def cos(s: TaylorScalar) -> TaylorScalar:
     sv, cv = np.sin(_val(s)), np.cos(_val(s))
-    return _compose(s, [cv, -sv, -cv, sv, cv])
+    return _compose(s, [cv, -sv, -cv / 2, sv / 6, cv / 24])
 
 
 def sinh(s: TaylorScalar) -> TaylorScalar:
     sv, cv = np.sinh(_val(s)), np.cosh(_val(s))
-    return _compose(s, [sv, cv, sv, cv, sv])
+    return _compose(s, [sv, cv, sv / 2, cv / 6, sv / 24])
 
 
 def cosh(s: TaylorScalar) -> TaylorScalar:
     sv, cv = np.sinh(_val(s)), np.cosh(_val(s))
-    return _compose(s, [cv, sv, cv, sv, cv])
+    return _compose(s, [cv, sv, cv / 2, sv / 6, cv / 24])
 
 
 def tanh(s: TaylorScalar) -> TaylorScalar:
     t = np.tanh(_val(s))
-    u = 1.0 - t * t  # sech^2
-    # successive derivatives of tanh expressed through t and u
-    d = [t, u, -2 * t * u, -2 * u * u + 4 * t * t * u, 16 * t * u * u - 8 * t ** 3 * u]
-    return _compose(s, d)
+    u = 1.0 - t * t  # sech^2; the derivatives of tanh in t and u, over m!
+    return _compose(s, [t, u, -2 * t * u / 2, (-2 * u * u + 4 * t * t * u) / 6,
+                        (16 * t * u * u - 8 * t ** 3 * u) / 24])
 
 
 def abs_(s: TaylorScalar) -> TaylorScalar:
     v = _val(s)
-    _domain(v[..., 0] != 0.0, "abs has no derivative at {v}", v[..., 0])
-    return TaylorScalar(s.ctx, np.where(v > 0.0, 1.0, -1.0) * s.c, s.trusted)
+    _domain(v != 0.0, "abs has no derivative at {v}", v)
+    return TaylorScalar(s.ctx, np.where(v > 0.0, 1.0, -1.0)[..., None] * s.c, s.trusted)
 
 
 def power(s: TaylorScalar, p) -> TaylorScalar:
-    """s**p.  An integral p (``integral``), however large, is repeated
-    squaring, of ``recip(s)`` for p < 0, so any value part (nonzero for
-    p < 0) is valid; a fractional p needs a positive value part.  A jet
-    exponent that varies (in its derivative part, or from probe to probe)
-    is exp(p log s), which has no derivative at a non-positive base."""
+    """s**p, with the value column np.power(v, p).  An integral p
+    (``integral``), however large, is repeated squaring, of ``recip(s)`` for
+    p < 0, so any value part (nonzero for p < 0) is valid; a fractional p
+    needs a positive value part.  A jet exponent that varies (in its
+    derivative part, or from probe to probe) is exp(p log s), which has no
+    derivative at a non-positive base."""
+    pv = p
     if isinstance(p, TaylorScalar):
+        pv = _val(p)
         if np.any(p.c[..., 1:] != 0.0) or np.any(p.c[..., 0] != p.c.flat[0]):
-            v = _val(s)[..., 0]
+            v = _val(s)
             _domain(v > 0.0, "a variable exponent has no derivative at base {v}", v)
-            return exp(p * log(s))
+            return _valued(exp(p * log(s)), np.power(v, pv))
+        if p.c.ndim > s.c.ndim:  # one exponent at every probe of a batch
+            s = TaylorScalar(s.ctx, np.broadcast_to(s.c, p.c.shape).copy(), s.trusted)
         p = p.c.flat[0]
-    pf = float(p)
-    if integral(pf):
-        m = int(pf)
-        if m < 0:
-            base = recip(s)
-            m = -m
-        else:
-            base = s
-        out = s.ctx.constant(1.0)
-        acc = base
-        while m:
-            if m & 1:
-                out = out * acc
-            m >>= 1
-            if m:
-                acc = acc * acc
+    if not integral(float(p)):
+        return _fractional(s, float(p), lambda v: np.power(v, pv))
+    m = int(p)
+    out = s.ctx.constant(1.0)
+    if m == 0:
         return out
-    v = _val(s)
-    _domain(v[..., 0] > 0.0, "fractional power of non-positive value {v}", v[..., 0])
-    d = []
-    coeff = 1.0
-    for m in range(s.ctx.order + 1):
-        d.append(coeff * v ** (pf - m))
-        coeff *= pf - m
-    return _compose(s, d)
+    acc = recip(s) if m < 0 else s
+    m = abs(m)
+    while m:
+        if m & 1:
+            out = out * acc
+        m >>= 1
+        if m:
+            acc = acc * acc
+    return _valued(out, np.power(_val(s), pv))

@@ -1,12 +1,12 @@
 """Reference implementations that only the tests use: index gymnastics
 and contractions of dense tensors, sigma_k by index, Halton probes by
 scalar loops, a symbolic partial derivative of expressions and a variable
-substitution, the quotient flow's grid formulas without cached tables, the
-Hodge split on the full complex spectrum, the curvature pipeline as
-index loops over jets, and exact gradient almost solitons on warped
-products.  Each is checked by its
-own test and serves as an independent oracle for the program's jet
-pipeline, probes or flow."""
+substitution, the quotient flow's grid formulas without cached tables and
+the spectral sigma flux of its axial conformal field, the Hodge split on
+the full complex spectrum, the curvature pipeline as index loops over
+jets, and exact gradient almost solitons on warped products.  Each is
+checked by its own test and serves as an independent oracle for the
+program's jet pipeline, probes or flow."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ import numpy as np
 from sigmaflow import models, taylor
 from sigmaflow.curvature import MetricChart, TaylorCurvature, taylor_metric
 from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var, parse
-from sigmaflow.flow import FlowState, sphere_area
+from sigmaflow.flow import FlowState, quadrature, schouten_eigenvalues, sphere_area
+from sigmaflow.sigma import two_eigenvalue_sigma
 from sigmaflow.soliton import SolitonSpec
 from sigmaflow.tensor import TensorError, TensorValue
 
@@ -272,6 +273,33 @@ def flow_run(state: FlowState, t_end: float, dt: float | None = None,
         if nstep % cadence == 0 or state.t >= t_end - 1e-12:
             rows.append(sample(state))
     return rows
+
+
+def sigma_nodes(state: FlowState, j: int) -> np.ndarray:
+    """sigma_j at the nodes of the flow's two-eigenvalue spectrum (lam_t
+    with multiplicity n-1, lam_r once)."""
+    lam_r, lam_t = schouten_eigenvalues(state)
+    return two_eigenvalue_sigma(state.n, j, lam_t, lam_r)
+
+
+def spectral_derivative(f: np.ndarray) -> np.ndarray:
+    """d f / d theta for samples on [0, pi], via the even extension of
+    period 2pi and the FFT."""
+    m = len(f) - 1
+    ext = np.concatenate([f, f[-2:0:-1]])  # length 2m, even about both poles
+    freq = np.fft.rfftfreq(2 * m, d=1.0 / (2 * m))  # integer wavenumbers
+    fhat = np.fft.rfft(ext)
+    dext = np.fft.irfft(1j * freq * fhat, n=2 * m)
+    return dext[: m + 1]
+
+
+def conformal_field_integral(state: FlowState, k: int) -> float:
+    """int <X, grad sigma_k(g)> dv_g for the axial conformal field
+    X = grad_{g_0}(cos theta) = -sin(theta) d/dtheta, where <X, grad f>_g =
+    X(f), with d sigma_k/d theta taken spectrally, independent of the flow's
+    finite-difference stencils."""
+    dsig = spectral_derivative(sigma_nodes(state, k))
+    return quadrature(state, -np.sin(state.theta) * dsig)
 
 
 # -- the Hodge split on the full complex spectrum ----------------------------

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from oracles import elementary_all
+from oracles import conformal_field_integral, elementary_all, sigma_nodes
 
 from sigmaflow import expr as ex
 from sigmaflow import flow, hodge, models
@@ -203,8 +203,8 @@ def test_criterion_08_flow_fixed_point_and_conservation():
     theta = np.linspace(0, math.pi, 65)
     pert = flow.FlowState(4, 2, 1, 0.05 * np.cos(theta))
     initial_dev = float(np.max(np.abs(
-        np.log(np.abs(flow.sigma_nodes(pert, 2)))
-        - np.log(np.abs(flow.sigma_nodes(pert, 1))) - flow.log_r_kl(pert))))
+        np.log(np.abs(sigma_nodes(pert, 2)))
+        - np.log(np.abs(sigma_nodes(pert, 1))) - flow.log_r_kl(pert))))
     _, diag = flow.run(pert, 1.0)
     e = np.array(diag.energy)
     drift = float(np.max(np.abs(e - e[0])) / abs(e[0]))
@@ -250,8 +250,8 @@ def test_criterion_10_conformal_field_integral():
                            0.07 * np.cos(theta) + 0.02 * np.cos(3 * theta))
     worst = 0.0
     for k in (1, 2, 3):
-        val = abs(flow.conformal_field_integral(state, k))
-        scale = flow.quadrature(state, np.abs(flow.sigma_nodes(state, k)))
+        val = abs(conformal_field_integral(state, k))
+        scale = flow.quadrature(state, np.abs(sigma_nodes(state, k)))
         worst = max(worst, val / (1e-6 * scale))
     report(10, worst < 1.0,
            f"|int <X, grad sigma_k> dv| worst {worst:.3f} of budget "

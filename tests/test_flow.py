@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import conformal_field_integral, sigma_nodes, spectral_derivative
 
 from sigmaflow import flow
 from sigmaflow.curvature import GeometryError, MetricChart, curvature_taylor, values
-from sigmaflow.flow import (BlowUp, FlowState, conformal_field_integral,
-                            derivatives, flow_rhs, log_r_kl, quadrature, run,
-                            schouten_eigenvalues, sigma_nodes, spectral_derivative,
-                            sphere_area, stable_dt, step)
+from sigmaflow.flow import (BlowUp, FlowState, derivatives, flow_rhs, log_r_kl, quadrature,
+                            run, schouten_eigenvalues, sphere_area, stable_dt, step)
 from sigmaflow.sigma import ConeConditionError, check_pair, sigmas
 
 

@@ -3,12 +3,15 @@
 A string annotation such as ``"ex.Expr"`` counts as a use.  No dead private
 names either: every module-level ``_name`` is read, taken as an attribute or
 imported somewhere in the package.  No dead public names: every module-level
-def or class of the package is referenced in ``src``, ``tests`` or ``bench``.
-No dead members: every method and dataclass field of a package class, dunders
-aside, is referenced there too, as an attribute, a name or a string such as
-the field names a test reads through ``getattr``."""
+def or class of the package is referenced in ``src`` or ``bench`` (a dotted
+string such as the tracer's ``"TaylorContext.mul"`` included) or named in
+README's code; what only tests call lives in ``tests/oracles.py``.  No dead
+members: every method and dataclass field of a package class, dunders aside,
+is referenced in ``src``, ``tests`` or ``bench``, as an attribute, a name or
+a string such as the field names a test reads through ``getattr``."""
 
 import ast
+import re
 from pathlib import Path
 
 import sigmaflow
@@ -110,25 +113,41 @@ def public_definitions(tree: ast.Module) -> set:
             and not node.name.startswith("_")}
 
 
-def dead_publics(sources: dict, readers: list) -> dict:
-    """The public defs of ``sources`` that no tree of ``readers`` references."""
-    refs = set().union(*(referenced_names(ast.parse(text)) for text in readers))
+def code_names(markdown: str) -> set:
+    """The identifiers inside the code spans and blocks of ``markdown``."""
+    return {name for span in re.findall(r"`+([^`]+)`+", markdown)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def dead_publics(sources: dict, readers: list, tracers: list, docs: str) -> dict:
+    """The public defs of ``sources`` that no tree of ``readers`` references,
+    no tree of ``tracers`` references or names in a string, and ``docs``
+    does not name in its code."""
+    trees = [ast.parse(text) for text in tracers]
+    refs = set().union(*(referenced_names(ast.parse(text)) for text in readers),
+                       *map(referenced_names, trees), *map(string_names, trees),
+                       code_names(docs))
     return {name: sorted(dead) for name, text in sources.items()
             if (dead := public_definitions(ast.parse(text)) - refs)}
 
 
 def test_every_public_name_is_referenced():
     root = PACKAGE.parents[1]
-    readers = [path.read_text() for folder in ("src", "tests", "bench")
-               for path in sorted((root / folder).rglob("*.py"))]
+    readers, tracers = ([path.read_text() for path in sorted((root / folder).rglob("*.py"))]
+                        for folder in ("src", "bench"))
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert dead_publics(sources, readers) == {}
+    docs = (root / "README.md").read_text()
+    assert dead_publics(sources, readers, tracers, docs) == {}
 
 
 def test_the_guard_sees_dead_public_names():
-    sources = {"a.py": "def used(): pass\ndef gone(): pass\nclass Alias: pass\n"}
-    readers = [*sources.values(), "from a import used\n"]
-    assert dead_publics(sources, readers) == {"a.py": ["Alias", "gone"]}
+    sources = {"a.py": ("def used(): pass\ndef gone(): pass\nclass Alias: pass\n"
+                        "def traced(): pass\ndef told(): pass\ndef tested(): pass\n")}
+    readers = [*sources.values(), "from a import used\nprint('traced', 'tested')\n"]
+    tracers = ["TARGETS = [('a', 'traced')]\n"]
+    docs = "`a.told(x)` and tested"
+    dead = {"a.py": ["Alias", "gone", "tested"]}
+    assert dead_publics(sources, readers, tracers, docs) == dead
 
 
 def member_definitions(tree: ast.Module) -> set:

@@ -118,6 +118,20 @@ def test_fractional_power_matches_exp_log():
     assert np.allclose(lhs.c, rhs.c, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", (2, 3, 4))
+def test_fractional_powers_keep_their_coefficients_far_from_one(order):
+    # below 1 the sum runs in w, since v^p has lost its digits; at a large
+    # value in u = w / v, since the powers of w overflow
+    ctx = context(1, order)
+    small = ty.power(ctx.variable(0, 1e-100), 3.5)
+    large = ty.sqrt(ty.exp(300 * ctx.variable(0, 1.0)))
+    for m in range(order + 1):
+        falling = math.prod(3.5 - j for j in range(m))
+        for jet, want in ((small, falling * 1e-100 ** (3.5 - m)),
+                          (large, 150.0 ** m * math.exp(150.0))):
+            assert jet.derivative((m,)) == pytest.approx(want, rel=1e-13, abs=0), m
+
+
 def test_log_requires_positive_value():
     t = context(1).variable(0, -1.0)
     with pytest.raises(TaylorDomainError):
