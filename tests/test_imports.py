@@ -4,11 +4,12 @@ A string annotation such as ``"ex.Expr"`` counts as a use.  No dead private
 names either: every module-level ``_name`` is read, taken as an attribute or
 imported somewhere in the package.  No dead public names: every module-level
 def or class of the package is referenced in ``src`` or ``bench`` (a dotted
-string such as the tracer's ``"TaylorContext.mul"`` included) or named in
-README's code; what only tests call lives in ``tests/oracles.py``.  No dead
-members: every method and dataclass field of a package class, dunders aside,
-is referenced in ``src``, ``tests`` or ``bench``, as an attribute, a name or
-a string such as the field names a test reads through ``getattr``."""
+string such as the tracer's ``"TaylorContext.mul"`` included) or called or
+taken as an attribute in README's code; what only tests call lives in
+``tests/oracles.py``.  No dead members: every method and dataclass field of
+a package class, dunders aside, is referenced in ``src``, ``tests`` or
+``bench``, as an attribute, a name or a string such as the field names a
+test reads through ``getattr``."""
 
 import ast
 import re
@@ -114,9 +115,11 @@ def public_definitions(tree: ast.Module) -> set:
 
 
 def code_names(markdown: str) -> set:
-    """The identifiers inside the code spans and blocks of ``markdown``."""
+    """The names that the code spans and blocks of ``markdown`` take as an
+    attribute or call, ``module.name`` or ``name(``; a bare word, such as
+    one of a command line, names nothing."""
     return {name for span in re.findall(r"`+([^`]+)`+", markdown)
-            for name in re.findall(r"[A-Za-z_]\w*", span)}
+            for name in re.findall(r"(?<=\.)[A-Za-z_]\w*|\b[A-Za-z_]\w*(?=\()", span)}
 
 
 def dead_publics(sources: dict, readers: list, tracers: list, docs: str) -> dict:
@@ -142,11 +145,12 @@ def test_every_public_name_is_referenced():
 
 def test_the_guard_sees_dead_public_names():
     sources = {"a.py": ("def used(): pass\ndef gone(): pass\nclass Alias: pass\n"
-                        "def traced(): pass\ndef told(): pass\ndef tested(): pass\n")}
+                        "def traced(): pass\ndef told(): pass\ndef tested(): pass\n"
+                        "def called(): pass\ndef run(): pass\n")}
     readers = [*sources.values(), "from a import used\nprint('traced', 'tested')\n"]
     tracers = ["TARGETS = [('a', 'traced')]\n"]
-    docs = "`a.told(x)` and tested"
-    dead = {"a.py": ["Alias", "gone", "tested"]}
+    docs = "`a.told(x)` and tested, `called()`, `sigmaflow run --file a.py`"
+    dead = {"a.py": ["Alias", "gone", "run", "tested"]}
     assert dead_publics(sources, readers, tracers, docs) == dead
 
 

@@ -121,14 +121,17 @@ def test_fractional_power_matches_exp_log():
 @pytest.mark.parametrize("order", (2, 3, 4))
 def test_fractional_powers_keep_their_coefficients_far_from_one(order):
     # below 1 the sum runs in w, since v^p has lost its digits; at a large
-    # value in u = w / v, since the powers of w overflow
+    # value with a small w in w again, since the powers of u = w / v
+    # underflow; at a large value with a larger w in u, since the powers
+    # of w overflow
     ctx = context(1, order)
-    small = ty.power(ctx.variable(0, 1e-100), 3.5)
+    powers = ((ty.power(ctx.variable(0, 1e-100), 3.5), 1e-100, 3.5),
+              (ty.power(ctx.variable(0, 1e100), 2.5), 1e100, 2.5),
+              (ty.sqrt(ctx.variable(0, 1e200)), 1e200, 0.5))
     large = ty.sqrt(ty.exp(300 * ctx.variable(0, 1.0)))
     for m in range(order + 1):
-        falling = math.prod(3.5 - j for j in range(m))
-        for jet, want in ((small, falling * 1e-100 ** (3.5 - m)),
-                          (large, 150.0 ** m * math.exp(150.0))):
+        cases = [(jet, math.prod(p - j for j in range(m)) * v ** (p - m)) for jet, v, p in powers]
+        for jet, want in (*cases, (large, 150.0 ** m * math.exp(150.0))):
             assert jet.derivative((m,)) == pytest.approx(want, rel=1e-13, abs=0), m
 
 
