@@ -93,7 +93,7 @@ class MetricChart:
         for i, j in zip(*_triu(self.dim, 1)):
             if self.comps[i][j] != self.comps[j][i]:
                 # accept numerically symmetric input
-                a, b = g[:, i, j], self.component(j, i, x)
+                a, b = g[:, i, j], self.component(j, i, partial(ex.eval_float, point=x.T))
                 self._require(np.abs(a - b) <= 1e-12 * (1 + np.abs(a)), x,
                               f"metric[{i}][{j}] and metric[{j}][{i}] disagree")
         self.check_definite(g, x)
@@ -114,15 +114,13 @@ class MetricChart:
                       "point outside chart domain")
         return x
 
-    def component(self, i: int, j: int, x: np.ndarray, order: int | None = None):
-        """Component (i, j) at the float array of points x: floats of shape
-        x.shape[:-1], or with ``order`` one jet of that order.  An EvalError,
-        which names the point where it failed, becomes a GeometryError that
-        names the component too."""
+    def component(self, i: int, j: int, walk):
+        """Component (i, j) through ``walk``, which evaluates an expression at
+        some points: ``ex.eval_float`` there gives floats of their shape,
+        ``ex.jet_walk`` one jet.  An EvalError, which names the point where it
+        failed, becomes a GeometryError that names the component too."""
         try:
-            if order is None:
-                return ex.eval_float(self.comps[i][j], np.moveaxis(x, -1, 0))
-            return ex.eval_taylor(self.comps[i][j], x, order=order)
+            return walk(self.comps[i][j])
         except ex.EvalError as err:
             raise GeometryError(f"metric component ({i},{j}): {err}") from err
 
@@ -133,17 +131,17 @@ class MetricChart:
 
     def metric_values(self, x) -> np.ndarray:
         """g at the points x, shape x.shape[:-1] + (n, n).  Each distinct
-        component is evaluated once."""
+        component is evaluated once, in row-major order of first use on and
+        above the diagonal, and g gathers their values."""
         x = np.asarray(x, dtype=float)
-        entries = {}  # component -> its (i, j) on and above the diagonal
+        first = {}  # component -> (its number, its first (i, j))
+        index = np.empty((self.dim,) * 2, dtype=np.intp)
         for i, j in zip(*_triu(self.dim)):
-            entries.setdefault(self.comps[i][j], []).append((i, j))
-        g = np.empty(x.shape[:-1] + (self.dim,) * 2)
-        for at in entries.values():
-            v = self.component(*at[0], x)
-            for i, j in at:
-                g[..., i, j] = g[..., j, i] = v
-        return g
+            number, _ = first.setdefault(self.comps[i][j], (len(first), (i, j)))
+            index[i, j] = index[j, i] = number
+        walk = partial(ex.eval_float, point=np.moveaxis(x, -1, 0))
+        vals = [self.component(i, j, walk) for _, (i, j) in first.values()]
+        return np.stack(vals, -1)[..., index]
 
 
 # -- Taylor-valued tensor algebra -----------------------------------------
@@ -191,9 +189,11 @@ def _sym(upper: np.ndarray, n: int) -> np.ndarray:
 
 
 def taylor_metric(chart: MetricChart, x, order: int) -> np.ndarray:
-    """The metric at the points x as an (n, n) array of jets of ``order``,
-    one jet walk per entry on and above the diagonal."""
-    upper = [chart.component(i, j, x, order) for i, j in zip(*_triu(chart.dim))]
+    """The metric at the points x as an (n, n) array of jets of ``order``: one
+    context, set of coordinate jets and ring for the metric, and one jet walk
+    per entry on and above the diagonal."""
+    walk = ex.jet_walk(x, order)
+    upper = [chart.component(i, j, walk) for i, j in zip(*_triu(chart.dim))]
     return _sym(np.array(upper, dtype=object), chart.dim)
 
 
@@ -391,12 +391,12 @@ def _curvature_block(g, ginv, gam, dgam, zero, mul, matmul):
 
 def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
     """The block on the prefix ring at ``cap`` <= 1, float arrays (K, *lead, tensor
-    axes) of the K coefficients of degree <= cap: a product is one
-    ``TaylorContext.product`` over every other axis, a contraction sums left to
-    right as ``taylor.matmul`` sums jets, and d Gamma is formed as ``deriv`` forms
-    it.  Its results are jets trusted to cap, R_ijkk the constant zero to p, and
-    at cap 1 a sixth, Cotton, from the value parts of Gamma and of d A, trusted
-    to 0; cotton is None at cap 0, and with schouten and endo below n = 3."""
+    axes) of the K coefficients of degree <= cap: a product is ``_prefix_mul``
+    over every other axis, a contraction sums left to right as ``taylor.matmul``
+    sums jets, and d Gamma is formed as ``deriv`` forms it.  Its results are jets
+    trusted to cap, R_ijkk the constant zero to p, and at cap 1 a sixth, Cotton,
+    from the value parts of Gamma and of d A, trusted to 0; cotton is None at
+    cap 0, and with schouten and endo below n = 3."""
     ctx = g[0, 0].ctx
     n, k = ctx.dim, ctx._ends[cap + 1]
     gv = _columns(gam, ctx._ends[cap + 2], lead)  # [coefficient, ..., r, m, t]
@@ -405,14 +405,8 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
         src, _, fac = ctx._deriv[m]
         return (v[src[:width]].T * fac[:width]).T
 
-    def mul(a, b, t=cap):  # the coefficient axis last for the product, then first again
-        if t == 0:  # values: the table's one pair (0, 0), summed from 0.0 as mul sums it
-            return 0.0 + a * b
-        c = ctx.product(a.transpose(*range(1, a.ndim), 0), b.transpose(*range(1, b.ndim), 0), t)
-        return c.transpose(c.ndim - 1, *range(c.ndim - 1))
-
     def matmul(a, b, t=cap):
-        return np.cumsum(mul(a[..., None], b[..., None, :, :], t), axis=-2)[..., -1, :]
+        return np.cumsum(_prefix_mul(a[..., None], b[..., None, :, :], t), axis=-2)[..., -1, :]
 
     def jets(v, t=cap):  # v is (K,) + lead + shape; the shared zero where v is 0 at every probe
         shape = v.shape[1 + len(lead):]
@@ -427,7 +421,7 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
     dg = [d(gv, m, k) for m in range(n)]
     riem, ric, scal, schouten, endo = _curvature_block(
         _columns(g, k, lead), _columns(ginv, k, lead), gv[:k],
-        lambda m, nu: dg[m][..., nu, :], 0.0, mul, matmul)
+        lambda m, nu: dg[m][..., nu, :], 0.0, partial(_prefix_mul, t=cap), matmul)
     cotton = None
     if schouten is not None and cap == 1:
         # nabla_i A_jk = d_i A_jk - M_i[j, k] - M_i[k, j], M_i[j, k] = Gamma^l_ij A_lk
@@ -443,6 +437,17 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
     if schouten is not None:
         schouten, endo = _sym(jets(schouten[..., i, j]), n), jets(endo)
     return riem, ric, scal, schouten, endo, cotton
+
+
+def _prefix_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+    """The product on the prefix ring of arrays (K, ...) that broadcast over every
+    other axis, K = 1 at ``t`` 0 and 1 + n at ``t`` 1: the product table's pairs
+    of degree <= t in closed form, summed from 0.0 in table order as
+    ``TaylorContext.mul`` sums them, (0, 0) into the value and then (0, q) and
+    (q, 0) into each coefficient q of degree 1."""
+    if t == 0:
+        return 0.0 + a * b
+    return np.concatenate([0.0 + a[:1] * b[:1], (0.0 + a[:1] * b[1:]) + a[1:] * b[:1]])
 
 
 def _columns(arr, k: int, lead: tuple) -> np.ndarray:

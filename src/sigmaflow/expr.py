@@ -16,10 +16,11 @@ functions exp, log, sin, cos, sinh, cosh, tanh, sqrt and abs; whitespace
 is insignificant, and decimal literals are read as binary doubles.
 
 One tree walk evaluates over float arrays (``eval_float``) and over jets
-(``eval_taylor``).  A domain rule, an overflow or a non-finite result
-raises ``EvalError`` ``<subexpression>: <rule> <value> at <point>``, the one
-point or the first failing probe of a batch (``EvalError.probe``); a
-constant subexpression that fails in a batch names no point.  A jet's value
+(``eval_taylor``, or ``jet_walk`` for several expressions at the same
+points).  A domain rule, an overflow or a non-finite result raises
+``EvalError`` ``<subexpression>: <rule> <value> at <point>``, the one point
+or the first failing probe of a batch (``EvalError.probe``); a constant
+subexpression that fails in a batch names no point.  A jet's value
 part is the float result (``taylor``), and the rings apply the same rules
 to it, so they refuse alike, except where the jet ring alone refuses
 because no jet exists: ``abs`` at 0 and a variable exponent at a
@@ -348,8 +349,10 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 def _evaluate(e: Expr, env, ring: _Ring):
     """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``, under
     ``_run``, which turns overflow into an error.  The domain rules test
-    value parts, which agree in both rings.  The node that fails raises the
-    EvalError, ``_located`` in ``env``'s points."""
+    value parts, which agree in both rings.  A literal exponent (``x1^2``) is
+    read as its float in both rings: ``ring.power`` and the power rule take
+    it as it is, with no constant built for it.  The node that fails raises
+    the EvalError, ``_located`` in ``env``'s points."""
     try:
         if isinstance(e, Num):
             return ring.const(e.value)
@@ -362,12 +365,14 @@ def _evaluate(e: Expr, env, ring: _Ring):
         if isinstance(e, Neg):
             return -_evaluate(e.arg, env, ring)
         if isinstance(e, Bin):
-            a, b = _evaluate(e.left, env, ring), _evaluate(e.right, env, ring)
+            literal = e.op == "^" and isinstance(e.right, Num)
+            a = _evaluate(e.left, env, ring)
+            b = e.right.value if literal else _evaluate(e.right, env, ring)
             if e.op == "/":
                 bv = ring.value(b)
                 taylor._domain(bv != 0, "division by {v}", bv)
             elif e.op == "^":
-                av, bv = ring.value(a), ring.value(b)
+                av, bv = ring.value(a), b if literal else ring.value(b)
                 taylor._domain((av > 0) | (taylor.integral(bv) & ((bv >= 0) | (av != 0))),
                                "power undefined at base {v}", av)
             return _ARITH.get(e.op, ring.power)(a, b)
@@ -422,24 +427,35 @@ def eval_float(e: Expr, point):
     return float(out) if shape == () else np.broadcast_to(out, shape).copy()
 
 
+def jet_walk(point, order: int = taylor.MAX_ORDER) -> Callable[[Expr], TaylorScalar]:
+    """``eval_taylor`` at ``point`` for each expression it is given: the
+    context, the coordinate jets and the ring are built once, and each
+    expression is walked on its own, so it forms the products it forms alone."""
+    point = np.asarray(point, dtype=float)
+    dim = point.shape[-1]
+    ctx = taylor.context(dim, order)
+    coords = point.T
+    env = [ctx.variable(i, coords[i]) for i in range(dim)]
+    ring = _jets(ctx)
+    lead = point.shape[:-1]
+
+    def walk(e: Expr) -> TaylorScalar:
+        out = _run(e, env, ring)
+        if out.c.shape[:-1] != lead:
+            c = ctx.zero(lead) if ctx.is_zero(out.c) else \
+                np.broadcast_to(out.c, lead + out.c.shape[-1:]).copy()
+            out = TaylorScalar(ctx, c, out.trusted)
+        return out
+    return walk
+
+
 def eval_taylor(e: Expr, point, order: int = taylor.MAX_ORDER) -> TaylorScalar:
     """The jet of ``e`` of ``order`` (2, 3 or 4) at ``point`` of shape (n,),
     every coordinate a variable, or at each row of a (P, n) batch in one
     tree walk: coefficients d^alpha e / alpha!, trusted to ``order``, of
     shape (P, C) for a batch even when ``e`` is constant.  Jets combined
     with a pipeline must share its order (``TaylorCurvature.jet``)."""
-    point = np.asarray(point, dtype=float)
-    dim = point.shape[-1]
-    ctx = taylor.context(dim, order)
-    coords = point.T
-    env = [ctx.variable(i, coords[i]) for i in range(dim)]
-    out = _run(e, env, _jets(ctx))
-    lead = point.shape[:-1]
-    if out.c.shape[:-1] != lead:
-        c = ctx.zero(lead) if ctx.is_zero(out.c) else \
-            np.broadcast_to(out.c, lead + out.c.shape[-1:]).copy()
-        out = TaylorScalar(ctx, c, out.trusted)
-    return out
+    return jet_walk(point, order)(e)
 
 
 def shift_vars(e: Expr, offset: int) -> Expr:

@@ -66,7 +66,10 @@ def first_failure(ok) -> int | None:
 def _domain(ok, message: str, v) -> None:
     """Raise TaylorDomainError unless ``ok`` holds at every probe: ``ok`` and ``v``
     are value parts, () at one point, else a batch (or a float grid), and
-    ``{v}`` in ``message`` is the value at the first probe that fails."""
+    ``{v}`` in ``message`` is the value at the first probe that fails.  A rule
+    that held at one point (``True`` or ``np.True_``) returns at once."""
+    if ok is True or ok is np.True_:
+        return
     i = first_failure(ok)
     if i is not None:
         bad = np.broadcast_to(v, np.shape(ok)).flat[i]
@@ -150,7 +153,7 @@ class TaylorContext:
         ends = np.searchsorted(pair_deg[by_deg], np.arange(1, MAX_ORDER + 1), side="right")
         self._prefix = {t: (self._mul_a[:e], self._mul_b[:e], self._mul_out[:e])
                         for t, e in enumerate(ends, start=1)}
-        self._scatter = {}          # (probes, trusted, width) -> flat output index
+        self._scatter = {}          # (probes, trusted) -> flat output index
         self._zeros = {}            # lead shape -> the shared zero
         self._zero_ids = set()      # their ids, for a fast is_zero
         self._zero = self.zero()    # the one-point zero, returned by mul without a lookup
@@ -201,21 +204,18 @@ class TaylorContext:
         return self.product(a, b, trusted)
 
     def product(self, a: np.ndarray, b: np.ndarray, trusted: int) -> np.ndarray:
-        """``mul``'s sum for arrays (..., K) that broadcast over every leading
+        """``mul``'s sum for arrays (..., C) that broadcast over every leading
         axis: the pairs of degree <= ``trusted`` (>= 1), in table order from 0.0,
-        one ``bincount`` for all of them.  K is C, or the count of coefficients of
-        degree <= ``trusted`` (the prefix ring of ``curvature``); the result has it."""
+        one ``bincount`` for all of them."""
         ia, ib, out = self._prefix[trusted]
         w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
-        probes, width = math.prod(w.shape[:-1]), a.shape[-1]
-        key = (probes, trusted, width)
-        idx = self._scatter.get(key)
+        probes = math.prod(w.shape[:-1])
+        idx = self._scatter.get((probes, trusted))
         if idx is None:
-            idx = (np.arange(probes)[:, None] * width + out).ravel()
-            if width == self.ncoef:  # a prefix ring's index, one per tensor product, is not kept
-                self._scatter[key] = idx
+            idx = (np.arange(probes)[:, None] * self.ncoef + out).ravel()
+            self._scatter[probes, trusted] = idx
         return np.bincount(idx, weights=w.ravel(),
-                           minlength=probes * width).reshape(w.shape[:-1] + (width,))
+                           minlength=probes * self.ncoef).reshape(w.shape[:-1] + (self.ncoef,))
 
     def deriv(self, c: np.ndarray, var: int, trusted: int) -> np.ndarray:
         """d/dx_var of ``c``; the shared zero if it vanishes up to degree ``trusted``."""

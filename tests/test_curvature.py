@@ -342,6 +342,40 @@ def test_taylor_metric_names_the_first_failing_probe():
     assert err.value.__cause__.probe == 1
 
 
+def test_taylor_metric_equals_one_walk_per_entry():
+    # the metric's shared context, coordinate jets and ring give every entry
+    # the jet that a walk of its own gives, in trust, shape and bytes
+    for name in BUILTINS + ("sphere:8", "hyperbolic:6", "example4:6"):
+        chart = models.builtin(name).chart
+        pts = chart_probes(chart, 5, seed=6)
+        for order in (2, 3, 4):
+            for x in (pts[0], pts, pts[:0]):
+                g = taylor_metric(chart, x, order)
+                for i, j in np.ndindex(g.shape):
+                    want = ex.eval_taylor(chart.comps[i][j], x, order=order)
+                    got, what = g[i, j], (name, order, x.shape, i, j)
+                    assert got.trusted == want.trusted, what
+                    assert got.c.shape == want.c.shape, what
+                    assert got.c.tobytes() == want.c.tobytes(), what
+
+
+def test_a_later_entry_names_itself_where_it_fails():
+    # (0,0) is defined everywhere; (0,1), the second entry walked, is defined
+    # on the check grid x1 = -28.4, -14, 0.4 and not at x1 >= 1
+    chart = chart_from_strings([["2 + x1^2", "0.1 * log(1 - x1)"],
+                                ["0.1 * log(1 - x1)", "1 + x2^2"]],
+                               domain=[(-30.0, 2.0), (-2.0, 2.0)])
+    text = re.escape("metric component (0,1): log(1 - x1): "
+                     "log of non-positive value -0.5 at [1.5, 1.0]")
+    pts = np.array([[0.1, 0.2], [1.5, 1.0], [1.8, 1.0]])
+    for order in (2, 3, 4):
+        for x, probe in ((pts[1], None), (pts, 1)):
+            for run in (taylor_metric, curvature_taylor):
+                with pytest.raises(GeometryError, match=f"^{text}$") as err:
+                    run(chart, x, order)
+                assert err.value.__cause__.probe == probe, (order, x.shape, run)
+
+
 def test_kulkarni_nomizu_takes_two_02_tensors_of_one_dimension():
     a = TensorValue(3, (0, 2), np.eye(3))
     with pytest.raises(ValueError, match=re.escape("kulkarni_nomizu expects (0,2) tensors")):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import differentiate
 from sigmaflow import expr as ex
+from sigmaflow import taylor
 
 
 def test_parse_numbers_and_arithmetic():
@@ -144,6 +145,28 @@ def test_domain_violation_raises_eval_error():
         for evaluate in (ex.eval_float, ex.eval_taylor):
             with pytest.raises(ex.EvalError):
                 evaluate(ex.parse(src), [x])
+
+
+def test_a_literal_exponent_equals_the_constant_exponent_path():
+    # a literal exponent is read as its float: the same bytes as the power
+    # of the base by the exponent's constant, in the float ring and the jet ring
+    x = np.array([[0.7, -0.2], [1.3, 0.4], [0.05, 1.1]])
+    for base in ("x1", "(1 + x1 * x2)"):
+        for p in (0, 1, 2, 3, 0.5, 2.5):
+            e = ex.parse(f"{base}^{p}")
+            b = e.left
+            for pts in (x[0], x):
+                want = np.power(ex.eval_float(b, pts.T), np.float64(p))
+                assert np.asarray(ex.eval_float(e, pts.T)).tobytes() == \
+                    np.asarray(want).tobytes(), (base, p, pts.shape)
+                for order in (2, 3, 4):
+                    s = ex.eval_taylor(b, pts, order=order)
+                    want = taylor.power(s, s.ctx.constant(float(p)))
+                    got = ex.eval_taylor(e, pts, order=order)
+                    what = (base, p, pts.shape, order)
+                    assert got.trusted == want.trusted, what
+                    # x^0 is the constant 1, which eval_taylor spreads over a batch
+                    assert got.c.tobytes() == np.broadcast_to(want.c, got.c.shape).tobytes(), what
 
 
 def test_missing_variable_is_an_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sigmaflow import taylor as ty
-from sigmaflow.curvature import values
+from sigmaflow.curvature import _prefix_mul, values
 from sigmaflow.taylor import TaylorDomainError, TaylorScalar, context
 from test_zeros import materialise_zeros
 
@@ -445,6 +445,23 @@ def test_value_only_products_equal_the_bincount_prefix():
             got, want = ctx.mul(x, y, t), bincount_prefix(ctx, x, y, t)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x.shape, t)
             assert not ctx.is_zero(got) and got.flags.writeable
+
+
+def test_prefix_ring_products_equal_the_table_prefix():
+    # the prefix ring's closed form is the bincount of the table prefix, bit
+    # for bit: at t = 1 its 1 + n coefficients, at t = 0 the value alone
+    rng = np.random.default_rng(31)
+    ctx = context(4, 3)
+    k = 1 + ctx.dim
+    a, b = rng.standard_normal((k, 3, 1, 4)), rng.standard_normal((k, 1, 2, 4))
+    a[0, 0], a[2, 1], b[0, :, 0] = -0.0, 0.0, -0.0  # signed zeros in the values and a slope
+    for x, y in ((a, b), (a[:, :1], b), (a, b[:, :, :1])):
+        wide = [np.concatenate([v, np.zeros((ctx.ncoef - k,) + v.shape[1:])]) for v in (x, y)]
+        table = ctx.product(*(np.moveaxis(v, 0, -1) for v in wide), 1)
+        for t, width in ((1, k), (0, 1)):
+            got = _prefix_mul(x[:width], y[:width], t)
+            want = np.moveaxis(table[..., :width], -1, 0)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x.shape, t)
 
 
 def test_matmul_caps_the_order_of_every_product():

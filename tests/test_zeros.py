@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sigmaflow import models, taylor
-from sigmaflow.curvature import curvature_taylor
+from sigmaflow.curvature import curvature_taylor, taylor_metric
 from sigmaflow.probes import chart_probes
 from test_batched import BUILTINS, FIELDS
 
@@ -91,8 +91,9 @@ def test_every_zero_product_takes_the_zero_path(count_products):
 
 
 def test_jets_built_per_pipeline(monkeypatch):
-    # a count, not a timing: a sum with a shared zero builds no new jet, and
-    # a contraction builds one jet per output, none per term
+    # a count, not a timing: a sum with a shared zero builds no new jet, a
+    # contraction builds one jet per output, none per term, the metric's
+    # coordinate jets are built once, and a literal exponent builds none
     built = [0]
     init = taylor.TaylorScalar.__init__
 
@@ -104,7 +105,16 @@ def test_jets_built_per_pipeline(monkeypatch):
     point = 0.1 * np.arange(1, 9) / 8
     monkeypatch.setattr(taylor.TaylorScalar, "__init__", counted)
     curvature_taylor(sphere8, point, order=3)
-    assert built[0] == 4034
+    assert built[0] == 3682
+
+
+def test_metric_stage_products(count_products):
+    # the metric's shared context forms each entry's products, as many as
+    # walking each entry on its own forms
+    sphere8 = models.sphere(8).chart
+    point = 0.1 * np.arange(1, 9) / 8
+    assert [count_products(lambda: taylor_metric(sphere8, point, order))[0]
+            for order in (2, 3, 4)] == [160, 168, 176]
 
 
 def test_materialised_zeros_compute_every_product(monkeypatch, count_products):
