@@ -349,10 +349,10 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 def _evaluate(e: Expr, env, ring: _Ring):
     """Evaluate ``e`` over ``ring`` with x_i bound to ``env[i - 1]``, under
     ``_run``, which turns overflow into an error.  The domain rules test
-    value parts, which agree in both rings.  A literal exponent (``x1^2``) is
-    read as its float in both rings: ``ring.power`` and the power rule take
-    it as it is, with no constant built for it.  The node that fails raises
-    the EvalError, ``_located`` in ``env``'s points."""
+    value parts, which agree in both rings.  A literal exponent (``x1^2``,
+    ``x1^-2``) is read as its float in both rings: ``ring.power`` and the
+    power rule take it as it is, with no constant built for it.  The node
+    that fails raises the EvalError, ``_located`` in ``env``'s points."""
     try:
         if isinstance(e, Num):
             return ring.const(e.value)
@@ -365,9 +365,10 @@ def _evaluate(e: Expr, env, ring: _Ring):
         if isinstance(e, Neg):
             return -_evaluate(e.arg, env, ring)
         if isinstance(e, Bin):
-            literal = e.op == "^" and isinstance(e.right, Num)
+            sign, p = (-1.0, e.right.arg) if isinstance(e.right, Neg) else (1.0, e.right)
+            literal = e.op == "^" and isinstance(p, Num)
             a = _evaluate(e.left, env, ring)
-            b = e.right.value if literal else _evaluate(e.right, env, ring)
+            b = sign * p.value if literal else _evaluate(e.right, env, ring)
             if e.op == "/":
                 bv = ring.value(b)
                 taylor._domain(bv != 0, "division by {v}", bv)

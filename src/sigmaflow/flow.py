@@ -12,6 +12,13 @@ cone rule are ``sigma.log_quotient``'s.  Spatial derivatives are 4th-order
 central differences with even reflection across the poles (u' = 0 there);
 integrals use the endpoint-halved trapezoid rule, which is spectrally
 accurate for pole-regular integrands.
+
+A time step is one Cox-Matthews ETDRK4 step of du/dt = L u + N(u), N = rhs - L u,
+with L the linearization at u = 0, ((k - l)/n)(I - 1 w^T / sum w)(D2 + (n - 1) C
++ n I): D2 and C the stencil's u'' and u' cot(theta) (u'' at the poles), w the
+trapezoid weights.  ``run``'s default step is min(DT_MAX, (t_end - t) /
+DEFAULT_STEPS), and at most DT_SAFETY h^2 / sup|g - 2(k - l)/n|, the bound of
+N's stiffness (g = d log(sigma_k/sigma_l) / d u''), re-checked at each sample.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import GeometryError, check_int
+from .curvature import BATCH_BYTES, GeometryError, check_int
 from .sigma import (ConeConditionError, check_pair, log_quotient, repeated_sigma,
                     two_eigenvalue_sigma)
 
@@ -32,20 +39,23 @@ class BlowUp(GeometryError):
 
 
 class StepLimitError(ValueError):
-    """A run that needs more than MAX_STEPS steps, or whose step does not
-    advance t, refused before its first step."""
+    """A run that needs more than MAX_STEPS steps, whose step does not
+    advance t, or whose grid's (grid + 1)^2 step matrices would each exceed
+    BATCH_BYTES, refused before its first step."""
 
 
 U_MAX = 10.0  # sup|u|: a FlowState above it is refused, a step above it is a BlowUp
 MAX_STEPS = 10 ** 6  # run refuses more steps of dt; a 1e300-step run would never end
 DT_SAFETY = 0.5  # share of the parabolic step bound that stable_dt takes
+DEFAULT_STEPS = 90  # steps of run's default dt, unless DT_MAX or N's stiffness bound it
+DT_MAX = 0.01
 
 
 @dataclass
 class FlowState:
     """The exponent u(theta) at the M+1 latitude nodes of S^n; n >= 3, (k, l),
-    an even grid M >= 32 and sup|u| <= U_MAX are checked here, once: the RK4
-    stages and ``step`` reuse the checked state with a new u."""
+    an even grid M >= 32 and sup|u| <= U_MAX are checked here, once: the
+    ETDRK4 stages and ``step`` reuse the checked state with a new u."""
     n: int                  # sphere dimension
     k: int
     l: int
@@ -137,6 +147,7 @@ class FlowDiagnostics:
     volume: list = field(default_factory=list)
     aborted: str | None = None
     energy_omitted: bool = False                      # l = n/2 case
+    steps: list = field(default_factory=list)         # every step's dt
 
     def record(self, t, e, logr, dev, vol):
         if self.times and t <= self.times[-1]:
@@ -242,31 +253,82 @@ def flow_rhs(state: FlowState) -> np.ndarray:
     return rhs
 
 
+def _gain(state: FlowState) -> np.ndarray:
+    """d log(sigma_k/sigma_l) / d u'' at the nodes."""
+    lam_t, sk, sl = _nodal_sigmas(state, state.k, state.l)
+    dsk, dsl = (repeated_sigma(state.n - 1, j - 1, lam_t) for j in (state.k, state.l))
+    return np.exp(2 * state.u) * (dsk / sk - dsl / sl)
+
+
 def stable_dt(state: FlowState) -> float:
     """Conservative parabolic step bound dt = DT_SAFETY h^2 / (1 + gain),
     where the gain estimates the sensitivity of the right side to u''."""
-    lam_t, sk, sl = _nodal_sigmas(state, state.k, state.l)
-    # d log sigma_j / d u'' = e^{2u} * (d sigma_j / d lam_r) / sigma_j
-    dsk, dsl = (repeated_sigma(state.n - 1, j - 1, lam_t) for j in (state.k, state.l))
-    gain = np.max(np.exp(2 * state.u) * np.abs(dsk / sk - dsl / sl))
     h = math.pi / state.grid_size
-    return DT_SAFETY * h * h / (1.0 + float(gain))
+    return DT_SAFETY * h * h / (1.0 + float(np.max(np.abs(_gain(state)))))
+
+
+def _default_dt(state: FlowState, span: float) -> float:
+    """``run``'s default step for a run over ``span`` (module docstring)."""
+    h = math.pi / state.grid_size
+    rest = float(np.max(np.abs(_gain(state) - 2 * (state.k - state.l) / state.n)))
+    accurate = span / DEFAULT_STEPS if span > 0 else DT_MAX  # a run of no steps
+    return min(DT_MAX, accurate, DT_SAFETY * h * h / rest if rest else math.inf)
+
+
+@lru_cache(maxsize=None)
+def _linearization(n: int, k: int, l: int, m: int):
+    """L (module docstring), its eigenvalues, eigenvectors and their inverse."""
+    if 8 * (m + 1) ** 2 > BATCH_BYTES:
+        raise StepLimitError(f"grid {m}: a step matrix exceeds {BATCH_BYTES} bytes")
+    index, scale = _stencil(m)
+    d1, d2 = np.einsum("ij,jk...->ik...", _STENCIL, np.eye(m + 1)[index]) / scale[..., None]
+    a = d2 + (n - 1) * np.vstack([d2[:1], d1[1:-1] / _nodes(m)[1][:, None], d2[-1:]]) \
+        + n * np.eye(m + 1)
+    w = _sin_power(n, m) * np.r_[0.5, np.ones(m - 1), 0.5]
+    lin = (k - l) / n * (a - (w @ a) / w.sum())
+    lam, vec = np.linalg.eig(lin)
+    return _read_only(lin, lam, vec, np.linalg.inv(vec))
+
+
+@lru_cache(maxsize=4)
+def _etd_matrices(n: int, k: int, l: int, m: int, dt: float):
+    """e^{dt L}, e^{dt L/2}, (dt/2) phi_1(dt L/2) and, of dt L, dt (phi_1 - 3 phi_2
+    + 4 phi_3), dt (phi_2 - 2 phi_3) and dt (4 phi_3 - phi_2), with phi_j(z) =
+    sum_i z^i / (i + j)!, by phi_{j+1} = (phi_j - 1/j!) / z where |z| >= 1 and
+    by 20 terms of the series below: six (m+1)^2 matrices, 0.8 MB at grid 128,
+    so only the latest few are kept."""
+    lam, vec, inv = _linearization(n, k, l, m)[1:]
+    z = dt * np.array([lam, 0.5 * lam])
+    small = np.abs(z) < 1.0
+    w, zs, phi = np.where(small, 1.0, z), np.where(small, z, 0.0), []
+    p = np.exp(w)
+    for j in range(3):
+        p = (p - 1.0 / math.factorial(j)) / w
+        phi.append(np.where(small, sum(zs ** i / math.factorial(i + j + 1) for i in range(20)), p))
+    (p1, half1), (p2, _), (p3, _) = phi
+    diagonals = np.array([*np.exp(z), 0.5 * dt * half1, dt * (p1 - 3 * p2 + 4 * p3),
+                          dt * (p2 - 2 * p3), dt * (4 * p3 - p2)])
+    return _read_only(*np.real((vec * diagonals[:, None, :]) @ inv))
 
 
 def step(state: FlowState, dt: float) -> FlowState:
-    """One classical 4-stage Runge-Kutta step."""
+    """One Cox-Matthews ETDRK4 step of du/dt = L u + N(u), with L the
+    linearization of ``flow_rhs`` at u = 0 and N(u) = ``flow_rhs``(u) - L u."""
     if dt <= 0:
         raise GeometryError("dt must be positive")
-    u, t = state.u, state.t
+    key, u, t = (state.n, state.k, state.l, state.grid_size), state.u, state.t
+    lin, (e, e2, q, f1, f2, f3) = _linearization(*key)[0], _etd_matrices(*key, dt)
 
-    def rhs_at(uu, tt):
-        return flow_rhs(state._evolved(uu, tt))
+    def nonlinear(v, tt):
+        return flow_rhs(state._evolved(v, tt)) - lin @ v
 
-    k1 = rhs_at(u, t)
-    k2 = rhs_at(u + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs_at(u + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs_at(u + dt * k3, t + dt)
-    unew = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    nu, e2u = nonlinear(u, t), e2 @ u
+    a = e2u + q @ nu
+    na = nonlinear(a, t + 0.5 * dt)
+    b = e2u + q @ na
+    nb = nonlinear(b, t + 0.5 * dt)
+    c = e2 @ a + q @ (2.0 * nb - nu)
+    unew = e @ u + f1 @ nu + 2.0 * (f2 @ (na + nb)) + f3 @ nonlinear(c, t + dt)
     if np.abs(unew).max() > U_MAX:
         raise BlowUp(f"sup|u| exceeded {U_MAX:g} at t = {t + dt:.6f}")
     return state._evolved(unew, t + dt)
@@ -276,10 +338,11 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
         cadence: int = 10) -> tuple[FlowState, FlowDiagnostics]:
     """Integrate to ``t_end``, sampling diagnostics every ``cadence`` steps; a
     cone violation or blow-up ends the run with the partial diagnostics.  For
-    l = n/2 the E_l column holds int sigma_l dv, flagged as omitted."""
+    l = n/2 the E_l column holds int sigma_l dv, flagged as omitted.  Without
+    ``dt`` the step is the module docstring's default."""
     diag = FlowDiagnostics(energy_omitted=(2 * state.l == state.n))
-    if dt is None:
-        dt = stable_dt(state)
+    span, default = t_end - state.t, dt is None
+    dt = _default_dt(state, span) if default else dt
 
     def sample(s):
         logq, logr, energy = _log_quotient_nodes(s)
@@ -295,10 +358,14 @@ def run(state: FlowState, t_end: float, dt: float | None = None,
             raise StepLimitError(f"a step of dt = {dt:g} does not advance t = {state.t:g}")
         nstep = 0
         while state.t < t_end - 1e-12:
-            state = step(state, min(dt, t_end - state.t))
+            # a remainder within 1e-12 of dt (t's rounding) is one more step of dt
+            h = dt if t_end - state.t > dt - 1e-12 else t_end - state.t
+            state = step(state, h)
+            diag.steps.append(h)
             nstep += 1
             if nstep % cadence == 0 or state.t >= t_end - 1e-12:
                 sample(state)
+                dt = min(dt, _default_dt(state, span)) if default else dt
     except (ConeConditionError, BlowUp) as err:
         diag.aborted = str(err)
     return state, diag

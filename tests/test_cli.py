@@ -556,9 +556,10 @@ def flow_argv(**changes):
     ("hodge", "--n", "2", "--grid", "0", "--field", "x1; x2"),
     flow_argv(u0="700*x1"),
     flow_argv(u0="11"),
+    flow_argv(grid="2048"),
 ], ids=["cadence-0", "k-l-negative", "k-l-above-n", "k-above-n", "n-2", "t-end-inf",
         "t-end-nan", "dt-0", "tolerance-nan", "seed-negative", "hodge-grid-0",
-        "u0-overflows", "u0-above-bound"])
+        "u0-overflows", "u0-above-bound", "flow-grid-2048"])
 def test_malformed_arguments_exit_2(argv):
     # a separate process, so a traceback or a run that never ends shows as such
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -169,6 +169,37 @@ def test_a_literal_exponent_equals_the_constant_exponent_path():
                     assert got.c.tobytes() == np.broadcast_to(want.c, got.c.shape).tobytes(), what
 
 
+def test_a_negative_literal_exponent_is_read_as_its_float(monkeypatch):
+    # x1^-p parses as x1 ^ Neg(p), which both rings read as the literal -p:
+    # the bytes of np.power and of taylor.power by the float -p, and only the
+    # jets of x1 and of that power, with no constant jet for p or its negation
+    x = np.array([[0.7], [1.3], [0.05]])
+    for p in (1, 2, 3, 0.5, 2.5):
+        e = ex.parse(f"x1^-{p}")
+        for pts in (x[0], x):
+            want = np.power(pts[..., 0], -float(p))
+            assert np.asarray(ex.eval_float(e, pts.T)).tobytes() == want.tobytes(), (p, pts.shape)
+            for order in (2, 3, 4):
+                want = taylor.power(ex.eval_taylor(ex.parse("x1"), pts, order=order), -float(p))
+                got = ex.eval_taylor(e, pts, order=order)
+                assert got.trusted == want.trusted and got.c.tobytes() == want.c.tobytes(), \
+                    (p, pts.shape, order)
+    built = [0]
+    init = taylor.TaylorScalar.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(taylor.TaylorScalar, "__init__", counted)
+    counts = []
+    for build in (lambda: ex.eval_taylor(ex.parse("x1^-2"), [0.5], order=3),
+                  lambda: taylor.power(ex.eval_taylor(ex.parse("x1"), [0.5], order=3), -2.0)):
+        built[0] = 0
+        build()
+        counts.append(built[0])
+    assert counts == [5, 5]  # x1, the constant 1, 1/x1, its square and 1 * that
+
+
 def test_missing_variable_is_an_error():
     with pytest.raises(ex.EvalError):
         ex.eval_float(ex.parse("x3"), [1.0, 2.0])

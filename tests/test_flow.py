@@ -95,7 +95,7 @@ def test_log_r_is_weighted_mean():
 
 
 def test_each_sample_evaluates_the_spectrum_once(monkeypatch):
-    # one sample at t = 0, then per step four RK4 stages and one sample
+    # one sample at t = 0, then per step four ETDRK4 stages and one sample
     calls = [0]
 
     def counting(state):
@@ -130,7 +130,7 @@ def test_volume_not_conserved_generically():
     assert np.max(np.abs(v - v[0])) / v[0] > 1e-8
 
 
-def test_rk4_step_preserves_time_and_shape():
+def test_step_preserves_time_and_shape():
     s = perturbed(3, 2, 1, 48)
     out = step(s, 1e-4)
     assert out.t == pytest.approx(1e-4)
@@ -289,8 +289,8 @@ def test_temporal_convergence_order():
     def u0(th):
         return 0.08 * np.cos(th) + 0.03 * np.cos(2 * th)
 
-    # dt stays just inside the RK4 stability region so the temporal
-    # truncation error dominates both roundoff and instability transients
+    # ETDRK4 is 4th order in dt, so halving dt divides the error by about 16;
+    # at these steps its temporal truncation error dominates roundoff
     grid, t_end = 48, 0.04
     base = FlowState.from_function(4, 2, 1, grid, u0)
     sols = {}
@@ -332,6 +332,11 @@ def test_grid_tables_match_the_reference_formulas(grid):
 
 @pytest.mark.parametrize("n, k, l, grid", ((4, 2, 1, 64), (5, 3, 1, 128)))
 def test_run_matches_the_reference_run(n, k, l, grid):
+    # the reference steps with the program's L and exponential matrices,
+    # which the Jacobian and expm tests at the end of this module check:
+    # sup_dev reads u'' through the 1/(12 h^2) stencil, and an L that differs
+    # from the program's by 5e-17 relative (its weighted mean summed in
+    # another order) moves sup_dev by 1e-11
     state = perturbed(n, k, l, grid, amp=0.08)
     dt = stable_dt(state)
     ref = np.array(oracles.flow_run(state, 50 * dt, dt=dt, cadence=5)).T
@@ -346,7 +351,8 @@ def test_run_matches_the_reference_run(n, k, l, grid):
 def test_grid_tables_and_checks_are_built_once(monkeypatch):
     s = perturbed(4, 2, 1, 64)
     tables = (s.theta, *flow._nodes(64), *flow._stencil(64), flow._STENCIL,
-              flow._sin_power(4, 64))
+              flow._sin_power(4, 64), *flow._linearization(4, 2, 1, 64),
+              *flow._etd_matrices(4, 2, 1, 64, 1e-4))
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1.0
@@ -370,6 +376,15 @@ def test_run_refuses_too_many_steps_before_the_first(monkeypatch):
     for t_end, dt in ((1e300, None), (1.0, 1e-300), (1.0, 0.99e-6)):
         with pytest.raises(flow.StepLimitError, match="more than 1000000 steps"):
             run(state, t_end, dt=dt)
+
+
+def test_run_refuses_a_grid_whose_step_matrices_exceed_the_budget():
+    # a step forms dense (grid + 1)^2 matrices: grid 2046 is the largest
+    # whose matrices each fit curvature.BATCH_BYTES (32 MiB)
+    with pytest.raises(flow.StepLimitError, match="grid 2048: a step matrix exceeds"):
+        run(FlowState(4, 2, 1, np.zeros(2049)), 1e-3)
+    with pytest.raises(flow.StepLimitError):
+        step(FlowState(4, 2, 1, np.zeros(2049)), 1e-4)
 
 
 def test_run_refuses_a_step_that_does_not_advance_time(monkeypatch):
@@ -461,3 +476,78 @@ def test_closed_form_matches_the_chart_pipeline(monkeypatch, n, profile):
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse[0] >= 12 * fine[0] and coarse[1] >= 12 * fine[1], errors
 
+
+def central_jacobian(n, k, l, grid, eps):
+    """The central difference of ``flow_rhs`` at u = 0, column by column."""
+    cols = [(flow_rhs(FlowState(n, k, l, eps * e)) - flow_rhs(FlowState(n, k, l, -eps * e)))
+            / (2 * eps) for e in np.eye(grid + 1)]
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("n, k, l, grid", ((4, 2, 1, 32), (6, 3, 2, 32), (5, 3, 1, 64),
+                                           (4, 2, 1, 128)))
+def test_linearization_is_the_jacobian_at_the_round_metric(n, k, l, grid):
+    """L against the central difference of flow_rhs, whose error is its cubic
+    term: moving u at one node by eps moves u'' there by 2.5 eps/h^2, and
+    log(1/2 + x) has cubic over linear term (4/3) x^2, so the error is about
+    8.3 (eps/h^2)^2 relative.  Measured 9.5 (eps/h^2)^2 at both eps on all
+    four grids; the bound is 20 (eps/h^2)^2.  The column-by-column closed form
+    of tests/oracles.py agrees to 5.1e-17 (bound 1e-15)."""
+    lin = flow._linearization(n, k, l, grid)[0]
+    scale = np.max(np.abs(lin))
+    h = math.pi / grid
+    for eps in (1e-6, 1e-7):
+        error = np.max(np.abs(central_jacobian(n, k, l, grid, eps) - lin)) / scale
+        assert error <= 20 * (eps / h ** 2) ** 2, (eps, error)
+    reference = oracles.flow_linearization(FlowState(n, k, l, np.zeros(grid + 1)))
+    assert np.max(np.abs(reference - lin)) <= 1e-15 * scale
+
+
+def expm_phis(a):
+    """e^a, phi_1(a), phi_2(a) and phi_3(a): the first block row of the
+    exponential of [[a, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], [0, 0, 0, 0]]."""
+    import scipy.linalg
+    m, z, i = len(a), np.zeros_like(a), np.eye(len(a))
+    top = scipy.linalg.expm(np.block([[a, i, z, z], [z, z, i, z], [z, z, z, i],
+                                      [z, z, z, z]]))[:m]
+    return [top[:, j * m:(j + 1) * m] for j in range(4)]
+
+
+@pytest.mark.parametrize("n, k, l, grid, dt", ((4, 2, 1, 128, 0.06 / 90), (5, 3, 1, 64, 0.2 / 90),
+                                               (6, 3, 2, 32, 0.01), (4, 2, 1, 64, 1.0)))
+def test_exponential_matrices_match_the_augmented_exponential(n, k, l, grid, dt):
+    """The six matrices of a step against scipy's expm of the augmented matrix
+    (Sidje, Expokit, 1998): the two bench steps, a step at DT_MAX where L has
+    complex eigenvalues, and a step of dt = 1, where dt L reaches -915.  The
+    worst error is 7.7e-13 of the matrix's largest entry, at (5, 3, 1) on
+    grid 64, where L's eigenvectors have condition 1e4; the bound is 5e-12."""
+    lin = flow._linearization(n, k, l, grid)[0]
+    e, p1, p2, p3 = expm_phis(dt * lin)
+    e_half, half1 = expm_phis(0.5 * dt * lin)[:2]
+    want = (e, e_half, 0.5 * dt * half1, dt * (p1 - 3 * p2 + 4 * p3), dt * (p2 - 2 * p3),
+            dt * (4 * p3 - p2))
+    for got, expect in zip(flow._etd_matrices(n, k, l, grid, dt), want):
+        assert np.max(np.abs(got - expect)) <= 5e-12 * np.max(np.abs(expect))
+
+
+def test_a_steepening_flow_keeps_every_step_stable():
+    """u0 = 0.8 log(1 - 0.7 cos theta) on S^4, (k, l) = (2, 1), grid 32, to
+    t = 1: the flow steepens, in that the explicit step bound stable_dt falls
+    from 1.95e-3 to 1.64e-3.  A fixed step of DT_MAX leaves the bound of N's
+    stiffness and ends in a cone violation; the default step starts inside it
+    (5.0e-3), shrinks at the samples (to 3.3e-3), and every step stays within
+    1e-8 of four steps of a quarter of it (measured 3.1e-10)."""
+    start = FlowState.from_function(4, 2, 1, 32, lambda th: 0.8 * np.log(1 - 0.7 * np.cos(th)))
+    end, diag = run(start, 1.0)
+    assert diag.aborted is None and end.t == pytest.approx(1.0)
+    assert stable_dt(end) < 0.9 * stable_dt(start)
+    assert run(start, 1.0, dt=flow.DT_MAX)[1].aborted is not None
+    steps = np.array(diag.steps)
+    assert steps[-2] < 0.8 * steps[0] and steps.sum() == pytest.approx(1.0, abs=1e-12)
+    state = reference = start
+    for dt in steps:  # every dt is recorded: replayed, they give the run's state
+        state = step(state, dt)
+        for _ in range(4):
+            reference = step(reference, dt / 4)
+        assert np.max(np.abs(state.u - reference.u)) <= 1e-8, state.t
+    assert np.array_equal(state.u, end.u)

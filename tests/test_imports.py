@@ -12,7 +12,10 @@ a package class, dunders aside, is referenced in ``src``, ``tests`` or
 test reads through ``getattr``."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sigmaflow
@@ -199,3 +202,18 @@ def test_the_guard_sees_dead_methods_and_fields():
                         "    def used(self): pass\n    def take(self): pass\n")}
     readers = [*sources.values(), "r.used()\nprint(getattr(r, 'kept'), r.read)\n"]
     assert dead_members(sources, readers) == {"a.py": ["gone", "take"]}
+
+
+def test_the_package_and_a_flow_run_import_no_scipy():
+    # the package depends on numpy alone: scipy would add to every command's
+    # import time and memory, so the flow forms its exponentials with numpy
+    code = ("import sys, numpy as np, sigmaflow\n"
+            "from sigmaflow.flow import FlowState, run\n"
+            "_, diag = run(FlowState(4, 2, 1, 0.05 * np.cos(np.linspace(0, np.pi, 33))), 0.01)\n"
+            "assert diag.aborted is None and len(diag.steps) > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
