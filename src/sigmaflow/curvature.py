@@ -147,10 +147,6 @@ class MetricChart:
 # -- Taylor-valued tensor algebra -----------------------------------------
 
 
-def _obj(shape):
-    return np.empty(shape, dtype=object)
-
-
 # deriv of each element, resolved per call so that a rebound TaylorScalar.deriv is used
 _deriv = np.frompyfunc(lambda s, var: s.deriv(var), 2, 1)
 
@@ -246,8 +242,8 @@ class TaylorCurvature:
     (P, n).  Each derivative costs one order: g and ginv are trusted to p,
     christoffel to p - 1, riemann, ricci, scalar, schouten and endo to at
     least p - 2, and cotton to p - 3.  schouten, endo and cotton are None
-    below n = 3, and cotton below order 3; at order 3 cotton comes from value
-    parts on the prefix ring, at order 4 from ``cov_deriv_02`` on jets.
+    below n = 3, and cotton below order 3; in both rings cotton is one
+    ``_nabla`` of A, on value parts at order 3 and on jets at order 4.
     ``dim`` and ``order`` are read from g.  ``jet`` evaluates what is
     combined with them (f, X, lambda, phi) at the same points and order."""
     g: np.ndarray
@@ -274,15 +270,9 @@ class TaylorCurvature:
         return ex.eval_taylor(ex.as_expr(e), self.points, order=self.order)
 
     def cov_deriv_02(self, t: np.ndarray) -> np.ndarray:
-        """nabla_i t_jk = d_i t_jk - Gamma^l_ij t_lk - Gamma^l_ik t_jl for a
-        Taylor (0,2) tensor; output indexed [i, j, k], one i at a time."""
-        out = _obj((self.dim,) * 3)
-        cap = _trust(t) - 1  # the trust of d_i t
-        for i in range(self.dim):
-            gam = self.christoffel[:, i]  # [l, j] = Gamma^l_ij
-            out[i] = (_d(t, i) - taylor.matmul(gam.T, t, cap)        # Gamma^l_ij t_lk
-                      - taylor.matmul(gam.T, t.T, cap).T)            # Gamma^l_ik t_jl
-        return out
+        """nabla_i t_jk for a Taylor (0,2) tensor (``_nabla``), indexed [i, j, k]."""
+        return _nabla(self.christoffel, t, partial(_d, t),
+                      partial(taylor.matmul, trusted=_trust(t) - 1))
 
     def grad_scalar(self, s: TaylorScalar) -> np.ndarray:
         """Contravariant gradient components (g^{ij} d_j s)."""
@@ -338,7 +328,7 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
 
     dg = _sym(_d(g[i, j]), n)  # dg[l, i, j] = d_l g_ij
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), one i at a time
-    gam = _obj((n, n, n))
+    gam = np.empty((n, n, n), dtype=object)
     for a in range(n):
         gam[:, a, a:] = gam[:, a:, a] = \
             0.5 * taylor.matmul(ginv, (dg[a, a:] + dg[a:, a] - dg[:, a, a:].T).T)
@@ -346,21 +336,32 @@ def curvature_taylor(chart: MetricChart, x, order: int = taylor.MAX_ORDER) -> Ta
     cap = _trust(gam) - 1  # the trust of d_m Gamma, and of the block below
     if cap <= 1:
         return TaylorCurvature(g, ginv, gam, *_prefix_block(g, ginv, gam, x.shape[:-1], cap), x)
-    # order 4 stays on jets, Cotton included
-    riem, ric, scal, schouten, endo = _curvature_block(
+    # order 4 stays on jets
+    return TaylorCurvature(g, ginv, gam, *_curvature_block(
         g, ginv, gam, lambda m, nu: _d(gam[:, nu], m), g[0, 0].ctx.constant(0.0),
-        lambda a, b: a * b, lambda a, b: taylor.matmul(a, b, cap))
-    tc = TaylorCurvature(g, ginv, gam, riem, ric, scal, schouten, endo, None, x)
-    if schouten is not None:
-        da = tc.cov_deriv_02(schouten)
-        tc.cotton = da - da.transpose(1, 0, 2)
-    return tc
+        lambda a, b: a * b, partial(taylor.matmul, trusted=cap),
+        lambda a: _nabla(gam, a, partial(_d, a), partial(taylor.matmul, trusted=cap - 1))), x)
 
 
-def _curvature_block(g, ginv, gam, dgam, zero, mul, matmul):
-    """(riemann, ricci, scalar, schouten, endo) in either ring, jets or the prefix
-    ring (``_prefix_block``), whose products are ``mul`` and ``matmul``; ``dgam(m,
-    nu)`` is d_m Gamma^r_{nu t} as [r, t], and ``zero`` fills R^r_{s m m}."""
+def _nabla(gam, t, d, matmul) -> np.ndarray:
+    """nabla_i t_jk = d_i t_jk - Gamma^l_ij t_lk - Gamma^l_ik t_jl of a (0,2)
+    tensor t in either ring, indexed [..., i, j, k] and built one i at a time:
+    ``d(i)`` is d_i t, and ``matmul`` the ring's contraction, summed to its trust."""
+    n = t.shape[-1]
+    out = np.empty(t.shape[:-2] + (n,) + t.shape[-2:], dtype=t.dtype)
+    for i in range(n):
+        gi = gam[..., i, :].swapaxes(-1, -2)  # [j, l] = Gamma^l_ij
+        out[..., i, :, :] = (d(i) - matmul(gi, t)                        # Gamma^l_ij t_lk
+                             - matmul(gi, t.swapaxes(-1, -2)).swapaxes(-1, -2))  # Gamma^l_ik t_jl
+    return out
+
+
+def _curvature_block(g, ginv, gam, dgam, zero, mul, matmul, nabla):
+    """(riemann, ricci, scalar, schouten, endo, cotton) in either ring, jets or the
+    prefix ring (``_prefix_block``), whose products are ``mul`` and ``matmul``;
+    ``dgam(m, nu)`` is d_m Gamma^r_{nu t} as [r, t], ``zero`` fills R^r_{s m m},
+    and ``nabla(A)`` is ``_nabla`` of A in the ring, None (no cotton) where d A
+    is not trusted."""
     n = g.shape[-1]
     i, j = _triu(n)
     # Riemann (1,3) R^r_{s m nu}, antisymmetric in (m, nu), one pair at a time
@@ -381,12 +382,15 @@ def _curvature_block(g, ginv, gam, dgam, zero, mul, matmul):
         riem[..., k, l], riem[..., l, k] = block, -block
 
     scal = _lsum(mul(ginv, ric).reshape(ric.shape[:-2] + (1, n * n)))  # [..., 1]
-    schouten = endo = None
+    schouten = endo = cotton = None
     if n >= 3:
         coef = scal * (1.0 / (2.0 * (n - 1)))
         schouten = _sym((ric[..., i, j] - mul(coef, g[..., i, j])) * (1.0 / (n - 2)), n)
         endo = matmul(ginv, schouten)
-    return riem, ric, scal[..., 0][()], schouten, endo
+        if nabla is not None:
+            da = nabla(schouten)  # C_ijk = nabla_i A_jk - nabla_j A_ik
+            cotton = da - da.swapaxes(-3, -2)
+    return riem, ric, scal[..., 0][()], schouten, endo, cotton
 
 
 def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
@@ -394,9 +398,8 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
     axes) of the K coefficients of degree <= cap: a product is ``_prefix_mul``
     over every other axis, a contraction sums left to right as ``taylor.matmul``
     sums jets, and d Gamma is formed as ``deriv`` forms it.  Its results are jets
-    trusted to cap, R_ijkk the constant zero to p, and at cap 1 a sixth, Cotton,
-    from the value parts of Gamma and of d A, trusted to 0; cotton is None at
-    cap 0, and with schouten and endo below n = 3."""
+    trusted to cap, R_ijkk the constant zero to p, and Cotton, at cap 1 only,
+    from the value parts of Gamma, A and d A, trusted to 0."""
     ctx = g[0, 0].ctx
     n, k = ctx.dim, ctx._ends[cap + 1]
     gv = _columns(gam, ctx._ends[cap + 2], lead)  # [coefficient, ..., r, m, t]
@@ -407,6 +410,9 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
 
     def matmul(a, b, t=cap):
         return np.cumsum(_prefix_mul(a[..., None], b[..., None, :, :], t), axis=-2)[..., -1, :]
+
+    def nabla(a):  # on value parts, with d A from A's degree-1 coefficients
+        return _nabla(gv[:1], a[:1], partial(d, a, width=1), partial(matmul, t=0))
 
     def jets(v, t=cap):  # v is (K,) + lead + shape; the shared zero where v is 0 at every probe
         shape = v.shape[1 + len(lead):]
@@ -419,23 +425,16 @@ def _prefix_block(g, ginv, gam, lead: tuple, cap: int):
         return out.reshape(shape)[()]
 
     dg = [d(gv, m, k) for m in range(n)]
-    riem, ric, scal, schouten, endo = _curvature_block(
+    riem, ric, scal, schouten, endo, cotton = _curvature_block(
         _columns(g, k, lead), _columns(ginv, k, lead), gv[:k],
-        lambda m, nu: dg[m][..., nu, :], 0.0, partial(_prefix_mul, t=cap), matmul)
-    cotton = None
-    if schouten is not None and cap == 1:
-        # nabla_i A_jk = d_i A_jk - M_i[j, k] - M_i[k, j], M_i[j, k] = Gamma^l_ij A_lk
-        # (A is symmetric), one i at a time; C_ijk = nabla_i A_jk - nabla_j A_ik
-        da = np.empty((1,) + lead + (n,) * 3)
-        for a in range(n):
-            m = matmul(gv[:1, ..., a, :].swapaxes(-1, -2), schouten[:1], 0)
-            da[..., a, :, :] = d(schouten, a, 1) - m - m.swapaxes(-1, -2)
-        cotton = jets(da - da.swapaxes(-3, -2), 0)
+        lambda m, nu: dg[m][..., nu, :], 0.0, partial(_prefix_mul, t=cap), matmul,
+        nabla if cap == 1 else None)
     i, j = _triu(n)  # symmetric fields share one jet per pair, as _sym shares
     riem, ric, scal = jets(riem), _sym(jets(ric[..., i, j]), n), jets(scal)
     riem[:, :, range(n), range(n)] = ctx.constant(0.0)
     if schouten is not None:
         schouten, endo = _sym(jets(schouten[..., i, j]), n), jets(endo)
+        cotton = cotton if cotton is None else jets(cotton, 0)
     return riem, ric, scal, schouten, endo, cotton
 
 

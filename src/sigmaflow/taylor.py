@@ -506,20 +506,16 @@ def log_abs(s: TaylorScalar) -> TaylorScalar:
 def _fractional(s: TaylorScalar, p: float, root) -> TaylorScalar:
     """s^p = sum C(p, m) v^(p - m) w^m for a positive value part v, ``root(v)``
     being v^p in the float ring, summed in w / scale with README's scale of
-    each probe: 1 where v < 1, from v^(p - m), else min(v, max(1, |w|)),
-    from v^p times scale / v <= 1 once per m."""
+    each probe, |w| clipped to [min(v, 1), max(v, 1)], from
+    C(p, m) (v / scale)^(p - m) scale^p."""
     v = _val(s)
     _domain(v > 0.0, "fractional power of non-positive value {v}", v)
-    head = root(v)
-    small = v < 1.0
-    big, below = np.where(small, 1.0, v), np.where(small, v, 1.0)
-    scale = np.minimum(big, np.maximum(1.0, np.abs(s.c[..., 1:]).max(axis=-1)))
-    r = scale / big
-    series, c, tail = [head], 1.0, head
+    scale = np.clip(np.abs(s.c[..., 1:]).max(axis=-1), np.minimum(v, 1.0), np.maximum(v, 1.0))
+    u, top = v / scale, np.power(scale, p)
+    series, c = [root(v)], 1.0
     for m in range(1, s.ctx.order + 1):
         c *= (p - m + 1) / m
-        tail = tail * r
-        series.append(c * np.where(small, np.power(below, p - m), tail))
+        series.append(c * np.power(u, p - m) * top)
     return _compose(s, series, scale)
 
 

@@ -171,18 +171,20 @@ def test_verify_json_report():
     assert json.loads(out)["trivial"] is False
 
 
+# dx1^2 + cos(x1)^2 (dx2^2 + dx3^2) has R = 4 - 2 tan(x1)^2, so sigma_1
+# changes sign inside the box and (k, l) = (1, 0) fails at some probes
+CONE_DOC = {
+    "dim": 3,
+    "metric": [["1", "0", "0"], ["0", "cos(x1)^2", "0"],
+               ["0", "0", "cos(x1)^2"]],
+    "domain": [[-1.55, 1.55], [-1, 1], [-1, 1]],
+    "k": 1, "l": 0,
+}
+
+
 def test_verify_counts_cone_violations(tmp_path):
-    # dx1^2 + cos(x1)^2 (dx2^2 + dx3^2) has R = 4 - 2 tan(x1)^2, so sigma_1
-    # changes sign inside the box and (k, l) = (1, 0) fails at some probes
-    doc = {
-        "dim": 3,
-        "metric": [["1", "0", "0"], ["0", "cos(x1)^2", "0"],
-                   ["0", "0", "cos(x1)^2"]],
-        "domain": [[-1.55, 1.55], [-1, 1], [-1, 1]],
-        "k": 1, "l": 0,
-    }
     path = tmp_path / "cone.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(CONE_DOC))
     code, out, _ = run_cli("verify", "--file", str(path), "--probes", "10")
     assert code == 1
     assert "cone violations at 2 probes" in out
@@ -195,14 +197,19 @@ def test_verify_counts_cone_violations(tmp_path):
     assert report["cone_violation_points"] == want
 
 
-def test_verify_json_names_the_worst_probe():
-    # the probe where the residual is largest, with its |1/2 L_X g|_g and |psi|
-    spec = models.builtin("hyperbolic:4")
-    code, out, _ = run_cli("verify", "--builtin", "hyperbolic:4", "--probes", "10", "--json")
+def test_verify_json_names_the_worst_probe(tmp_path):
+    # a failing run names the probe where the residual is largest, with its
+    # |1/2 L_X g|_g and |psi|; a passing one names none
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(CONE_DOC))
+    spec = cli.load_spec_file(str(path))
+    code, out, _ = run_cli("verify", "--file", str(path), "--probes", "10", "--json")
     x, half_lie, psi = soliton.soliton_residual(spec, chart_probes(spec.chart, 10)).worst_probe
-    assert code == 0
+    assert code == 1
     assert json.loads(out)["worst_probe"] == {"point": x.tolist(), "half_lie_norm": half_lie,
                                               "psi_abs": psi}
+    code, out, _ = run_cli("verify", "--builtin", "hyperbolic:4", "--probes", "10", "--json")
+    assert code == 0 and json.loads(out)["worst_probe"] is None
 
 
 def test_verify_every_builtin_model():

@@ -169,6 +169,21 @@ def test_a_literal_exponent_equals_the_constant_exponent_path():
                     assert got.c.tobytes() == np.broadcast_to(want.c, got.c.shape).tobytes(), what
 
 
+def test_a_batched_constant_exponent_takes_a_one_point_base():
+    # 0*x1 + p is constant in x but a jet of every probe of the batch, so the
+    # one-point constant base 2 is spread over the batch before the power
+    batch = np.array([[0.7], [1.3], [0.05]])
+    for src in ("2^(0*x1 + 3)", "2^(0*x1 + 0.5)"):
+        e = ex.parse(src)
+        want = ex.eval_float(e, batch.T)
+        for order in (2, 3, 4):
+            jets = ex.eval_taylor(e, batch, order=order)
+            assert jets.c.shape == (3, jets.ctx.ncoef) and list(jets.value) == list(want)
+            for p, x in enumerate(batch):
+                assert np.array_equal(jets.c[p], ex.eval_taylor(e, x, order=order).c), \
+                    (src, order, p)
+
+
 def test_a_negative_literal_exponent_is_read_as_its_float(monkeypatch):
     # x1^-p parses as x1 ^ Neg(p), which both rings read as the literal -p:
     # the bytes of np.power and of taylor.power by the float -p, and only the

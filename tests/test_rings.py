@@ -93,9 +93,10 @@ def test_a_jet_coefficient_out_of_range_is_named(src, x):
 
 # far from 0 every coefficient of 1/v and log v is a double or underflows to
 # 0, and a series in w / v forms no power of v or of a large w, so the jet
-# ring accepts what the float ring does and agrees on the value
+# ring accepts what the float ring does and agrees on the value; so does a
+# fractional power of a tiny value with a tiny nilpotent part, summed in w / |w|
 @pytest.mark.parametrize("src, x", [("1/x1", 1e70), ("log(x1)", 1e80), ("x1^-2", 1e100),
-                                     ("1/exp(300*x1)", 1.0)])
+                                     ("1/exp(300*x1)", 1.0), ("sqrt(exp(-300*x1))", 1.0)])
 def test_a_large_value_keeps_its_jet(src, x):
     e = ex.parse(src)
     want = ex.eval_float(e, [x])

@@ -120,18 +120,21 @@ def test_fractional_power_matches_exp_log():
 
 @pytest.mark.parametrize("order", (2, 3, 4))
 def test_fractional_powers_keep_their_coefficients_far_from_one(order):
-    # below 1 the sum runs in w, since v^p has lost its digits; at a large
-    # value with a small w in w again, since the powers of u = w / v
-    # underflow; at a large value with a larger w in u, since the powers
-    # of w overflow
+    # the sum runs in w / scale, |w| clipped to [min(v, 1), max(v, 1)]: in w
+    # at a tiny value with w = 1, and at a large value with w = 1, where the
+    # powers of u = w / v underflow; in u at a large value with a larger w,
+    # where the powers of w overflow; in w / |w| at a tiny value whose |w| is
+    # tiny too but above it, where v^(p - m) overflows
     ctx = context(1, order)
     powers = ((ty.power(ctx.variable(0, 1e-100), 3.5), 1e-100, 3.5),
               (ty.power(ctx.variable(0, 1e100), 2.5), 1e100, 2.5),
               (ty.sqrt(ctx.variable(0, 1e200)), 1e200, 0.5))
     large = ty.sqrt(ty.exp(300 * ctx.variable(0, 1.0)))
+    small = ty.sqrt(ty.exp(-300 * ctx.variable(0, 1.0)))
     for m in range(order + 1):
         cases = [(jet, math.prod(p - j for j in range(m)) * v ** (p - m)) for jet, v, p in powers]
-        for jet, want in (*cases, (large, 150.0 ** m * math.exp(150.0))):
+        for jet, want in (*cases, (large, 150.0 ** m * math.exp(150.0)),
+                          (small, (-150.0) ** m * math.exp(-150.0))):
             assert jet.derivative((m,)) == pytest.approx(want, rel=1e-13, abs=0), m
 
 

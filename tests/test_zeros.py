@@ -6,7 +6,7 @@ materialises every zero gives."""
 import numpy as np
 import pytest
 
-from sigmaflow import models, taylor
+from sigmaflow import curvature, models, taylor
 from sigmaflow.curvature import curvature_taylor, taylor_metric
 from sigmaflow.probes import chart_probes
 from test_batched import BUILTINS, FIELDS
@@ -88,6 +88,23 @@ def test_every_zero_product_takes_the_zero_path(count_products):
             assert zeros == skips, (name, order)
             if order == 4:  # the block on jets: most of its products have a zero operand
                 assert zeros == skips > calls / 2, name
+
+
+@pytest.mark.parametrize("n", (3, 4, 6, 8))
+def test_order_4_cotton_products(n, count_products, monkeypatch):
+    # on jets the shared nabla forms both contractions per i, Gamma^l_ij A_lk
+    # and Gamma^l_ik A_jl, n^3 products each: 2 n^4, with no symmetric shortcut
+    counts, nabla = [], curvature._nabla
+
+    def counted(*args):
+        out = []
+        counts.append(count_products(lambda: out.append(nabla(*args)))[0])
+        return out[0]
+
+    monkeypatch.setattr(curvature, "_nabla", counted)
+    chart = models.sphere(n).chart
+    curvature_taylor(chart, chart_probes(chart, 1)[0], order=4)
+    assert counts == [2 * n ** 4] == [{3: 162, 4: 512, 6: 2592, 8: 8192}[n]]
 
 
 def test_jets_built_per_pipeline(monkeypatch):
